@@ -209,8 +209,8 @@ func BenchmarkChainsParallel(b *testing.B) {
 }
 
 // Tentpole ablation — MinRounds search as per-horizon engine restarts
-// (the pre-incremental MinRoundsSearch strategy: a fresh interner, walk,
-// and worker pool at every horizon) versus one incremental engine whose
+// (the pre-incremental MinRoundsSearch strategy: a fresh engine, grown
+// from the roots, at every horizon) versus one incremental engine whose
 // horizon-r frontier seeds horizon r+1. R1 is never solvable, so both
 // sides sweep the full 0..maxR range. BENCH_4.json records the speedup.
 func BenchmarkMinRoundsIncrementalVsRestart(b *testing.B) {

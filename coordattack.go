@@ -357,12 +357,42 @@ func Analyze(ctx context.Context, req RoundsRequest) (RoundsReport, error) {
 	return chain.Analyze(ctx, req)
 }
 
+// mustAnalyze runs chain.Analyze for the deprecated context-free
+// helpers below, which have always panicked on engine errors.
+func mustAnalyze(req RoundsRequest) RoundsReport {
+	rep, err := chain.Analyze(context.Background(), req)
+	if err != nil {
+		panic(err.Error())
+	}
+	return rep
+}
+
+// mustAnalyzeNet is mustAnalyze for nchain.Analyze.
+func mustAnalyzeNet(req NetAnalysisRequest) NetAnalysisReport {
+	rep, err := nchain.Analyze(context.Background(), req)
+	if err != nil {
+		panic(err.Error())
+	}
+	return rep
+}
+
+// foundRounds gives the deprecated searches their (0, false) shape for
+// a horizon that was not found.
+func foundRounds(r int, found bool) (int, bool) {
+	if !found {
+		return 0, false
+	}
+	return r, true
+}
+
 // SolvableInRounds reports whether an r-round consensus algorithm exists
 // for the scheme, by exhaustive full-information analysis. Unlike
 // Classify, it also applies to schemes with double omissions.
 //
 // Deprecated: use Analyze with RoundsRequest.VerdictOnly.
-func SolvableInRounds(s *Scheme, r int) bool { return chain.SolvableInRounds(s, r) }
+func SolvableInRounds(s *Scheme, r int) bool {
+	return mustAnalyze(RoundsRequest{Scheme: s, Horizon: r, VerdictOnly: true}).Solvable
+}
 
 // RoundsAnalysis is the full bounded-round solvability computation:
 // configuration count, indistinguishability components, and the
@@ -374,34 +404,44 @@ type RoundsAnalysis = chain.Analysis
 //
 // Deprecated: use Analyze.
 func AnalyzeRounds(s *Scheme, r int) RoundsAnalysis {
-	return chain.AnalyzeOpt(s, r, fullinfo.Defaults())
+	return mustAnalyze(RoundsRequest{Scheme: s, Horizon: r}).Analysis
 }
 
 // MinRoundsSearch finds the smallest horizon ≤ maxR at which the scheme
 // is bounded-round solvable.
 //
 // Deprecated: use Analyze with RoundsRequest.MinRounds.
-func MinRoundsSearch(s *Scheme, maxR int) (int, bool) { return chain.MinRoundsSearch(s, maxR) }
+func MinRoundsSearch(s *Scheme, maxR int) (int, bool) {
+	rep := mustAnalyze(RoundsRequest{Scheme: s, Horizon: maxR, MinRounds: true, VerdictOnly: true})
+	return foundRounds(rep.Rounds, rep.Found)
+}
 
 // SolvableInRoundsChecked is SolvableInRounds under a context.
 //
 // Deprecated: use Analyze with RoundsRequest.VerdictOnly.
 func SolvableInRoundsChecked(ctx context.Context, s *Scheme, r int) (bool, error) {
-	return chain.SolvableInRoundsChecked(ctx, s, r)
+	rep, err := chain.Analyze(ctx, RoundsRequest{Scheme: s, Horizon: r, VerdictOnly: true})
+	return rep.Solvable, err
 }
 
 // AnalyzeRoundsChecked is AnalyzeRounds under a context.
 //
 // Deprecated: use Analyze.
 func AnalyzeRoundsChecked(ctx context.Context, s *Scheme, r int) (RoundsAnalysis, error) {
-	return chain.AnalyzeChecked(ctx, s, r)
+	rep, err := chain.Analyze(ctx, RoundsRequest{Scheme: s, Horizon: r})
+	return rep.Analysis, err
 }
 
 // MinRoundsSearchChecked is MinRoundsSearch under a context.
 //
 // Deprecated: use Analyze with RoundsRequest.MinRounds.
 func MinRoundsSearchChecked(ctx context.Context, s *Scheme, maxR int) (int, bool, error) {
-	return chain.MinRoundsSearchChecked(ctx, s, maxR)
+	rep, err := chain.Analyze(ctx, RoundsRequest{Scheme: s, Horizon: maxR, MinRounds: true, VerdictOnly: true})
+	if err != nil {
+		return 0, false, err
+	}
+	r, ok := foundRounds(rep.Rounds, rep.Found)
+	return r, ok, nil
 }
 
 // Synthesize compiles a round-optimal consensus algorithm for the scheme
@@ -449,13 +489,18 @@ func NewValencyAnalyzer(factory func() (white, black Process), s *Scheme, inputs
 // future-work direction): it reports whether r-round consensus exists.
 //
 // Deprecated: use AnalyzeNet with NetAnalysisRequest.VerdictOnly.
-func AnalyzeComplete(n, f, r int) bool { return nchain.SolvableInRounds(n, f, r) }
+func AnalyzeComplete(n, f, r int) bool {
+	return mustAnalyzeNet(NetAnalysisRequest{N: n, F: f, Horizon: r, VerdictOnly: true}).Solvable
+}
 
 // MinRoundsComplete finds the smallest solvable horizon ≤ maxR for
 // (n, f) on K_n.
 //
 // Deprecated: use AnalyzeNet with NetAnalysisRequest.MinRounds.
-func MinRoundsComplete(n, f, maxR int) (int, bool) { return nchain.MinRounds(n, f, maxR) }
+func MinRoundsComplete(n, f, maxR int) (int, bool) {
+	rep := mustAnalyzeNet(NetAnalysisRequest{N: n, F: f, Horizon: maxR, MinRounds: true, VerdictOnly: true})
+	return foundRounds(rep.Rounds, rep.Found)
+}
 
 // AnalyzeGraphConsensus decides whether r-round consensus exists on an
 // arbitrary small graph with at most f message losses per round,
@@ -463,13 +508,18 @@ func MinRoundsComplete(n, f, maxR int) (int, bool) { return nchain.MinRounds(n, 
 //
 // Deprecated: use AnalyzeNet with NetAnalysisRequest.Graph and
 // VerdictOnly.
-func AnalyzeGraphConsensus(g *Graph, f, r int) bool { return nchain.GraphSolvableInRounds(g, f, r) }
+func AnalyzeGraphConsensus(g *Graph, f, r int) bool {
+	return mustAnalyzeNet(NetAnalysisRequest{Graph: g, F: f, Horizon: r, VerdictOnly: true}).Solvable
+}
 
 // MinRoundsGraph finds the smallest solvable horizon ≤ maxR for (g, f).
 //
 // Deprecated: use AnalyzeNet with NetAnalysisRequest.Graph and
 // MinRounds.
-func MinRoundsGraph(g *Graph, f, maxR int) (int, bool) { return nchain.GraphMinRounds(g, f, maxR) }
+func MinRoundsGraph(g *Graph, f, maxR int) (int, bool) {
+	rep := mustAnalyzeNet(NetAnalysisRequest{Graph: g, F: f, Horizon: maxR, MinRounds: true, VerdictOnly: true})
+	return foundRounds(rep.Rounds, rep.Found)
+}
 
 // RoleOf classifies a Γ-scenario in the special-pair matching.
 func RoleOf(s Scenario) Role { return obstruction.RoleOf(s) }

@@ -25,7 +25,8 @@ type Request struct {
 	MinRounds bool
 	// VerdictOnly declares that only Report.Solvable (and Found) are
 	// needed, letting the engine abandon a horizon on the first mixed
-	// component. Counts in the Report may then be partial.
+	// component. An unsolvable horizon then reports its verdict alone
+	// (every count zero); a solvable one keeps its exact counts.
 	VerdictOnly bool
 	// Sequential routes the computation through the materializing
 	// single-threaded reference walk instead of the streaming engine.
@@ -56,10 +57,10 @@ type Report struct {
 // errNilScheme is returned for requests missing a scheme.
 var errNilScheme = errors.New("chain: Analyze requires a Scheme")
 
-// Analyze is the single analysis entry point of the package: every
-// other exported analysis function is a deprecated wrapper around it.
-// The context bounds the whole computation — deadlines propagate into
-// the engine's worker pool or the incremental per-round walk.
+// Analyze is the single analysis entry point of the package. Fixed
+// horizons and MinRounds searches both run on one fullinfo.Engine; the
+// context bounds the whole computation — deadlines propagate into the
+// engine's per-round grow and scan loops.
 func Analyze(ctx context.Context, req Request) (Report, error) {
 	if req.Scheme == nil {
 		return Report{}, errNilScheme
@@ -84,16 +85,15 @@ func Analyze(ctx context.Context, req Request) (Report, error) {
 	opt.EarlyExit = req.VerdictOnly
 	opt.Observer = observe
 
+	eng := fullinfo.NewEngine(newChainStepper(req.Scheme), opt)
+	defer eng.Release()
 	if !req.MinRounds {
-		res, _, err := fullinfo.RunChecked(ctx, newChainStepper(req.Scheme), req.Horizon, opt)
+		res, err := eng.ExtendTo(ctx, req.Horizon)
 		if err != nil {
 			return Report{}, err
 		}
 		return Report{Analysis: analysisOf(req.Horizon, res), Found: res.Solvable, Stats: agg}, nil
 	}
-
-	eng := fullinfo.NewEngine(newChainStepper(req.Scheme), opt)
-	defer eng.Release()
 	var last fullinfo.Result
 	for r := 0; r <= req.Horizon; r++ {
 		res, err := eng.ExtendTo(ctx, r)

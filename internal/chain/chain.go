@@ -19,6 +19,7 @@
 package chain
 
 import (
+	"context"
 	"math/big"
 
 	"repro/internal/fullinfo"
@@ -249,7 +250,10 @@ type Complex struct {
 // The engine's (process, view) vertices and components are exactly the
 // complex's, and each configuration contributes one edge.
 func ProtocolComplex(s *scheme.Scheme, r int) Complex {
-	res, _ := fullinfo.Run(newChainStepper(s), r, fullinfo.Defaults())
+	res, _, err := fullinfo.RunChecked(context.Background(), newChainStepper(s), r, fullinfo.Defaults())
+	if err != nil {
+		panic(err) // unreachable: nothing cancels the run and the chain stepper never panics
+	}
 	return Complex{
 		Rounds:     r,
 		Vertices:   res.Vertices,

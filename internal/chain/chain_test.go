@@ -10,14 +10,33 @@ import (
 	"repro/internal/scheme"
 )
 
-// analyzeAt runs the unified entry point at one fixed horizon.
-func analyzeAt(t *testing.T, s *scheme.Scheme, r int) Analysis {
+// analyze runs the unified entry point, failing the test on error.
+func analyze(t *testing.T, req Request) Report {
 	t.Helper()
-	rep, err := Analyze(context.Background(), Request{Scheme: s, Horizon: r})
+	rep, err := Analyze(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep.Analysis
+	return rep
+}
+
+// analyzeAt runs the unified entry point at one fixed horizon.
+func analyzeAt(t *testing.T, s *scheme.Scheme, r int) Analysis {
+	t.Helper()
+	return analyze(t, Request{Scheme: s, Horizon: r}).Analysis
+}
+
+// solvableIn is the verdict-only fixed-horizon analysis.
+func solvableIn(t *testing.T, s *scheme.Scheme, r int) bool {
+	t.Helper()
+	return analyze(t, Request{Scheme: s, Horizon: r, VerdictOnly: true}).Solvable
+}
+
+// minRounds is the verdict-only MinRounds search up to maxR.
+func minRounds(t *testing.T, s *scheme.Scheme, maxR int) (int, bool) {
+	t.Helper()
+	rep := analyze(t, Request{Scheme: s, Horizon: maxR, MinRounds: true, VerdictOnly: true})
+	return rep.Rounds, rep.Found
 }
 
 // TestChainStructure verifies Lemma III.4 / Corollary III.5 semantically:
@@ -84,7 +103,7 @@ func TestNamedSchemesBoundedSolvability(t *testing.T) {
 		{scheme.AlmostFair(), -1}, // likewise
 	}
 	for _, c := range cases {
-		got, ok := MinRoundsSearch(c.s, 5)
+		got, ok := minRounds(t, c.s, 5)
 		if c.p < 0 {
 			if ok {
 				t.Errorf("%s: unexpectedly solvable at horizon %d", c.s.Name(), got)
@@ -96,7 +115,7 @@ func TestNamedSchemesBoundedSolvability(t *testing.T) {
 		}
 		// Solvability is monotone in the horizon.
 		for r := c.p; r <= c.p+2; r++ {
-			if !SolvableInRounds(c.s, r) {
+			if !solvableIn(t, c.s, r) {
 				t.Errorf("%s: solvable at %d but not at %d", c.s.Name(), c.p, r)
 			}
 		}
@@ -119,7 +138,7 @@ func TestCrossValidationWithClassifier(t *testing.T) {
 		}
 		for r := 0; r <= maxR; r++ {
 			want := res.Solvable && res.MinRounds != classify.Unbounded && res.MinRounds <= r
-			got := SolvableInRounds(s, r)
+			got := solvableIn(t, s, r)
 			if got != want {
 				t.Fatalf("%s at horizon %d: chain=%v classifier=%v (solvable=%v minRounds=%d)",
 					s.Name(), r, got, want, res.Solvable, res.MinRounds)
@@ -135,7 +154,7 @@ func TestPairRemovalHorizons(t *testing.T) {
 	l := scheme.Minus("R1-pair", scheme.R1(),
 		omission.MustScenario("w(b)"), omission.MustScenario(".(b)"))
 	for r := 0; r <= 5; r++ {
-		if SolvableInRounds(l, r) {
+		if solvableIn(t, l, r) {
 			t.Fatalf("pair-removed scheme bounded-solvable at %d", r)
 		}
 	}
@@ -214,7 +233,7 @@ func TestLynchWeakValidity(t *testing.T) {
 	// Weak validity is implied by strong validity: wherever the strong
 	// problem is solvable, the weak one is too.
 	for _, s := range []*scheme.Scheme{scheme.S0(), scheme.S1(), scheme.C1()} {
-		strong, _ := MinRoundsSearch(s, 4)
+		strong, _ := minRounds(t, s, 4)
 		if !SolvableLynchInRounds(s, strong) {
 			t.Fatalf("%s: weak validity harder than strong?!", s.Name())
 		}
@@ -230,7 +249,7 @@ func TestLynchWeakValidity(t *testing.T) {
 			break
 		}
 	}
-	strongP, _ := MinRoundsSearch(scheme.C1(), 4)
+	strongP, _ := minRounds(t, scheme.C1(), 4)
 	if weakP < 0 || weakP > strongP {
 		t.Fatalf("C1: weak p=%d vs strong p=%d", weakP, strongP)
 	}

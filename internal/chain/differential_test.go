@@ -8,11 +8,10 @@ import (
 	"repro/internal/scheme"
 )
 
-// TestEngineMatchesSequential pins the tentpole guarantee: the parallel
-// streaming engine returns an Analysis identical — field for field — to
-// the sequential materialize-then-union reference, for every named
-// scheme at horizons 1..5, both single-worker and with a real pool
-// (which also drives the worker/merge code under -race).
+// TestEngineMatchesSequential pins the tentpole guarantee: the engine
+// returns an Analysis identical — field for field — to the sequential
+// materialize-then-union reference, for every named scheme at horizons
+// 1..5, both single-worker and with a worker pool.
 func TestEngineMatchesSequential(t *testing.T) {
 	for _, name := range scheme.Names() {
 		s, err := scheme.ByName(name)
@@ -20,16 +19,17 @@ func TestEngineMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for r := 1; r <= 5; r++ {
-			want := AnalyzeSequential(s, r)
+			want := analyzeSequential(s, r)
 			for _, workers := range []int{1, 4} {
-				got := AnalyzeOpt(s, r, fullinfo.Options{Parallel: true, Workers: workers})
+				got := analyze(t, Request{Scheme: s, Horizon: r,
+					Engine: &fullinfo.Options{Parallel: true, Workers: workers}}).Analysis
 				if got != want {
 					t.Errorf("%s r=%d workers=%d: engine %+v != sequential %+v",
 						name, r, workers, got, want)
 				}
 			}
-			if got := SolvableInRounds(s, r); got != want.Solvable {
-				t.Errorf("%s r=%d: SolvableInRounds=%v, sequential Solvable=%v",
+			if got := solvableIn(t, s, r); got != want.Solvable {
+				t.Errorf("%s r=%d: verdict-only Solvable=%v, sequential Solvable=%v",
 					name, r, got, want.Solvable)
 			}
 		}
@@ -37,9 +37,9 @@ func TestEngineMatchesSequential(t *testing.T) {
 }
 
 // TestIncrementalExtendMatchesRestart pins the incremental engine: one
-// Engine extended round by round must report exactly the same Result —
-// verdict and component structure — as a from-scratch run at every
-// horizon, for every named scheme.
+// Engine extended round by round must report exactly the analysis of
+// the sequential reference, rebuilt from scratch at every horizon, for
+// every named scheme.
 func TestIncrementalExtendMatchesRestart(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range scheme.Names() {
@@ -53,13 +53,8 @@ func TestIncrementalExtendMatchesRestart(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s r=%d: %v", name, r, err)
 			}
-			want, _, err := fullinfo.RunChecked(ctx, newChainStepper(s), r,
-				fullinfo.Options{Parallel: true, Workers: 4})
-			if err != nil {
-				t.Fatalf("%s r=%d: %v", name, r, err)
-			}
-			if got != want {
-				t.Errorf("%s r=%d: incremental %+v != restart %+v", name, r, got, want)
+			if an, want := analysisOf(r, got), analyzeSequential(s, r); an != want {
+				t.Errorf("%s r=%d: incremental %+v != sequential %+v", name, r, an, want)
 			}
 		}
 	}
@@ -99,7 +94,9 @@ func TestAnalyzeMinRoundsMatchesRestartSearch(t *testing.T) {
 				t.Errorf("%s: found-horizon analysis %+v != sequential %+v", name, rep.Analysis, exact)
 			}
 		}
-		if rep.Stats.Configs == 0 || rep.Stats.WallNanos == 0 {
+		// Unsolvable horizons contribute no counts, so only a found
+		// horizon's configurations show in the aggregate.
+		if rep.Stats.WallNanos == 0 || (wantOK && rep.Stats.Configs < int64(rep.Configs)) {
 			t.Errorf("%s: MinRounds stats not populated: %+v", name, rep.Stats)
 		}
 	}
@@ -130,27 +127,9 @@ func TestAnalyzeSequentialModeMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestEngineForcedSplitDepth exercises frontier splitting at every depth
-// of a small instance, including splits past the point where subtrees
-// become single leaves.
-func TestEngineForcedSplitDepth(t *testing.T) {
-	s, err := scheme.ByName("S1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const r = 4
-	want := AnalyzeSequential(s, r)
-	for depth := 1; depth <= r; depth++ {
-		got := AnalyzeOpt(s, r, fullinfo.Options{Parallel: true, Workers: 4, SplitDepth: depth})
-		if got != want {
-			t.Errorf("split depth %d: engine %+v != sequential %+v", depth, got, want)
-		}
-	}
-}
-
-// TestEngineEarlyExitVerdicts: with early exit the counts may be
-// partial, but the verdict must still match the reference on both
-// solvable and unsolvable instances.
+// TestEngineEarlyExitVerdicts: with early exit the verdict must still
+// match the reference on both solvable and unsolvable instances, and an
+// unsolvable horizon reports its verdict alone.
 func TestEngineEarlyExitVerdicts(t *testing.T) {
 	for _, name := range scheme.Names() {
 		s, err := scheme.ByName(name)
@@ -158,12 +137,38 @@ func TestEngineEarlyExitVerdicts(t *testing.T) {
 			t.Fatal(err)
 		}
 		for r := 1; r <= 4; r++ {
-			want := AnalyzeSequential(s, r).Solvable
-			opt := fullinfo.Options{Parallel: true, Workers: 4, EarlyExit: true}
-			if got := AnalyzeOpt(s, r, opt).Solvable; got != want {
-				t.Errorf("%s r=%d: early-exit Solvable=%v want %v", name, r, got, want)
+			want := analyzeSequential(s, r)
+			got := analyze(t, Request{Scheme: s, Horizon: r, VerdictOnly: true,
+				Engine: &fullinfo.Options{Parallel: true, Workers: 4}}).Analysis
+			if got.Solvable != want.Solvable {
+				t.Errorf("%s r=%d: early-exit Solvable=%v want %v", name, r, got.Solvable, want.Solvable)
+			}
+			if !want.Solvable && got != (Analysis{Rounds: r}) {
+				t.Errorf("%s r=%d: unsolvable early-exit horizon reported counts: %+v", name, r, got)
 			}
 		}
+	}
+}
+
+// TestVerdictOnlyReportIgnoresWorkers: a VerdictOnly report must not
+// depend on the pool size. S2 (a Σ scheme, never symbolic) reaches
+// frontiers past parMinFrontier by horizon 7, so 2 and 4 workers take
+// the chunked grow and scan while 1 worker takes the fused sequential
+// scan; apart from the scheduling gauges the reports must be equal.
+func TestVerdictOnlyReportIgnoresWorkers(t *testing.T) {
+	var want Report
+	for i, w := range []int{1, 2, 4} {
+		rep := analyze(t, Request{Scheme: scheme.S2(), Horizon: 7, MinRounds: true, VerdictOnly: true,
+			Engine: &fullinfo.Options{Parallel: true, Workers: w}})
+		rep.Stats.WallNanos, rep.Stats.Workers, rep.Stats.WorkerForks, rep.Stats.Absorbed = 0, 0, 0, 0
+		if i == 0 {
+			want = rep
+		} else if rep != want {
+			t.Errorf("workers=%d: %+v\n != workers=1: %+v", w, rep, want)
+		}
+	}
+	if want.Found || want.Stats.Configs != 0 {
+		t.Errorf("S2 is never solvable, so no horizon may report counts: %+v", want)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 func TestSigmaSchemes(t *testing.T) {
 	// Σ^ω: never solvable at any horizon.
 	for r := 0; r <= 4; r++ {
-		if SolvableInRounds(scheme.S2(), r) {
+		if solvableIn(t, scheme.S2(), r) {
 			t.Fatalf("Σ^ω solvable at horizon %d", r)
 		}
 	}
@@ -22,7 +22,7 @@ func TestSigmaSchemes(t *testing.T) {
 	// is common knowledge).
 	for k := 0; k <= 3; k++ {
 		s := scheme.BlackoutBudget(k)
-		got, ok := MinRoundsSearch(s, k+3)
+		got, ok := minRounds(t, s, k+3)
 		if !ok || got != k+1 {
 			t.Fatalf("BX%d: first solvable horizon %d (ok=%v), want %d", k, got, ok, k+1)
 		}
@@ -31,7 +31,7 @@ func TestSigmaSchemes(t *testing.T) {
 	// (the adversary may black out forever).
 	allOrNothing := scheme.MustNew("dotx", "{., x}^ω", onlyDotX())
 	for r := 0; r <= 4; r++ {
-		if SolvableInRounds(allOrNothing, r) {
+		if solvableIn(t, allOrNothing, r) {
 			t.Fatalf("{., x}^ω solvable at horizon %d", r)
 		}
 	}
@@ -41,7 +41,7 @@ func TestSigmaSchemes(t *testing.T) {
 	// losses... verify the exact horizon experimentally.)
 	for k := 0; k <= 2; k++ {
 		s := scheme.SigmaAtMostKLostMessages(k)
-		got, ok := MinRoundsSearch(s, k+3)
+		got, ok := minRounds(t, s, k+3)
 		if !ok || got != k+1 {
 			t.Fatalf("ΣK%d: first solvable horizon %d (ok=%v), want %d", k, got, ok, k+1)
 		}
@@ -49,7 +49,7 @@ func TestSigmaSchemes(t *testing.T) {
 	// Γ-scheme with the same budget matches (cross-check against the
 	// classifier's Corollary III.14 bound).
 	for k := 0; k <= 2; k++ {
-		got, ok := MinRoundsSearch(scheme.AtMostKLosses(k), k+3)
+		got, ok := minRounds(t, scheme.AtMostKLosses(k), k+3)
 		if !ok || got != k+1 {
 			t.Fatalf("K%d: horizon %d", k, got)
 		}

@@ -25,6 +25,18 @@ func bench6MaxR() int {
 	return 40
 }
 
+// bench6FlatMaxR is the horizon BENCH_6's enumerating side sweeps to;
+// override with BENCH6_FLAT_MAXR. 13 is about the deepest R1 horizon
+// enumeration affords inside one benchmark iteration.
+func bench6FlatMaxR() int {
+	if v := os.Getenv("BENCH6_FLAT_MAXR"); v != "" {
+		if n, err := strconv.Atoi(v); err == nil && n >= 1 {
+			return n
+		}
+	}
+	return 13
+}
+
 // bench6PrintOnce keeps the configs-exact line to a single clean write
 // before the harness starts interleaving benchmark name prefixes with
 // benchmark-body output.
@@ -32,13 +44,13 @@ var bench6PrintOnce sync.Once
 
 // BenchmarkMinRoundsSymbolicVsFlat is the BENCH_6 pair: the R1
 // MinRounds/VerdictOnly search on the symbolic index-interval backend
-// at bench6MaxR (default 40), against the PR-6 flat-table enumerating
-// engine at the BENCH_5 horizon (bench5MaxR, default 13 — the deepest
-// it can afford). The comparison is deliberately asymmetric: the
-// symbolic side sweeps three times the horizon, which enumeration
-// cannot reach at any budget, and must still win on wall clock. It
-// also prints the exact configuration count at the top horizon
-// (bench6_configs_exact), which exceeds int64.
+// at bench6MaxR (default 40), against the flat-table enumerating
+// engine at bench6FlatMaxR (default 13 — the deepest it can afford).
+// The comparison is deliberately asymmetric: the symbolic side sweeps
+// three times the horizon, which enumeration cannot reach at any
+// budget, and must still win on wall clock. It also prints the exact
+// configuration count at the top horizon (bench6_configs_exact), which
+// exceeds int64.
 func BenchmarkMinRoundsSymbolicVsFlat(b *testing.B) {
 	s, err := scheme.ByName("R1")
 	if err != nil {
@@ -80,7 +92,7 @@ func BenchmarkMinRoundsSymbolicVsFlat(b *testing.B) {
 	})
 	b.Run("flat", func(b *testing.B) {
 		b.ReportAllocs()
-		flatR := bench5MaxR()
+		flatR := bench6FlatMaxR()
 		for i := 0; i < b.N; i++ {
 			rep, err := Analyze(context.Background(), Request{
 				Scheme: s, Horizon: flatR, MinRounds: true, VerdictOnly: true,

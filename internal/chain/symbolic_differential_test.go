@@ -37,7 +37,7 @@ func TestSymbolicMatchesEnumerateAllSchemes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for r := 0; r <= 5; r++ {
-			want := AnalyzeSequential(s, r)
+			want := analyzeSequential(s, r)
 			enum := analyzeBackend(t, s, r, fullinfo.BackendEnumerate)
 			sym := analyzeBackend(t, s, r, fullinfo.BackendSymbolic)
 			if enum.Analysis != want {
@@ -79,8 +79,8 @@ func TestSymbolicMinRoundsMatches(t *testing.T) {
 	}
 }
 
-// TestDeprecatedSearchMatchesBackends: the deprecated MinRoundsSearch
-// wrappers route through the default (auto) backend selection; their
+// TestDeprecatedSearchMatchesBackends: the root facade's deprecated
+// MinRoundsSearch helpers run the default (auto) backend selection; its
 // answers must coincide with both explicit backends.
 func TestDeprecatedSearchMatchesBackends(t *testing.T) {
 	for _, name := range scheme.Names() {
@@ -88,24 +88,14 @@ func TestDeprecatedSearchMatchesBackends(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, ok := MinRoundsSearch(s, 6)
-		rc, okc, err := MinRoundsSearchChecked(context.Background(), s, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r != rc || ok != okc {
-			t.Errorf("%s: MinRoundsSearch (%d,%v) != Checked (%d,%v)", name, r, ok, rc, okc)
-		}
+		r, ok := minRounds(t, s, 6)
 		for _, b := range []fullinfo.BackendMode{fullinfo.BackendEnumerate, fullinfo.BackendSymbolic} {
-			rep, err := Analyze(context.Background(), Request{
+			rep := analyze(t, Request{
 				Scheme: s, Horizon: 6, MinRounds: true, VerdictOnly: true,
 				Engine: &fullinfo.Options{Backend: b},
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			if rep.Found != ok || (ok && rep.Rounds != r) {
-				t.Errorf("%s backend %v: (found=%v r=%d) != deprecated (%v,%d)",
+				t.Errorf("%s backend %v: (found=%v r=%d) != auto (%v,%d)",
 					name, b, rep.Found, rep.Rounds, ok, r)
 			}
 		}
@@ -161,7 +151,7 @@ func FuzzSymbolicVsReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, states, horizon uint8) {
 		s := scheme.Random(rand.New(rand.NewSource(int64(seed))), int(states%5)+1)
 		r := int(horizon % 7)
-		want := AnalyzeSequential(s, r)
+		want := analyzeSequential(s, r)
 		for _, b := range []fullinfo.BackendMode{fullinfo.BackendSymbolic, fullinfo.BackendAuto} {
 			rep, err := Analyze(context.Background(), Request{
 				Scheme: s, Horizon: r,

@@ -1,6 +1,8 @@
 package chain
 
 import (
+	"context"
+
 	"repro/internal/fullinfo"
 	"repro/internal/scheme"
 	"repro/internal/sim"
@@ -40,7 +42,7 @@ type program struct {
 	initView [2]int
 }
 
-// compile runs the streaming engine once with graph retention and
+// compile runs the engine once with graph retention and
 // extracts the program: the canonical interner's transition table
 // becomes step, and each final (process, view) vertex decides by its
 // component's unanimity flags — 1 when the component contains an
@@ -51,7 +53,10 @@ type program struct {
 func compile(s *scheme.Scheme, r int) (*program, bool) {
 	opt := fullinfo.Defaults()
 	opt.BuildGraph = true
-	res, g := fullinfo.Run(newChainStepper(s), r, opt)
+	res, g, err := fullinfo.RunChecked(context.Background(), newChainStepper(s), r, opt)
+	if err != nil {
+		panic(err) // unreachable: nothing cancels the run and the chain stepper never panics
+	}
 	if !res.Solvable {
 		return nil, false
 	}

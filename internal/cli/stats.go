@@ -24,10 +24,9 @@ func engineOptions(backend string) (*coordattack.EngineOptions, error) {
 // one -stats output line, shared by every CLI that runs the fullinfo
 // engine.
 func formatEngineStats(st coordattack.EngineStats) string {
-	s := fmt.Sprintf("rounds=%d configs=%d vertices=%d components=%d mixed=%d views=%d merges=%d workers=%d frontier=%d/%d dedup=%.3f",
+	s := fmt.Sprintf("rounds=%d configs=%d vertices=%d components=%d mixed=%d views=%d merges=%d workers=%d",
 		st.Rounds, st.Configs, st.Vertices, st.Components, st.MixedComponents,
-		st.ViewsInterned, st.Merges, st.Workers,
-		st.FrontierRaw, st.FrontierDistinct, st.DedupRatio())
+		st.ViewsInterned, st.Merges, st.Workers)
 	if st.SymbolicRounds > 0 || st.SymbolicFallbacks > 0 {
 		s += fmt.Sprintf(" sym=%d intervals=%d/%d peak=%d frag=%.3f fallbacks=%d",
 			st.SymbolicRounds, st.Intervals, st.IntervalRuns, st.IntervalsPeak,

@@ -3,10 +3,10 @@
 // (internal/chain for two processes, internal/nchain for n processes on
 // K_n or an arbitrary graph).
 //
-// The analyses all have the same shape: walk the tree of admissible
-// r-round failure histories for every input assignment, intern each
-// process's full-information view at every node, and decide whether some
-// connected component of the "shares a view" relation contains both an
+// The analyses all have the same shape: grow the admissible r-round
+// failure histories for every input assignment, intern each process's
+// full-information view along the way, and decide whether some connected
+// component of the "shares a view" relation contains both an
 // all-0-input and an all-1-input leaf configuration. The engine factors
 // that shape out behind the Stepper interface and makes it fast:
 //
@@ -14,22 +14,24 @@
 //     (scheme.PrefixDFA) so a tree edge is a slice lookup, not an oracle
 //     clone.
 //
-//   - The walk is an iterative DFS over reusable scratch buffers — no
-//     per-node allocation — and fans out at a configurable split depth:
-//     the tree is expanded breadth-first to the split depth, then the
-//     frontier subtrees are distributed over a worker pool.
+//   - One enumerating engine (Engine) sweeps the history tree a round at
+//     a time over flat, reusable frontier arrays. A fixed horizon r is one
+//     ExtendTo(r) call; a MinRounds search extends the same frontier
+//     horizon by horizon. Large rounds fan out over chunked workers that
+//     intern on forked interners, canonicalized in chunk order so results
+//     never depend on the worker count.
 //
-//   - Each worker interns views in a worker-local Interner forked from
-//     the shared prefix interner, and streams every leaf straight into a
-//     worker-local union-find keyed by (process, view) — leaf
-//     configurations are never materialized. Worker ids are
-//     canonicalized into the shared id space when the pools merge.
+//   - The final round streams every leaf straight into a union-find keyed
+//     by (process, view) — leaf configurations are never materialized
+//     beyond the frontier itself.
 //
 //   - Components carry unanimous-0/1 flags, so a mixed component is
-//     detected the moment it forms; with Options.EarlyExit the whole
-//     pool aborts on the first one (the scheme is then provably not
-//     r-round solvable, and callers asking only for the boolean need
-//     nothing more).
+//     detected the moment it forms; with Options.EarlyExit the scan stops
+//     there (the scheme is then provably not r-round solvable, and callers
+//     asking only for the boolean need nothing more).
+//
+//   - Chain-structured two-process problems skip enumeration altogether
+//     (the symbolic index-interval backend, symbolic.go).
 //
 // Correctness note: the engine counts components of the (process, view)
 // vertex graph in which every leaf configuration links all of its
@@ -37,20 +39,15 @@
 // vertex belongs to some configuration, so these components are in
 // bijection with the components of the configuration
 // indistinguishability graph that the materializing reference
-// implementations (chain.AnalyzeSequential, nchain.AnalyzeSequential)
+// implementations (chain and nchain Analyze with Request.Sequential)
 // compute — the differential tests in those packages pin this.
 package fullinfo
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/big"
-	"runtime"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // Stepper defines one full-information analysis problem: a process
@@ -127,7 +124,7 @@ func (c *Ctx) View(prev, recv int) int {
 	return id
 }
 
-// Options configures an engine run.
+// Options configures an engine.
 type Options struct {
 	// Backend selects the analysis backend: BackendAuto (the zero
 	// value) lets chain-structured problems run symbolically and
@@ -139,75 +136,38 @@ type Options struct {
 	// fragmentation threshold (total (state, interval) pairs before it
 	// abandons the run to enumeration); ≤ 0 means the default.
 	SymbolicMaxIntervals int
-	// Parallel fans the walk out over a worker pool. When false the
-	// whole tree is walked by a single worker (still streaming, still
-	// early-exiting).
+	// Parallel fans frontier growth and the leaf scan out over chunked
+	// workers once a round is large enough to amortize the forks. When
+	// false every round runs on the calling goroutine.
 	Parallel bool
 	// Workers is the pool size; ≤ 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// SplitDepth is the tree depth at which subtrees are handed to
-	// workers; ≤ 0 picks the smallest depth whose frontier is at least
-	// subtreesPerWorker times the pool size.
-	SplitDepth int
-	// EarlyExit aborts the run on the first mixed component. The
-	// returned counts are then partial (Exhaustive=false), but
-	// Solvable=false is exact.
+	// EarlyExit lets the leaf scan stop on the first mixed component.
+	// An unsolvable horizon then reports only its verdict: Solvable and
+	// Exhaustive false, every count zero.
 	EarlyExit bool
-	// BuildGraph retains the merged interner and component structure so
-	// callers (algorithm synthesis, protocol-complex reports) can read
-	// the canonical view table and per-vertex decisions.
+	// BuildGraph retains the final scan's interner and component
+	// structure (Engine.Graph) so callers (algorithm synthesis) can read
+	// the canonical view table and per-vertex decisions. It disables the
+	// symbolic backend and the Scratch.
 	BuildGraph bool
-	// Dedup controls hash-consed frontier deduplication: nodes with
-	// identical (state, inputs, views) collapse into one configuration
-	// carrying an int64 multiplicity, so Configs stays exact while the
-	// live frontier shrinks to the distinct-configuration count.
-	Dedup DedupMode
 	// Observer, when non-nil, receives a Stats snapshot after every
-	// completed run (Run/RunChecked) or incremental round
-	// (Engine.Extend). It is called synchronously on the calling
+	// Extend/ExtendTo call. It is called synchronously on the calling
 	// goroutine; keep it cheap.
 	Observer func(Stats)
 	// Scratch, when non-nil, recycles engine state (interner tables,
 	// worker forks, frontier slices, union-finds) across runs. See the
 	// Scratch type for the single-run and BuildGraph caveats; results
-	// are bit-identical with or without it. RunChecked releases the
-	// arena before returning; an Engine holds it until Release.
+	// are bit-identical with or without it. An Engine holds the arena
+	// until Release.
 	Scratch *Scratch
 }
-
-// DedupMode selects the frontier deduplication policy.
-type DedupMode int
-
-const (
-	// DedupAuto dedups every frontier round until the problem proves
-	// collapse-free — dedupAutoPatience consecutive rounds where raw ==
-	// distinct — then stops paying the probe cost. Multiplicities
-	// already accumulated keep propagating, so results stay exact.
-	// Full-information steppers that record null receptions (all of
-	// this repository's) are history-injective and settle into the
-	// no-dedup fast path; steppers whose views forget structure keep
-	// collapsing. The zero value, hence the default everywhere.
-	DedupAuto DedupMode = iota
-	// DedupOn dedups every round unconditionally.
-	DedupOn
-	// DedupOff never dedups; every admissible history is a frontier
-	// node, as in the pre-dedup engine.
-	DedupOff
-)
-
-// dedupAutoPatience is how many consecutive collapse-free rounds
-// DedupAuto tolerates before switching the probe off.
-const dedupAutoPatience = 2
 
 // Defaults returns the standard engine configuration: parallel across
 // all CPUs, exhaustive, no graph retention.
 func Defaults() Options { return Options{Parallel: true} }
 
-// subtreesPerWorker is the auto split-depth fan-out target: enough
-// subtrees per worker that uneven subtree sizes still balance.
-const subtreesPerWorker = 8
-
-// Result is the outcome of an engine run.
+// Result is the outcome of analyzing one horizon.
 type Result struct {
 	// Configs is the number of leaf configurations explored, saturated
 	// at math.MaxInt64 when the true count no longer fits (only the
@@ -227,16 +187,22 @@ type Result struct {
 	MixedComponents int
 	// Solvable is MixedComponents == 0.
 	Solvable bool
-	// Exhaustive is false when EarlyExit aborted the walk; counts are
-	// then lower bounds (Solvable remains exact).
+	// Exhaustive is false exactly when EarlyExit settled an unsolvable
+	// horizon: the Result then carries the verdict alone and every count
+	// is zero, whatever path the scan took.
 	Exhaustive bool
 }
 
-// Graph is the merged analysis structure retained by BuildGraph.
+// Graph is the analysis structure retained by BuildGraph: the logging
+// root interner plus the final scan's union-find, addressed through its
+// dense (view, process) vertex window. It aliases engine state and is
+// valid until the engine's next Extend/ExtendTo call.
 type Graph struct {
 	in   *Interner
 	uf   *compUF
-	keys []int64
+	vert []int32 // (view-base)·n + proc → union-find index + 1; 0 = absent
+	base int
+	n    int
 }
 
 // EachView calls f for every canonical view transition
@@ -247,14 +213,17 @@ func (g *Graph) EachView(f func(prev, recv, id int)) { g.in.EachView(f) }
 // EachVertex calls f for every (process, view) vertex with its
 // component's unanimity flags.
 func (g *Graph) EachVertex(f func(proc, view int, has0, has1 bool)) {
-	for i, k := range g.keys {
-		fl := g.uf.flag[g.uf.find(int32(i))]
-		f(int(k&vertProcMask), int(k>>vertProcBits), fl&flagHas0 != 0, fl&flagHas1 != 0)
+	for i, slot := range g.vert {
+		if slot == 0 {
+			continue
+		}
+		fl := g.uf.flag[g.uf.find(slot-1)]
+		f(i%g.n, g.base+i/g.n, fl&flagHas0 != 0, fl&flagHas1 != 0)
 	}
 }
 
 // NumVertices returns the vertex count.
-func (g *Graph) NumVertices() int { return len(g.keys) }
+func (g *Graph) NumVertices() int { return len(g.uf.parent) }
 
 // Vertex keys pack (process, view) into an int64: low bits process,
 // high bits (arithmetically shifted, so sentinel views stay distinct)
@@ -268,444 +237,17 @@ func vertexKey(proc, view int) int64 {
 	return int64(view)<<vertProcBits | int64(proc)
 }
 
-// node is one frontier entry: an automaton state, the n current views,
-// the input assignment bitmask the subtree belongs to, and the number
-// of raw (undeduplicated) histories this configuration stands for.
-type node struct {
-	state  int
-	inputs int
-	mult   int64
-	views  []int
-}
-
-// eq reports whether nd denotes the same configuration as (state,
-// inputs, views).
-func (nd *node) eq(state, inputs int, views []int) bool {
-	if nd.state != state || nd.inputs != inputs {
-		return false
-	}
-	for i, v := range nd.views {
-		if v != views[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// worker holds one pool member's private state: a forked interner, the
-// streaming union-find, and the DFS scratch buffers.
-type worker struct {
-	st     Stepper
-	ctx    *Ctx
-	n, na  int
-	all1   int
-	height int
-
-	uf      compUF
-	verts   flatU64
-	keys    []int64
-	configs int64
-
-	views  []int // (height+1) rows of n views
-	states []int
-	acts   []int
-}
-
-func newWorker(st Stepper, shared *Interner, height int) *worker {
-	n := st.NumProcs()
-	return &worker{
-		st:     st,
-		ctx:    &Ctx{In: NewInterner(shared)},
-		n:      n,
-		na:     st.NumActions(),
-		all1:   1<<n - 1,
-		height: height,
-		views:  make([]int, (height+1)*n),
-		states: make([]int, height+1),
-		acts:   make([]int, height+1),
-	}
-}
-
-// vertex interns a (process, view) pair as a union-find index.
-func (w *worker) vertex(proc, view int) int32 {
-	k := vertexKey(proc, view)
-	id, slot, hit := w.verts.probe(packVertex(k))
-	if hit {
-		return id
-	}
-	id = w.uf.add()
-	w.verts.setAt(slot, packVertex(k), id)
-	w.keys = append(w.keys, k)
-	return id
-}
-
-// leaf streams one leaf configuration into the union-find: all its
-// vertices join one component, which inherits the unanimity flags.
-// mult is the configuration's multiplicity: how many raw histories the
-// dedup'd subtree root stood for.
-func (w *worker) leaf(views []int, has0, has1 bool, mult int64) {
-	w.configs += mult
-	root := w.uf.find(w.vertex(0, views[0]))
-	for i := 1; i < len(views); i++ {
-		root = w.uf.union(root, w.vertex(i, views[i]))
-	}
-	if has0 {
-		w.uf.mark(root, flagHas0)
-	}
-	if has1 {
-		w.uf.mark(root, flagHas1)
-	}
-}
-
-// walk runs the iterative DFS over one frontier subtree.
-func (w *worker) walk(nd node, earlyExit bool, abort *atomic.Bool) {
-	n := w.n
-	copy(w.views[:n], nd.views)
-	w.states[0] = nd.state
-	w.acts[0] = 0
-	has0 := nd.inputs == 0
-	has1 := nd.inputs == w.all1
-	depth := 0
-	for depth >= 0 {
-		if depth == w.height {
-			w.leaf(w.views[depth*n:(depth+1)*n], has0, has1, nd.mult)
-			if earlyExit && (w.uf.mixed > 0 || abort.Load()) {
-				abort.Store(true)
-				return
-			}
-			depth--
-			continue
-		}
-		a := w.acts[depth]
-		if a == w.na {
-			depth--
-			continue
-		}
-		w.acts[depth] = a + 1
-		ns, ok := w.st.Step(w.ctx, w.states[depth], a,
-			w.views[depth*n:(depth+1)*n], w.views[(depth+1)*n:(depth+2)*n])
-		if !ok {
-			continue
-		}
-		depth++
-		w.states[depth] = ns
-		w.acts[depth] = 0
-	}
-}
-
-// Run executes the full-information analysis at horizon r. The returned
-// Graph is nil unless opt.BuildGraph is set. A panicking Stepper
-// re-panics on the calling goroutine (wrapped with the worker's
-// diagnostics); use RunChecked for an error instead.
-func Run(st Stepper, r int, opt Options) (Result, *Graph) {
-	res, g, err := RunChecked(context.Background(), st, r, opt)
-	if err != nil {
-		panic(err.Error())
-	}
-	return res, g
-}
-
-// RunChecked is Run with fail-closed behavior: a Stepper that panics on
-// any worker is recovered (the first panic's value and stack become the
-// returned error, and the pool aborts), and the context cancels the walk
-// at the next subtree boundary (the error is then ctx.Err() and the
-// partial Result has Exhaustive=false).
+// RunChecked analyzes horizon r in one shot on a fresh Engine. The
+// Graph is nil unless opt.BuildGraph is set. Stepper panics and context
+// cancellation surface as errors, with a zero (non-exhaustive) Result.
 func RunChecked(ctx context.Context, st Stepper, r int, opt Options) (Result, *Graph, error) {
-	start := time.Now()
-	if r < 0 {
-		r = 0
-	}
-
-	// Symbolic dispatch: chain-structured problems short-circuit the
-	// whole walk unless the caller forces enumeration or needs the
-	// retained graph. A fragmented symbolic attempt falls through to
-	// the enumerating phases below with the fallback recorded.
-	symFB := 0
-	if sym := symEngineFor(st, opt); sym != nil {
-		res, err := sym.extendTo(ctx, r)
-		if err == nil {
-			if opt.Observer != nil {
-				opt.Observer(sym.stats(res, r, start, 0))
-			}
-			return res, nil, nil
-		}
-		if !errors.Is(err, errSymbolicFragmented) {
-			return Result{}, nil, err
-		}
-		symFB = 1
-	} else if opt.Backend == BackendSymbolic {
-		symFB = 1
-	}
-
-	n := st.NumProcs()
-	na := st.NumActions()
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if !opt.Parallel {
-		workers = 1
-	}
-
-	// Arena reuse: the BuildGraph result would alias recycled storage,
-	// so the scratch only engages without it (and when not already
-	// serving another run).
-	scr := opt.Scratch
-	if opt.BuildGraph || !scr.acquire() {
-		scr = nil
-	} else {
-		defer scr.release()
-	}
-	var shared *Interner
-	var sctx *Ctx
-	if scr != nil {
-		sctx = scr.rootCtxFor(false)
-		shared = sctx.In
-	} else {
-		shared = NewInterner(nil)
-		sctx = &Ctx{In: shared}
-	}
-
-	// Roots: one subtree per input assignment.
-	var frontier []node
-	if start, ok := st.Root(); ok {
-		for inputs := 0; inputs < 1<<n; inputs++ {
-			views := make([]int, n)
-			for i := 0; i < n; i++ {
-				views[i] = InitView((inputs >> i) & 1)
-			}
-			frontier = append(frontier, node{state: start, inputs: inputs, mult: 1, views: views})
-		}
-	}
-
-	// Phase 1: expand breadth-first on the shared interner, hash-consing
-	// each level per opt.Dedup. The BFS keeps going as long as dedup is
-	// productive (always for DedupOn; for DedupAuto until the frontier
-	// proves collapse-free — hash-consing needs a global view of the
-	// level, so it must happen here, not in the per-subtree pool walk);
-	// once dedup is off, the split heuristics decide when the pool takes
-	// over. Stepper panics here surface as an error, like on the pool.
-	depth := 0
-	var dt dedupTable
-	var frontRaw, frontDistinct int64
-	cleanRounds := 0
-	if err := func() (err error) {
-		defer recoverStepper(&err)
-		for depth < r && len(frontier) > 0 {
-			dedup := opt.Dedup == DedupOn ||
-				(opt.Dedup == DedupAuto && cleanRounds < dedupAutoPatience)
-			if !dedup {
-				if opt.SplitDepth > 0 {
-					if depth >= opt.SplitDepth {
-						break
-					}
-				} else if workers == 1 || len(frontier) >= workers*subtreesPerWorker {
-					break
-				}
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			if dedup {
-				dt.reset(len(frontier) * na)
-			}
-			next := make([]node, 0, len(frontier)*na)
-			var raw int64
-			for _, nd := range frontier {
-				for a := 0; a < na; a++ {
-					nv := make([]int, n)
-					ns, ok := st.Step(sctx, nd.state, a, nd.views, nv)
-					if !ok {
-						continue
-					}
-					if dedup {
-						raw += nd.mult
-						h := hashConfig(ns, nd.inputs, nv)
-						idx, slot := dt.find(h, func(j int32) bool {
-							return next[j].eq(ns, nd.inputs, nv)
-						})
-						if idx >= 0 {
-							next[idx].mult += nd.mult
-							continue
-						}
-						dt.claim(slot, int32(len(next)))
-					}
-					next = append(next, node{state: ns, inputs: nd.inputs, mult: nd.mult, views: nv})
-				}
-			}
-			if dedup {
-				frontRaw += raw
-				frontDistinct += int64(len(next))
-				if raw == int64(len(next)) {
-					cleanRounds++
-				} else {
-					cleanRounds = 0
-				}
-			}
-			frontier = next
-			depth++
-		}
-		return nil
-	}(); err != nil {
+	e := NewEngine(st, opt)
+	defer e.Release()
+	res, err := e.ExtendTo(ctx, max(r, 0))
+	if err != nil {
 		return Result{}, nil, err
 	}
-
-	if len(frontier) == 0 {
-		res := Result{Solvable: true, Exhaustive: true}
-		var g *Graph
-		if opt.BuildGraph {
-			g = &Graph{in: shared, uf: &compUF{}}
-		}
-		if opt.Observer != nil {
-			opt.Observer(Stats{
-				Horizon:           r,
-				Rounds:            r,
-				ViewsInterned:     shared.NumIDs(),
-				NewViews:          shared.NumIDs(),
-				Workers:           workers,
-				FrontierRaw:       frontRaw,
-				FrontierDistinct:  frontDistinct,
-				SymbolicFallbacks: symFB,
-				WallNanos:         time.Since(start).Nanoseconds(),
-			})
-		}
-		return res, g, nil
-	}
-
-	// Phase 2: the pool walks frontier subtrees, streaming leaves into
-	// worker-local union-finds.
-	if workers > len(frontier) {
-		workers = len(frontier)
-	}
-	pool := make([]*worker, workers)
-	for i := range pool {
-		if scr != nil {
-			pool[i] = scr.workerFor(i, st, shared, r-depth)
-		} else {
-			pool[i] = newWorker(st, shared, r-depth)
-		}
-	}
-	var abort atomic.Bool
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		abort.Store(true)
-	}
-	for _, w := range pool {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					fail(fmt.Errorf("fullinfo: Stepper panicked on worker: %v\n%s", p, debug.Stack()))
-				}
-			}()
-			for !abort.Load() {
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				i := cursor.Add(1) - 1
-				if i >= int64(len(frontier)) {
-					return
-				}
-				w.walk(frontier[i], opt.EarlyExit, &abort)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return Result{Exhaustive: false}, nil, firstErr
-	}
-
-	// Phase 3: merge. Worker ids are canonicalized into the shared
-	// interner; worker components are replayed into a global union-find.
-	guf := &compUF{}
-	var gverts flatU64
-	var gkeys []int64
-	if scr != nil {
-		var gv *flatU64
-		guf, gv, gkeys = scr.mergeScratch()
-		gverts = *gv
-		defer func() {
-			// Hand grown merge storage back to the arena.
-			scr.gverts = gverts
-			scr.gkeys = gkeys
-		}()
-	}
-	var configs int64
-	var absorbed int
-	for _, w := range pool {
-		configs += w.configs
-		trans := shared.absorb(w.ctx.In)
-		absorbed += len(trans)
-		base := w.ctx.In.base
-		gid := make([]int32, len(w.keys))
-		for i, k := range w.keys {
-			view := int(k >> vertProcBits)
-			if view >= base {
-				view = trans[view-base]
-			}
-			gk := vertexKey(int(k&vertProcMask), view)
-			id, ok := gverts.get(packVertex(gk))
-			if !ok {
-				id = guf.add()
-				gverts.put(packVertex(gk), id)
-				gkeys = append(gkeys, gk)
-			}
-			gid[i] = id
-		}
-		for i := range w.keys {
-			guf.union(gid[i], gid[w.uf.find(int32(i))])
-		}
-		for i := range w.keys {
-			if w.uf.parent[i] == int32(i) && w.uf.flag[i] != 0 {
-				guf.mark(gid[i], w.uf.flag[i])
-			}
-		}
-	}
-
-	res := Result{
-		Configs:         configs,
-		Vertices:        len(gkeys),
-		Components:      guf.roots,
-		MixedComponents: guf.mixed,
-		Solvable:        guf.mixed == 0,
-		Exhaustive:      !abort.Load(),
-	}
-	var g *Graph
-	if opt.BuildGraph {
-		g = &Graph{in: shared, uf: guf, keys: gkeys}
-	}
-	if opt.Observer != nil {
-		opt.Observer(Stats{
-			Horizon:           r,
-			Rounds:            r,
-			Configs:           configs,
-			Vertices:          res.Vertices,
-			Components:        res.Components,
-			MixedComponents:   res.MixedComponents,
-			Merges:            res.Vertices - res.Components,
-			ViewsInterned:     shared.NumIDs(),
-			NewViews:          shared.NumIDs(),
-			Workers:           workers,
-			WorkerForks:       len(pool),
-			Absorbed:          absorbed,
-			Subtrees:          len(frontier),
-			FrontierRaw:       frontRaw,
-			FrontierDistinct:  frontDistinct,
-			SymbolicFallbacks: symFB,
-			WallNanos:         time.Since(start).Nanoseconds(),
-		})
-	}
-	return res, g, nil
+	return res, e.Graph(), nil
 }
 
 // recoverStepper converts a Stepper panic into an error carrying the

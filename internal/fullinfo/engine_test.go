@@ -2,8 +2,8 @@ package fullinfo
 
 import (
 	"context"
+	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
@@ -34,16 +34,32 @@ type deadStepper struct{ binStepper }
 
 func (deadStepper) Root() (int, bool) { return 0, false }
 
-func runBoth(t *testing.T, st Stepper, r int) (Result, Result) {
+// run is RunChecked failing the test on error.
+func run(t *testing.T, st Stepper, r int, opt Options) (Result, *Graph) {
 	t.Helper()
-	seq, _ := Run(st, r, Options{})
-	par, _ := Run(st, r, Options{Parallel: true, Workers: 4, SplitDepth: 1})
-	return seq, par
+	res, g, err := RunChecked(context.Background(), st, r, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, g
+}
+
+func pow2(r int) int64 {
+	return int64(1) << r
+}
+
+func pow3(r int) int64 {
+	v := int64(1)
+	for i := 0; i < r; i++ {
+		v *= 3
+	}
+	return v
 }
 
 func TestEngineSequentialParallelAgree(t *testing.T) {
 	for r := 0; r <= 6; r++ {
-		seq, par := runBoth(t, binStepper{}, r)
+		seq, _ := run(t, binStepper{}, r, Options{})
+		par, _ := run(t, binStepper{}, r, Options{Parallel: true, Workers: 4})
 		if seq != par {
 			t.Fatalf("r=%d: sequential %+v != parallel %+v", r, seq, par)
 		}
@@ -56,19 +72,13 @@ func TestEngineSequentialParallelAgree(t *testing.T) {
 	}
 }
 
-func pow2(r int) int64 {
-	return int64(1) << r
-}
-
 func TestEngineDropChainsNeverSolvable(t *testing.T) {
-	// The all-drop history keeps every input assignment mutually
-	// indistinguishable for the receiver-less processes... actually with
-	// this toy stepper the all-drop chain gives each process a view
-	// depending only on its own input, so configs 00 and 01 share
+	// With this toy stepper the all-drop chain gives each process a
+	// view depending only on its own input, so configs 00 and 01 share
 	// process 0's vertex, 01 and 11 share process 1's vertex: one big
 	// component containing both unanimous configs. Never solvable.
 	for r := 1; r <= 5; r++ {
-		res, _ := Run(binStepper{}, r, Options{Parallel: true, Workers: 3})
+		res, _ := run(t, binStepper{}, r, Options{Parallel: true, Workers: 3})
 		if res.Solvable {
 			t.Fatalf("r=%d: expected unsolvable, got %+v", r, res)
 		}
@@ -78,21 +88,20 @@ func TestEngineDropChainsNeverSolvable(t *testing.T) {
 	}
 }
 
+// TestEngineEarlyExit: an unsolvable horizon under EarlyExit reports its
+// verdict alone — on the fused sequential scan (r=6) and on the chunked
+// parallel one (r=12, past parMinFrontier) alike.
 func TestEngineEarlyExit(t *testing.T) {
-	res, _ := Run(binStepper{}, 6, Options{Parallel: true, Workers: 4, EarlyExit: true})
-	if res.Solvable {
-		t.Fatal("expected unsolvable")
-	}
-	if res.Exhaustive && res.Configs == 4*64 {
-		// Early exit may legitimately finish the whole tree on a tiny
-		// instance, but it must still report the right verdict; nothing
-		// more to assert here.
-		t.Log("early exit completed full tree (tiny instance)")
+	for _, r := range []int{6, 12} {
+		res, _ := run(t, binStepper{}, r, Options{Parallel: true, Workers: 4, EarlyExit: true})
+		if res != (Result{}) {
+			t.Fatalf("r=%d: early exit must report the bare verdict, got %+v", r, res)
+		}
 	}
 }
 
 func TestEngineEmptyRoot(t *testing.T) {
-	res, g := Run(deadStepper{}, 3, Options{BuildGraph: true})
+	res, g := run(t, deadStepper{}, 3, Options{BuildGraph: true})
 	if !res.Solvable || !res.Exhaustive || res.Configs != 0 || res.Components != 0 {
 		t.Fatalf("empty root: %+v", res)
 	}
@@ -104,7 +113,7 @@ func TestEngineEmptyRoot(t *testing.T) {
 func TestEngineZeroRounds(t *testing.T) {
 	// r=0: four configs, each a clique over two initial-view vertices.
 	// Vertices: (0, init0), (0, init1), (1, init0), (1, init1).
-	res, g := Run(binStepper{}, 0, Options{BuildGraph: true})
+	res, g := run(t, binStepper{}, 0, Options{BuildGraph: true})
 	if res.Configs != 4 || res.Vertices != 4 {
 		t.Fatalf("r=0: %+v", res)
 	}
@@ -121,6 +130,90 @@ func TestEngineZeroRounds(t *testing.T) {
 	if seen != 4 {
 		t.Fatalf("EachVertex visited %d", seen)
 	}
+}
+
+// TestEngineBuildGraphParallel: the graph kept from a chunked final scan
+// lists exactly the vertices, with the same unanimity flags, as the one
+// kept from a sequential scan.
+func TestEngineBuildGraphParallel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large frontier")
+	}
+	const r = 11 // frontier 4·2^11 = 8192 ≥ parMinFrontier
+	type vtx struct{ proc, view int }
+	collect := func(opt Options) (Result, map[vtx][2]bool) {
+		opt.BuildGraph = true
+		res, g := run(t, binStepper{}, r, opt)
+		got := map[vtx][2]bool{}
+		g.EachVertex(func(proc, view int, has0, has1 bool) {
+			got[vtx{proc, view}] = [2]bool{has0, has1}
+		})
+		if len(got) != g.NumVertices() || g.NumVertices() != res.Vertices {
+			t.Fatalf("graph lists %d vertices, NumVertices %d, Result %d", len(got), g.NumVertices(), res.Vertices)
+		}
+		return res, got
+	}
+	seqRes, seq := collect(Options{})
+	parRes, par := collect(Options{Parallel: true, Workers: 4})
+	if seqRes != parRes || len(seq) != len(par) {
+		t.Fatalf("parallel %+v (%d vertices) != sequential %+v (%d vertices)", parRes, len(par), seqRes, len(seq))
+	}
+	for v, fl := range seq {
+		if par[v] != fl {
+			t.Fatalf("vertex %+v: parallel flags %v, sequential %v", v, par[v], fl)
+		}
+	}
+}
+
+// TestEngineOptionsContract pins the Engine's documented Options
+// behavior (see the Engine doc comment).
+func TestEngineOptionsContract(t *testing.T) {
+	t.Run("workers-resolved", func(t *testing.T) {
+		cases := []struct {
+			opt  Options
+			want int
+		}{
+			{Options{}, 1},
+			{Options{Workers: 8}, 1}, // Workers without Parallel is inert
+			{Options{Parallel: true, Workers: 3}, 3},
+			{Options{Parallel: true}, runtime.GOMAXPROCS(0)},
+		}
+		for _, c := range cases {
+			var last Stats
+			c.opt.Observer = func(s Stats) { last = s }
+			eng := NewEngine(binStepper{}, c.opt)
+			if _, err := eng.ExtendTo(context.Background(), 1); err != nil {
+				t.Fatal(err)
+			}
+			if last.Workers != c.want {
+				t.Fatalf("opt %+v: Workers=%d want %d", c.opt, last.Workers, c.want)
+			}
+		}
+	})
+
+	t.Run("parallel-grow-matches-sequential", func(t *testing.T) {
+		// 4·2^10 = 4096 = parMinFrontier, so rounds 11+ take the
+		// chunked-worker path; the results must stay bit-identical.
+		var last Stats
+		seq := NewEngine(binStepper{}, Options{})
+		par := NewEngine(binStepper{}, Options{Parallel: true, Workers: 4, Observer: func(s Stats) { last = s }})
+		for r := 10; r <= 12; r++ {
+			want, err := seq.ExtendTo(context.Background(), r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := par.ExtendTo(context.Background(), r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("r=%d: parallel %+v != sequential %+v", r, got, want)
+			}
+		}
+		if last.WorkerForks == 0 || last.Absorbed == 0 {
+			t.Fatalf("parallel rounds never forked workers: %+v", last)
+		}
+	})
 }
 
 func TestInternerAbsorb(t *testing.T) {
@@ -163,6 +256,40 @@ func TestInternerTwoChildrenConverge(t *testing.T) {
 	}
 }
 
+func TestInternerTupleHitZeroAllocs(t *testing.T) {
+	in := NewInterner(nil)
+	vals := []int{7, -1, 3, 12, -1}
+	in.Tuple(vals)
+	if a := testing.AllocsPerRun(200, func() { in.Tuple(vals) }); a != 0 {
+		t.Fatalf("Tuple hit allocates %v/op, want 0", a)
+	}
+	// Parent hits from a fork stay allocation-free too.
+	child := NewInterner(in)
+	if a := testing.AllocsPerRun(200, func() { child.Tuple(vals) }); a != 0 {
+		t.Fatalf("forked Tuple parent-hit allocates %v/op, want 0", a)
+	}
+}
+
+func BenchmarkInternerTupleHit(b *testing.B) {
+	in := NewInterner(nil)
+	vals := []int{7, -1, 3, 12, -1}
+	in.Tuple(vals)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		in.Tuple(vals)
+	}
+}
+
+func BenchmarkInternerViewHit(b *testing.B) {
+	in := NewInterner(nil)
+	v := in.View(InitView(0), -1)
+	w := in.View(InitView(1), v)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		in.View(InitView(1), w-w+v) // defeat trivial hoisting
+	}
+}
+
 func TestCompUFFlags(t *testing.T) {
 	var u compUF
 	a, b, c := u.add(), u.add(), u.add()
@@ -199,11 +326,7 @@ func TestCompUFMergeTwoMixed(t *testing.T) {
 	}
 }
 
-// Sanity: the abort flag type used by walk is the atomic one (compile
-// guard against accidental plain-bool regressions).
-var _ atomic.Bool
-
-// panicStepper panics once a worker reaches depth ≥ 2.
+// panicStepper panics once a node reaches depth ≥ 2.
 type panicStepper struct{ binStepper }
 
 func (s panicStepper) Step(ctx *Ctx, state, a int, views, next []int) (int, bool) {
@@ -217,7 +340,7 @@ func (s panicStepper) Step(ctx *Ctx, state, a int, views, next []int) (int, bool
 func TestRunCheckedStepperPanicIsolated(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		_, _, err := RunChecked(context.Background(), panicStepper{}, 4,
-			Options{Parallel: parallel, Workers: 4, SplitDepth: 1})
+			Options{Parallel: parallel, Workers: 4})
 		if err == nil {
 			t.Fatalf("parallel=%v: panicking Stepper returned no error", parallel)
 		}
@@ -225,20 +348,13 @@ func TestRunCheckedStepperPanicIsolated(t *testing.T) {
 			t.Fatalf("parallel=%v: error lost the panic value: %v", parallel, err)
 		}
 	}
-	// Run (the panicking facade) must still propagate.
-	defer func() {
-		if recover() == nil {
-			t.Error("Run should panic when the Stepper does")
-		}
-	}()
-	Run(panicStepper{}, 4, Options{})
 }
 
 func TestRunCheckedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, parallel := range []bool{false, true} {
-		res, _, err := RunChecked(ctx, binStepper{}, 8, Options{Parallel: parallel, Workers: 2, SplitDepth: 1})
+		res, _, err := RunChecked(ctx, binStepper{}, 8, Options{Parallel: parallel, Workers: 2})
 		if err == nil {
 			t.Fatalf("parallel=%v: cancelled run returned no error", parallel)
 		}

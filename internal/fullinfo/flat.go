@@ -1,7 +1,5 @@
 package fullinfo
 
-import "math/bits"
-
 // Open-addressed flat hash tables for the engine's two hottest lookup
 // structures: the Interner's view table and the (process, view) vertex
 // tables of the streaming union-finds. Both were Go maps before PR 5;
@@ -253,63 +251,4 @@ func growZeroed[T any](s []T, n int) []T {
 	ns := make([]T, n, c)
 	copy(ns, s)
 	return ns
-}
-
-// dedupTable hash-conses frontier configurations into dense node
-// indexes. The key material (automaton state, input mask, view tuple)
-// lives in the caller's arrays; the table stores index+1 per slot (0 =
-// empty) and the caller verifies equality through the eq callback. It
-// is sized once per round to twice the maximum insert count, so probes
-// never trigger a mid-round rehash.
-type dedupTable struct {
-	slots []int32
-	mask  uint64
-}
-
-// reset prepares the table for up to maxInserts insertions.
-func (t *dedupTable) reset(maxInserts int) {
-	need := flatMinCap
-	if maxInserts > 0 {
-		need = 1 << bits.Len(uint(2*maxInserts-1))
-	}
-	if need > len(t.slots) {
-		t.slots = make([]int32, need)
-		t.mask = uint64(need - 1)
-	} else {
-		// Shrink the probe space to the round's need: clearing and
-		// probing a right-sized prefix beats touching a huge stale one.
-		need = len(t.slots)
-		t.mask = uint64(need - 1)
-		clear(t.slots)
-	}
-}
-
-// find probes for a configuration with hash h, calling eq with
-// candidate node indexes. It returns the matching node index, or -1
-// with the insert slot for the caller to claim via claim.
-func (t *dedupTable) find(h uint64, eq func(int32) bool) (idx int32, slot uint64) {
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
-		s := t.slots[i]
-		if s == 0 {
-			return -1, i
-		}
-		if eq(s - 1) {
-			return s - 1, i
-		}
-	}
-}
-
-// claim records node index idx in the slot returned by find.
-func (t *dedupTable) claim(slot uint64, idx int32) {
-	t.slots[slot] = idx + 1
-}
-
-// hashConfig hashes one frontier configuration (automaton state, input
-// mask, n view ids).
-func hashConfig(state, inputs int, views []int) uint64 {
-	h := uint64(state)*0x9e3779b97f4a7c15 ^ uint64(inputs)
-	for _, v := range views {
-		h = (h ^ uint64(uint32(int32(v)))) * 0x9e3779b97f4a7c15
-	}
-	return mix64(h)
 }

@@ -10,38 +10,36 @@ import (
 	"time"
 )
 
-// Engine is the resumable form of Run. Where Run rebuilds the whole
-// admissible-history tree for every horizon, an Engine keeps the
-// interner and the leaf frontier alive between calls: the frontier at
-// horizon r is exactly the node set that horizon r+1 grows from, so
-// Extend performs one round of growth plus one leaf scan instead of a
-// from-scratch walk. MinRounds-style searches (solvable at 0? at 1? …)
-// become linear in the final tree instead of quadratic in its levels.
+// Engine is the package's enumerating engine. It keeps the interner and
+// the leaf frontier alive between calls: the frontier at horizon r is
+// exactly the node set that horizon r+1 grows from, so Extend performs
+// one round of growth plus one leaf scan instead of a from-scratch walk.
+// A fixed horizon is a single ExtendTo (RunChecked wraps that
+// lifecycle); MinRounds-style searches (solvable at 0? at 1? …) stay
+// linear in the final tree instead of quadratic in its levels.
 //
-// The frontier is hash-consed per Options.Dedup: nodes with identical
-// (state, inputs, views) collapse into one configuration carrying an
-// int64 multiplicity, so Configs stays exact while the live set holds
-// only distinct configurations. Soundness: two such nodes generate
-// identical subtrees and leaf cliques, so collapsing them changes no
-// component structure and scales Configs by the recorded multiplicity.
+// Every admissible history is its own frontier node; nodes are never
+// merged. The shipped steppers are history-injective — a view records
+// its null receptions, and a loss pattern shows up as a −1 in some
+// receiver's tuple — so no two nodes share (state, inputs, views) and
+// merging would save nothing. A stepper whose views forget history
+// still gets exact counts.
 //
-// Options contract (enforced by TestEngineOptionsContract):
+// Options contract:
 //
 //   - Parallel and Workers are honored: frontier growth and the leaf
 //     scan run on chunked workers with worker-forked interners once the
 //     frontier is large enough to amortize the forks (below
-//     parMinFrontier nodes each round falls back to the sequential
-//     path, whose results are bit-identical).
+//     parMinFrontier nodes a round runs sequentially). Both paths yield
+//     bit-identical frontiers, view ids, and Results.
 //   - EarlyExit truncates only the leaf scan (never frontier growth,
-//     which later rounds depend on), so Solvable stays exact while
-//     unsolvable horizons are abandoned at the first mixed component.
-//   - SplitDepth is ignored: the engine has no split phase — every
-//     round is already a frontier sweep. This is a tuning knob whose
-//     silent irrelevance is harmless.
-//   - BuildGraph is not supported: graph retention needs the
-//     from-scratch walk. NewEngine with BuildGraph set returns an
-//     engine whose every call fails with ErrEngineBuildGraph rather
-//     than silently dropping the request.
+//     which later rounds depend on). An unsolvable horizon then reports
+//     its verdict alone — Solvable=false, Exhaustive=false, zero counts
+//     — on every path, so the Result never depends on how far a
+//     particular scan got.
+//   - BuildGraph runs the root interner with its creation log on and
+//     keeps the final scan's union-find and vertex window for Graph. It
+//     bypasses the symbolic backend and the Scratch.
 //   - Observer receives one Stats snapshot per Extend/ExtendTo call.
 //
 // An Engine is not safe for concurrent use. After a Stepper panic the
@@ -51,9 +49,9 @@ import (
 type Engine struct {
 	st  Stepper
 	opt Options
-	// sctx wraps the root interner. It runs with the creation log off
-	// (nothing absorbs *into* a child), shaving an append per new view;
-	// worker forks taken from it log as usual.
+	// sctx wraps the root interner. Unless BuildGraph needs it, the
+	// creation log is off (nothing absorbs *into* a root), shaving an
+	// append per new view; worker forks taken from it log as usual.
 	sctx *Ctx
 
 	n, na, all1 int
@@ -62,27 +60,21 @@ type Engine struct {
 
 	// Frontier at the current horizon, parallel slices: automaton
 	// state, input-assignment bitmask, and n flat view ids per node.
-	// mults is nil exactly when every node has multiplicity 1 (the
-	// common, history-injective case) — it materializes on the first
-	// hash-cons collapse and stays live from then on.
+	// Input blocks stay contiguous and in mask order: the roots are
+	// appended by mask and growth keeps parent order.
 	states []int
 	inputs []int32
 	views  []int
-	mults  []int64
 
-	// Double buffers: grow builds the next frontier in the sp* slices
-	// and swaps, so steady-state rounds allocate only on high-water
-	// growth.
+	// Double buffers: a round builds the next frontier in the sp*
+	// slices and swaps, so steady-state rounds allocate only on
+	// high-water growth. chunks are growPar's per-worker forks and
+	// buffers, kept across rounds.
 	spStates []int
 	spInputs []int32
 	spViews  []int
-	spMults  []int64
 	growBuf  []int
-
-	dt dedupTable
-	// cleanRounds counts consecutive dedup'd rounds without a single
-	// collapse; DedupAuto stops probing at dedupAutoPatience.
-	cleanRounds int
+	chunks   []growChunk
 	// lastNodes/lastChildren record the previous round's fan-out so the
 	// next round's buffers can be presized (killing append-doubling
 	// copies on geometric frontiers).
@@ -94,6 +86,8 @@ type Engine struct {
 	// interner-dense; +3 covers the sentinels down to InitView(1) = -3).
 	uf   compUF
 	vert []int32
+	// graph is the last scan's structure, retained under BuildGraph.
+	graph *Graph
 
 	// sym is the live symbolic backend, when backend selection picked
 	// it. While non-nil, the enumerating frontier above stays parked at
@@ -110,12 +104,6 @@ type Engine struct {
 
 	err error
 }
-
-// ErrEngineBuildGraph is returned by every call on an Engine built with
-// Options.BuildGraph: the incremental frontier never materializes the
-// merged graph, so the option cannot be honored. Use Run or RunChecked.
-var ErrEngineBuildGraph = errors.New(
-	"fullinfo: Engine does not support Options.BuildGraph; use Run or RunChecked")
 
 // ctx poll strides: how many nodes are processed between context
 // checks while growing the frontier and while scanning leaves.
@@ -152,29 +140,22 @@ func NewEngine(st Stepper, opt Options) *Engine {
 	if scr := opt.Scratch; !opt.BuildGraph && scr.acquire() {
 		// Borrow the arena's storage; Release hands it back grown.
 		e.scr = scr
-		e.sctx = scr.rootCtxFor(false)
+		e.sctx = scr.freshRootCtx()
 		e.states = scr.states[:0]
 		e.inputs = scr.inputs[:0]
 		e.views = scr.views[:0]
 		e.spStates = scr.spStates[:0]
 		e.spInputs = scr.spInputs[:0]
 		e.spViews = scr.spViews[:0]
-		e.spMults = scr.spMults[:0]
-		e.dt = scr.dt
+		e.chunks = scr.chunks
 		e.uf = scr.uf
 		e.uf.reset()
 		e.vert = scr.vert
 		e.growBuf = sliceLen(scr.growBuf, n)
-	}
-	if e.sctx == nil {
-		e.sctx = &Ctx{In: newInterner(nil, false)}
-	}
-	if e.growBuf == nil {
+	} else {
+		// Graph.EachView replays the root interner's creation log.
+		e.sctx = &Ctx{In: newInterner(nil, opt.BuildGraph)}
 		e.growBuf = make([]int, n)
-	}
-	if opt.BuildGraph {
-		e.err = ErrEngineBuildGraph
-		return e
 	}
 	if sym := symEngineFor(st, opt); sym != nil {
 		e.sym = sym
@@ -205,12 +186,8 @@ func (e *Engine) Release() {
 	s.states, s.spStates = e.states, e.spStates
 	s.inputs, s.spInputs = e.inputs, e.spInputs
 	s.views, s.spViews = e.views, e.spViews
-	s.spMults = e.spMults
-	if e.mults != nil {
-		s.mults = e.mults
-	}
 	s.growBuf = e.growBuf
-	s.dt = e.dt
+	s.chunks = e.chunks
 	s.uf = e.uf
 	s.vert = e.vert
 	s.release()
@@ -229,8 +206,8 @@ func (e *Engine) Horizon() int {
 	return e.horizon
 }
 
-// FrontierLen returns the number of live (distinct) frontier nodes —
-// (state, interval) pairs while the symbolic backend is live.
+// FrontierLen returns the number of live frontier nodes — (state,
+// interval) pairs while the symbolic backend is live.
 func (e *Engine) FrontierLen() int {
 	if e.sym != nil {
 		return e.sym.intervals
@@ -238,31 +215,14 @@ func (e *Engine) FrontierLen() int {
 	return len(e.states)
 }
 
-// mult returns frontier node i's multiplicity.
-func (e *Engine) mult(i int) int64 {
-	if e.mults == nil {
-		return 1
-	}
-	return e.mults[i]
-}
-
-// dedupOn reports whether the next round should hash-cons its frontier.
-func (e *Engine) dedupOn() bool {
-	switch e.opt.Dedup {
-	case DedupOn:
-		return true
-	case DedupOff:
-		return false
-	default:
-		return e.cleanRounds < dedupAutoPatience
-	}
-}
+// Graph returns the structure of the last analyzed horizon when the
+// engine was built with Options.BuildGraph, and nil otherwise.
+func (e *Engine) Graph() *Graph { return e.graph }
 
 // growStats accumulates per-ExtendTo instrumentation across rounds.
 type growStats struct {
-	raw, distinct int64
-	forks         int
-	absorbed      int
+	forks    int
+	absorbed int
 }
 
 // reuse returns s emptied, reallocating only when capacity c is not
@@ -308,6 +268,7 @@ func (e *Engine) ExtendTo(ctx context.Context, r int) (Result, error) {
 		symRounds := r - e.sym.depth
 		res, err := e.sym.extendTo(ctx, r)
 		if err == nil {
+			res = e.verdict(res)
 			if e.opt.Observer != nil {
 				e.opt.Observer(e.sym.stats(res, symRounds, start, symFB))
 			}
@@ -321,8 +282,8 @@ func (e *Engine) ExtendTo(ctx context.Context, r int) (Result, error) {
 		}
 		// The interval frontier fragmented. Drop the symbolic engine and
 		// replay enumerating rounds from the parked horizon-0 roots —
-		// the one-time cost of reaching r this way is what the dedup
-		// engine would have paid anyway, and every later ExtendTo grows
+		// the one-time cost of reaching r this way is what enumeration
+		// would have paid anyway, and every later ExtendTo grows
 		// incrementally as usual.
 		e.sym = nil
 		symFB++
@@ -333,7 +294,6 @@ func (e *Engine) ExtendTo(ctx context.Context, r int) (Result, error) {
 	var sink leafSink
 	fused := false
 	for e.horizon < r {
-		last := e.horizon == r-1
 		if e.workers > 1 && len(e.states) >= parMinFrontier {
 			if err := e.growPar(ctx, &gs); err != nil {
 				return Result{}, err
@@ -341,28 +301,26 @@ func (e *Engine) ExtendTo(ctx context.Context, r int) (Result, error) {
 			continue
 		}
 		// Sequential rounds fuse the final round's leaf scan into the
-		// growth sweep: each distinct configuration streams into the
-		// union-find the moment it is appended, saving a full re-read
-		// of the new frontier.
+		// growth sweep: each configuration streams into the union-find
+		// the moment it is appended, saving a full re-read of the new
+		// frontier.
 		var s *leafSink
-		if last {
+		if e.horizon == r-1 {
 			sink.reset(e, e.sctx.In.NumIDs())
-			s = &sink
-			fused = true
+			s, fused = &sink, true
 		}
-		if err := e.grow(ctx, s, &gs); err != nil {
+		if err := e.grow(ctx, s); err != nil {
 			return Result{}, err
 		}
 	}
-	var res Result
-	if fused {
-		res = sink.result()
-	} else {
-		var err error
-		res, err = e.scan(ctx)
-		if err != nil {
+	if !fused {
+		if err := e.scan(ctx, &sink); err != nil {
 			return Result{}, err
 		}
+	}
+	res := e.verdict(sink.result())
+	if e.opt.BuildGraph {
+		e.graph = &Graph{in: e.sctx.In, uf: &e.uf, vert: e.vert, base: sink.base, n: e.n}
 	}
 	if e.opt.Observer != nil {
 		e.opt.Observer(Stats{
@@ -379,13 +337,23 @@ func (e *Engine) ExtendTo(ctx context.Context, r int) (Result, error) {
 			WorkerForks:       gs.forks,
 			Absorbed:          gs.absorbed,
 			Subtrees:          len(e.states),
-			FrontierRaw:       gs.raw,
-			FrontierDistinct:  gs.distinct,
 			SymbolicFallbacks: symFB,
 			WallNanos:         time.Since(start).Nanoseconds(),
 		})
 	}
 	return res, nil
+}
+
+// verdict applies the EarlyExit contract to an analyzed horizon: an
+// unsolvable one keeps its verdict alone. The fused sequential scan
+// stops at the first mixed component while the chunked scan runs to the
+// end, so partial counts would differ between core counts for one and
+// the same request.
+func (e *Engine) verdict(res Result) Result {
+	if e.opt.EarlyExit && !res.Solvable {
+		return Result{}
+	}
+	return res
 }
 
 // leafSink streams leaf configurations into the engine's scan scratch
@@ -397,19 +365,17 @@ func (e *Engine) ExtendTo(ctx context.Context, r int) (Result, error) {
 // frontier's minimum) keeps the table proportional to one round, not
 // to the whole interner history.
 type leafSink struct {
-	e       *Engine
-	base    int // lowest view id the dense window covers
-	configs int64
+	e    *Engine
+	base int // lowest view id the dense window covers
 	// stopped is set once EarlyExit observes a mixed component: the
-	// sink goes quiet (counts freeze, Exhaustive=false) while frontier
-	// growth, which later rounds depend on, continues.
+	// sink goes quiet while frontier growth, which later rounds depend
+	// on, continues.
 	stopped bool
 }
 
 func (s *leafSink) reset(e *Engine, base int) {
 	s.e = e
 	s.base = base
-	s.configs = 0
 	s.stopped = false
 	e.uf.reset()
 	need := (e.sctx.In.NumIDs() - base) * e.n
@@ -480,8 +446,8 @@ func (e *Engine) frontierBase() int {
 	return base
 }
 
-// leaf streams one distinct leaf configuration: its vertices join one
-// component, which inherits the unanimity flags of the input mask.
+// leaf streams one leaf configuration: its vertices join one component,
+// which inherits the unanimity flags of the input mask.
 func (s *leafSink) leaf(vs []int, inputs int32) {
 	if s.stopped {
 		return
@@ -502,19 +468,12 @@ func (s *leafSink) leaf(vs []int, inputs int32) {
 	}
 }
 
-// count adds raw configurations to the tally. Kept separate from leaf
-// because under dedup a configuration's structure streams once while
-// its multiplicity keeps growing.
-func (s *leafSink) count(mult int64) {
-	if !s.stopped {
-		s.configs += mult
-	}
-}
-
+// result reads the horizon's analysis off the scan. Every admissible
+// history is one frontier node, so Configs is the frontier length.
 func (s *leafSink) result() Result {
 	uf := &s.e.uf
 	return Result{
-		Configs:         s.configs,
+		Configs:         int64(len(s.e.states)),
 		Vertices:        len(uf.parent),
 		Components:      uf.roots,
 		MixedComponents: uf.mixed,
@@ -523,36 +482,19 @@ func (s *leafSink) result() Result {
 	}
 }
 
-// grow advances the frontier one round on the calling goroutine,
-// hash-consing per the dedup policy and, when sink is non-nil, fusing
-// the leaf scan into the sweep. The new frontier is committed only on
-// success: a context cancellation leaves the engine retryable at its
-// previous horizon, while a Stepper panic poisons it.
-func (e *Engine) grow(ctx context.Context, sink *leafSink, gs *growStats) error {
+// grow advances the frontier one round on the calling goroutine and,
+// when sink is non-nil, fuses the leaf scan into the sweep. The new
+// frontier is committed only on success: a context cancellation leaves
+// the engine retryable at its previous horizon, while a Stepper panic
+// poisons it.
+func (e *Engine) grow(ctx context.Context, sink *leafSink) error {
 	n, na := e.n, e.na
 	nodes := len(e.states)
-	dedup := e.dedupOn()
-	if dedup {
-		e.dt.reset(nodes * na)
-	}
 	est := e.childEstimate(nodes)
 	nextStates := reuse(e.spStates, est)
 	nextInputs := reuse(e.spInputs, est)
 	nextViews := reuse(e.spViews, est*n)
-	var nextMults []int64
-	if e.mults != nil {
-		nextMults = reuse(e.spMults, est)
-	}
-	materialize := func() {
-		if nextMults == nil {
-			nextMults = reuse(e.spMults, est)
-			for range nextStates {
-				nextMults = append(nextMults, 1)
-			}
-		}
-	}
 	nv := e.growBuf
-	var raw, hits int64
 	err := func() (err error) {
 		defer recoverStepper(&err)
 		for i := 0; i < nodes; i++ {
@@ -562,41 +504,15 @@ func (e *Engine) grow(ctx context.Context, sink *leafSink, gs *growStats) error 
 				}
 			}
 			vs := e.views[i*n : (i+1)*n]
-			m := e.mult(i)
 			for a := 0; a < na; a++ {
 				ns, ok := e.st.Step(e.sctx, e.states[i], a, vs, nv)
 				if !ok {
 					continue
 				}
-				raw += m
-				if dedup {
-					h := hashConfig(ns, int(e.inputs[i]), nv)
-					idx, slot := e.dt.find(h, func(j int32) bool {
-						return nextStates[j] == ns && nextInputs[j] == e.inputs[i] &&
-							viewsEq(nextViews[int(j)*n:(int(j)+1)*n], nv)
-					})
-					if idx >= 0 {
-						hits++
-						materialize()
-						nextMults[idx] += m
-						if sink != nil {
-							sink.count(m)
-						}
-						continue
-					}
-					e.dt.claim(slot, int32(len(nextStates)))
-				}
-				if m != 1 {
-					materialize()
-				}
 				nextStates = append(nextStates, ns)
 				nextInputs = append(nextInputs, e.inputs[i])
 				nextViews = append(nextViews, nv...)
-				if nextMults != nil {
-					nextMults = append(nextMults, m)
-				}
 				if sink != nil {
-					sink.count(m)
 					sink.leaf(nextViews[len(nextViews)-n:], e.inputs[i])
 				}
 			}
@@ -609,92 +525,74 @@ func (e *Engine) grow(ctx context.Context, sink *leafSink, gs *growStats) error 
 		}
 		return err
 	}
-	e.commit(nextStates, nextInputs, nextViews, nextMults)
-	e.noteRound(dedup, raw, hits, gs)
+	e.commit(nextStates, nextInputs, nextViews)
 	return nil
-}
-
-// viewsEq compares two equal-length view rows.
-func viewsEq(a, b []int) bool {
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // commit swaps the freshly grown frontier in and retires the old
 // arrays as next round's spare buffers, recording the round's fan-out
 // for the next presize estimate.
-func (e *Engine) commit(states []int, inputs []int32, views []int, mults []int64) {
+func (e *Engine) commit(states []int, inputs []int32, views []int) {
 	e.lastNodes, e.lastChildren = len(e.states), len(states)
 	e.spStates, e.states = e.states, states
 	e.spInputs, e.inputs = e.inputs, inputs
 	e.spViews, e.views = e.views, views
-	e.spMults, e.mults = e.mults, mults
 	e.horizon++
 	// Seal the interner round so next round's view lookups probe a
 	// fresh, round-sized shard instead of the cumulative table.
 	e.sctx.In.sealRound()
 }
 
-// noteRound folds one committed round into the auto-dedup policy and
-// the per-call stats.
-func (e *Engine) noteRound(dedup bool, raw, hits int64, gs *growStats) {
-	if !dedup {
-		return
-	}
-	gs.raw += raw
-	gs.distinct += int64(len(e.states))
-	if hits == 0 {
-		e.cleanRounds++
-	} else {
-		e.cleanRounds = 0
-	}
-}
-
 // growChunk is one worker's share of a parallel round: a contiguous
-// frontier slice grown on a forked interner with chunk-local dedup.
+// frontier slice grown on a forked interner. Chunks persist across
+// rounds (and, through a Scratch, across runs), so their forks and
+// buffers are reset rather than reallocated.
 type growChunk struct {
-	child  *Interner
+	ctx    Ctx // ctx.In is the chunk's interner, forked from the root
 	states []int
 	inputs []int32
 	views  []int
-	mults  []int64 // nil ⟺ all 1
-	raw    int64
-	hits   int64
+	nv     []int
 	err    error
 }
 
+// fork readies the chunk for a round: its interner re-forked from root
+// (the previous round's fork was fully absorbed) and its memo cleared.
+func (ch *growChunk) fork(root *Interner, n int) {
+	if ch.ctx.In == nil {
+		ch.ctx.In = NewInterner(root)
+	} else {
+		ch.ctx.In.resetChild(root)
+	}
+	ch.ctx.resetMemo()
+	ch.nv = sliceLen(ch.nv, n)
+	ch.err = nil
+}
+
 // growPar advances the frontier one round on e.workers chunked
-// goroutines. Each chunk grows on a worker-forked interner; the merge
-// absorbs the forks in chunk order and re-dedups across chunks, so the
-// committed frontier — node order, view ids, multiplicities — is
-// bit-identical to what the sequential grow would have produced.
+// goroutines. Each chunk grows on a forked interner; the merge absorbs
+// the forks in chunk order, so the committed frontier — node order and
+// view ids — is bit-identical to what the sequential grow would have
+// produced.
 func (e *Engine) growPar(ctx context.Context, gs *growStats) error {
 	n, na := e.n, e.na
 	nodes := len(e.states)
-	dedup := e.dedupOn()
-	workers := e.workers
-	chunkLen := (nodes + workers - 1) / workers
+	chunkLen := (nodes + e.workers - 1) / e.workers
 	numChunks := (nodes + chunkLen - 1) / chunkLen
-	chunks := make([]growChunk, numChunks)
+	for len(e.chunks) < numChunks {
+		e.chunks = append(e.chunks, growChunk{})
+	}
+	chunks := e.chunks[:numChunks]
+	root := e.sctx.In
 	var abort atomic.Bool
 	var wg sync.WaitGroup
-	if e.scr != nil {
-		// Child forks come from the arena freelist; hand them out on
-		// this goroutine so the freelist needs no lock.
-		e.scr.resetKids()
-		for c := 0; c < numChunks; c++ {
-			chunks[c].child = e.scr.childInterner(e.sctx.In)
-		}
-	}
-	for c := 0; c < numChunks; c++ {
+	for c := range chunks {
+		ch := &chunks[c]
+		ch.fork(root, n)
 		lo := c * chunkLen
 		hi := min(lo+chunkLen, nodes)
 		wg.Add(1)
-		go func(ch *growChunk, lo, hi int) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				// Runs after recoverStepper: a failed chunk (cancel or
@@ -704,27 +602,10 @@ func (e *Engine) growPar(ctx context.Context, gs *growStats) error {
 				}
 			}()
 			defer recoverStepper(&ch.err)
-			if ch.child == nil {
-				ch.child = NewInterner(e.sctx.In)
-			}
-			cctx := &Ctx{In: ch.child}
-			var dt dedupTable
-			if dedup {
-				dt.reset((hi - lo) * na)
-			}
 			est := e.childEstimate(hi - lo)
-			ch.states = make([]int, 0, est)
-			ch.inputs = make([]int32, 0, est)
-			ch.views = make([]int, 0, est*n)
-			nv := make([]int, n)
-			materialize := func() {
-				if ch.mults == nil {
-					ch.mults = make([]int64, len(ch.states))
-					for i := range ch.mults {
-						ch.mults[i] = 1
-					}
-				}
-			}
+			ch.states = reuse(ch.states, est)
+			ch.inputs = reuse(ch.inputs, est)
+			ch.views = reuse(ch.views, est*n)
 			for i := lo; i < hi; i++ {
 				if (i-lo)%growPollStride == 0 {
 					if cerr := ctx.Err(); cerr != nil {
@@ -736,39 +617,17 @@ func (e *Engine) growPar(ctx context.Context, gs *growStats) error {
 					}
 				}
 				vs := e.views[i*n : (i+1)*n]
-				m := e.mult(i)
 				for a := 0; a < na; a++ {
-					ns, ok := e.st.Step(cctx, e.states[i], a, vs, nv)
+					ns, ok := e.st.Step(&ch.ctx, e.states[i], a, vs, ch.nv)
 					if !ok {
 						continue
 					}
-					ch.raw += m
-					if dedup {
-						h := hashConfig(ns, int(e.inputs[i]), nv)
-						idx, slot := dt.find(h, func(j int32) bool {
-							return ch.states[j] == ns && ch.inputs[j] == e.inputs[i] &&
-								viewsEq(ch.views[int(j)*n:(int(j)+1)*n], nv)
-						})
-						if idx >= 0 {
-							ch.hits++
-							materialize()
-							ch.mults[idx] += m
-							continue
-						}
-						dt.claim(slot, int32(len(ch.states)))
-					}
-					if m != 1 {
-						materialize()
-					}
 					ch.states = append(ch.states, ns)
 					ch.inputs = append(ch.inputs, e.inputs[i])
-					ch.views = append(ch.views, nv...)
-					if ch.mults != nil {
-						ch.mults = append(ch.mults, m)
-					}
+					ch.views = append(ch.views, ch.nv...)
 				}
 			}
-		}(&chunks[c], lo, hi)
+		}()
 	}
 	wg.Wait()
 	for c := range chunks {
@@ -781,130 +640,84 @@ func (e *Engine) growPar(ctx context.Context, gs *growStats) error {
 	}
 
 	// Merge, in chunk order: absorb each fork's creation log into the
-	// root interner, translate the chunk's view ids, then append with
-	// cross-chunk dedup.
+	// root interner and translate the chunk's view ids on the way.
 	total := 0
 	for c := range chunks {
 		total += len(chunks[c].states)
 	}
-	if dedup {
-		e.dt.reset(total)
-	}
 	nextStates := reuse(e.spStates, total)
 	nextInputs := reuse(e.spInputs, total)
 	nextViews := reuse(e.spViews, total*n)
-	var nextMults []int64
-	if e.mults != nil {
-		nextMults = reuse(e.spMults, total)
-	}
-	materialize := func() {
-		if nextMults == nil {
-			nextMults = reuse(e.spMults, total)
-			for range nextStates {
-				nextMults = append(nextMults, 1)
-			}
-		}
-	}
-	var raw, hits int64
 	for c := range chunks {
 		ch := &chunks[c]
-		raw += ch.raw
-		hits += ch.hits
-		trans := e.sctx.In.absorb(ch.child)
+		trans := root.absorb(ch.ctx.In)
 		gs.forks++
 		gs.absorbed += len(trans)
-		base := ch.child.base
+		base := ch.ctx.In.base
 		for i, v := range ch.views {
 			if v >= base {
 				ch.views[i] = trans[v-base]
 			}
 		}
-		for i := 0; i < len(ch.states); i++ {
-			vs := ch.views[i*n : (i+1)*n]
-			m := int64(1)
-			if ch.mults != nil {
-				m = ch.mults[i]
-			}
-			if dedup {
-				h := hashConfig(ch.states[i], int(ch.inputs[i]), vs)
-				idx, slot := e.dt.find(h, func(j int32) bool {
-					return nextStates[j] == ch.states[i] && nextInputs[j] == ch.inputs[i] &&
-						viewsEq(nextViews[int(j)*n:(int(j)+1)*n], vs)
-				})
-				if idx >= 0 {
-					hits++
-					materialize()
-					nextMults[idx] += m
-					continue
-				}
-				e.dt.claim(slot, int32(len(nextStates)))
-			}
-			if m != 1 {
-				materialize()
-			}
-			nextStates = append(nextStates, ch.states[i])
-			nextInputs = append(nextInputs, ch.inputs[i])
-			nextViews = append(nextViews, vs...)
-			if nextMults != nil {
-				nextMults = append(nextMults, m)
-			}
-		}
+		nextStates = append(nextStates, ch.states...)
+		nextInputs = append(nextInputs, ch.inputs...)
+		nextViews = append(nextViews, ch.views...)
 	}
-	e.commit(nextStates, nextInputs, nextViews, nextMults)
-	e.noteRound(dedup, raw, hits, gs)
+	e.commit(nextStates, nextInputs, nextViews)
 	return nil
 }
 
 // scan analyzes the live frontier at the current horizon without
 // growing it (the rounds == 0 path, and the path after a parallel final
 // round). Large frontiers fan out over scanPar.
-func (e *Engine) scan(ctx context.Context) (Result, error) {
+func (e *Engine) scan(ctx context.Context, sink *leafSink) error {
+	sink.reset(e, e.frontierBase())
 	if e.workers > 1 && len(e.states) >= parMinFrontier {
-		return e.scanPar(ctx)
+		return e.scanPar(ctx, sink)
 	}
 	n := e.n
-	var sink leafSink
-	sink.reset(e, e.frontierBase())
-	for i := 0; i < len(e.states); i++ {
+	for i := range e.states {
 		if i%scanPollStride == 0 {
 			if err := ctx.Err(); err != nil {
-				return Result{}, err
+				return err
 			}
 		}
-		sink.count(e.mult(i))
 		sink.leaf(e.views[i*n:(i+1)*n], e.inputs[i])
 		if sink.stopped {
 			break
 		}
 	}
-	return sink.result(), nil
+	return nil
 }
 
 // scanChunk is one worker's share of a parallel leaf scan: a local
-// union-find over the chunk's vertices, merged like RunChecked phase 3.
+// union-find over the chunk's vertices, merged into the sink afterwards.
 type scanChunk struct {
-	uf      compUF
-	verts   flatU64
-	keys    []int64
-	configs int64
-	stopped bool
-	err     error
+	uf    compUF
+	verts flatU64
+	keys  []int64
+	err   error
 }
 
-func (e *Engine) scanPar(ctx context.Context) (Result, error) {
+// scanPar scans the frontier on e.workers chunked goroutines and merges
+// their union-finds into sink. It always runs to the end: EarlyExit
+// could only cut a chunk short that forms a mixed component on its own,
+// and with at least two chunks none does — the all-0 input block comes
+// first in the frontier and the all-1 block last, and for steppers whose
+// admissibility ignores the inputs (all shipped ones) every block is
+// equally large, so no chunk spans both.
+func (e *Engine) scanPar(ctx context.Context, sink *leafSink) error {
 	n := e.n
 	nodes := len(e.states)
-	workers := e.workers
-	chunkLen := (nodes + workers - 1) / workers
-	numChunks := (nodes + chunkLen - 1) / chunkLen
-	chunks := make([]scanChunk, numChunks)
-	var abort atomic.Bool
+	chunkLen := (nodes + e.workers - 1) / e.workers
+	chunks := make([]scanChunk, (nodes+chunkLen-1)/chunkLen)
 	var wg sync.WaitGroup
-	for c := 0; c < numChunks; c++ {
+	for c := range chunks {
+		ch := &chunks[c]
 		lo := c * chunkLen
 		hi := min(lo+chunkLen, nodes)
 		wg.Add(1)
-		go func(ch *scanChunk, lo, hi int) {
+		go func() {
 			defer wg.Done()
 			vertex := func(proc, view int) int32 {
 				k := vertexKey(proc, view)
@@ -923,13 +736,8 @@ func (e *Engine) scanPar(ctx context.Context) (Result, error) {
 						ch.err = cerr
 						return
 					}
-					if abort.Load() {
-						ch.stopped = true
-						return
-					}
 				}
 				vs := e.views[i*n : (i+1)*n]
-				ch.configs += e.mult(i)
 				root := ch.uf.find(vertex(0, vs[0]))
 				for p := 1; p < n; p++ {
 					root = ch.uf.union(root, vertex(p, vs[p]))
@@ -940,35 +748,20 @@ func (e *Engine) scanPar(ctx context.Context) (Result, error) {
 				case int32(e.all1):
 					ch.uf.mark(root, flagHas1)
 				}
-				// A chunk-local mixed component is mixed globally, so
-				// EarlyExit can stop every worker right here.
-				if e.opt.EarlyExit && ch.uf.mixed > 0 {
-					abort.Store(true)
-					ch.stopped = true
-					return
-				}
 			}
-		}(&chunks[c], lo, hi)
+		}()
 	}
 	wg.Wait()
 	for c := range chunks {
 		if err := chunks[c].err; err != nil {
-			return Result{}, err
+			return err
 		}
 	}
 
-	// Merge the chunk union-finds through the dense global table.
-	var sink leafSink
-	sink.reset(e, e.frontierBase())
+	// Merge the chunk union-finds through the dense window.
 	guf := &e.uf
-	exhaustive := true
-	var configs int64
 	for c := range chunks {
 		ch := &chunks[c]
-		configs += ch.configs
-		if ch.stopped {
-			exhaustive = false
-		}
 		gid := make([]int32, len(ch.keys))
 		for i, k := range ch.keys {
 			gid[i] = sink.vertex(int(k&vertProcMask), int(k>>vertProcBits))
@@ -982,12 +775,5 @@ func (e *Engine) scanPar(ctx context.Context) (Result, error) {
 			}
 		}
 	}
-	return Result{
-		Configs:         configs,
-		Vertices:        len(guf.parent),
-		Components:      guf.roots,
-		MixedComponents: guf.mixed,
-		Solvable:        guf.mixed == 0,
-		Exhaustive:      exhaustive,
-	}, nil
+	return nil
 }

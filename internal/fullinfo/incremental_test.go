@@ -13,7 +13,7 @@ func TestEngineExtendMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("r=%d: %v", r, err)
 		}
-		want, _ := Run(binStepper{}, r, Options{})
+		want, _ := run(t, binStepper{}, r, Options{})
 		if got != want {
 			t.Fatalf("r=%d: Extend %+v != Run %+v", r, got, want)
 		}
@@ -57,7 +57,7 @@ func TestEngineExtendEarlyExitVerdict(t *testing.T) {
 		if err != nil {
 			t.Fatalf("r=%d: %v", r, err)
 		}
-		want, _ := Run(binStepper{}, r, Options{})
+		want, _ := run(t, binStepper{}, r, Options{})
 		if res.Solvable != want.Solvable {
 			t.Fatalf("r=%d: early-exit verdict %v, want %v", r, res.Solvable, want.Solvable)
 		}
@@ -103,7 +103,7 @@ func engFrontierWant(r int) int { return int(4 * pow2(r)) }
 func TestEngineObserverOnRun(t *testing.T) {
 	var got []Stats
 	res, _, err := RunChecked(context.Background(), binStepper{}, 3,
-		Options{Parallel: true, Workers: 2, SplitDepth: 1, Observer: func(s Stats) { got = append(got, s) }})
+		Options{Parallel: true, Workers: 2, Observer: func(s Stats) { got = append(got, s) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +114,8 @@ func TestEngineObserverOnRun(t *testing.T) {
 	if s.Horizon != 3 || s.Rounds != 3 || s.Configs != res.Configs || s.Vertices != res.Vertices {
 		t.Fatalf("run stats %+v vs result %+v", s, res)
 	}
-	if s.WorkerForks == 0 || s.Subtrees == 0 {
-		t.Fatalf("parallel run stats missing pool info: %+v", s)
+	if s.Workers != 2 || s.Subtrees != engFrontierWant(3) {
+		t.Fatalf("run stats missing pool info: %+v", s)
 	}
 }
 
@@ -137,7 +137,7 @@ func TestEngineExtendCancelIsRetryable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := Run(binStepper{}, 3, Options{})
+	want, _ := run(t, binStepper{}, 3, Options{})
 	if got != want {
 		t.Fatalf("retried Extend %+v != Run %+v", got, want)
 	}

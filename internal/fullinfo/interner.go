@@ -92,11 +92,12 @@ func newInterner(parent *Interner, logging bool) *Interner {
 }
 
 // resetRoot restores a root interner to the state newInterner(nil,
-// logging) constructs, keeping every table's capacity: shard arrays are
+// false) constructs, keeping every table's capacity: shard arrays are
 // zeroed in place and re-adopted by shardFor, the tuple map is cleared,
-// and the log/arena truncate. Scratch reuse only; the interner must
-// have no live children.
-func (in *Interner) resetRoot(logging bool) {
+// and the log/arena truncate. Scratch reuse only (whose engines never
+// log: BuildGraph bypasses the arena); the interner must have no live
+// children.
+func (in *Interner) resetRoot() {
 	in.parent = nil
 	in.base, in.next = 0, 0
 	for i := range in.shards {
@@ -106,7 +107,7 @@ func (in *Interner) resetRoot(logging bool) {
 	in.bounds = in.bounds[:0]
 	in.views.reset()
 	clear(in.tuples)
-	in.logging = logging
+	in.logging = false
 	in.log = in.log[:0]
 	in.arena = in.arena[:0]
 }

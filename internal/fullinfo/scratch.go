@@ -1,7 +1,7 @@
 package fullinfo
 
 // Scratch is an arena of engine state — the root interner's shard
-// tables, worker forks with their child interners, the incremental
+// tables, the parallel-round chunks with their forked interners, the
 // frontier's parallel slices, and the leaf-scan union-find — reused
 // across runs instead of reallocated per call. A service handling a
 // stream of cache-miss requests hands the same Scratch (typically from
@@ -21,22 +21,13 @@ package fullinfo
 type Scratch struct {
 	root    *Interner
 	rootCtx Ctx
-	kids    []*Interner // child-fork freelist (growPar chunks)
-	kidN    int
-	workers []*worker // RunChecked pool
 
-	// RunChecked phase-3 merge scratch.
-	guf    compUF
-	gverts flatU64
-	gkeys  []int64
-
-	// Incremental engine arenas (see Engine).
+	// Engine arenas (see Engine).
 	states, spStates []int
 	inputs, spInputs []int32
 	views, spViews   []int
-	mults, spMults   []int64
 	growBuf          []int
-	dt               dedupTable
+	chunks           []growChunk
 	uf               compUF
 	vert             []int32
 
@@ -55,7 +46,6 @@ func (s *Scratch) acquire() bool {
 		return false
 	}
 	s.inUse = true
-	s.kidN = 0
 	return true
 }
 
@@ -66,80 +56,19 @@ func (s *Scratch) release() {
 	}
 }
 
-// rootInterner returns the reusable root interner, reset for a fresh
-// run with the given logging mode.
-func (s *Scratch) rootInterner(logging bool) *Interner {
+// freshRootCtx resets the reusable root interner for a new run (creation
+// log off: only BuildGraph needs it, and BuildGraph bypasses the arena)
+// and wraps it in the reusable root Ctx.
+func (s *Scratch) freshRootCtx() *Ctx {
 	if s.root == nil {
-		s.root = newInterner(nil, logging)
+		s.root = newInterner(nil, false)
 	} else {
-		s.root.resetRoot(logging)
+		s.root.resetRoot()
 	}
-	return s.root
-}
-
-// rootCtxFor wraps the reusable root interner in the reusable root Ctx.
-func (s *Scratch) rootCtxFor(logging bool) *Ctx {
-	s.rootCtx.In = s.rootInterner(logging)
+	s.rootCtx.In = s.root
 	s.rootCtx.buf = s.rootCtx.buf[:0]
 	s.rootCtx.resetMemo()
 	return &s.rootCtx
-}
-
-// childInterner hands out the next child fork of parent from the
-// freelist, extending it on demand. Forks are recycled per round
-// (resetKids); a fork must be fully absorbed before the next reset.
-func (s *Scratch) childInterner(parent *Interner) *Interner {
-	if s.kidN < len(s.kids) {
-		k := s.kids[s.kidN]
-		s.kidN++
-		k.resetChild(parent)
-		return k
-	}
-	k := NewInterner(parent)
-	s.kids = append(s.kids, k)
-	s.kidN++
-	return k
-}
-
-// resetKids recycles every handed-out child fork for the next round.
-func (s *Scratch) resetKids() { s.kidN = 0 }
-
-// workerFor returns pool slot i prepared for a fresh run: the child
-// interner re-forked from shared, the union-find, vertex table, and
-// DFS scratch all reset with capacity retained.
-func (s *Scratch) workerFor(i int, st Stepper, shared *Interner, height int) *worker {
-	for len(s.workers) <= i {
-		s.workers = append(s.workers, nil)
-	}
-	w := s.workers[i]
-	if w == nil {
-		w = newWorker(st, shared, height)
-		s.workers[i] = w
-		return w
-	}
-	n := st.NumProcs()
-	w.st = st
-	w.n = n
-	w.na = st.NumActions()
-	w.all1 = 1<<n - 1
-	w.height = height
-	w.ctx.In.resetChild(shared)
-	w.ctx.resetMemo()
-	w.uf.reset()
-	w.verts.reset()
-	w.keys = w.keys[:0]
-	w.configs = 0
-	w.views = sliceLen(w.views, (height+1)*n)
-	w.states = sliceLen(w.states, height+1)
-	w.acts = sliceLen(w.acts, height+1)
-	return w
-}
-
-// mergeScratch returns the phase-3 merge structures, reset.
-func (s *Scratch) mergeScratch() (*compUF, *flatU64, []int64) {
-	s.guf.reset()
-	s.gverts.reset()
-	return &s.guf, &s.gverts, s.gkeys[:0]
 }
 
 // sliceLen returns a length-n slice reusing s's storage when possible.

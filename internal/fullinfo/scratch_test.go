@@ -28,8 +28,8 @@ func (triStepper) Step(ctx *Ctx, state, a int, views, next []int) (int, bool) {
 }
 
 // forgetStepper drops without recording the null reception, so distinct
-// histories collapse under dedup and multiplicities materialize —
-// covering the Scratch's mults arena.
+// histories reach equal views: a stepper that is not history-injective,
+// whose counts must stay exact without any frontier compression.
 type forgetStepper struct{}
 
 func (forgetStepper) NumProcs() int     { return 2 }
@@ -67,7 +67,7 @@ func TestScratchRunCheckedDifferential(t *testing.T) {
 		scr := NewScratch()
 		// One shared Scratch across the whole interleaved sequence.
 		for _, tc := range scratchCases {
-			opt := Options{Parallel: par, Workers: 4, SplitDepth: 1}
+			opt := Options{Parallel: par, Workers: 4}
 			want, _, err := RunChecked(context.Background(), tc.st, tc.r, opt)
 			if err != nil {
 				t.Fatalf("%s fresh: %v", tc.name, err)

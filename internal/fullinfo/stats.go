@@ -1,15 +1,15 @@
 package fullinfo
 
-// Stats is an instrumentation snapshot of one engine run (Run /
-// RunChecked) or one incremental round (Engine.Extend). Every field is a
-// scalar so snapshots can be compared, aggregated, and serialized
-// cheaply. Stats travel through Options.Observer — never through Result,
-// which stays a pure analysis outcome.
+// Stats is an instrumentation snapshot of one Engine.Extend/ExtendTo
+// call. Every field is a scalar so snapshots can be compared,
+// aggregated, and serialized cheaply. Stats travel through
+// Options.Observer — never through Result, which stays a pure analysis
+// outcome.
 type Stats struct {
 	// Horizon is the round horizon the snapshot describes.
 	Horizon int
-	// Rounds is how many rounds of tree growth this invocation walked
-	// (r for a from-scratch run, usually 1 for an Extend).
+	// Rounds is how many rounds of frontier growth this invocation
+	// performed (r for a fixed-horizon run, usually 1 for an Extend).
 	Rounds int
 	// Configs is the number of leaf configurations streamed.
 	Configs int64
@@ -33,17 +33,8 @@ type Stats struct {
 	Workers     int
 	WorkerForks int
 	Absorbed    int
-	// Subtrees is the number of frontier subtrees dispatched to the
-	// pool (pool utilization is Subtrees spread over Workers). For the
-	// incremental engine it is the live frontier length instead.
+	// Subtrees is the live frontier length after the invocation.
 	Subtrees int
-	// FrontierRaw counts frontier nodes before hash-consed dedup and
-	// FrontierDistinct after: two nodes with identical (state, inputs,
-	// views) collapse into one distinct configuration carrying a
-	// multiplicity. Both are totals across the dedup'd rounds of the
-	// invocation; they stay 0 when dedup never ran (Run, or DedupOff).
-	FrontierRaw      int64
-	FrontierDistinct int64
 	// SymbolicRounds is how many of this invocation's rounds the
 	// symbolic index-interval backend advanced (0 when it never
 	// engaged). Intervals is the (state, interval) pair count of the
@@ -62,16 +53,6 @@ type Stats struct {
 	SymbolicFallbacks int
 	// WallNanos is the wall-clock duration of the invocation.
 	WallNanos int64
-}
-
-// DedupRatio returns FrontierRaw / FrontierDistinct — how many raw
-// frontier nodes each distinct configuration stands for — or 1 when no
-// dedup'd round has run.
-func (s *Stats) DedupRatio() float64 {
-	if s.FrontierDistinct == 0 {
-		return 1
-	}
-	return float64(s.FrontierRaw) / float64(s.FrontierDistinct)
 }
 
 // FragmentationRatio returns Intervals / IntervalRuns — how many
@@ -114,8 +95,6 @@ func (s *Stats) Merge(o Stats) {
 	s.WorkerForks += o.WorkerForks
 	s.Absorbed += o.Absorbed
 	s.Subtrees = o.Subtrees
-	s.FrontierRaw += o.FrontierRaw
-	s.FrontierDistinct += o.FrontierDistinct
 	s.SymbolicRounds += o.SymbolicRounds
 	s.Intervals = o.Intervals
 	s.IntervalRuns = o.IntervalRuns

@@ -245,7 +245,7 @@ func TestBackendSymbolicWithoutChainStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := Run(binStepper{}, 4, Options{})
+	want, _ := run(t, binStepper{}, 4, Options{})
 	if got != want {
 		t.Fatalf("degraded symbolic %+v != reference %+v", got, want)
 	}

@@ -28,7 +28,8 @@ type Request struct {
 	// incremental engine (horizon r+1 extends the horizon-r frontier).
 	MinRounds bool
 	// VerdictOnly lets the engine abandon a horizon on the first mixed
-	// component; counts in the Report may then be partial.
+	// component; an unsolvable horizon then reports its verdict alone
+	// (every count zero), a solvable one its exact counts.
 	VerdictOnly bool
 	// Sequential routes through the materializing single-threaded
 	// reference walk, kept for differential testing.
@@ -55,9 +56,9 @@ var (
 	errTooLarge = errors.New("nchain: instance too large to enumerate loss patterns (limit 20 directed edges; 26 when the request selects the symbolic backend)")
 )
 
-// Analyze is the single analysis entry point of the package: every
-// other exported analysis function is a deprecated wrapper around it.
-// The context bounds the whole computation.
+// Analyze is the single analysis entry point of the package. Fixed
+// horizons and MinRounds searches both run on one fullinfo.Engine; the
+// context bounds the whole computation.
 func Analyze(ctx context.Context, req Request) (Report, error) {
 	n := req.N
 	if req.Graph != nil {
@@ -102,16 +103,15 @@ func Analyze(ctx context.Context, req Request) (Report, error) {
 	opt.EarlyExit = req.VerdictOnly
 	opt.Observer = observe
 
+	eng := fullinfo.NewEngine(st, opt)
+	defer eng.Release()
 	if !req.MinRounds {
-		res, _, err := fullinfo.RunChecked(ctx, st, req.Horizon, opt)
+		res, err := eng.ExtendTo(ctx, req.Horizon)
 		if err != nil {
 			return Report{}, err
 		}
 		return Report{Analysis: analysisOf(n, req.F, req.Horizon, res), Found: res.Solvable, Stats: agg}, nil
 	}
-
-	eng := fullinfo.NewEngine(st, opt)
-	defer eng.Release()
 	var last fullinfo.Result
 	for r := 0; r <= req.Horizon; r++ {
 		res, err := eng.ExtendTo(ctx, r)

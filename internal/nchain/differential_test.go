@@ -15,25 +15,29 @@ var nfCases = []struct{ n, f, maxR int }{
 	{2, 0, 3}, {2, 1, 3},
 	{3, 0, 2}, {3, 1, 2}, {3, 2, 2},
 	{4, 0, 2}, {4, 1, 2}, {4, 2, 1}, {4, 3, 1},
+	// K_2 at f=1 crosses parMinFrontier before its last round, so the
+	// chunked grow and scan run too.
+	{2, 1, 8},
 }
 
 // TestEngineMatchesSequential pins the engine against the sequential
 // reference for K_n over n ∈ {2,3,4}, f ∈ {0..n-1}: identical Analysis
-// values, with both a single worker and a real pool (the latter drives
-// the fan-out/merge paths under -race).
+// values, with both a single worker and a pool (which drives the
+// chunked grow/merge paths under -race once a frontier is large).
 func TestEngineMatchesSequential(t *testing.T) {
 	for _, tc := range nfCases {
 		for r := 0; r <= tc.maxR; r++ {
-			want := AnalyzeSequential(tc.n, tc.f, r)
+			want := analyzeSequential(tc.n, tc.f, r)
 			for _, workers := range []int{1, 4} {
-				got := AnalyzeOpt(tc.n, tc.f, r, fullinfo.Options{Parallel: true, Workers: workers})
+				got := analyze(t, Request{N: tc.n, F: tc.f, Horizon: r,
+					Engine: &fullinfo.Options{Parallel: true, Workers: workers}}).Analysis
 				if got != want {
 					t.Errorf("n=%d f=%d r=%d workers=%d: engine %+v != sequential %+v",
 						tc.n, tc.f, r, workers, got, want)
 				}
 			}
-			if got := SolvableInRounds(tc.n, tc.f, r); got != want.Solvable {
-				t.Errorf("n=%d f=%d r=%d: SolvableInRounds=%v want %v",
+			if got := analyze(t, Request{N: tc.n, F: tc.f, Horizon: r, VerdictOnly: true}).Solvable; got != want.Solvable {
+				t.Errorf("n=%d f=%d r=%d: verdict-only Solvable=%v want %v",
 					tc.n, tc.f, r, got, want.Solvable)
 			}
 		}
@@ -55,16 +59,17 @@ func TestGraphEngineMatchesSequential(t *testing.T) {
 		{"star-4", graph.Star(4), 1, 1},
 	}
 	for _, tc := range cases {
-		want := GraphAnalyzeSequential(tc.g, tc.f, tc.r)
+		want := graphAnalyzeSequential(tc.g, tc.f, tc.r)
 		for _, workers := range []int{1, 4} {
-			got := GraphAnalyzeOpt(tc.g, tc.f, tc.r, fullinfo.Options{Parallel: true, Workers: workers})
+			got := analyze(t, Request{Graph: tc.g, F: tc.f, Horizon: tc.r,
+				Engine: &fullinfo.Options{Parallel: true, Workers: workers}}).Analysis
 			if got != want {
 				t.Errorf("%s f=%d r=%d workers=%d: engine %+v != sequential %+v",
 					tc.name, tc.f, tc.r, workers, got, want)
 			}
 		}
-		if got := GraphSolvableInRounds(tc.g, tc.f, tc.r); got != want.Solvable {
-			t.Errorf("%s f=%d r=%d: GraphSolvableInRounds=%v want %v",
+		if got := analyze(t, Request{Graph: tc.g, F: tc.f, Horizon: tc.r, VerdictOnly: true}).Solvable; got != want.Solvable {
+			t.Errorf("%s f=%d r=%d: verdict-only Solvable=%v want %v",
 				tc.name, tc.f, tc.r, got, want.Solvable)
 		}
 	}
@@ -76,7 +81,7 @@ func TestGraphEngineMatchesSequential(t *testing.T) {
 func TestMinRoundsMatchesThreshold(t *testing.T) {
 	for n := 2; n <= 3; n++ {
 		for f := 0; f < n; f++ {
-			r, ok := MinRounds(n, f, n)
+			r, ok := minRounds(t, Request{N: n, F: f, Horizon: n})
 			if ok != Threshold(n, f) {
 				t.Errorf("n=%d f=%d: MinRounds ok=%v, Threshold=%v", n, f, ok, Threshold(n, f))
 			}
@@ -89,8 +94,8 @@ func TestMinRoundsMatchesThreshold(t *testing.T) {
 
 // TestIncrementalExtendMatchesRestart pins the incremental engine on
 // the (n, f, r) grid: one Engine extended round by round must report
-// exactly the same Result — verdict and component structure — as a
-// from-scratch engine run at every horizon.
+// exactly the analysis of the sequential reference, rebuilt from
+// scratch at every horizon.
 func TestIncrementalExtendMatchesRestart(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range nfCases {
@@ -100,13 +105,8 @@ func TestIncrementalExtendMatchesRestart(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d f=%d r=%d: %v", tc.n, tc.f, r, err)
 			}
-			want, _, err := fullinfo.RunChecked(ctx, knStepper(tc.n, tc.f), r,
-				fullinfo.Options{Parallel: true, Workers: 4})
-			if err != nil {
-				t.Fatalf("n=%d f=%d r=%d: %v", tc.n, tc.f, r, err)
-			}
-			if got != want {
-				t.Errorf("n=%d f=%d r=%d: incremental %+v != restart %+v", tc.n, tc.f, r, got, want)
+			if an, want := analysisOf(tc.n, tc.f, r, got), analyzeSequential(tc.n, tc.f, r); an != want {
+				t.Errorf("n=%d f=%d r=%d: incremental %+v != sequential %+v", tc.n, tc.f, r, an, want)
 			}
 		}
 	}
@@ -133,13 +133,8 @@ func TestGraphIncrementalExtendMatchesRestart(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s f=%d r=%d: %v", tc.name, tc.f, r, err)
 			}
-			want, _, err := fullinfo.RunChecked(ctx, graphStepper(tc.g, tc.f), r,
-				fullinfo.Options{Parallel: true, Workers: 4})
-			if err != nil {
-				t.Fatalf("%s f=%d r=%d: %v", tc.name, tc.f, r, err)
-			}
-			if got != want {
-				t.Errorf("%s f=%d r=%d: incremental %+v != restart %+v", tc.name, tc.f, r, got, want)
+			if an, want := analysisOf(tc.g.N(), tc.f, r, got), graphAnalyzeSequential(tc.g, tc.f, r); an != want {
+				t.Errorf("%s f=%d r=%d: incremental %+v != sequential %+v", tc.name, tc.f, r, an, want)
 			}
 		}
 	}
@@ -188,5 +183,22 @@ func TestAnalyzeMinRoundsMatchesRestartSearch(t *testing.T) {
 	}
 	if rep.Found != wantOK || rep.Rounds != wantR {
 		t.Errorf("star-4 f=0: MinRounds %+v, want found=%v at %d", rep.Analysis, wantOK, wantR)
+	}
+}
+
+// TestVerdictOnlyReportIgnoresWorkers: a VerdictOnly network report must
+// not depend on the pool size; apart from the scheduling gauges, the
+// reports at 1, 2 and 4 workers must be equal.
+func TestVerdictOnlyReportIgnoresWorkers(t *testing.T) {
+	var want Report
+	for i, w := range []int{1, 2, 4} {
+		rep := analyze(t, Request{Graph: graph.Cycle(4), F: 1, Horizon: 2, VerdictOnly: true,
+			Engine: &fullinfo.Options{Parallel: true, Workers: w}})
+		rep.Stats.WallNanos, rep.Stats.Workers, rep.Stats.WorkerForks, rep.Stats.Absorbed = 0, 0, 0, 0
+		if i == 0 {
+			want = rep
+		} else if rep != want {
+			t.Errorf("workers=%d: %+v\n != workers=1: %+v", w, rep, want)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package nchain
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/graph"
@@ -13,7 +15,7 @@ func TestGraphAnalyzeMatchesComplete(t *testing.T) {
 		for f := 0; f <= 2; f++ {
 			for r := 0; r <= 2; r++ {
 				a := analyzeKn(t, n, f, r)
-				b := GraphAnalyze(graph.Complete(n), f, r)
+				b := analyze(t, Request{Graph: graph.Complete(n), F: f, Horizon: r}).Analysis
 				if a.Solvable != b.Solvable || a.Configs != b.Configs {
 					t.Fatalf("n=%d f=%d r=%d: K_n-specific %v vs graph-general %v", n, f, r, a, b)
 				}
@@ -41,7 +43,7 @@ func TestTheoremV1Exhaustive(t *testing.T) {
 		conn := c.g.EdgeConnectivity()
 		// Below the threshold: solvable at some horizon ≤ n−1.
 		for f := 0; f < conn; f++ {
-			p, ok := GraphMinRounds(c.g, f, c.g.N()-1)
+			p, ok := minRounds(t, Request{Graph: c.g, F: f, Horizon: c.g.N() - 1})
 			if !ok {
 				t.Fatalf("%s f=%d: should be solvable by horizon n−1=%d (Thm V.1 possibility)", c.g.Name(), f, c.g.N()-1)
 			}
@@ -52,7 +54,7 @@ func TestTheoremV1Exhaustive(t *testing.T) {
 		}
 		// At the threshold: no algorithm at any checked horizon.
 		for r := 0; r <= c.maxR; r++ {
-			if GraphAnalyze(c.g, conn, r).Solvable {
+			if analyze(t, Request{Graph: c.g, F: conn, Horizon: r}).Solvable {
 				t.Fatalf("%s f=c(G)=%d solvable at horizon %d — contradicts Theorem V.1", c.g.Name(), conn, r)
 			}
 		}
@@ -64,7 +66,7 @@ func TestTheoremV1Exhaustive(t *testing.T) {
 func TestGraphHorizonsBeatFlooding(t *testing.T) {
 	// Star(4): c=1, f=0 — the hub hears everyone in round 1, leaves learn
 	// the decision in round 2 < n−1 = 3.
-	p, ok := GraphMinRounds(graph.Star(4), 0, 3)
+	p, ok := minRounds(t, Request{Graph: graph.Star(4), F: 0, Horizon: 3})
 	if !ok {
 		t.Fatal("star f=0 solvable")
 	}
@@ -74,11 +76,11 @@ func TestGraphHorizonsBeatFlooding(t *testing.T) {
 	t.Logf("star-4 f=0: exact horizon %d (flooding bound 3)", p)
 }
 
+// TestGraphPatternsPanicOnLarge: a graph too large for the loss-pattern
+// builder is refused up front with errTooLarge, before anything panics.
 func TestGraphPatternsPanicOnLarge(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for large graphs")
-		}
-	}()
-	GraphAnalyze(graph.Complete(6), 1, 1)
+	_, err := Analyze(context.Background(), Request{Graph: graph.Complete(6), F: 1, Horizon: 1})
+	if !errors.Is(err, errTooLarge) {
+		t.Fatalf("K_6: err=%v, want errTooLarge", err)
+	}
 }

@@ -5,14 +5,29 @@ import (
 	"testing"
 )
 
-// analyzeKn runs the unified entry point for K_n at one fixed horizon.
-func analyzeKn(t *testing.T, n, f, r int) Analysis {
+// analyze runs the unified entry point, failing the test on error.
+func analyze(t *testing.T, req Request) Report {
 	t.Helper()
-	rep, err := Analyze(context.Background(), Request{N: n, F: f, Horizon: r})
+	rep, err := Analyze(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep.Analysis
+	return rep
+}
+
+// analyzeKn runs the unified entry point for K_n at one fixed horizon.
+func analyzeKn(t *testing.T, n, f, r int) Analysis {
+	t.Helper()
+	return analyze(t, Request{N: n, F: f, Horizon: r}).Analysis
+}
+
+// minRounds runs the verdict-only MinRounds search for req, up to
+// req.Horizon.
+func minRounds(t *testing.T, req Request) (int, bool) {
+	t.Helper()
+	req.MinRounds, req.VerdictOnly = true, true
+	rep := analyze(t, req)
+	return rep.Rounds, rep.Found
 }
 
 func TestLossPatterns(t *testing.T) {
@@ -71,7 +86,7 @@ func TestLossPatterns(t *testing.T) {
 // on K_2 includes the double omission? No: f=1 allows at most one loss
 // per round = exactly the Γ^ω scheme R1).
 func TestTwoProcessesMatchesChain(t *testing.T) {
-	if p, ok := MinRounds(2, 0, 3); !ok || p != 1 {
+	if p, ok := minRounds(t, Request{N: 2, F: 0, Horizon: 3}); !ok || p != 1 {
 		t.Fatalf("n=2 f=0: %d", p)
 	}
 	for r := 0; r <= 4; r++ {
@@ -88,11 +103,11 @@ func TestThresholdK3(t *testing.T) {
 		t.Error("threshold predicate")
 	}
 	// f=0: one clean exchange suffices.
-	if p, ok := MinRounds(3, 0, 2); !ok || p != 1 {
+	if p, ok := minRounds(t, Request{N: 3, F: 0, Horizon: 2}); !ok || p != 1 {
 		t.Fatalf("n=3 f=0: first horizon %d", p)
 	}
 	// f=1: solvable, and not in a single round.
-	p, ok := MinRounds(3, 1, 3)
+	p, ok := minRounds(t, Request{N: 3, F: 1, Horizon: 3})
 	if !ok {
 		t.Fatal("n=3 f=1 should be bounded-round solvable")
 	}
@@ -114,7 +129,7 @@ func TestK4LowBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=4 enumeration is heavy")
 	}
-	p, ok := MinRounds(4, 1, 2)
+	p, ok := minRounds(t, Request{N: 4, F: 1, Horizon: 2})
 	if !ok || p != 2 {
 		t.Fatalf("n=4 f=1: first horizon %d (ok=%v), want 2", p, ok)
 	}

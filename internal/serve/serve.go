@@ -9,8 +9,8 @@
 //	per-request deadline → [circuit breaker] → [singleflight + LRU] → handler
 //
 // Deadlines propagate as context.Context all the way into the fullinfo
-// worker pool and the simulation kernels, so a cancelled request stops
-// burning CPU at the next subtree/round boundary. The expensive analysis
+// engine and the simulation kernels, so a cancelled request stops
+// burning CPU within a round. The expensive analysis
 // paths sit behind a consecutive-failure circuit breaker with half-open
 // probes, and deterministic queries are deduplicated by singleflight and
 // memoized in an LRU keyed by the canonical encoding of the compiled

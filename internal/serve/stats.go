@@ -15,16 +15,14 @@ import (
 // hits and singleflight followers never re-run the engine and therefore
 // never count — /v1/stats measures work done, not requests served.
 type engineAgg struct {
-	runs             atomic.Int64
-	rounds           atomic.Int64
-	configs          atomic.Int64
-	newViews         atomic.Int64
-	wallNanos        atomic.Int64
-	frontierRaw      atomic.Int64
-	frontierDistinct atomic.Int64
-	symRounds        atomic.Int64
-	symFallbacks     atomic.Int64
-	intervalsPeak    atomic.Int64
+	runs          atomic.Int64
+	rounds        atomic.Int64
+	configs       atomic.Int64
+	newViews      atomic.Int64
+	wallNanos     atomic.Int64
+	symRounds     atomic.Int64
+	symFallbacks  atomic.Int64
+	intervalsPeak atomic.Int64
 }
 
 // observe is the fullinfo Observer hook wired into every engine request.
@@ -34,8 +32,6 @@ func (a *engineAgg) observe(st coordattack.EngineStats) {
 	a.configs.Add(st.Configs)
 	a.newViews.Add(int64(st.NewViews))
 	a.wallNanos.Add(st.WallNanos)
-	a.frontierRaw.Add(st.FrontierRaw)
-	a.frontierDistinct.Add(st.FrontierDistinct)
 	a.symRounds.Add(int64(st.SymbolicRounds))
 	a.symFallbacks.Add(int64(st.SymbolicFallbacks))
 	for {
@@ -54,18 +50,15 @@ type engineStatsJSON = wire.EngineStats
 
 func engineStatsOf(st coordattack.EngineStats) *engineStatsJSON {
 	js := &engineStatsJSON{
-		Rounds:           st.Rounds,
-		Configs:          st.Configs,
-		Vertices:         st.Vertices,
-		Components:       st.Components,
-		MixedComponents:  st.MixedComponents,
-		Merges:           st.Merges,
-		ViewsInterned:    st.ViewsInterned,
-		Workers:          st.Workers,
-		FrontierRaw:      st.FrontierRaw,
-		FrontierDistinct: st.FrontierDistinct,
-		DedupRatio:       st.DedupRatio(),
-		WallNanos:        st.WallNanos,
+		Rounds:          st.Rounds,
+		Configs:         st.Configs,
+		Vertices:        st.Vertices,
+		Components:      st.Components,
+		MixedComponents: st.MixedComponents,
+		Merges:          st.Merges,
+		ViewsInterned:   st.ViewsInterned,
+		Workers:         st.Workers,
+		WallNanos:       st.WallNanos,
 	}
 	if st.SymbolicRounds > 0 || st.SymbolicFallbacks > 0 {
 		js.SymbolicRounds = st.SymbolicRounds
@@ -86,11 +79,6 @@ type StatsVarz struct {
 	ConfigsExplored int64 `json:"configsExplored"`
 	ViewsInterned   int64 `json:"viewsInterned"`
 	EngineWallNanos int64 `json:"engineWallNanos"`
-	// Lifetime frontier dedup gauges across every dedup'd engine round,
-	// plus the resulting raw/distinct ratio (1 when no round dedup'd).
-	FrontierRaw      int64   `json:"frontierRaw"`
-	FrontierDistinct int64   `json:"frontierDistinct"`
-	DedupRatio       float64 `json:"dedupRatio"`
 	// Lifetime symbolic-backend gauges: rounds advanced by the interval
 	// walk, fallbacks to enumeration, and the largest interval set any
 	// single run reached.
@@ -104,15 +92,12 @@ type StatsVarz struct {
 }
 
 func (s *Server) statsVarz() StatsVarz {
-	v := StatsVarz{
+	return StatsVarz{
 		EngineRuns:         s.engine.runs.Load(),
 		RoundsAnalyzed:     s.engine.rounds.Load(),
 		ConfigsExplored:    s.engine.configs.Load(),
 		ViewsInterned:      s.engine.newViews.Load(),
 		EngineWallNanos:    s.engine.wallNanos.Load(),
-		FrontierRaw:        s.engine.frontierRaw.Load(),
-		FrontierDistinct:   s.engine.frontierDistinct.Load(),
-		DedupRatio:         1,
 		SymbolicRounds:     s.engine.symRounds.Load(),
 		SymbolicFallbacks:  s.engine.symFallbacks.Load(),
 		IntervalsPeak:      s.engine.intervalsPeak.Load(),
@@ -121,10 +106,6 @@ func (s *Server) statsVarz() StatsVarz {
 		WarmHits:           s.cache.warmHits.Load(),
 		SingleflightShared: s.cache.shared.Load(),
 	}
-	if v.FrontierDistinct > 0 {
-		v.DedupRatio = float64(v.FrontierRaw) / float64(v.FrontierDistinct)
-	}
-	return v
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/serve/wire"
 )
 
 // TestWarmStoreConfigsExactRoundTrip round-trips a solvability verdict
@@ -273,5 +275,73 @@ half a line {
 	}
 	if string(data) != seed {
 		t.Fatalf("under-threshold store was rewritten:\n%s", data)
+	}
+}
+
+// TestWarmStoreRecomputesOtherFrameVersions: a warm store written before
+// the frame layout changed holds frames of another version. Such an
+// entry must not be served — not even for its own key — so the node
+// recomputes the verdict instead of answering the stale one.
+func TestWarmStoreRecomputesOtherFrameVersions(t *testing.T) {
+	const query = `{"scheme":"S1","horizon":3}`
+	path1 := filepath.Join(t.TempDir(), "warm1.bin")
+	_, ts1 := testServer(t, Config{WarmStorePath: path1})
+	resp, raw := postJSON(t, ts1.URL+"/v1/solvable", query)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("node 1 solvable = %d: %s", resp.StatusCode, raw)
+	}
+	var fresh solvableResponse
+	if err := json.Unmarshal(raw, &fresh); err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+	store1, entries, err := OpenVerdictStore(path1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store1.Close()
+	var key string
+	for k := range entries {
+		if strings.HasPrefix(k, "solvable|") {
+			key = k
+		}
+	}
+	if key == "" {
+		t.Fatal("node 1 persisted no solvability verdict")
+	}
+
+	// The same key, holding a wrong verdict in a frame of the previous
+	// layout version.
+	stale, err := wire.Marshal(&wire.Solvable{Scheme: "S1", Horizon: 3, Solvable: !fresh.Solvable, Configs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale[2] = wire.Version - 1
+	path2 := filepath.Join(t.TempDir(), "warm2.bin")
+	store2, _, err := OpenVerdictStore(path2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store2.Append(key, stale); err != nil {
+		t.Fatal(err)
+	}
+	if err := store2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, ts2 := testServer(t, Config{WarmStorePath: path2})
+	if s2.warmLoaded != 0 {
+		t.Fatalf("node 2 loaded %d verdicts from a store holding only an old-version frame", s2.warmLoaded)
+	}
+	resp2, raw2 := postJSON(t, ts2.URL+"/v1/solvable", query)
+	if resp2.StatusCode != http.StatusOK {
+		t.Fatalf("node 2 solvable = %d: %s", resp2.StatusCode, raw2)
+	}
+	var got solvableResponse
+	if err := json.Unmarshal(raw2, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Cached || got.Solvable != fresh.Solvable || got.Configs != fresh.Configs {
+		t.Fatalf("node 2 answered %+v, want the recomputed %+v", got, fresh)
 	}
 }

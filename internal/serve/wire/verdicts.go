@@ -23,12 +23,6 @@ type EngineStats struct {
 	Merges          int   `json:"merges"`
 	ViewsInterned   int   `json:"viewsInterned"`
 	Workers         int   `json:"workers"`
-	// Frontier dedup gauges: raw nodes before hash-consing, distinct
-	// configurations after, and their ratio (1 when dedup never ran —
-	// see fullinfo.Stats).
-	FrontierRaw      int64   `json:"frontierRaw"`
-	FrontierDistinct int64   `json:"frontierDistinct"`
-	DedupRatio       float64 `json:"dedupRatio"`
 	// Symbolic interval-walk gauges, present only when the symbolic
 	// backend ran (or was requested and fell back): rounds advanced
 	// symbolically, the final and peak interval counts, the
@@ -51,9 +45,6 @@ func (e *EngineStats) appendPayload(dst []byte) []byte {
 	dst = appendInt(dst, int64(e.Merges))
 	dst = appendInt(dst, int64(e.ViewsInterned))
 	dst = appendInt(dst, int64(e.Workers))
-	dst = appendInt(dst, e.FrontierRaw)
-	dst = appendInt(dst, e.FrontierDistinct)
-	dst = appendFloat(dst, e.DedupRatio)
 	dst = appendInt(dst, int64(e.SymbolicRounds))
 	dst = appendInt(dst, int64(e.Intervals))
 	dst = appendInt(dst, int64(e.IntervalRuns))
@@ -73,9 +64,6 @@ func (e *EngineStats) decode(r *reader) {
 	e.Merges = int(r.int())
 	e.ViewsInterned = int(r.int())
 	e.Workers = int(r.int())
-	e.FrontierRaw = r.int()
-	e.FrontierDistinct = r.int()
-	e.DedupRatio = r.float()
 	e.SymbolicRounds = int(r.int())
 	e.Intervals = int(r.int())
 	e.IntervalRuns = int(r.int())

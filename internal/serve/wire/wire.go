@@ -48,8 +48,10 @@ const (
 	magic0 = 0xCA
 	magic1 = 0x7E
 	// Version is the frame payload layout version. Decoders reject
-	// frames from a newer layout; the client then falls back to JSON.
-	Version = 1
+	// frames of any other version: the client then falls back to JSON,
+	// and a warm store skips the entry, so the verdict is recomputed.
+	// Version 2 dropped the engine block's frontier-dedup gauges.
+	Version = 2
 	// headerLen is magic(2) + version(1) + kind(1) + length(4).
 	headerLen = 8
 	// MaxFramePayload bounds one frame's payload; a length field past it
@@ -86,7 +88,7 @@ func (k Kind) String() string {
 // the signal to fall back to the JSON decode path.
 var ErrNotFrame = errors.New("wire: not a verdict frame")
 
-// ErrVersion reports a well-formed frame from a newer layout version.
+// ErrVersion reports a well-formed frame of another layout version.
 var ErrVersion = errors.New("wire: unsupported frame version")
 
 var errMalformed = errors.New("wire: malformed frame payload")
@@ -112,7 +114,7 @@ func endFrame(dst []byte, start int) []byte {
 
 // DecodeFrame splits one frame off the front of b: its kind, its
 // payload, and the remaining bytes. ErrNotFrame means b is something
-// else entirely (JSON, typically); ErrVersion means a newer encoder.
+// else entirely (JSON, typically); ErrVersion means another layout version.
 func DecodeFrame(b []byte) (kind Kind, payload, rest []byte, err error) {
 	if !IsFrame(b) {
 		return 0, nil, b, ErrNotFrame

@@ -22,8 +22,7 @@ func fullEngine() *EngineStats {
 	return &EngineStats{
 		Rounds: 7, Configs: 1 << 40, Vertices: 12345, Components: 42,
 		MixedComponents: 9, Merges: 88, ViewsInterned: 4096, Workers: 16,
-		FrontierRaw: 9_999_999_999, FrontierDistinct: 123_456_789,
-		DedupRatio: 81.02, SymbolicRounds: 33, Intervals: 510,
+		SymbolicRounds: 33, Intervals: 510,
 		IntervalRuns: 17, IntervalsPeak: 1023, FragmentationRatio: 30.0,
 		SymbolicFallbacks: 1, WallNanos: 123_456_789_012,
 	}

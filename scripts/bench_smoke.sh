@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # bench_smoke.sh — measure the repo's MinRounds engines and record the
-# results as BENCH_4.json and BENCH_5.json.
+# results as BENCH_4.json and BENCH_6.json.
 #
 # BENCH_4: the incremental engine against the per-horizon restart
 # strategy on R1 (never solvable, so both sides walk every horizon
@@ -8,30 +8,26 @@
 # union-find, and the walk at every horizon, while the incremental side
 # grows one frontier.
 #
-# BENCH_5: the hash-consed dedup engine in its shipped configuration
-# against the frozen PR-4 baseline engine, same R1 MinRounds search at a
-# deeper horizon (BENCH5_MAXR, default 13). Acceptance bar ≥5×; the
-# measured frontier dedup ratio is recorded alongside (exactly 1.0 on
-# R1, whose views are history-injective — see DESIGN.md).
+# BENCH_5.json is a historical record: the frontier-dedup engine against
+# a frozen older engine. Both are gone, so it is no longer regenerated.
 #
 # BENCH_6: the symbolic index-interval backend sweeping the R1
 # MinRounds search to BENCH6_MAXR (default 40 — 4·3^40 configurations,
-# beyond int64 and beyond any enumeration budget) against the flat-table
-# enumerating engine at its own BENCH_5 horizon. Acceptance bars: the
+# beyond int64 and beyond any enumeration budget) against the
+# enumerating engine at BENCH6_FLAT_MAXR (default 13). Acceptance bars: the
 # symbolic horizon must reach ≥25 and the symbolic sweep must still beat
 # the 3×-shallower enumeration by ≥10×. The exact configuration count at
 # the top horizon is recorded alongside. Usage:
 #
-#   ./scripts/bench_smoke.sh [bench4.json] [bench5.json] [bench6.json]
+#   ./scripts/bench_smoke.sh [bench4.json] [bench6.json]
 set -eu
 
 cd "$(dirname "$0")/.."
 
 OUT4="${1:-BENCH_4.json}"
-OUT5="${2:-BENCH_5.json}"
-OUT6="${3:-BENCH_6.json}"
+OUT6="${2:-BENCH_6.json}"
 MAXR=8
-MAXR5="${BENCH5_MAXR:-13}"
+FLAT_MAXR="${BENCH6_FLAT_MAXR:-13}"
 MAXR6="${BENCH6_MAXR:-40}"
 COUNT="${BENCH_COUNT:-3x}"
 
@@ -63,38 +59,7 @@ if ! awk "BEGIN {exit !(${SPEEDUP} >= 2.0)}"; then
 	exit 1
 fi
 
-RAW5="$(BENCH5_MAXR="${MAXR5}" go test -run '^$' -bench '^BenchmarkMinRoundsDedupVsPR4$' -benchtime "${COUNT}" ./internal/chain/)"
-echo "${RAW5}"
-
-PR4_NS="$(echo "${RAW5}" | awk '/\/pr4/ {print $3}')"
-DEDUP_NS="$(echo "${RAW5}" | awk '/\/dedup/ {print $3}')"
-DEDUP_RATIO="$(echo "${RAW5}" | awk '/\/dedup/ {for (i = 1; i < NF; i++) if ($(i + 1) == "dedup_ratio") print $i}')"
-if [ -z "${PR4_NS}" ] || [ -z "${DEDUP_NS}" ]; then
-	echo "bench_smoke: benchmark output missing pr4/dedup lines" >&2
-	exit 1
-fi
-DEDUP_RATIO="${DEDUP_RATIO:-0}"
-
-SPEEDUP5="$(awk "BEGIN {printf \"%.2f\", ${PR4_NS} / ${DEDUP_NS}}")"
-cat >"${OUT5}" <<EOF
-{
-  "benchmark": "BenchmarkMinRoundsDedupVsPR4",
-  "scheme": "R1",
-  "max_horizon": ${MAXR5},
-  "pr4_ns_per_op": ${PR4_NS},
-  "dedup_ns_per_op": ${DEDUP_NS},
-  "dedup_ratio": ${DEDUP_RATIO},
-  "speedup": ${SPEEDUP5}
-}
-EOF
-echo "bench_smoke: wrote ${OUT5} (speedup ${SPEEDUP5}x, dedup ratio ${DEDUP_RATIO})"
-
-if ! awk "BEGIN {exit !(${SPEEDUP5} >= 5.0)}"; then
-	echo "bench_smoke: speedup ${SPEEDUP5}x is below the 5x acceptance bar" >&2
-	exit 1
-fi
-
-RAW6="$(BENCH5_MAXR="${MAXR5}" BENCH6_MAXR="${MAXR6}" go test -run '^$' -bench '^BenchmarkMinRoundsSymbolicVsFlat$' -benchtime "${COUNT}" ./internal/chain/)"
+RAW6="$(BENCH6_FLAT_MAXR="${FLAT_MAXR}" BENCH6_MAXR="${MAXR6}" go test -run '^$' -bench '^BenchmarkMinRoundsSymbolicVsFlat$' -benchtime "${COUNT}" ./internal/chain/)"
 echo "${RAW6}"
 
 SYM_NS="$(echo "${RAW6}" | awk '/\/symbolic/ {for (i = 1; i < NF; i++) if ($(i + 1) == "ns/op") print $i}' | head -n 1)"
@@ -113,12 +78,12 @@ cat >"${OUT6}" <<EOF
   "symbolic_max_horizon": ${MAXR6},
   "symbolic_ns_per_op": ${SYM_NS},
   "configs_exact_at_max": "${CONFIGS_EXACT}",
-  "enumerate_max_horizon": ${MAXR5},
+  "enumerate_max_horizon": ${FLAT_MAXR},
   "enumerate_ns_per_op": ${FLAT_NS},
   "speedup": ${SPEEDUP6}
 }
 EOF
-echo "bench_smoke: wrote ${OUT6} (symbolic horizon ${MAXR6}, speedup ${SPEEDUP6}x over enumeration at ${MAXR5})"
+echo "bench_smoke: wrote ${OUT6} (symbolic horizon ${MAXR6}, speedup ${SPEEDUP6}x over enumeration at ${FLAT_MAXR})"
 
 if ! awk "BEGIN {exit !(${MAXR6} >= 25)}"; then
 	echo "bench_smoke: symbolic horizon ${MAXR6} is below the 25-round acceptance bar" >&2

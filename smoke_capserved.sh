@@ -86,17 +86,12 @@ echo "${SECOND}" | grep -Eq '"configs": [1-9]' || {
 	exit 1
 }
 if [ "${BACKEND}" = "enumerate" ]; then
-	# The per-response stats must carry the frontier dedup gauges: the
-	# enumerating engine probes the first rounds, and chain views are
-	# history-injective, so raw == distinct > 0 and the ratio is exactly 1.
-	echo "${SECOND}" | grep -Eq '"frontierRaw": [1-9]' || {
-		echo "smoke: reply missing frontier dedup gauges: ${SECOND}" >&2
+	# The enumerating engine answered: the reply carries no symbolic
+	# interval gauges.
+	if echo "${SECOND}" | grep -q '"symbolicRounds"'; then
+		echo "smoke: enumerate-backend reply carries symbolic gauges: ${SECOND}" >&2
 		exit 1
-	}
-	echo "${SECOND}" | grep -Eq '"dedupRatio": 1' || {
-		echo "smoke: reply missing dedup ratio: ${SECOND}" >&2
-		exit 1
-	}
+	fi
 else
 	# Auto picks the symbolic interval walk for S1 (a Γ scheme): the
 	# reply must carry the interval gauges instead — S1 at horizon 2
@@ -128,12 +123,8 @@ echo "${STATS}" | grep -q '"cacheHits": 1' || {
 	exit 1
 }
 if [ "${BACKEND}" = "enumerate" ]; then
-	echo "${STATS}" | grep -Eq '"frontierRaw": [1-9]' || {
-		echo "smoke: /v1/stats missing frontier dedup gauges: ${STATS}" >&2
-		exit 1
-	}
-	echo "${STATS}" | grep -Eq '"frontierDistinct": [1-9]' || {
-		echo "smoke: /v1/stats missing distinct frontier gauge: ${STATS}" >&2
+	echo "${STATS}" | grep -q '"symbolicRounds": 0' || {
+		echo "smoke: /v1/stats reports symbolic rounds on the enumerate backend: ${STATS}" >&2
 		exit 1
 	}
 else

@@ -3,7 +3,8 @@
 #
 # Tier 1 (must stay green): build + tests.
 # Extended: gofmt staleness + vet + race (the differential tests drive
-# the fullinfo worker pool, so races in the engine fail here) + a short
+# the fullinfo parallel rounds, so races in the engine fail here) + the
+# engine and service suites at GOMAXPROCS 1, 2 and 4 + a short
 # native-fuzz pass per fuzz target (go test runs one -fuzz target per
 # invocation) + a capserved lifecycle smoke (serve, query, SIGTERM,
 # assert a clean drained exit) — which now includes a 3-node coordinator
@@ -21,19 +22,6 @@ if [ -n "${UNFORMATTED}" ]; then
 	exit 1
 fi
 
-echo "== deprecated engine API gate =="
-# internal/ and cmd/ code must use the unified Analyze(ctx, Request)
-# entry points. The deprecated wrappers exist only for out-of-tree
-# callers; the repo-root facade is exempt (its legacy helpers delegate
-# to them by design). Qualified calls are enough to catch violations:
-# in-package wrapper tests (chain/nchain) are intentional coverage of
-# the wrappers themselves and call them unqualified.
-DEPRECATED='AnalyzeOpt|AnalyzeChecked|AnalyzeSequential|AnalyzeRounds|AnalyzeRoundsChecked|AnalyzeComplete|AnalyzeGraphConsensus|SolvableInRounds|SolvableInRoundsChecked|MinRounds|MinRoundsSearch|MinRoundsSearchChecked|MinRoundsComplete|MinRoundsGraph|GraphAnalyze|GraphAnalyzeOpt|GraphAnalyzeSequential|GraphSolvableInRounds|GraphSolvableInRoundsChecked|GraphMinRounds'
-if grep -rnE "(chain|nchain|coordattack)\.(${DEPRECATED})\(" internal cmd --include='*.go'; then
-	echo "verify.sh: internal/ or cmd/ code calls a deprecated engine wrapper — use Analyze(ctx, Request) / AnalyzeNet(ctx, Request)" >&2
-	exit 1
-fi
-
 echo "== go build =="
 go build ./...
 
@@ -42,6 +30,12 @@ go vet ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== GOMAXPROCS matrix (engine + service, -cpu 1,2,4) =="
+# Verdict bodies must not depend on scheduling: the engine and service
+# suites run at three core counts, three times each, so a report that
+# varies with the worker count fails here instead of shipping.
+go test -cpu 1,2,4 -count=3 ./internal/fullinfo ./internal/chain ./internal/nchain ./internal/serve/...
 
 echo "== serve alloc gates (unraced, JSON + binary) =="
 # The alloc gates skip themselves under -race (the detector's
@@ -55,8 +49,6 @@ for target in FuzzIndexRoundTrip FuzzParseScenario FuzzScenarioEquality; do
 	echo "-- ${target}"
 	go test -run "^${target}$" -fuzz "^${target}$" -fuzztime "${FUZZTIME}" ./internal/omission/
 done
-echo "-- FuzzDedupVsReference"
-go test -run '^FuzzDedupVsReference$' -fuzz '^FuzzDedupVsReference$' -fuzztime "${FUZZTIME}" ./internal/fullinfo/
 echo "-- FuzzSymbolicVsReference"
 go test -run '^FuzzSymbolicVsReference$' -fuzz '^FuzzSymbolicVsReference$' -fuzztime "${FUZZTIME}" ./internal/chain/
 echo "-- FuzzWireFrameDecode"
