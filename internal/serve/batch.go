@@ -34,19 +34,6 @@ type batchRequest struct {
 	Items []solvableRequest `json:"items"`
 }
 
-// BatchLine is one JSON-lines record of a batch response stream —
-// the solve-batch decode shape, kept exported because the client and
-// the cluster coordinator decode and re-emit the same layout. The
-// stream itself is emitted from wire.BatchLine, whose JSON encoding is
-// identical; binary streams carry the same record as a frame.
-type BatchLine struct {
-	Index   int               `json:"index"`
-	Status  int               `json:"status"`
-	Verdict *solvableResponse `json:"verdict,omitempty"`
-	Error   string            `json:"error,omitempty"`
-	DiagID  string            `json:"diagId,omitempty"`
-}
-
 // batchItem is one pre-resolved unit of batch work: everything checked
 // before any engine work runs.
 type batchItem struct {

@@ -14,9 +14,18 @@ import (
 	coordattack "repro"
 )
 
+// batchLine is the JSON decode shape of one /v1/solve/batch stream line.
+type batchLine struct {
+	Index   int               `json:"index"`
+	Status  int               `json:"status"`
+	Verdict *solvableResponse `json:"verdict,omitempty"`
+	Error   string            `json:"error,omitempty"`
+	DiagID  string            `json:"diagId,omitempty"`
+}
+
 // postBatch fires a /v1/solve/batch request and decodes the JSON-lines
-// stream into BatchLine records.
-func postBatch(t *testing.T, url, body string) (*http.Response, []BatchLine) {
+// stream into batchLine records.
+func postBatch(t *testing.T, url, body string) (*http.Response, []batchLine) {
 	t.Helper()
 	resp, err := http.Post(url+"/v1/solve/batch", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -27,14 +36,14 @@ func postBatch(t *testing.T, url, body string) (*http.Response, []BatchLine) {
 		io.Copy(io.Discard, resp.Body)
 		return resp, nil
 	}
-	var lines []BatchLine
+	var lines []batchLine
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 1<<16), 8<<20)
 	for sc.Scan() {
 		if strings.TrimSpace(sc.Text()) == "" {
 			continue
 		}
-		var ln BatchLine
+		var ln batchLine
 		if err := json.Unmarshal(sc.Bytes(), &ln); err != nil {
 			t.Fatalf("bad batch line %q: %v", sc.Text(), err)
 		}
@@ -295,7 +304,7 @@ func TestSolveBatchDrainFinishesStream(t *testing.T) {
 	<-leaderIn
 
 	type result struct {
-		lines []BatchLine
+		lines []batchLine
 		err   error
 	}
 	got := make(chan result, 1)
@@ -310,7 +319,7 @@ func TestSolveBatchDrainFinishesStream(t *testing.T) {
 		var r result
 		sc := bufio.NewScanner(resp.Body)
 		for sc.Scan() {
-			var ln BatchLine
+			var ln batchLine
 			if err := json.Unmarshal(sc.Bytes(), &ln); err != nil {
 				got <- result{err: err}
 				return

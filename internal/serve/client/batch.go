@@ -105,10 +105,7 @@ func (c *Client) batchOnce(ctx context.Context, payload []byte, fn func(BatchVer
 		return false, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	sentBinary := c.binaryOK.Load()
-	if sentBinary {
-		req.Header.Set("Accept", wire.AcceptVerdictStream)
-	}
+	req.Header.Set("Accept", wire.AcceptVerdictStream)
 	resp, err := c.opt.HTTPClient.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -117,11 +114,6 @@ func (c *Client) batchOnce(ctx context.Context, payload []byte, fn func(BatchVer
 		return false, &retryableError{err: err}
 	}
 	defer resp.Body.Close()
-	if sentBinary && resp.StatusCode == http.StatusNotAcceptable {
-		c.binaryOK.Store(false)
-		io.Copy(io.Discard, resp.Body)
-		return false, &retryableError{err: fmt.Errorf("capserved: binary rejected; retrying as JSON")}
-	}
 	if resp.StatusCode != http.StatusOK {
 		buf, rerr := readBody(resp.Body, c.opt.MaxBodyBytes)
 		if rerr != nil {

@@ -7,11 +7,10 @@
 // context.
 //
 // Binary negotiation is transparent: verdict requests carry an Accept
-// header preferring application/x-capverdict, the reply's Content-Type
-// (and a frame-magic sniff) decides the decode path, and a server that
-// rejects the Accept outright (406) flips the client back to JSON for
-// the rest of its lifetime. Callers see identical decoded structs
-// either way.
+// header preferring application/x-capverdict while still listing JSON,
+// and the reply's frame-magic sniff decides the decode path. Callers see
+// identical decoded structs either way. Warm exports arrive as wire warm
+// segments, the format every capserved process uses for cached verdicts.
 package client
 
 import (
@@ -25,7 +24,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/serve/wire"
@@ -52,9 +50,6 @@ type Options struct {
 	// 1 MiB). A longer reply fails with *TruncatedError instead of being
 	// silently clipped into a JSON parse error.
 	MaxBodyBytes int64
-	// DisableBinary forces JSON even for verdict requests the server
-	// could answer with binary frames.
-	DisableBinary bool
 }
 
 func (o *Options) defaults() {
@@ -94,17 +89,12 @@ func (o *Options) defaults() {
 type Client struct {
 	base string
 	opt  Options
-	// binaryOK records whether the server tolerates binary Accept
-	// headers; a 406 clears it and the client stays on JSON.
-	binaryOK atomic.Bool
 }
 
 // New builds a client for a base URL such as "http://127.0.0.1:8321".
 func New(base string, opt Options) *Client {
 	opt.defaults()
-	c := &Client{base: base, opt: opt}
-	c.binaryOK.Store(!opt.DisableBinary)
-	return c
+	return &Client{base: base, opt: opt}
 }
 
 // APIError is a non-retryable (or retries-exhausted) HTTP error reply.
@@ -284,15 +274,17 @@ func (r *retryableError) Error() string {
 	return r.err.Error()
 }
 
-// binaryDecodable reports whether respBody is a verdict pointer the
-// binary protocol can fill — the only shapes worth negotiating frames
-// for. Everything else (stats maps, health bodies) stays JSON.
-func binaryDecodable(respBody any) bool {
+// acceptFor names the Accept header for a decode target: the verdict
+// frame types for verdict pointers, the warm segment for warm exports,
+// and nothing (JSON) for everything else (stats maps, health bodies).
+func acceptFor(respBody any) string {
 	switch respBody.(type) {
 	case *wire.Solvable, *wire.NetSolvable, *wire.Chaos:
-		return true
+		return wire.AcceptVerdict
+	case *warmExport:
+		return wire.MediaTypeWarmSegment
 	}
-	return false
+	return ""
 }
 
 func (c *Client) once(ctx context.Context, method, path string, payload []byte, respBody any) error {
@@ -307,9 +299,8 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 	if payload != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	sentBinary := c.binaryOK.Load() && binaryDecodable(respBody)
-	if sentBinary {
-		req.Header.Set("Accept", wire.AcceptVerdict)
+	if accept := acceptFor(respBody); accept != "" {
+		req.Header.Set("Accept", accept)
 	}
 	resp, err := c.opt.HTTPClient.Do(req)
 	if err != nil {
@@ -319,13 +310,6 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 		return &retryableError{err: err}
 	}
 	defer resp.Body.Close()
-	if sentBinary && resp.StatusCode == http.StatusNotAcceptable {
-		// A strict server refused the binary Accept: remember, and let
-		// the retry loop re-issue the request as plain JSON.
-		c.binaryOK.Store(false)
-		io.Copy(io.Discard, resp.Body)
-		return &retryableError{err: fmt.Errorf("capserved: binary rejected; retrying as JSON")}
-	}
 	buf, err := readBody(resp.Body, c.opt.MaxBodyBytes)
 	if err != nil {
 		var trunc *TruncatedError
@@ -344,6 +328,9 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 		return apiErr
 	}
 	if respBody != nil {
+		if we, ok := respBody.(*warmExport); ok {
+			return we.decode(raw, resp.Header)
+		}
 		if wire.IsFrame(raw) {
 			if err := wire.UnmarshalInto(raw, respBody); err != nil {
 				return fmt.Errorf("capserved: decoding frame: %w", err)
@@ -351,7 +338,7 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 			return nil
 		}
 		// JSON body — either we never asked for binary, or the server
-		// (an older release) ignored the Accept header. Both are fine.
+		// chose JSON from the Accept list. Both are fine.
 		if err := json.Unmarshal(raw, respBody); err != nil {
 			return fmt.Errorf("capserved: decoding response: %w", err)
 		}

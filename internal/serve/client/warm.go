@@ -1,23 +1,53 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
+
+	"repro/internal/serve/wire"
 )
 
-// Warm-tier and cluster-membership helpers. The wire shapes mirror
-// internal/serve (WarmEntry) and internal/serve/cluster (the members
-// table) but are declared locally: the client package stays a thin
-// protocol speaker with no dependency on the server implementations.
+// Warm-tier and cluster-membership helpers. The members table mirrors
+// internal/serve/cluster but is declared locally: the client package
+// stays a thin protocol speaker with no dependency on the server
+// implementations.
 
-// WarmEntry is one warm verdict on the wire: canonical cache key plus
-// the marshalled verdict body.
+// WarmEntry is one exported warm verdict: canonical cache key plus the
+// stored verdict — a wire frame, or a JSON body for classify keys.
 type WarmEntry struct {
 	K string          `json:"k"`
 	V json.RawMessage `json:"v"`
+}
+
+// warmExport is the decode target of GET /v1/warm/export: a wire warm
+// segment body, truncation flagged in the X-Warm-Truncated header.
+type warmExport struct {
+	entries   []WarmEntry
+	truncated bool
+}
+
+func (we *warmExport) decode(body []byte, h http.Header) error {
+	sr, err := wire.NewSegmentReader(bytes.NewReader(body))
+	if err != nil {
+		return fmt.Errorf("capserved: decoding warm export: %w", err)
+	}
+	for {
+		k, v, err := sr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("capserved: decoding warm export: %w", err)
+		}
+		we.entries = append(we.entries, WarmEntry{K: k, V: v})
+	}
+	we.truncated = h.Get("X-Warm-Truncated") != ""
+	return nil
 }
 
 // WarmExport fetches up to max warm verdicts from the node (max <= 0
@@ -27,31 +57,11 @@ func (c *Client) WarmExport(ctx context.Context, max int) (entries []WarmEntry, 
 	if max > 0 {
 		path = fmt.Sprintf("%s?max=%d", path, max)
 	}
-	var resp struct {
-		Entries   []WarmEntry `json:"entries"`
-		Truncated bool        `json:"truncated"`
-	}
-	if err := c.Do(ctx, http.MethodGet, path, nil, &resp); err != nil {
+	var we warmExport
+	if err := c.Do(ctx, http.MethodGet, path, nil, &we); err != nil {
 		return nil, false, err
 	}
-	return resp.Entries, resp.Truncated, nil
-}
-
-// WarmImport pushes warm verdicts into the node's caches (and its warm
-// store when one is attached). Undecodable entries are skipped by the
-// server, not rejected.
-func (c *Client) WarmImport(ctx context.Context, entries []WarmEntry) (imported, skipped int, err error) {
-	req := struct {
-		Entries []WarmEntry `json:"entries"`
-	}{Entries: entries}
-	var resp struct {
-		Imported int `json:"imported"`
-		Skipped  int `json:"skipped"`
-	}
-	if err := c.Do(ctx, http.MethodPost, "/v1/warm/import", req, &resp); err != nil {
-		return 0, 0, err
-	}
-	return resp.Imported, resp.Skipped, nil
+	return we.entries, we.truncated, nil
 }
 
 // Member is one coordinator cluster member as reported by the admin

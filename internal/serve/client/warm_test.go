@@ -1,37 +1,42 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"repro/internal/serve/wire"
 )
 
-// TestWarmExportImportRoundTrip drives the warm-sync protocol against a
-// stub speaking the server's wire shapes: export decodes entries and
-// the truncation flag, import posts them back and reads the counts.
-func TestWarmExportImportRoundTrip(t *testing.T) {
-	var gotImport struct {
-		Entries []WarmEntry `json:"entries"`
+// TestWarmExportDecodesSegment drives the warm export against a stub
+// speaking the server's wire shape: the client asks for a warm segment,
+// decodes its records verbatim (frames and classify JSON alike), and
+// reads the truncation flag from X-Warm-Truncated.
+func TestWarmExportDecodesSegment(t *testing.T) {
+	frame, err := wire.Marshal(&wire.Solvable{Scheme: "S1", Horizon: 3, Solvable: true})
+	if err != nil {
+		t.Fatal(err)
 	}
+	seg := wire.AppendSegmentHeader(nil)
+	seg = wire.AppendSegmentRecord(seg, "classify|x", []byte(`{"class":"A"}`))
+	seg = wire.AppendSegmentRecord(seg, "solvable|x", frame)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/v1/warm/export":
-			if r.URL.Query().Get("max") != "7" {
-				t.Errorf("export max = %q, want 7", r.URL.Query().Get("max"))
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Write([]byte(`{"entries":[{"k":"classify|x","v":{"class":"A"}}],"truncated":true}`))
-		case "/v1/warm/import":
-			if err := json.NewDecoder(r.Body).Decode(&gotImport); err != nil {
-				t.Errorf("decoding import body: %v", err)
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Write([]byte(`{"imported":1,"skipped":0}`))
-		default:
+		if r.URL.Path != "/v1/warm/export" {
 			http.NotFound(w, r)
+			return
 		}
+		if r.URL.Query().Get("max") != "7" {
+			t.Errorf("export max = %q, want 7", r.URL.Query().Get("max"))
+		}
+		if a := r.Header.Get("Accept"); a != wire.MediaTypeWarmSegment {
+			t.Errorf("export Accept = %q, want %q", a, wire.MediaTypeWarmSegment)
+		}
+		w.Header().Set("Content-Type", wire.MediaTypeWarmSegment)
+		w.Header().Set("X-Warm-Truncated", "1")
+		w.Write(seg)
 	}))
 	defer ts.Close()
 
@@ -40,19 +45,14 @@ func TestWarmExportImportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].K != "classify|x" || !truncated {
-		t.Fatalf("export = %+v truncated=%v, want 1 entry and truncated", entries, truncated)
+	if !truncated || len(entries) != 2 {
+		t.Fatalf("export = %d entries truncated=%v, want 2 and truncated", len(entries), truncated)
 	}
-
-	imported, skipped, err := c.WarmImport(context.Background(), entries)
-	if err != nil {
-		t.Fatal(err)
+	if entries[0].K != "classify|x" || string(entries[0].V) != `{"class":"A"}` {
+		t.Fatalf("entry 0 = %q %q", entries[0].K, entries[0].V)
 	}
-	if imported != 1 || skipped != 0 {
-		t.Fatalf("import = (%d, %d), want (1, 0)", imported, skipped)
-	}
-	if len(gotImport.Entries) != 1 || gotImport.Entries[0].K != "classify|x" {
-		t.Fatalf("server saw import body %+v", gotImport)
+	if entries[1].K != "solvable|x" || !bytes.Equal(entries[1].V, frame) {
+		t.Fatalf("entry 1 = %q %x, want the frame verbatim", entries[1].K, entries[1].V)
 	}
 }
 

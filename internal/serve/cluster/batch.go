@@ -19,10 +19,10 @@ import (
 // campaigns always fan out); misses stream as each shard answers. Lines
 // carry the originating item index, so arrival order is completion
 // order. The stream is JSON lines by default and BatchLine frames when
-// the caller negotiated application/x-capverdict-stream; shard-side the
-// coordinator negotiates frames for every class that has one, and each
-// item's verdict is transcoded (at most once) to whatever the caller
-// asked for.
+// the caller negotiated application/x-capverdict-stream. Shards answer
+// every item with a frame of the endpoint's kind (anything else is a
+// per-item 502, never cached); binary callers get the frame payload
+// embedded verbatim, JSON callers its FrameToJSON rendering.
 
 // batchFanout bounds how many misses of one batch are in flight against
 // the shards at once.
@@ -49,45 +49,24 @@ func (c *Coordinator) chaosBatchKey(body []byte) (string, error) {
 }
 
 // batchEmitter serializes stream lines from the fan-out workers and
-// owns the caller-side encoding choice. kind is the endpoint's verdict
-// frame kind, used to transcode JSON shard replies for binary callers.
+// owns the caller-side encoding choice.
 type batchEmitter struct {
 	mu      sync.Mutex
 	w       http.ResponseWriter
 	flusher http.Flusher
 	binary  bool
-	kind    wire.Kind
 }
 
-// verdictFor shapes a stored or shard-answered body for the stream: a
-// wire.Raw for binary callers (transcoding JSON bodies through the
-// endpoint's kind), raw JSON for JSON callers (transcoding frames). A
-// body that fits neither encoding is dropped to an error line by the
-// caller.
+// verdictFor shapes a checked frame body for the stream: a wire.Raw for
+// binary callers, its JSON rendering for JSON callers. A payload that
+// does not decode is dropped to an error line by the caller.
 func (e *batchEmitter) verdictFor(body []byte) (any, bool) {
 	if e.binary {
-		if wire.IsFrame(body) {
-			kind, payload, _, err := wire.DecodeFrame(body)
-			if err != nil {
-				return nil, false
-			}
-			return wire.Raw{Kind: kind, Payload: payload}, true
-		}
-		f, err := wire.JSONToFrame(e.kind, body)
-		if err != nil {
-			return nil, false
-		}
-		kind, payload, _, _ := wire.DecodeFrame(f)
-		return wire.Raw{Kind: kind, Payload: payload}, true
+		kind, payload, _, err := wire.DecodeFrame(body)
+		return wire.Raw{Kind: kind, Payload: payload}, err == nil
 	}
-	if wire.IsFrame(body) {
-		j, err := wire.FrameToJSON(body, "")
-		if err != nil {
-			return nil, false
-		}
-		return json.RawMessage(j), true
-	}
-	return json.RawMessage(body), true
+	j, err := wire.FrameToJSON(body, "")
+	return json.RawMessage(j), err == nil
 }
 
 func (e *batchEmitter) emit(line wire.BatchLine) {
@@ -142,7 +121,7 @@ func (c *Coordinator) batchHandler(path string, kind wire.Kind, keyOf func([]byt
 		c.m.batches.Add(1)
 		c.m.batchItems.Add(int64(len(req.Items)))
 
-		e := &batchEmitter{w: w, binary: acceptsWireStream(r), kind: kind}
+		e := &batchEmitter{w: w, binary: acceptsWireStream(r)}
 		if e.binary {
 			w.Header().Set("Content-Type", wire.MediaTypeVerdictStream)
 		} else {
@@ -182,7 +161,7 @@ func (c *Coordinator) batchHandler(path string, kind wire.Kind, keyOf func([]byt
 			if ok {
 				c.m.cacheHits.Add(1)
 				c.m.warmHits.Add(1)
-				c.cache.Put(key, []byte(raw))
+				c.cache.Put(key, raw)
 				c.emitStored(e, i, raw)
 				continue
 			}
@@ -218,6 +197,11 @@ func (c *Coordinator) batchHandler(path string, kind wire.Kind, keyOf func([]byt
 				}
 				if res.status >= 400 {
 					e.emit(wire.BatchLine{Index: ms.index, Status: res.status, Error: string(res.body)})
+					return
+				}
+				if !verdictOK(kind, res.body) {
+					e.emit(wire.BatchLine{Index: ms.index, Status: http.StatusBadGateway,
+						Error: "shard returned an unusable verdict"})
 					return
 				}
 				if ms.key != "" {

@@ -475,7 +475,7 @@ func TestClusterUnderFaultyTransport(t *testing.T) {
 // that store answers the same query with every backend dead.
 func TestCoordinatorWarmStoreOutlivesBackends(t *testing.T) {
 	dir := t.TempDir()
-	warm := dir + "/coord-warm.jsonl"
+	warm := dir + "/coord-warm.seg"
 
 	co, ts, nodes := testCluster(t, 3, func(cfg *Config) { cfg.WarmStorePath = warm })
 	const query = `{"scheme":"S1","horizon":6}`

@@ -48,9 +48,10 @@ type Config struct {
 	// CacheEntries sizes the coordinator's LRU over raw verdict bodies
 	// (default 4096).
 	CacheEntries int
-	// WarmStorePath, when set, persists verdict bodies to a JSON-lines
-	// file loaded at boot — a restarted coordinator answers known
-	// queries without touching any backend.
+	// WarmStorePath, when set, persists verdict bodies to a wire warm
+	// segment file (frames; JSON for classify) loaded at boot — a
+	// restarted coordinator answers known queries without touching any
+	// backend. A file that is not a segment is discarded with a log line.
 	WarmStorePath string
 	// BreakerThreshold / BreakerCooldown parameterize each shard's
 	// circuit breaker (defaults 3 consecutive failures, 5s cooldown —
@@ -279,7 +280,17 @@ func New(cfg Config) (*Coordinator, error) {
 		if err != nil {
 			cfg.Logf("coordinator: warm store disabled: %v", err)
 		} else {
-			c.warm, c.warmMap, c.warmLoaded = store, entries, len(entries)
+			if store.Discarded() {
+				cfg.Logf("coordinator: warm store %s is not a warm segment; discarded it", cfg.WarmStorePath)
+			}
+			// Serve only what a shard could have answered today: frames
+			// of another version or kind are recomputed, not replayed.
+			for k, v := range entries {
+				if kind, _ := wire.KindForKey(k); verdictOK(kind, v) {
+					c.warmMap[k] = v
+				}
+			}
+			c.warm, c.warmLoaded = store, len(c.warmMap)
 		}
 	}
 	c.hedgeDelayNs.Store(int64(cfg.HedgeDelay))
@@ -446,9 +457,7 @@ func acceptsWireStream(r *http.Request) bool {
 
 // shardAccept is the Accept header the coordinator sends to backends
 // for a keyed request: binary frames for keys that have a frame kind
-// (solvable, netsolve), JSON otherwise. The cached/warm body then
-// carries whichever encoding the shard answered with, and negotiateBody
-// transcodes per caller.
+// (solvable, netsolve), JSON (classify) otherwise.
 func shardAccept(key string) string {
 	if _, ok := wire.KindForKey(key); ok {
 		return wire.AcceptVerdict
@@ -456,32 +465,35 @@ func shardAccept(key string) string {
 	return ""
 }
 
-// negotiateBody reconciles a cached or shard-answered verdict body with
-// what the caller asked for: frames pass through to binary callers,
-// frames transcode to pretty JSON for JSON callers, and JSON bodies
-// transcode to frames for binary callers when the key has a frame kind.
-// The returned content type is "" when a frame body cannot be decoded
-// at all (cache corruption) — the caller should answer 502.
-func negotiateBody(r *http.Request, key string, body []byte) ([]byte, string) {
-	wantBin := acceptsWire(r)
-	if wire.IsFrame(body) {
-		if wantBin {
-			return body, wire.MediaTypeVerdict
-		}
-		j, err := wire.FrameToJSON(body, "  ")
-		if err != nil {
-			return nil, ""
-		}
-		return append(j, '\n'), "application/json"
+// verdictOK reports whether a shard-answered or stored body may be
+// cached and served as a verdict of kind: a current-version frame of
+// exactly that kind, or, for KindInvalid (classify, which has no frame
+// encoding), a JSON body. Only the frame header is checked.
+func verdictOK(kind wire.Kind, body []byte) bool {
+	if kind == wire.KindInvalid {
+		return !wire.IsFrame(body)
 	}
-	if wantBin {
-		if kind, ok := wire.KindForKey(key); ok {
-			if f, err := wire.JSONToFrame(kind, body); err == nil {
-				return f, wire.MediaTypeVerdict
-			}
-		}
+	k, _, rest, err := wire.DecodeFrame(body)
+	return err == nil && k == kind && len(rest) == 0
+}
+
+// negotiateBody renders a checked verdict body for the caller: frames
+// pass through to binary callers and render as pretty JSON for JSON
+// callers; classify JSON bodies pass through. The returned content type
+// is "" when a frame payload cannot be decoded — the caller should
+// answer 502.
+func negotiateBody(r *http.Request, body []byte) ([]byte, string) {
+	if !wire.IsFrame(body) {
+		return body, "application/json"
 	}
-	return body, "application/json"
+	if acceptsWire(r) {
+		return body, wire.MediaTypeVerdict
+	}
+	j, err := wire.FrameToJSON(body, "  ")
+	if err != nil {
+		return nil, ""
+	}
+	return append(j, '\n'), "application/json"
 }
 
 // Key extractors: each decodes just enough of the request to (a) reject
@@ -567,8 +579,8 @@ func (c *Coordinator) keyed(keyOf func([]byte) (string, error)) http.HandlerFunc
 		if ok {
 			c.m.cacheHits.Add(1)
 			c.m.warmHits.Add(1)
-			c.cache.Put(key, []byte(raw))
-			c.serveRaw(w, r, key, "warm", []byte(raw))
+			c.cache.Put(key, raw)
+			c.serveRaw(w, r, key, "warm", raw)
 			return
 		}
 		c.m.cacheMisses.Add(1)
@@ -582,12 +594,16 @@ func (c *Coordinator) keyed(keyOf func([]byte) (string, error)) http.HandlerFunc
 		if res.status >= 400 {
 			// Client-shaped rejection: every replica would agree, so the
 			// first verdict is forwarded and nothing is cached.
-			c.forward(w, r, key, res)
+			c.forward(w, r, res)
+			return
+		}
+		if kind, _ := wire.KindForKey(key); !verdictOK(kind, res.body) {
+			c.writeError(w, http.StatusBadGateway, "shard %s returned an unusable verdict", res.base)
 			return
 		}
 		c.cache.Put(key, res.body)
 		c.persistWarm(key, res.body)
-		c.forward(w, r, key, res)
+		c.forward(w, r, res)
 	}
 }
 
@@ -615,7 +631,7 @@ func (c *Coordinator) passthrough(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) serveRaw(w http.ResponseWriter, r *http.Request, key, tier string, body []byte) {
-	out, ct := negotiateBody(r, key, body)
+	out, ct := negotiateBody(r, body)
 	if ct == "" {
 		c.writeError(w, http.StatusBadGateway, "cached verdict for %s is undecodable", key)
 		return
@@ -626,12 +642,12 @@ func (c *Coordinator) serveRaw(w http.ResponseWriter, r *http.Request, key, tier
 	w.Write(out)
 }
 
-func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, key string, res *attemptResult) {
+func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, res *attemptResult) {
 	body, ct := res.body, "application/json"
 	if res.status < 400 {
 		// Error bodies are JSON and must never be re-shaped; verdicts
 		// negotiate.
-		if body, ct = negotiateBody(r, key, res.body); ct == "" {
+		if body, ct = negotiateBody(r, res.body); ct == "" {
 			c.writeError(w, http.StatusBadGateway, "shard %s returned an undecodable verdict", res.base)
 			return
 		}
@@ -646,11 +662,11 @@ func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, key string
 func (c *Coordinator) persistWarm(key string, body []byte) {
 	c.warmMu.Lock()
 	if _, dup := c.warmMap[key]; !dup {
-		c.warmMap[key] = json.RawMessage(bytes.Clone(body))
+		c.warmMap[key] = body
 	}
 	c.warmMu.Unlock()
 	if c.warm != nil {
-		if err := c.warm.Append(key, json.RawMessage(body)); err != nil {
+		if err := c.warm.Append(key, body); err != nil {
 			c.cfg.Logf("coordinator: %v", err)
 		}
 	}

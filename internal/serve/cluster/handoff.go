@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 
 	"repro/internal/serve"
 	"repro/internal/serve/client"
+	"repro/internal/serve/wire"
 )
 
 // Warm handoff: when a backend joins the ring (admin POST) or is
@@ -78,7 +77,7 @@ func (c *Coordinator) handoff(ctx context.Context, view *epochView, idx int) (in
 
 	// Collect candidates: coordinator warm map first (cheap, local, and
 	// a superset of the coordinator's hot set), then neighbor exports.
-	collected := make(map[string]json.RawMessage)
+	collected := make(map[string][]byte)
 	owns := func(key string) bool { return view.ring.Owner(key) == idx }
 
 	c.warmMu.RLock()
@@ -96,42 +95,39 @@ func (c *Coordinator) handoff(ctx context.Context, view *epochView, idx int) (in
 		if len(collected) >= limit {
 			break
 		}
-		entries, err := c.pullExport(ctx, view.shards[nb].base)
+		exported := 0
+		err := c.pullExport(ctx, view.shards[nb].base, func(k string, v []byte) bool {
+			if len(collected) >= limit {
+				return false
+			}
+			if _, dup := collected[k]; !dup && owns(k) {
+				collected[k] = v
+				exported++
+			}
+			return true
+		})
+		view.shards[nb].exportedKeys.Add(int64(exported))
 		if err != nil {
 			// A dead neighbor must not sink the handoff; the local warm
 			// map and other neighbors still contribute.
 			c.cfg.Logf("coordinator: handoff export from %s: %v", view.shards[nb].base, err)
-			continue
 		}
-		exported := 0
-		for _, e := range entries {
-			if len(collected) >= limit {
-				break
-			}
-			if _, dup := collected[e.K]; dup || !owns(e.K) {
-				continue
-			}
-			collected[e.K] = e.V
-			exported++
-		}
-		view.shards[nb].exportedKeys.Add(int64(exported))
 	}
 	if len(collected) == 0 {
 		return 0, nil
 	}
 
-	// Entries travel in the warm segment format: values go out exactly
-	// as stored — wire frames or JSON bodies — with no transcoding and
-	// no base64 overhead.
-	payload := serve.AppendWarmSegmentHeader(nil)
+	// Entries travel as a warm segment: values go out exactly as stored
+	// — wire frames, or JSON bodies for classify — with no transcoding.
+	payload := wire.AppendSegmentHeader(nil)
 	for k, v := range collected {
-		payload = serve.AppendWarmSegmentRecord(payload, k, v)
+		payload = wire.AppendSegmentRecord(payload, k, v)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target.base+"/v1/warm/import", bytes.NewReader(payload))
 	if err != nil {
 		return 0, err
 	}
-	req.Header.Set("Content-Type", serve.WarmSegmentMediaType)
+	req.Header.Set("Content-Type", wire.MediaTypeWarmSegment)
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
 		return 0, err
@@ -154,55 +150,42 @@ func (c *Coordinator) handoff(ctx context.Context, view *epochView, idx int) (in
 	return len(collected), nil
 }
 
-// pullExport fetches a neighbor's warm export, bounded by the handoff
-// entry budget. It negotiates the segment encoding and falls back to
-// the JSON shape when the neighbor answers with it.
-func (c *Coordinator) pullExport(ctx context.Context, base string) ([]serve.WarmEntry, error) {
+// exportBodyLimit bounds one neighbor's warm export body.
+const exportBodyLimit = 32 << 20
+
+// pullExport streams a neighbor's warm export, bounded by the handoff
+// entry budget, into fn until fn returns false. Records that arrived
+// before a torn or failed stream stay collected.
+func (c *Coordinator) pullExport(ctx context.Context, base string, fn func(k string, v []byte) bool) error {
 	url := fmt.Sprintf("%s/v1/warm/export?max=%d", base, c.cfg.HandoffMaxEntries)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	req.Header.Set("Accept", serve.WarmSegmentMediaType)
+	req.Header.Set("Accept", wire.MediaTypeWarmSegment)
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
-	buf, err := client.ReadBounded(resp.Body, 32<<20)
-	if err != nil {
-		var trunc *client.TruncatedError
-		if errors.As(err, &trunc) {
-			return nil, fmt.Errorf("export reply exceeds %d bytes: %w", trunc.Limit, err)
-		}
-		return nil, err
-	}
-	defer client.ReleaseBuffer(buf)
-	body := buf.Bytes()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("export returned HTTP %d: %s", resp.StatusCode, truncate(body, 200))
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
+		return fmt.Errorf("export returned HTTP %d: %s", resp.StatusCode, truncate(body, 200))
 	}
-	if strings.Contains(resp.Header.Get("Content-Type"), serve.WarmSegmentMediaType) {
-		sr, err := serve.NewWarmSegmentReader(bytes.NewReader(body))
+	sr, err := wire.NewSegmentReader(io.LimitReader(resp.Body, exportBodyLimit))
+	if err != nil {
+		return fmt.Errorf("bad export segment: %w", err)
+	}
+	for {
+		k, v, err := sr.Next()
+		if err == io.EOF {
+			return nil
+		}
 		if err != nil {
-			return nil, fmt.Errorf("bad export segment: %w", err)
+			return fmt.Errorf("bad export segment: %w", err)
 		}
-		var entries []serve.WarmEntry
-		for {
-			k, v, err := sr.Next()
-			if err == io.EOF {
-				return entries, nil
-			}
-			if err != nil {
-				return nil, fmt.Errorf("bad export segment: %w", err)
-			}
-			// Records outlive the pooled body buffer; clone them out.
-			entries = append(entries, serve.WarmEntry{K: k, V: bytes.Clone(v)})
+		if !fn(k, v) {
+			return nil
 		}
 	}
-	var rep serve.WarmExportResponse
-	if err := json.Unmarshal(body, &rep); err != nil {
-		return nil, fmt.Errorf("bad export reply: %w", err)
-	}
-	return rep.Entries, nil
 }

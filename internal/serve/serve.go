@@ -63,9 +63,11 @@ type Config struct {
 	// CacheEntries sizes the LRU result cache (default 1024).
 	CacheEntries int
 	// WarmStorePath, when non-empty, enables the persistent warm tier of
-	// the verdict cache: a JSON-lines file of computed verdicts keyed by
-	// canonical automaton digest, loaded at boot so a restarted node
-	// serves previously computed answers without re-running the engine.
+	// the verdict cache: a wire warm segment file of computed verdicts
+	// (frames; JSON for classify) keyed by canonical automaton digest,
+	// loaded at boot so a restarted node serves previously computed
+	// answers without re-running the engine. A file that is not a
+	// segment (a legacy JSON-lines store) is discarded with a log line.
 	WarmStorePath string
 	// BreakerThreshold is the consecutive-failure trip count (default 5).
 	BreakerThreshold int

@@ -2,8 +2,8 @@ package serve
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -16,35 +16,27 @@ import (
 )
 
 // VerdictStore is the persistent warm tier of the two-tier verdict
-// cache: an append-only file mapping canonical cache keys to marshalled
-// verdicts. A node loads it at boot, so a restart serves previously
-// computed answers instantly instead of re-running the engine; the
-// cluster coordinator (internal/serve/cluster) reuses the same store
-// for raw response bodies.
-//
-// Two on-disk formats coexist:
-//
-//   - The binary segment format (current): a 4-byte header followed by
-//     length-prefixed records `uvarint(len(k)) k uvarint(len(v)) v`.
-//     Values are opaque bytes — JSON bodies or wire verdict frames —
-//     so the store holds binary frames without base64 overhead.
-//   - JSON lines (legacy): one `{"k":…,"v":…}` object per line. Stores
-//     written by earlier releases load transparently and keep appending
-//     JSON lines, so an old file stays readable by an old binary until
-//     the first compaction (or the first binary-frame value) rewrites
-//     it as a segment.
+// cache: an append-only wire warm segment mapping canonical cache keys
+// to verdicts — frames, or JSON bodies for classify keys. A node loads
+// it at boot, so a restart serves previously computed answers instantly
+// instead of re-running the engine; the cluster coordinator
+// (internal/serve/cluster) reuses the same store for shard replies.
 //
 // The file is the durability story, not a database: writes are appended
 // under a mutex with no fsync, later records win on duplicate keys, and
-// a torn tail (crash mid-append) is skipped on load. When the dead
-// weight (duplicate, torn, or foreign records) crosses a threshold, the
-// load path compacts: the live entries are rewritten to a temp file in
-// the same directory and atomically renamed over the original, so a
-// crash mid-compaction leaves either the old file or the new one, never
-// a hybrid. Compaction always writes the segment format — the in-place
-// upgrade path. Verdicts are deterministic facts about automata, so
-// replaying a stale store can only miss entries, never serve wrong ones
-// — the consistency caveats are spelled out in DESIGN.md.
+// a torn tail (crash mid-append) is dropped on load. The store is a
+// cache — a file it cannot read costs recomputation, never correctness —
+// so a file that is not a segment (a JSON-lines store from an earlier
+// release, or anything else) opens as zero entries and is discarded.
+// The load path rewrites the file when it was discarded, when it ends
+// in a torn tail (appends must not land behind one), or when the dead
+// weight (duplicate or torn records) crosses a threshold: the live
+// entries go to a temp file in the same directory that is atomically
+// renamed over the original, so a crash mid-rewrite leaves either the
+// old file or the new one, never a hybrid. Verdicts are deterministic
+// facts about automata, so replaying a stale store can only miss
+// entries, never serve wrong ones — the consistency caveats are spelled
+// out in DESIGN.md.
 type VerdictStore struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -52,48 +44,32 @@ type VerdictStore struct {
 	// seen tracks keys already on disk so re-computations after an LRU
 	// eviction don't grow the file without bound.
 	seen map[string]struct{}
-	// legacy marks a store still in the JSON-lines format: appends stay
-	// JSON lines (old binaries can keep reading the file) until a value
-	// arrives that JSON lines cannot carry, which forces an upgrade.
-	legacy bool
 	// compacted reports how many dead records the load-time compaction
-	// dropped (0 when it didn't run).
+	// dropped (0 when it didn't run); discarded reports that the file
+	// was not a segment and was replaced by an empty one.
 	compacted int
+	discarded bool
 }
 
-// verdictLine is one legacy JSON-lines entry. V stays raw: the owner
-// decides the concrete type on load (typed decode in serve,
-// pass-through bytes in the coordinator).
-type verdictLine struct {
-	K string          `json:"k"`
-	V json.RawMessage `json:"v"`
-}
-
-// warmSegMagic opens a binary segment store: two magic bytes (distinct
-// from both '{' and a verdict frame's magic) plus a format version.
-var warmSegMagic = [4]byte{0xCA, 0x57, 'S', 1}
-
-// warmMaxRecord bounds one record's key or value length; a length
-// prefix past it is corruption, not an allocation request.
-const warmMaxRecord = 64 << 20
-
-// warmCompactMinWaste is how many dead records (duplicates, torn tails,
-// foreign garbage) the load path tolerates before rewriting the file.
-// Small enough that a store thrashed by restarts self-heals quickly,
-// large enough that a handful of torn lines never triggers a rewrite.
+// warmCompactMinWaste is how many dead records (duplicates, torn tails)
+// the load path tolerates before rewriting the file. Small enough that a
+// store thrashed by restarts self-heals quickly, large enough that a
+// handful of duplicates never triggers a rewrite.
 const warmCompactMinWaste = 64
 
 // OpenVerdictStore opens (creating if absent) the store at path and
 // returns it together with every well-formed entry currently on disk,
-// compacting the file first when dead records exceed the threshold.
-// Values are opaque: JSON bodies or wire verdict frames.
+// rewriting the file first when it is not a segment, ends torn, or
+// carries dead records past the threshold. A non-segment or torn file
+// that cannot be rewritten is refused with an error: appending to it
+// would bury every later record.
 func OpenVerdictStore(path string) (*VerdictStore, map[string][]byte, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("warm store: %w", err)
 	}
 	s := &VerdictStore{f: f, path: path, seen: make(map[string]struct{})}
-	entries, rawRecords, err := s.load()
+	entries, rawRecords, torn, err := s.load()
 	if err != nil {
 		f.Close()
 		return nil, nil, err
@@ -101,14 +77,19 @@ func OpenVerdictStore(path string) (*VerdictStore, map[string][]byte, error) {
 	for k := range entries {
 		s.seen[k] = struct{}{}
 	}
-	if waste := rawRecords - len(entries); waste >= warmCompactMinWaste {
-		if err := s.compact(entries); err == nil {
+	waste := rawRecords - len(entries)
+	if mustRewrite := s.discarded || torn; mustRewrite || waste >= warmCompactMinWaste {
+		err := s.compact(entries)
+		if err == nil {
 			s.compacted = waste
 			return s, entries, nil
 		}
-		// Compaction is an optimization; a failure (read-only temp dir,
-		// disk full) must not refuse the store. Keep appending to the
-		// bloated file in its current format.
+		if mustRewrite {
+			s.f.Close()
+			return nil, nil, fmt.Errorf("warm store: rewriting %s: %w", path, err)
+		}
+		// Compacting away duplicates is an optimization; a failure
+		// (read-only temp dir, disk full) must not refuse the store.
 	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
@@ -117,103 +98,51 @@ func OpenVerdictStore(path string) (*VerdictStore, map[string][]byte, error) {
 	return s, entries, nil
 }
 
-// load reads every well-formed record, detecting the format from the
-// file's first bytes. A zero-length file is initialized as a segment.
-// Returns the live entries and the raw record count (for waste
-// accounting); sets s.legacy for JSON-lines files.
-func (s *VerdictStore) load() (map[string][]byte, int, error) {
-	br := bufio.NewReaderSize(s.f, 1<<16)
-	head, err := br.Peek(len(warmSegMagic))
-	switch {
-	case err == io.EOF && len(head) == 0:
+// load reads every well-formed record. A zero-length file is
+// initialized as a segment; a file that is not a segment sets
+// s.discarded and loads nothing. Returns the live entries, the raw
+// record count (for waste accounting; a torn tail counts as one), and
+// whether the file ended torn.
+func (s *VerdictStore) load() (map[string][]byte, int, bool, error) {
+	entries := make(map[string][]byte)
+	fi, err := s.f.Stat()
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("warm store: %w", err)
+	}
+	if fi.Size() == 0 {
 		// Fresh store: stamp the segment header now so a crash before
 		// the first append still leaves a well-formed file.
-		if _, err := s.f.Write(warmSegMagic[:]); err != nil {
-			return nil, 0, fmt.Errorf("warm store: %w", err)
+		if _, err := s.f.Write(wire.AppendSegmentHeader(nil)); err != nil {
+			return nil, 0, false, fmt.Errorf("warm store: %w", err)
 		}
-		return map[string][]byte{}, 0, nil
-	case err == nil && [4]byte(head) == warmSegMagic:
-		if _, err := br.Discard(len(warmSegMagic)); err != nil {
-			return nil, 0, fmt.Errorf("warm store: %w", err)
+		return entries, 0, false, nil
+	}
+	sr, err := wire.NewSegmentReader(s.f)
+	if errors.Is(err, wire.ErrNotSegment) {
+		s.discarded = true
+		return entries, 0, false, nil
+	}
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("warm store: reading %s: %w", s.path, err)
+	}
+	for rawRecords := 0; ; rawRecords++ {
+		k, v, err := sr.Next()
+		if err == io.EOF {
+			return entries, rawRecords, false, nil
 		}
-		return s.loadSegment(br)
-	default:
-		s.legacy = true
-		return s.loadJSONLines(br)
+		if err != nil {
+			// Everything after a bad record is unrecoverable: there is
+			// no boundary to resync on.
+			return entries, rawRecords + 1, true, nil
+		}
+		entries[k] = v
 	}
 }
 
-// loadSegment scans binary records until EOF or the first malformed
-// record. Everything after a bad length prefix is unrecoverable (there
-// is no line boundary to resync on), so the tail counts as one dead
-// record and the next compaction drops it.
-func (s *VerdictStore) loadSegment(br *bufio.Reader) (map[string][]byte, int, error) {
-	entries := make(map[string][]byte)
-	rawRecords := 0
-	for {
-		k, ok := readWarmField(br)
-		if !ok {
-			if _, err := br.Peek(1); err != io.EOF {
-				rawRecords++ // torn or corrupt tail
-			}
-			return entries, rawRecords, nil
-		}
-		v, ok := readWarmField(br)
-		if !ok {
-			rawRecords++ // record torn between key and value
-			return entries, rawRecords, nil
-		}
-		rawRecords++
-		entries[string(k)] = v
-	}
-}
-
-// readWarmField reads one uvarint-prefixed field. ok=false covers both
-// clean EOF (caller distinguishes via Peek) and malformed data.
-func readWarmField(br *bufio.Reader) ([]byte, bool) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil || n > warmMaxRecord {
-		return nil, false
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(br, b); err != nil {
-		return nil, false
-	}
-	return b, true
-}
-
-// loadJSONLines scans a legacy JSON-lines store.
-func (s *VerdictStore) loadJSONLines(br *bufio.Reader) (map[string][]byte, int, error) {
-	entries := make(map[string][]byte)
-	rawLines := 0
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		rawLines++
-		var e verdictLine
-		if err := json.Unmarshal([]byte(line), &e); err != nil || e.K == "" {
-			// Torn or foreign line (e.g. the process died mid-append):
-			// skip it rather than refuse the whole store.
-			continue
-		}
-		entries[e.K] = e.V
-	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, fmt.Errorf("warm store: reading %s: %w", s.path, err)
-	}
-	return entries, rawLines, nil
-}
-
-// compact rewrites the store to hold exactly entries — always in the
-// segment format, so compacting a legacy store upgrades it in place —
-// via a temp file in the same directory and an atomic rename, then
-// swaps the store's handle to the fresh file. Keys are written in
-// sorted order so the result is deterministic. Caller holds s.mu (or
-// owns s exclusively during open).
+// compact rewrites the store to hold exactly entries via a temp file in
+// the same directory and an atomic rename, then swaps the store's
+// handle to the fresh file. Keys are written in sorted order so the
+// result is deterministic. Caller owns s exclusively (open time).
 func (s *VerdictStore) compact(entries map[string][]byte) error {
 	dir, base := filepath.Dir(s.path), filepath.Base(s.path)
 	tmp, err := os.CreateTemp(dir, base+".compact-*")
@@ -227,13 +156,13 @@ func (s *VerdictStore) compact(entries map[string][]byte) error {
 	}
 	sort.Strings(keys)
 	w := bufio.NewWriter(tmp)
-	if _, err := w.Write(warmSegMagic[:]); err != nil {
+	if _, err := w.Write(wire.AppendSegmentHeader(nil)); err != nil {
 		tmp.Close()
 		return err
 	}
 	var rec []byte
 	for _, k := range keys {
-		rec = appendWarmRecord(rec[:0], k, entries[k])
+		rec = wire.AppendSegmentRecord(rec[:0], k, entries[k])
 		if _, err := w.Write(rec); err != nil {
 			tmp.Close()
 			return err
@@ -256,21 +185,13 @@ func (s *VerdictStore) compact(entries map[string][]byte) error {
 	old := s.f
 	s.f = tmp
 	old.Close()
-	s.legacy = false
 	if _, err := s.f.Seek(0, io.SeekEnd); err != nil {
 		return err
 	}
 	return nil
 }
 
-func appendWarmRecord(dst []byte, k string, v []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(k)))
-	dst = append(dst, k...)
-	dst = binary.AppendUvarint(dst, uint64(len(v)))
-	return append(dst, v...)
-}
-
-// Compacted reports how many dead records the load-time compaction
+// Compacted reports how many dead records the load-time rewrite
 // removed (0 when the store was clean enough to keep).
 func (s *VerdictStore) Compacted() int {
 	if s == nil {
@@ -281,10 +202,20 @@ func (s *VerdictStore) Compacted() int {
 	return s.compacted
 }
 
+// Discarded reports that the file was not a warm segment and was
+// replaced by an empty one at open.
+func (s *VerdictStore) Discarded() bool {
+	if s == nil {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.discarded
+}
+
 // Append persists one verdict. Keys already on disk are skipped — the
 // store holds deterministic facts, so the first write is as good as any
-// later one. Appending a value JSON lines cannot carry (a binary frame)
-// to a legacy store upgrades the file to the segment format first.
+// later one.
 func (s *VerdictStore) Append(key string, v []byte) error {
 	if s == nil {
 		return nil
@@ -297,43 +228,11 @@ func (s *VerdictStore) Append(key string, v []byte) error {
 	if _, dup := s.seen[key]; dup {
 		return nil
 	}
-	if s.legacy {
-		if wire.IsFrame(v) {
-			if err := s.upgrade(); err != nil {
-				return fmt.Errorf("warm store: upgrading %s: %w", s.path, err)
-			}
-		} else {
-			b, err := json.Marshal(verdictLine{K: key, V: json.RawMessage(v)})
-			if err != nil {
-				return err
-			}
-			b = append(b, '\n')
-			if _, err := s.f.Write(b); err != nil {
-				return fmt.Errorf("warm store: appending to %s: %w", s.path, err)
-			}
-			s.seen[key] = struct{}{}
-			return nil
-		}
-	}
-	if _, err := s.f.Write(appendWarmRecord(nil, key, v)); err != nil {
+	if _, err := s.f.Write(wire.AppendSegmentRecord(nil, key, v)); err != nil {
 		return fmt.Errorf("warm store: appending to %s: %w", s.path, err)
 	}
 	s.seen[key] = struct{}{}
 	return nil
-}
-
-// upgrade rewrites a legacy JSON-lines store as a binary segment:
-// re-read the live entries from disk, then compact. Runs at most once
-// per store, the first time a frame value arrives. Caller holds s.mu.
-func (s *VerdictStore) upgrade() error {
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	entries, _, err := s.loadJSONLines(bufio.NewReaderSize(s.f, 1<<16))
-	if err != nil {
-		return err
-	}
-	return s.compact(entries)
 }
 
 // Len reports how many distinct keys the store has persisted.
@@ -361,54 +260,54 @@ func (s *VerdictStore) Close() error {
 	return err
 }
 
-// decodeVerdict turns a stored raw verdict — a wire frame or a JSON
-// body — back into the concrete response type its cache-key prefix
-// names. The JSON decode MUST be typed: unmarshalling into `any` would
-// push 64-bit counters through float64 and silently corrupt values like
-// Configs at deep horizons, and the handlers type-assert cached values
-// (val.(solvableResponse)). Frames carry integers natively and decode
-// through the same typed structs. Unknown prefixes and mismatched
-// frames — entries written by a newer binary — are skipped.
+// decodeVerdict turns a stored verdict back into the concrete response
+// type its cache-key prefix names: a current-version frame of the key's
+// kind, or a classify JSON body. The JSON decode is typed (the handlers
+// type-assert cached values, e.g. val.(classifyResponse)). Anything else
+// — unknown prefixes, frames of another version or kind, entries
+// written by a newer binary — is skipped and recomputed on demand.
 func decodeVerdict(key string, raw []byte) (any, bool) {
-	op, _, ok := strings.Cut(key, "|")
-	if !ok {
-		return nil, false
-	}
-	if wire.IsFrame(raw) {
+	if kind, ok := wire.KindForKey(key); ok {
 		v, err := wire.Unmarshal(raw)
 		if err != nil {
 			return nil, false
 		}
 		switch t := v.(type) {
 		case *wire.Solvable:
-			if op == "solvable" {
-				return *t, true
-			}
+			return *t, kind == wire.KindSolvable
 		case *wire.NetSolvable:
-			if op == "netsolve" {
-				return *t, true
-			}
+			return *t, kind == wire.KindNetSolvable
 		}
 		return nil, false
 	}
-	switch op {
-	case "classify":
+	if strings.HasPrefix(key, "classify|") {
 		var v classifyResponse
-		if json.Unmarshal(raw, &v) == nil {
-			return v, true
-		}
-	case "solvable":
-		var v solvableResponse
-		if json.Unmarshal(raw, &v) == nil {
-			return v, true
-		}
-	case "netsolve":
-		var v netSolvableResponse
 		if json.Unmarshal(raw, &v) == nil {
 			return v, true
 		}
 	}
 	return nil, false
+}
+
+// encodeVerdict renders a cached verdict in its stored form — a frame
+// when the key has a frame kind, JSON (classify) otherwise — for the
+// warm store and /v1/warm/export. ok=false marks values that would not
+// decode back (foreign LRU entries, unencodable values).
+func encodeVerdict(key string, val any) ([]byte, bool) {
+	var b []byte
+	var err error
+	if _, ok := wire.KindForKey(key); ok {
+		b, err = wire.Marshal(val)
+	} else {
+		b, err = json.Marshal(val)
+	}
+	if err != nil {
+		return nil, false
+	}
+	if _, ok := decodeVerdict(key, b); !ok {
+		return nil, false
+	}
+	return b, true
 }
 
 // attachWarmStore wires the warm tier into the result cache: entries
@@ -431,6 +330,9 @@ func (s *Server) attachWarmStore(path string) {
 	s.warmMu.Unlock()
 	s.warm = store
 	s.warmLoaded = loaded
+	if store.Discarded() {
+		s.cfg.Logf("capserved: warm store %s is not a warm segment; discarded it", path)
+	}
 	if n := store.Compacted(); n > 0 {
 		s.cfg.Logf("capserved: warm store %s compacted (%d dead records dropped)", path, n)
 	}
@@ -446,30 +348,16 @@ func (s *Server) warmLookup(key string) (any, bool) {
 	return v, ok
 }
 
-// persistVerdict records a fresh singleflight success in the warm tier.
-// Heavy verdicts with a frame encoding persist as frames (smaller, and
-// integer-exact by construction); classify falls back to JSON. Without
-// an attached store this is a no-op: the in-memory map only tracks what
-// disk (or a handoff peer) already knows, so a storeless node keeps its
-// old memory profile.
+// persistVerdict records a fresh singleflight success in the warm tier,
+// in its stored form (encodeVerdict). Without an attached store this is
+// a no-op: the in-memory map only tracks what disk (or a handoff peer)
+// already knows, so a storeless node keeps its old memory profile.
 func (s *Server) persistVerdict(key string, val any) {
 	if s.warm == nil {
 		return
 	}
-	var b []byte
-	var err error
-	if _, ok := wire.KindForKey(key); ok {
-		b, err = wire.Marshal(val)
-	} else {
-		b, err = json.Marshal(val)
-	}
-	if err != nil {
-		s.cfg.Logf("capserved: warm store encode %s: %v", key, err)
-		return
-	}
-	// Only persist what a future boot can decode; everything the heavy
-	// path caches today qualifies.
-	if _, ok := decodeVerdict(key, b); !ok {
+	b, ok := encodeVerdict(key, val)
+	if !ok {
 		return
 	}
 	s.warmMu.Lock()

@@ -2,14 +2,18 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/big"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/serve/wire"
@@ -17,15 +21,14 @@ import (
 
 // TestWarmStoreConfigsExactRoundTrip round-trips a solvability verdict
 // whose exact configuration count is 4*3^40 — far beyond both int64 and
-// float64's 2^53 integer range — through the JSON-lines store. The
-// typed decode must reproduce it digit for digit; an `any` decode would
-// have pushed the counters through float64 and corrupted them.
+// float64's 2^53 integer range — through the segment store. The typed
+// decode must reproduce it digit for digit.
 func TestWarmStoreConfigsExactRoundTrip(t *testing.T) {
 	exact := new(big.Int).Mul(big.NewInt(4),
 		new(big.Int).Exp(big.NewInt(3), big.NewInt(40), nil))
 	const canary = 1<<53 + 1 // smallest int a float64 round-trip corrupts
 
-	path := filepath.Join(t.TempDir(), "warm.jsonl")
+	path := filepath.Join(t.TempDir(), "warm.seg")
 	store, entries, err := OpenVerdictStore(path)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +43,7 @@ func TestWarmStoreConfigsExactRoundTrip(t *testing.T) {
 		Configs:      canary,
 		ConfigsExact: exact.String(),
 	}
-	raw, err := json.Marshal(in)
+	raw, err := wire.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,49 +81,86 @@ func TestWarmStoreConfigsExactRoundTrip(t *testing.T) {
 	}
 }
 
+// seedSegment encodes alternating key/value strings as a warm segment.
+func seedSegment(kv ...string) []byte {
+	seg := wire.AppendSegmentHeader(nil)
+	for i := 0; i+1 < len(kv); i += 2 {
+		seg = wire.AppendSegmentRecord(seg, kv[i], []byte(kv[i+1]))
+	}
+	return seg
+}
+
+// segmentKeys lists the keys of the segment file at path, in file order.
+func segmentKeys(t *testing.T, path string) []string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := wire.NewSegmentReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("%s is not a warm segment: %v", path, err)
+	}
+	var keys []string
+	for {
+		k, _, err := sr.Next()
+		if err == io.EOF {
+			return keys
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		keys = append(keys, k)
+	}
+}
+
 // TestVerdictStoreTornAndDuplicateLines checks crash tolerance: a torn
-// final line is skipped, later duplicate lines win on load, and Append
+// final record is dropped (and the file rewritten, so later appends do
+// not land behind it), later duplicate records win on load, and Append
 // skips keys already on disk instead of growing the file.
 func TestVerdictStoreTornAndDuplicateLines(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "warm.jsonl")
-	seed := `{"k":"a","v":{"n":1}}
-{"k":"a","v":{"n":2}}
-not json at all
-{"k":"b","v":{"trunc
-`
-	if err := os.WriteFile(path, []byte(seed), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "warm.seg")
+	seed := seedSegment("a", `{"n":1}`, "a", `{"n":2}`, "b", `{"trunc":true}`)
+	seed = seed[:len(seed)-5] // crash mid-append of "b"
+	if err := os.WriteFile(path, seed, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	store, entries, err := OpenVerdictStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
 	if len(entries) != 1 {
 		t.Fatalf("loaded %d entries, want 1 (only the duplicated good key): %v", len(entries), entries)
 	}
 	if string(entries["a"]) != `{"n":2}` {
-		t.Fatalf(`entries["a"] = %s, want the later line {"n":2}`, entries["a"])
+		t.Fatalf(`entries["a"] = %s, want the later record {"n":2}`, entries["a"])
 	}
 	if store.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", store.Len())
 	}
 	// Appending the known key is a no-op; a new key lands.
-	if err := store.Append("a", json.RawMessage(`{"n":3}`)); err != nil {
+	if err := store.Append("a", []byte(`{"n":3}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Append("c", json.RawMessage(`{"n":4}`)); err != nil {
+	if err := store.Append("c", []byte(`{"n":4}`)); err != nil {
 		t.Fatal(err)
 	}
 	if store.Len() != 2 {
 		t.Fatalf("Len after appends = %d, want 2", store.Len())
 	}
-	data, err := os.ReadFile(path)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if keys := segmentKeys(t, path); strings.Join(keys, ",") != "a,c" {
+		t.Fatalf("records on disk = %q, want [a c] (torn tail dropped, dup append skipped)", keys)
+	}
+	store2, entries2, err := OpenVerdictStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(string(data), `"k":"a"`); n != 2 {
-		t.Fatalf(`key "a" appears %d times, want 2 (dup append must be skipped)`, n)
+	defer store2.Close()
+	if len(entries2) != 2 || string(entries2["c"]) != `{"n":4}` {
+		t.Fatalf("reopen loaded %v, want a and the appended c", entries2)
 	}
 }
 
@@ -129,7 +169,7 @@ not json at all
 // node 2 booted on the same store answers the identical query as a
 // cache hit — no fresh engine run.
 func TestWarmStoreRestartAnswersFromCache(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "warm.jsonl")
+	path := filepath.Join(t.TempDir(), "warm.seg")
 	const query = `{"scheme":"S1","horizon":13}`
 
 	s1, ts1 := testServer(t, Config{WarmStorePath: path, MaxHorizon: 13})
@@ -173,21 +213,21 @@ func TestWarmStoreRestartAnswersFromCache(t *testing.T) {
 }
 
 // TestVerdictStoreCompactsOnLoad: a store bloated past the waste
-// threshold (duplicates + torn lines) is rewritten at open time via a
+// threshold (duplicates + a torn tail) is rewritten at open time via a
 // temp-file rename — the reopened file holds exactly the live entries,
 // appends keep working, and nothing of the dead weight survives.
 func TestVerdictStoreCompactsOnLoad(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "warm.jsonl")
-	var b strings.Builder
-	// warmCompactMinWaste dead lines: the same key rewritten over and
-	// over (restart loops do exactly this across crashes), plus torn
-	// garbage. One extra live line so the final state is two keys.
+	path := filepath.Join(t.TempDir(), "warm.seg")
+	// warmCompactMinWaste dead records: the same key rewritten over and
+	// over (restart loops do exactly this across crashes), plus a torn
+	// tail. One extra live record so the final state is two keys.
+	var kv []string
 	for i := 0; i <= warmCompactMinWaste-1; i++ {
-		fmt.Fprintf(&b, "{\"k\":\"hot\",\"v\":{\"n\":%d}}\n", i)
+		kv = append(kv, "hot", fmt.Sprintf(`{"n":%d}`, i))
 	}
-	b.WriteString("torn {garbage\n")
-	b.WriteString(`{"k":"cold","v":{"n":-1}}` + "\n")
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+	kv = append(kv, "cold", `{"n":-1}`, "torn", `{"garbage":true}`)
+	seed := seedSegment(kv...)
+	if err := os.WriteFile(path, seed[:len(seed)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -205,32 +245,13 @@ func TestVerdictStoreCompactsOnLoad(t *testing.T) {
 		t.Fatalf("Compacted = %d, want %d", store.Compacted(), warmCompactMinWaste)
 	}
 
-	// On disk: exactly the live entries, upgraded in place to the
-	// binary segment format (compaction always writes segments).
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, err := NewWarmSegmentReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("compacted file is not a warm segment: %v", err)
-	}
-	records := 0
-	for {
-		if _, _, err := sr.Next(); err != nil {
-			if err != io.EOF {
-				t.Fatalf("compacted segment: %v", err)
-			}
-			break
-		}
-		records++
-	}
-	if records != 2 {
-		t.Fatalf("compacted segment has %d records, want 2:\n%q", records, data)
+	// On disk: exactly the live entries, in sorted key order.
+	if keys := segmentKeys(t, path); strings.Join(keys, ",") != "cold,hot" {
+		t.Fatalf("compacted segment holds %q, want [cold hot]", keys)
 	}
 
 	// Appends land in the fresh file and a reopen sees everything.
-	if err := store.Append("new", json.RawMessage(`{"n":7}`)); err != nil {
+	if err := store.Append("new", []byte(`{"n":7}`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Close(); err != nil {
@@ -249,16 +270,13 @@ func TestVerdictStoreCompactsOnLoad(t *testing.T) {
 	}
 }
 
-// TestVerdictStoreNoCompactionUnderThreshold: a handful of dead lines
-// is tolerated — the file is left byte-identical (no rewrite churn on
-// every boot).
+// TestVerdictStoreNoCompactionUnderThreshold: a handful of duplicate
+// records is tolerated — the file is left byte-identical (no rewrite
+// churn on every boot).
 func TestVerdictStoreNoCompactionUnderThreshold(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "warm.jsonl")
-	seed := `{"k":"a","v":{"n":1}}
-{"k":"a","v":{"n":2}}
-half a line {
-`
-	if err := os.WriteFile(path, []byte(seed), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "warm.seg")
+	seed := seedSegment("a", `{"n":1}`, "a", `{"n":2}`, "b", `{"n":3}`, "a", `{"n":4}`)
+	if err := os.WriteFile(path, seed, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	store, entries, err := OpenVerdictStore(path)
@@ -266,15 +284,162 @@ half a line {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	if len(entries) != 1 || store.Compacted() != 0 {
-		t.Fatalf("entries=%d compacted=%d, want 1 entry and no compaction", len(entries), store.Compacted())
+	if len(entries) != 2 || store.Compacted() != 0 {
+		t.Fatalf("entries=%d compacted=%d, want 2 entries and no compaction", len(entries), store.Compacted())
+	}
+	if string(entries["a"]) != `{"n":4}` {
+		t.Fatalf(`entries["a"] = %s, want the last duplicate to win`, entries["a"])
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(data) != seed {
-		t.Fatalf("under-threshold store was rewritten:\n%s", data)
+	if !bytes.Equal(data, seed) {
+		t.Fatalf("under-threshold store was rewritten:\n%q", data)
+	}
+}
+
+// legacyJSONLines is a warm store as earlier releases wrote it: one
+// {"k","v"} object per line.
+const legacyJSONLines = `{"k":"solvable|S1|h=3|min=false","v":{"scheme":"S1","horizon":3,"solvable":true}}
+{"k":"classify|S1","v":{"class":"A"}}
+`
+
+// TestVerdictStoreDiscardsNonSegmentFile: a file that is not a segment
+// opens as zero entries and is replaced by an empty segment through the
+// compaction temp-file+rename path; the fresh file then works as any
+// other store.
+func TestVerdictStoreDiscardsNonSegmentFile(t *testing.T) {
+	for name, seed := range map[string]string{
+		"json-lines": legacyJSONLines,
+		"garbage":    "not a warm store at all",
+		"short":      "\xca",
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "warm.seg")
+			if err := os.WriteFile(path, []byte(seed), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			store, entries, err := OpenVerdictStore(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 0 || store.Len() != 0 || !store.Discarded() {
+				t.Fatalf("entries=%d Len=%d Discarded=%v, want an empty, discarded store",
+					len(entries), store.Len(), store.Discarded())
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, wire.AppendSegmentHeader(nil)) {
+				t.Fatalf("discarded file holds %q, want an empty segment", data)
+			}
+			if names, _ := filepath.Glob(filepath.Join(dir, "*.compact-*")); len(names) != 0 {
+				t.Fatalf("rewrite left temp files behind: %v", names)
+			}
+			if err := store.Append("k", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			store.Close()
+			store2, entries2, err := OpenVerdictStore(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store2.Close()
+			if len(entries2) != 1 || store2.Discarded() {
+				t.Fatalf("reopen: entries=%v Discarded=%v, want the appended record", entries2, store2.Discarded())
+			}
+		})
+	}
+}
+
+// TestWarmStoreLegacyFileRecomputed: a node booted on a legacy
+// JSON-lines store logs the discard once, serves nothing from it,
+// recomputes the verdict, and persists it as a frame.
+func TestWarmStoreLegacyFileRecomputed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "warm.seg")
+	if err := os.WriteFile(path, []byte(legacyJSONLines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu   sync.Mutex
+		logs []string
+	)
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	s, ts := testServer(t, Config{WarmStorePath: path, Logf: logf})
+	if s.warmLoaded != 0 {
+		t.Fatalf("node loaded %d verdicts from a legacy store", s.warmLoaded)
+	}
+	resp, raw := postJSON(t, ts.URL+"/v1/solvable", `{"scheme":"S1","horizon":3}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("solvable = %d: %s", resp.StatusCode, raw)
+	}
+	var v solvableResponse
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatal(err)
+	}
+	if v.Cached {
+		t.Fatal("node served a verdict from a discarded legacy store")
+	}
+	if s.warm.Len() != 1 {
+		t.Fatalf("warm store holds %d verdicts after one solve, want 1", s.warm.Len())
+	}
+	mu.Lock()
+	discards := 0
+	for _, l := range logs {
+		if strings.Contains(l, "discarded") {
+			discards++
+		}
+	}
+	mu.Unlock()
+	if discards != 1 {
+		t.Fatalf("discard logged %d times, want once: %q", discards, logs)
+	}
+	ts.Close()
+
+	store, entries, err := OpenVerdictStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	for k, b := range entries {
+		if !strings.HasPrefix(k, "solvable|") || !wire.IsFrame(b) {
+			t.Fatalf("persisted %q = %q, want a solvability frame", k, b)
+		}
+	}
+	if len(entries) != 1 {
+		t.Fatalf("reopen loaded %d verdicts, want 1", len(entries))
+	}
+}
+
+// TestWarmImportBoundsClaimedLength: a warm segment length prefix is a
+// claim, not an allocation request. An 8-byte import body — the header
+// plus a uvarint claiming a 64 MiB key — must cost the node well under
+// 1 MiB.
+func TestWarmImportBoundsClaimedLength(t *testing.T) {
+	s := New(Config{})
+	body := binary.AppendUvarint(wire.AppendSegmentHeader(nil), wire.MaxSegmentField)
+	if len(body) != 8 {
+		t.Fatalf("body is %d bytes, want 8", len(body))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	req := httptest.NewRequest(http.MethodPost, "/v1/warm/import", bytes.NewReader(body))
+	req.Header.Set("Content-Type", wire.MediaTypeWarmSegment)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("import = %d: %s", rec.Code, rec.Body)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("8-byte import allocated %d bytes, want well under 1 MiB", got)
 	}
 }
 

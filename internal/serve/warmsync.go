@@ -1,13 +1,9 @@
 package serve
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"repro/internal/serve/wire"
 )
@@ -16,37 +12,13 @@ import (
 // coordinator's membership handoff (internal/serve/cluster): when a
 // backend joins or is readmitted to the ring, the coordinator exports
 // warm verdicts from the newcomer's ring neighbors and imports the
-// slice of them the new epoch assigns to it.
-//
-// Entries travel in one of two shapes, negotiated per request:
-//
-//   - JSON (default): {entries:[{k, v}]} with v raw JSON — the legacy
-//     shape, still the fallback for callers that never ask for binary.
-//   - Warm segment (Accept/Content-Type application/x-capwarm-segment):
-//     the verdict store's on-disk record stream, verbatim. Values are
-//     wire verdict frames where the key has a frame kind, JSON bodies
-//     otherwise, so a coordinator can pipe an export straight into its
-//     own store — or back out to an import — without transcoding.
+// slice of them the new epoch assigns to it. Both directions carry a
+// wire warm segment (application/x-capwarm-segment) — the verdict
+// store's on-disk format — so a coordinator can pipe an export straight
+// into its own store or back out to an import without transcoding.
 
-// WarmSegmentMediaType negotiates the binary export/import body: the
-// verdict store's segment format on the wire.
-const WarmSegmentMediaType = "application/x-capwarm-segment"
-
-// warmImportBodyLimit bounds an import body (either encoding).
+// warmImportBodyLimit bounds an import body.
 const warmImportBodyLimit = 64 << 20
-
-// WarmEntry is one exported verdict in the JSON shape: canonical cache
-// key plus the marshalled verdict body.
-type WarmEntry struct {
-	K string          `json:"k"`
-	V json.RawMessage `json:"v"`
-}
-
-// WarmExportResponse is the GET /v1/warm/export JSON body.
-type WarmExportResponse struct {
-	Entries   []WarmEntry `json:"entries"`
-	Truncated bool        `json:"truncated,omitempty"`
-}
 
 // WarmImportResponse is the POST /v1/warm/import body.
 type WarmImportResponse struct {
@@ -54,83 +26,10 @@ type WarmImportResponse struct {
 	Skipped  int `json:"skipped"`
 }
 
-// AppendWarmSegmentHeader starts a warm segment stream (the store's
-// file header, reused as the HTTP body header).
-func AppendWarmSegmentHeader(dst []byte) []byte {
-	return append(dst, warmSegMagic[:]...)
-}
-
-// AppendWarmSegmentRecord appends one key/value record in the segment
-// encoding. Values are opaque: JSON bodies or wire verdict frames.
-func AppendWarmSegmentRecord(dst []byte, k string, v []byte) []byte {
-	return appendWarmRecord(dst, k, v)
-}
-
-// WarmSegmentReader iterates the records of a warm segment stream.
-type WarmSegmentReader struct {
-	br *bufio.Reader
-}
-
-// NewWarmSegmentReader checks the segment header and returns a record
-// iterator.
-func NewWarmSegmentReader(r io.Reader) (*WarmSegmentReader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var head [4]byte
-	if _, err := io.ReadFull(br, head[:]); err != nil {
-		return nil, fmt.Errorf("warm segment: short header")
-	}
-	if head != warmSegMagic {
-		return nil, fmt.Errorf("warm segment: bad magic")
-	}
-	return &WarmSegmentReader{br: br}, nil
-}
-
-// Next returns the next record; io.EOF reports a clean end of stream.
-// A record cut short mid-way is io.ErrUnexpectedEOF.
-func (r *WarmSegmentReader) Next() (string, []byte, error) {
-	k, ok := readWarmField(r.br)
-	if !ok {
-		if _, err := r.br.Peek(1); err == io.EOF {
-			return "", nil, io.EOF
-		}
-		return "", nil, io.ErrUnexpectedEOF
-	}
-	v, ok := readWarmField(r.br)
-	if !ok {
-		return "", nil, io.ErrUnexpectedEOF
-	}
-	return string(k), v, nil
-}
-
-// encodeWarmValue marshals a cached verdict value for export: a wire
-// frame when the key has a frame kind and the caller negotiated binary,
-// JSON otherwise. ok=false marks values that should not travel at all
-// (foreign LRU entries, unencodable values).
-func encodeWarmValue(key string, val any, binary bool) ([]byte, bool) {
-	var b []byte
-	var err error
-	if _, frameable := wire.KindForKey(key); binary && frameable {
-		b, err = wire.Marshal(val)
-	} else {
-		b, err = json.Marshal(val)
-	}
-	if err != nil {
-		return nil, false
-	}
-	// Only export what decodes back: foreign LRU entries (non-verdict
-	// caches) would be dead weight on the receiving node.
-	if _, ok := decodeVerdict(key, b); !ok {
-		return nil, false
-	}
-	return b, true
-}
-
-// handleWarmExport streams up to ?max= warm verdicts (default 4096):
-// the LRU hot set first (most recent first — the entries a newcomer
-// most wants), then the rest of the warm map. Each entry appears once.
-// With Accept: application/x-capwarm-segment the body is a segment
-// record stream (truncation flagged in X-Warm-Truncated); otherwise the
-// JSON shape.
+// handleWarmExport streams up to ?max= warm verdicts (default 4096) as
+// a warm segment: the LRU hot set first (most recent first — the
+// entries a newcomer most wants), then the rest of the warm map. Each
+// entry appears once; truncation is flagged in X-Warm-Truncated.
 func (s *Server) handleWarmExport(w http.ResponseWriter, r *http.Request) {
 	max := 4096
 	if q := r.URL.Query().Get("max"); q != "" {
@@ -138,32 +37,20 @@ func (s *Server) handleWarmExport(w http.ResponseWriter, r *http.Request) {
 			max = n
 		}
 	}
-	binary := strings.Contains(r.Header.Get("Accept"), WarmSegmentMediaType)
-
-	var (
-		seg     []byte
-		resp    WarmExportResponse
-		entries int
-	)
-	if binary {
-		seg = AppendWarmSegmentHeader(nil)
-	}
+	seg := wire.AppendSegmentHeader(nil)
+	entries := 0
 	seen := make(map[string]bool)
 	add := func(key string, val any) bool {
 		if seen[key] {
 			return true
 		}
-		b, ok := encodeWarmValue(key, val, binary)
+		b, ok := encodeVerdict(key, val)
 		if !ok {
 			return true
 		}
 		seen[key] = true
 		entries++
-		if binary {
-			seg = AppendWarmSegmentRecord(seg, key, b)
-		} else {
-			resp.Entries = append(resp.Entries, WarmEntry{K: key, V: b})
-		}
+		seg = wire.AppendSegmentRecord(seg, key, b)
 		return entries < max
 	}
 	full := true
@@ -181,17 +68,12 @@ func (s *Server) handleWarmExport(w http.ResponseWriter, r *http.Request) {
 		}
 		s.warmMu.RUnlock()
 	}
-	if binary {
-		w.Header().Set("Content-Type", WarmSegmentMediaType)
-		if !full {
-			w.Header().Set("X-Warm-Truncated", "1")
-		}
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(seg)
-		return
+	w.Header().Set("Content-Type", wire.MediaTypeWarmSegment)
+	if !full {
+		w.Header().Set("X-Warm-Truncated", "1")
 	}
-	resp.Truncated = !full
-	writeJSON(w, http.StatusOK, resp)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(seg)
 }
 
 // installWarmEntry installs one decodable imported verdict into the
@@ -219,48 +101,30 @@ func (s *Server) installWarmEntry(key string, raw []byte) bool {
 	return true
 }
 
-// handleWarmImport accepts a batch of warm verdicts — the JSON shape or
-// a segment stream, keyed off Content-Type — and installs the decodable
-// ones. Undecodable or malformed entries are counted, not fatal — a
+// handleWarmImport accepts a warm segment and installs the decodable
+// verdicts. Undecodable or malformed entries are counted, not fatal — a
 // handoff from a newer coordinator must warm what it can.
 func (s *Server) handleWarmImport(w http.ResponseWriter, r *http.Request) {
+	sr, err := wire.NewSegmentReader(http.MaxBytesReader(w, r.Body, warmImportBodyLimit))
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "bad request: %v", err)
+		return
+	}
 	resp := WarmImportResponse{}
-	if strings.Contains(r.Header.Get("Content-Type"), WarmSegmentMediaType) {
-		sr, err := NewWarmSegmentReader(http.MaxBytesReader(w, r.Body, warmImportBodyLimit))
+	for {
+		k, v, err := sr.Next()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad request: %v", err)
-			return
+			// A torn stream still warms what arrived intact.
+			resp.Skipped++
+			break
 		}
-		for {
-			k, v, err := sr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				// A torn stream still warms what arrived intact.
-				resp.Skipped++
-				break
-			}
-			if s.installWarmEntry(k, v) {
-				resp.Imported++
-			} else {
-				resp.Skipped++
-			}
-		}
-	} else {
-		var req struct {
-			Entries []WarmEntry `json:"entries"`
-		}
-		if err := decodeN(w, r, &req, warmImportBodyLimit); err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad request: %v", err)
-			return
-		}
-		for _, e := range req.Entries {
-			if s.installWarmEntry(e.K, e.V) {
-				resp.Imported++
-			} else {
-				resp.Skipped++
-			}
+		if s.installWarmEntry(k, v) {
+			resp.Imported++
+		} else {
+			resp.Skipped++
 		}
 	}
 	s.warmImported.Add(int64(resp.Imported))

@@ -9,7 +9,8 @@ import (
 // The verdict structs live here — with their JSON tags — so the JSON
 // bodies the service has always produced and the binary frames are two
 // encodings of one source of truth. internal/serve aliases these types;
-// the coordinator transcodes between the encodings via these structs.
+// the coordinator renders frames as JSON for callers that did not ask
+// for binary (FrameToJSON).
 
 // EngineStats is the per-response engine instrumentation block, cached
 // alongside the verdict so repeat queries can still show what the
@@ -476,7 +477,7 @@ func UnmarshalInto(b []byte, dst any) error {
 
 // KindForKey maps a canonical cache-key prefix ("solvable|…",
 // "netsolve|…") to its frame kind. Keys without a binary encoding
-// (classify) report false — those verdicts travel as JSON only.
+// (classify) report false — those verdicts travel as JSON everywhere.
 func KindForKey(key string) (Kind, bool) {
 	op, _, ok := strings.Cut(key, "|")
 	if !ok {
@@ -503,24 +504,4 @@ func FrameToJSON(b []byte, indent string) ([]byte, error) {
 		return json.Marshal(v)
 	}
 	return json.MarshalIndent(v, "", indent)
-}
-
-// JSONToFrame transcodes a JSON verdict body of the given kind into a
-// frame.
-func JSONToFrame(kind Kind, j []byte) ([]byte, error) {
-	var v any
-	switch kind {
-	case KindSolvable:
-		v = new(Solvable)
-	case KindNetSolvable:
-		v = new(NetSolvable)
-	case KindChaos:
-		v = new(Chaos)
-	default:
-		return nil, fmt.Errorf("wire: no frame encoding for kind %d", byte(kind))
-	}
-	if err := json.Unmarshal(j, v); err != nil {
-		return nil, err
-	}
-	return Marshal(v)
 }

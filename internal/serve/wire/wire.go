@@ -9,14 +9,17 @@
 // (unsigned for sizes, zigzag for signed values), length-prefixed
 // strings, single-byte bools, fixed 8-byte floats, and an explicit
 // big-int encoding for ConfigsExact so exact configuration counts past
-// int64 survive the trip byte-for-byte — the binary analogue of the
-// warm store's typed JSON decode.
+// int64 survive the trip byte-for-byte.
 //
+// Frames are the only verdict encoding between processes: on disk and
+// in warm sync (both as warm segments, see segment.go) and between the
+// coordinator and its shards. JSON appears only at the caller-facing
+// edge, where it stays the default: every frame kind marshals to
+// exactly the same JSON the service has always produced (the verdict
+// structs live here, with their JSON tags), and FrameToJSON renders it.
+// Classify verdicts have no frame kind and are JSON throughout.
 // Content negotiation happens over plain HTTP Accept/Content-Type with
-// the media types below. JSON remains the default and the fallback:
-// every frame kind marshals to exactly the same JSON the service has
-// always produced (the verdict structs live here, with their JSON tags),
-// so a decoder that does not understand frames loses nothing but bytes.
+// the media types below.
 package wire
 
 import (
@@ -48,8 +51,9 @@ const (
 	magic0 = 0xCA
 	magic1 = 0x7E
 	// Version is the frame payload layout version. Decoders reject
-	// frames of any other version: the client then falls back to JSON,
-	// and a warm store skips the entry, so the verdict is recomputed.
+	// frames of any other version: a warm store skips the entry and the
+	// coordinator refuses such a shard reply, so the verdict is
+	// recomputed.
 	// Version 2 dropped the engine block's frontier-dedup gauges.
 	Version = 2
 	// headerLen is magic(2) + version(1) + kind(1) + length(4).

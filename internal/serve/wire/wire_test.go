@@ -14,9 +14,9 @@ import (
 
 // The differential suite: for every verdict shape the service can
 // produce, the binary frame and the JSON body must decode to the same
-// value, and transcoding in either direction must be lossless. This is
-// the contract that lets the node, client, coordinator, and warm store
-// mix encodings freely.
+// value, and rendering a frame as JSON must be lossless. This is the
+// contract that lets frames be the only encoding between processes
+// while JSON stays byte-identical at the caller-facing edge.
 
 func fullEngine() *EngineStats {
 	return &EngineStats{
@@ -130,9 +130,10 @@ func TestChaosRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConfigsExactSurvivesExactly is the headline ISSUE 10 differential:
-// a ConfigsExact of 4·3^40 must come back byte-identical through frame,
-// JSON, and both transcode directions.
+// TestConfigsExactSurvivesExactly is the headline exact-count
+// differential: a ConfigsExact of 4·3^40 must come back byte-identical
+// through the frame, its JSON rendering, and a JSON decode re-encoded
+// as a frame.
 func TestConfigsExactSurvivesExactly(t *testing.T) {
 	exact := configsExactDeep()
 	v := &Solvable{Scheme: "S1", Horizon: 40, Solvable: true, Configs: -1, ConfigsExact: exact}
@@ -154,44 +155,52 @@ func TestConfigsExactSurvivesExactly(t *testing.T) {
 	if !strings.Contains(string(j), `"configsExact":"`+exact+`"`) {
 		t.Fatalf("transcoded JSON lost the exact count: %s", j)
 	}
-	back, err := JSONToFrame(KindSolvable, j)
+	var fromJSON Solvable
+	if err := json.Unmarshal(j, &fromJSON); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Marshal(&fromJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(back, frame) {
-		t.Fatalf("JSON→frame is not byte-identical to the original frame")
+		t.Fatalf("JSON decode re-encoded is not byte-identical to the original frame")
 	}
 }
 
-// TestJSONToFrameDifferential transcodes JSON bodies for every shape
-// and checks the frame decodes back to the same value.
-func TestJSONToFrameDifferential(t *testing.T) {
-	check := func(t *testing.T, kind Kind, v any) {
+// TestJSONDecodeMatchesFrameDecode pins the edge contract for every
+// shape: a caller decoding the JSON body gets exactly the value a caller
+// decoding the frame gets.
+func TestJSONDecodeMatchesFrameDecode(t *testing.T) {
+	check := func(t *testing.T, v, fromJSON any) {
 		t.Helper()
 		j, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		frame, err := JSONToFrame(kind, j)
-		if err != nil {
-			t.Fatalf("JSONToFrame: %v", err)
+		if err := json.Unmarshal(j, fromJSON); err != nil {
+			t.Fatal(err)
 		}
-		back, err := Unmarshal(frame)
+		frame, err := Marshal(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(back, v) {
-			t.Fatalf("JSON→frame→decode mismatch:\n got %#v\nwant %#v", back, v)
+		fromFrame, err := Unmarshal(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fromFrame, fromJSON) {
+			t.Fatalf("frame decode != JSON decode:\n got %#v\nwant %#v", fromFrame, fromJSON)
 		}
 	}
 	for name, v := range solvableShapes() {
-		t.Run("solvable/"+name, func(t *testing.T) { check(t, KindSolvable, v) })
+		t.Run("solvable/"+name, func(t *testing.T) { check(t, v, new(Solvable)) })
 	}
 	for name, v := range netShapes() {
-		t.Run("netsolvable/"+name, func(t *testing.T) { check(t, KindNetSolvable, v) })
+		t.Run("netsolvable/"+name, func(t *testing.T) { check(t, v, new(NetSolvable)) })
 	}
 	for name, v := range chaosShapes() {
-		t.Run("chaos/"+name, func(t *testing.T) { check(t, KindChaos, v) })
+		t.Run("chaos/"+name, func(t *testing.T) { check(t, v, new(Chaos)) })
 	}
 }
 

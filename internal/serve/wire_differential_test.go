@@ -319,7 +319,7 @@ func TestWarmSegmentExportImport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Accept", WarmSegmentMediaType)
+	req.Header.Set("Accept", wire.MediaTypeWarmSegment)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -332,10 +332,10 @@ func TestWarmSegmentExportImport(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("export = %d: %s", resp.StatusCode, seg)
 	}
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, WarmSegmentMediaType) {
-		t.Fatalf("export Content-Type = %q, want %q", ct, WarmSegmentMediaType)
+	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, wire.MediaTypeWarmSegment) {
+		t.Fatalf("export Content-Type = %q, want %q", ct, wire.MediaTypeWarmSegment)
 	}
-	sr, err := NewWarmSegmentReader(strings.NewReader(string(seg)))
+	sr, err := wire.NewSegmentReader(strings.NewReader(string(seg)))
 	if err != nil {
 		t.Fatalf("export body is not a segment: %v", err)
 	}
@@ -357,7 +357,7 @@ func TestWarmSegmentExportImport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ireq.Header.Set("Content-Type", WarmSegmentMediaType)
+	ireq.Header.Set("Content-Type", wire.MediaTypeWarmSegment)
 	iresp, err := http.DefaultClient.Do(ireq)
 	if err != nil {
 		t.Fatal(err)

@@ -4,9 +4,9 @@
 # Tier 1 (must stay green): build + tests.
 # Extended: gofmt staleness + vet + race (the differential tests drive
 # the fullinfo parallel rounds, so races in the engine fail here) + the
-# engine and service suites at GOMAXPROCS 1, 2 and 4 + a short
-# native-fuzz pass per fuzz target (go test runs one -fuzz target per
-# invocation) + a capserved lifecycle smoke (serve, query, SIGTERM,
+# verdictbench module's vet and tests + the engine and service suites at
+# GOMAXPROCS 1, 2 and 4 + a short native-fuzz pass per fuzz target (go
+# test runs one -fuzz target per invocation) + a capserved lifecycle smoke (serve, query, SIGTERM,
 # assert a clean drained exit) — which now includes a 3-node coordinator
 # leg with a mid-run backend kill and an admin-API membership-churn leg
 # — + a short capbench cluster load run with a churn phase.
@@ -31,6 +31,11 @@ go vet ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== verdictbench module (vet + test) =="
+# The benchmark is its own module, so the root ./... never builds it,
+# yet it imports serve, serve/client, serve/cluster and serve/wire.
+(cd verdictbench && go vet ./... && go test ./...)
+
 echo "== GOMAXPROCS matrix (engine + service, -cpu 1,2,4) =="
 # Verdict bodies must not depend on scheduling: the engine and service
 # suites run at three core counts, three times each, so a report that
@@ -51,8 +56,10 @@ for target in FuzzIndexRoundTrip FuzzParseScenario FuzzScenarioEquality; do
 done
 echo "-- FuzzSymbolicVsReference"
 go test -run '^FuzzSymbolicVsReference$' -fuzz '^FuzzSymbolicVsReference$' -fuzztime "${FUZZTIME}" ./internal/chain/
-echo "-- FuzzWireFrameDecode"
-go test -run '^FuzzWireFrameDecode$' -fuzz '^FuzzWireFrameDecode$' -fuzztime "${FUZZTIME}" ./internal/serve/wire/
+for target in FuzzWireFrameDecode FuzzWarmSegment; do
+	echo "-- ${target}"
+	go test -run "^${target}$" -fuzz "^${target}$" -fuzztime "${FUZZTIME}" ./internal/serve/wire/
+done
 
 echo "== capserved smoke (default backend + 3-node coordinator) =="
 ./smoke_capserved.sh
