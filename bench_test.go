@@ -173,25 +173,11 @@ func BenchmarkChains(b *testing.B) {
 	}
 }
 
-// Engine ablation — the sequential reference vs the streaming engine
-// with a full worker pool, on the same horizons. Compare:
+// Engine ablation — the streaming engine with a full worker pool; its
+// sequential-reference counterpart, BenchmarkChainsSequential, lives
+// next to the reference in internal/chain. Compare:
 //
-//	go test -bench 'BenchmarkChains(Sequential|Parallel)' -run '^$' .
-func BenchmarkChainsSequential(b *testing.B) {
-	ctx := context.Background()
-	for _, r := range []int{4, 6, 8} {
-		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
-			s := scheme.R1()
-			for i := 0; i < b.N; i++ {
-				rep, err := chain.Analyze(ctx, chain.Request{Scheme: s, Horizon: r, Sequential: true})
-				if err != nil || rep.Solvable {
-					b.Fatal("Γ^ω solvable?!")
-				}
-			}
-		})
-	}
-}
-
+//	go test -bench 'BenchmarkChains(Sequential|Parallel)' -run '^$' . ./internal/chain
 func BenchmarkChainsParallel(b *testing.B) {
 	ctx := context.Background()
 	for _, r := range []int{4, 6, 8} {
@@ -389,17 +375,9 @@ func nchainAnalyze(n, f, r int) bool {
 	return rep.Solvable
 }
 
-// Engine ablation — n-process analysis, sequential vs full worker pool.
-func BenchmarkNProcAnalyzeSequential(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		rep, err := nchain.Analyze(ctx, nchain.Request{N: 3, F: 1, Horizon: 2, Sequential: true})
-		if err != nil || !rep.Solvable {
-			b.Fatal("K3 f=1 solvable at 2")
-		}
-	}
-}
-
+// Engine ablation — n-process analysis on a full worker pool; the
+// sequential reference's BenchmarkNProcAnalyzeSequential lives in
+// internal/nchain.
 func BenchmarkNProcAnalyzeParallel(b *testing.B) {
 	ctx := context.Background()
 	opt := fullinfo.Options{Parallel: true, Workers: runtime.GOMAXPROCS(0)}

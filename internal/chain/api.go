@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"time"
 
 	"repro/internal/fullinfo"
 	"repro/internal/scheme"
@@ -28,10 +27,6 @@ type Request struct {
 	// component. An unsolvable horizon then reports its verdict alone
 	// (every count zero); a solvable one keeps its exact counts.
 	VerdictOnly bool
-	// Sequential routes the computation through the materializing
-	// single-threaded reference walk instead of the streaming engine.
-	// It exists for differential testing.
-	Sequential bool
 	// Engine optionally tunes the streaming engine; nil means
 	// fullinfo.Defaults(). EarlyExit and Observer are managed by
 	// Analyze (derived from VerdictOnly and Observer).
@@ -74,9 +69,6 @@ func Analyze(ctx context.Context, req Request) (Report, error) {
 		if req.Observer != nil {
 			req.Observer(s)
 		}
-	}
-	if req.Sequential {
-		return analyzeSequentialReq(ctx, req, &agg, observe)
 	}
 	opt := fullinfo.Defaults()
 	if req.Engine != nil {
@@ -124,47 +116,4 @@ func analysisOf(r int, res fullinfo.Result) Analysis {
 		MixedComponents: res.MixedComponents,
 		ConfigsExact:    res.ConfigsExact,
 	}
-}
-
-// analyzeSequentialReq serves Request.Sequential: the same Request
-// surface, answered by the materializing reference walk. MinRounds
-// restarts the walk per horizon — the reference path stays the simple,
-// obviously-correct one.
-func analyzeSequentialReq(ctx context.Context, req Request, agg *fullinfo.Stats, observe func(fullinfo.Stats)) (Report, error) {
-	runOne := func(r int) (Analysis, error) {
-		if err := ctx.Err(); err != nil {
-			return Analysis{}, err
-		}
-		start := time.Now()
-		an := analyzeSequential(req.Scheme, r)
-		observe(fullinfo.Stats{
-			Horizon:         r,
-			Rounds:          r,
-			Configs:         int64(an.Configs),
-			Components:      an.Components,
-			MixedComponents: an.MixedComponents,
-			Workers:         1,
-			WallNanos:       time.Since(start).Nanoseconds(),
-		})
-		return an, nil
-	}
-	if !req.MinRounds {
-		an, err := runOne(req.Horizon)
-		if err != nil {
-			return Report{}, err
-		}
-		return Report{Analysis: an, Found: an.Solvable, Stats: *agg}, nil
-	}
-	var last Analysis
-	for r := 0; r <= req.Horizon; r++ {
-		an, err := runOne(r)
-		if err != nil {
-			return Report{}, err
-		}
-		if an.Solvable {
-			return Report{Analysis: an, Found: true, Stats: *agg}, nil
-		}
-		last = an
-	}
-	return Report{Analysis: last, Stats: *agg}, nil
 }

@@ -179,56 +179,6 @@ func (u *unionFind) union(a, b int) {
 	}
 }
 
-// analyzeSequential computes the r-round solvability analysis with the
-// original single-threaded materialize-then-union algorithm. It is the
-// reference implementation the streaming engine is differentially
-// tested against, reachable through Analyze with Request.Sequential —
-// the only place the sequential walk exists.
-func analyzeSequential(s *scheme.Scheme, r int) Analysis {
-	configs := enumerate(s, r)
-	uf := newUnionFind(len(configs))
-	// Same white view (including same white input, which the view id
-	// already encodes) ⇒ same component; likewise for black.
-	byViewW := map[int]int{}
-	byViewB := map[int]int{}
-	for i, c := range configs {
-		if j, ok := byViewW[c.viewW]; ok {
-			uf.union(i, j)
-		} else {
-			byViewW[c.viewW] = i
-		}
-		if j, ok := byViewB[c.viewB]; ok {
-			uf.union(i, j)
-		} else {
-			byViewB[c.viewB] = i
-		}
-	}
-	type compInfo struct{ has0, has1 bool }
-	comps := map[int]*compInfo{}
-	for i, c := range configs {
-		root := uf.find(i)
-		ci := comps[root]
-		if ci == nil {
-			ci = &compInfo{}
-			comps[root] = ci
-		}
-		if c.inputs == [2]sim.Value{0, 0} {
-			ci.has0 = true
-		}
-		if c.inputs == [2]sim.Value{1, 1} {
-			ci.has1 = true
-		}
-	}
-	an := Analysis{Rounds: r, Configs: len(configs), Components: len(comps)}
-	for _, ci := range comps {
-		if ci.has0 && ci.has1 {
-			an.MixedComponents++
-		}
-	}
-	an.Solvable = an.MixedComponents == 0
-	return an
-}
-
 // Complex describes the one-dimensional protocol complex at horizon r —
 // the topological object the paper's conclusion points at ([BG93],
 // [HS99], [SZ00]): vertices are (process, view) pairs, and every

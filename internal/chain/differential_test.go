@@ -102,8 +102,8 @@ func TestAnalyzeMinRoundsMatchesRestartSearch(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSequentialModeMatchesEngine drives both modes through the
-// one public entry point.
+// TestAnalyzeSequentialModeMatchesEngine pins the public entry point
+// against the sequential reference walk.
 func TestAnalyzeSequentialModeMatchesEngine(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range scheme.Names() {
@@ -112,16 +112,13 @@ func TestAnalyzeSequentialModeMatchesEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		for r := 0; r <= 4; r++ {
-			seq, err := Analyze(ctx, Request{Scheme: s, Horizon: r, Sequential: true})
-			if err != nil {
-				t.Fatal(err)
-			}
+			seq := analyzeSequential(s, r)
 			eng, err := Analyze(ctx, Request{Scheme: s, Horizon: r})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if seq.Analysis != eng.Analysis {
-				t.Errorf("%s r=%d: sequential %+v != engine %+v", name, r, seq.Analysis, eng.Analysis)
+			if seq != eng.Analysis {
+				t.Errorf("%s r=%d: sequential %+v != engine %+v", name, r, seq, eng.Analysis)
 			}
 		}
 	}

@@ -39,7 +39,7 @@
 // vertex belongs to some configuration, so these components are in
 // bijection with the components of the configuration
 // indistinguishability graph that the materializing reference
-// implementations (chain and nchain Analyze with Request.Sequential)
+// implementations (the test-only sequential walks of chain and nchain)
 // compute — the differential tests in those packages pin this.
 package fullinfo
 

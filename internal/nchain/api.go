@@ -3,7 +3,6 @@ package nchain
 import (
 	"context"
 	"errors"
-	"time"
 
 	"repro/internal/fullinfo"
 	"repro/internal/graph"
@@ -31,9 +30,6 @@ type Request struct {
 	// component; an unsolvable horizon then reports its verdict alone
 	// (every count zero), a solvable one its exact counts.
 	VerdictOnly bool
-	// Sequential routes through the materializing single-threaded
-	// reference walk, kept for differential testing.
-	Sequential bool
 	// Engine optionally tunes the streaming engine; nil means
 	// fullinfo.Defaults(). EarlyExit and Observer are managed by
 	// Analyze.
@@ -87,9 +83,6 @@ func Analyze(ctx context.Context, req Request) (Report, error) {
 			req.Observer(s)
 		}
 	}
-	if req.Sequential {
-		return analyzeSequentialReq(ctx, req, n, &agg, observe)
-	}
 	var st lossStepper
 	if req.Graph != nil {
 		st = graphStepper(req.Graph, req.F)
@@ -133,50 +126,4 @@ func graphEdgeCount(req Request) int {
 		return req.Graph.NumEdges()
 	}
 	return req.N * (req.N - 1) / 2
-}
-
-// analyzeSequentialReq serves Request.Sequential through the reference
-// walks, restarting per horizon in MinRounds mode.
-func analyzeSequentialReq(ctx context.Context, req Request, n int, agg *fullinfo.Stats, observe func(fullinfo.Stats)) (Report, error) {
-	runOne := func(r int) (Analysis, error) {
-		if err := ctx.Err(); err != nil {
-			return Analysis{}, err
-		}
-		start := time.Now()
-		var an Analysis
-		if req.Graph != nil {
-			an = graphAnalyzeSequential(req.Graph, req.F, r)
-		} else {
-			an = analyzeSequential(n, req.F, r)
-		}
-		observe(fullinfo.Stats{
-			Horizon:         r,
-			Rounds:          r,
-			Configs:         int64(an.Configs),
-			Components:      an.Components,
-			MixedComponents: an.MixedComponents,
-			Workers:         1,
-			WallNanos:       time.Since(start).Nanoseconds(),
-		})
-		return an, nil
-	}
-	if !req.MinRounds {
-		an, err := runOne(req.Horizon)
-		if err != nil {
-			return Report{}, err
-		}
-		return Report{Analysis: an, Found: an.Solvable, Stats: *agg}, nil
-	}
-	var last Analysis
-	for r := 0; r <= req.Horizon; r++ {
-		an, err := runOne(r)
-		if err != nil {
-			return Report{}, err
-		}
-		if an.Solvable {
-			return Report{Analysis: an, Found: true, Stats: *agg}, nil
-		}
-		last = an
-	}
-	return Report{Analysis: last, Stats: *agg}, nil
 }

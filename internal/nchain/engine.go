@@ -25,7 +25,7 @@ type lossStepper struct {
 }
 
 // knStepper builds the stepper for the complete graph K_n with at most f
-// losses per round, matching AnalyzeSequential's enumeration order.
+// losses per round, matching the sequential reference's enumeration order.
 func knStepper(n, f int) lossStepper {
 	st := lossStepper{n: n, patterns: PatternsUpTo(n, f), recv: make([][]recvEdge, n)}
 	for to := 0; to < n; to++ {
@@ -40,7 +40,7 @@ func knStepper(n, f int) lossStepper {
 }
 
 // graphStepper builds the stepper for an arbitrary topology, matching
-// GraphAnalyzeSequential's directed-edge order.
+// graphAnalyzeSequential's directed-edge order.
 func graphStepper(g *graph.Graph, f int) lossStepper {
 	n := g.N()
 	dir := directedEdges(g)

@@ -6,113 +6,6 @@ import (
 	"repro/internal/graph"
 )
 
-// graphAnalyzeSequential is the original single-threaded
-// materialize-then-union analysis for arbitrary topologies — the
-// reference implementation the streaming engine is differentially
-// tested against, reachable through Analyze with Request.Graph and
-// Request.Sequential.
-func graphAnalyzeSequential(g *graph.Graph, f, r int) Analysis {
-	n := g.N()
-	patterns := graphPatterns(g, f)
-	in := newInterner()
-
-	type cfg struct {
-		views  []int
-		inputs int
-	}
-	var configs []cfg
-
-	dir := directedEdges(g)
-	var walk func(depth int, views []int, inputs int)
-	walk = func(depth int, views []int, inputs int) {
-		if depth == r {
-			configs = append(configs, cfg{append([]int(nil), views...), inputs})
-			return
-		}
-		for _, p := range patterns {
-			recv := make([]int, n)
-			for to := 0; to < n; to++ {
-				vals := make([]int, 0, g.Degree(to))
-				for _, from := range g.Neighbors(to) {
-					if p&(1<<dirIndex(dir, from, to)) != 0 {
-						vals = append(vals, -1)
-					} else {
-						vals = append(vals, views[from])
-					}
-				}
-				recv[to] = in.tuple(vals)
-			}
-			next := make([]int, n)
-			for i := 0; i < n; i++ {
-				next[i] = in.view(views[i], recv[i])
-			}
-			walk(depth+1, next, inputs)
-		}
-	}
-
-	for inputs := 0; inputs < 1<<n; inputs++ {
-		views := make([]int, n)
-		for i := 0; i < n; i++ {
-			views[i] = -2 - ((inputs >> i) & 1)
-		}
-		walk(0, views, inputs)
-	}
-
-	parent := make([]int, len(configs))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	type pv struct{ proc, view int }
-	byView := map[pv]int{}
-	for idx, c := range configs {
-		for i, v := range c.views {
-			k := pv{i, v}
-			if j, ok := byView[k]; ok {
-				ra, rb := find(idx), find(j)
-				if ra != rb {
-					parent[rb] = ra
-				}
-			} else {
-				byView[k] = idx
-			}
-		}
-	}
-
-	all1 := 1<<n - 1
-	type compInfo struct{ has0, has1 bool }
-	comps := map[int]*compInfo{}
-	for idx, c := range configs {
-		root := find(idx)
-		ci := comps[root]
-		if ci == nil {
-			ci = &compInfo{}
-			comps[root] = ci
-		}
-		if c.inputs == 0 {
-			ci.has0 = true
-		}
-		if c.inputs == all1 {
-			ci.has1 = true
-		}
-	}
-	an := Analysis{N: n, F: f, Rounds: r, Configs: len(configs), Components: len(comps)}
-	for _, ci := range comps {
-		if ci.has0 && ci.has1 {
-			an.MixedComponents++
-		}
-	}
-	an.Solvable = an.MixedComponents == 0
-	return an
-}
-
 // directedEdges enumerates the directed edges of g in a fixed order.
 func directedEdges(g *graph.Graph) []graph.DirEdge {
 	var out []graph.DirEdge

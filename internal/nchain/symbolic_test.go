@@ -88,11 +88,11 @@ func TestBackendGridMatchesSequential(t *testing.T) {
 		{Graph: graph.Cycle(4), F: 1, Horizon: 2},
 	}
 	for _, base := range cases {
-		seqReq := base
-		seqReq.Sequential = true
-		want, err := Analyze(ctx, seqReq)
-		if err != nil {
-			t.Fatal(err)
+		var want Analysis
+		if base.Graph != nil {
+			want = graphAnalyzeSequential(base.Graph, base.F, base.Horizon)
+		} else {
+			want = analyzeSequential(base.N, base.F, base.Horizon)
 		}
 		for _, b := range []fullinfo.BackendMode{fullinfo.BackendAuto, fullinfo.BackendEnumerate, fullinfo.BackendSymbolic} {
 			req := base
@@ -101,9 +101,9 @@ func TestBackendGridMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("backend %v: %v", b, err)
 			}
-			if got.Analysis != want.Analysis {
+			if got.Analysis != want {
 				t.Errorf("n=%d f=%d r=%d backend %v: %+v != sequential %+v",
-					want.N, want.F, want.Rounds, b, got.Analysis, want.Analysis)
+					want.N, want.F, want.Rounds, b, got.Analysis, want)
 			}
 		}
 	}

@@ -10,10 +10,10 @@ import (
 )
 
 // LRU is a plain mutex-guarded LRU over string keys. In capserved the
-// values are the marshalled response payloads of deterministic queries,
-// so hits can be served without touching the analysis engine at all;
-// the cluster coordinator (internal/serve/cluster) reuses it for raw
-// response bodies keyed by the same canonical automaton digests.
+// values are the decoded verdict structs of deterministic queries, so
+// hits can be served without touching the analysis engine at all; the
+// cluster coordinator (internal/serve/cluster) reuses it for raw
+// verdict bodies keyed by the same canonical automaton digests.
 type LRU struct {
 	mu    sync.Mutex
 	max   int

@@ -45,10 +45,10 @@ type Options struct {
 	// Sleep is the wait primitive (default: context-aware sleep).
 	// Injectable so tests can record delays instead of waiting.
 	Sleep func(ctx context.Context, d time.Duration) error
-	// MaxBodyBytes caps how many bytes of one response body (or one
-	// streamed batch line / frame) the client will buffer (default
-	// 1 MiB). A longer reply fails with *TruncatedError instead of being
-	// silently clipped into a JSON parse error.
+	// MaxBodyBytes caps how many bytes of one response body the client
+	// will buffer (default 1 MiB). A longer reply fails with
+	// *TruncatedError instead of being silently clipped into a JSON parse
+	// error.
 	MaxBodyBytes int64
 }
 
@@ -107,8 +107,7 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("capserved: HTTP %d: %s", e.Status, e.Body)
 }
 
-// TruncatedError reports a response (or one batch stream line) larger
-// than Options.MaxBodyBytes. It is not retried: the same query would
+// TruncatedError reports a response larger than Options.MaxBodyBytes. It is not retried: the same query would
 // produce the same oversized reply, so the caller must raise the cap.
 type TruncatedError struct {
 	Limit int64

@@ -3,9 +3,11 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -283,5 +285,51 @@ func TestDeadlineBoundsRealBackoff(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("Do returned after %s; backoff ignored the deadline", elapsed)
+	}
+}
+
+// TestMaxBodyBytesTruncation: a reply past Options.MaxBodyBytes fails
+// with *TruncatedError and is not retried; an exactly-at-limit reply
+// decodes.
+func TestMaxBodyBytesTruncation(t *testing.T) {
+	var calls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		fmt.Fprintf(w, `{"pad":%q}`, strings.Repeat("x", 4096))
+	}))
+	defer ts.Close()
+
+	var delays []time.Duration
+	c := New(ts.URL, Options{
+		MaxBodyBytes: 256,
+		Sleep:        recordingSleep(&delays),
+		Rand:         rand.New(rand.NewSource(1)),
+	})
+	err := c.Do(context.Background(), http.MethodGet, "/x", nil, &struct{}{})
+	var trunc *TruncatedError
+	if !errors.As(err, &trunc) {
+		t.Fatalf("err = %v, want *TruncatedError", err)
+	}
+	if trunc.Limit != 256 {
+		t.Fatalf("TruncatedError.Limit = %d, want 256", trunc.Limit)
+	}
+	// Truncation is deterministic: the client must not have retried.
+	if calls.Load() != 1 || len(delays) != 0 {
+		t.Fatalf("truncated reply was retried (calls=%d, sleeps=%d)", calls.Load(), len(delays))
+	}
+
+	// An exactly-at-limit body must still pass.
+	body := `{"ok":true}`
+	c2 := New(ts.URL, Options{MaxBodyBytes: int64(len(body))})
+	ts2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(body))
+	}))
+	defer ts2.Close()
+	c2.base = ts2.URL
+	var out struct {
+		OK bool `json:"ok"`
+	}
+	if err := c2.Do(context.Background(), http.MethodGet, "/x", nil, &out); err != nil || !out.OK {
+		t.Fatalf("exactly-at-limit body: err=%v ok=%v, want clean decode", err, out.OK)
 	}
 }

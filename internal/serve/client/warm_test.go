@@ -3,7 +3,6 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -53,54 +52,5 @@ func TestWarmExportDecodesSegment(t *testing.T) {
 	}
 	if entries[1].K != "solvable|x" || !bytes.Equal(entries[1].V, frame) {
 		t.Fatalf("entry 1 = %q %x, want the frame verbatim", entries[1].K, entries[1].V)
-	}
-}
-
-// TestMembershipAdminMethods checks the three admin verbs hit the right
-// routes with the right payloads.
-func TestMembershipAdminMethods(t *testing.T) {
-	table := `{"epoch":3,"routable":2,"members":[
-		{"backend":"http://a","state":"active","routable":true,"breaker":"closed"},
-		{"backend":"http://b","state":"ejected","routable":false,"breaker":"open"}]}`
-	var sawPost, sawDelete string
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/cluster/members" {
-			http.NotFound(w, r)
-			return
-		}
-		switch r.Method {
-		case http.MethodPost:
-			var req struct {
-				Backend string `json:"backend"`
-			}
-			json.NewDecoder(r.Body).Decode(&req)
-			sawPost = req.Backend
-		case http.MethodDelete:
-			sawDelete = r.URL.Query().Get("backend")
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(table))
-	}))
-	defer ts.Close()
-
-	c := New(ts.URL, Options{})
-	mr, err := c.Members(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mr.Epoch != 3 || len(mr.Members) != 2 || mr.Members[1].State != "ejected" {
-		t.Fatalf("Members = %+v", mr)
-	}
-	if _, err := c.AddMember(context.Background(), "http://c"); err != nil {
-		t.Fatal(err)
-	}
-	if sawPost != "http://c" {
-		t.Fatalf("AddMember posted %q", sawPost)
-	}
-	if _, err := c.RemoveMember(context.Background(), "http://b"); err != nil {
-		t.Fatal(err)
-	}
-	if sawDelete != "http://b" {
-		t.Fatalf("RemoveMember deleted %q", sawDelete)
 	}
 }

@@ -70,8 +70,8 @@ func TestClientFallsBackOnJSONReply(t *testing.T) {
 }
 
 // TestClientAcceptListsJSON pins why the client needs no JSON
-// fallback: every verdict and batch request offers frames first but
-// still lists JSON, so a server that only speaks JSON answers it as is.
+// fallback: every verdict request offers frames first but still lists
+// JSON, so a server that only speaks JSON answers it as is.
 func TestClientAcceptListsJSON(t *testing.T) {
 	var accepts []string
 	var mu sync.Mutex
@@ -79,11 +79,6 @@ func TestClientAcceptListsJSON(t *testing.T) {
 		mu.Lock()
 		accepts = append(accepts, r.Header.Get("Accept"))
 		mu.Unlock()
-		if r.URL.Path == "/v1/solve/batch" {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.Write([]byte(`{"index":0,"status":200,"verdict":{"scheme":"S1","solvable":true}}` + "\n"))
-			return
-		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(wire.Solvable{Scheme: "S1", Solvable: true})
 	}))
@@ -97,17 +92,7 @@ func TestClientAcceptListsJSON(t *testing.T) {
 	if !got.Solvable {
 		t.Fatalf("decoded %+v from a JSON-only server", got)
 	}
-	lines := 0
-	if err := c.SolveBatch(context.Background(), []BatchItem{{Scheme: "S1"}}, func(BatchVerdict) error {
-		lines++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if lines != 1 {
-		t.Fatalf("batch delivered %d lines, want 1", lines)
-	}
-	want := []string{wire.AcceptVerdict, wire.AcceptVerdictStream}
+	want := []string{wire.AcceptVerdict}
 	if !reflect.DeepEqual(accepts, want) {
 		t.Fatalf("client sent Accept %q, want %q", accepts, want)
 	}
@@ -144,66 +129,5 @@ func TestClient406IsAnAPIError(t *testing.T) {
 	want := []string{wire.AcceptVerdict, wire.AcceptVerdict}
 	if !reflect.DeepEqual(accepts, want) {
 		t.Fatalf("server saw Accept %q, want one request per call with %q", accepts, want)
-	}
-}
-
-// TestBatchStreamsFrames pins the batch half: a server streaming
-// BatchLine frames under the stream media type reaches the caller's
-// callback with typed decoded verdicts.
-func TestBatchStreamsFrames(t *testing.T) {
-	lines := []*wire.BatchLine{
-		{Index: 0, Status: 200, Verdict: &wire.Solvable{Scheme: "S1", Horizon: 2, Solvable: true}},
-		{Index: 1, Status: 400, Error: "unknown scheme"},
-		{Index: 2, Status: 200, Verdict: &wire.Solvable{Scheme: "S2", Horizon: 3}},
-	}
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.Contains(r.Header.Get("Accept"), wire.MediaTypeVerdictStream) {
-			t.Errorf("batch Accept = %q, want the stream media type", r.Header.Get("Accept"))
-		}
-		w.Header().Set("Content-Type", wire.MediaTypeVerdictStream)
-		var out []byte
-		for _, l := range lines {
-			var err error
-			out, err = wire.AppendVerdict(out, l)
-			if err != nil {
-				t.Errorf("AppendVerdict: %v", err)
-			}
-		}
-		w.Write(out)
-	}))
-	defer ts.Close()
-
-	c := New(ts.URL, Options{})
-	var got []BatchVerdict
-	items := []BatchItem{{Scheme: "S1", Horizon: 2}, {Scheme: "nope", Horizon: 2}, {Scheme: "S2", Horizon: 3}}
-	err := c.SolveBatch(context.Background(), items, func(v BatchVerdict) error {
-		got = append(got, v)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(lines) {
-		t.Fatalf("callback saw %d lines, want %d", len(got), len(lines))
-	}
-	for i, v := range got {
-		if v.Index != lines[i].Index || v.Status != lines[i].Status || v.Error != lines[i].Error {
-			t.Fatalf("line %d = %+v, want %+v", i, v, lines[i])
-		}
-	}
-	sv, ok := got[0].Decoded.(*wire.Solvable)
-	if !ok || sv.Scheme != "S1" || !sv.Solvable {
-		t.Fatalf("line 0 decoded verdict = %#v, want the typed solvable", got[0].Decoded)
-	}
-	raw, err := got[2].Raw()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back wire.Solvable
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatalf("Raw() of a frame-decoded verdict is not JSON: %v", err)
-	}
-	if back.Scheme != "S2" {
-		t.Fatalf("Raw() round trip = %+v", back)
 	}
 }

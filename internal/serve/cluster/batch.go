@@ -7,14 +7,16 @@ import (
 	"net/http"
 	"sync"
 
+	"repro/internal/serve"
 	"repro/internal/serve/wire"
 )
 
 // Batch endpoints on the coordinator — /v1/solve/batch,
-// /v1/net/solve/batch, /v1/chaos/batch — mirror the node's batch tier:
-// items are keyed and routed INDIVIDUALLY, each miss fanning out to its
-// own shard's replica set through the normal hedged path, so per-shard
-// breakers, hedging, and failover all operate per item, not per batch.
+// /v1/net/solve/batch, /v1/chaos/batch — mirror the node's batch tier
+// and parse through the same serve class declarations: items are keyed
+// and routed INDIVIDUALLY, each miss fanning out to its own shard's
+// replica set through the normal hedged path, so per-shard breakers,
+// hedging, and failover all operate per item, not per batch.
 // Cache and warm hits stream immediately (cacheable classes only; chaos
 // campaigns always fan out); misses stream as each shard answers. Lines
 // carry the originating item index, so arrival order is completion
@@ -33,20 +35,6 @@ const batchFanout = 8
 // coordinator splits the batch per item anyway, so a bigger cap would
 // only defer the backends' own limits.
 const clusterBatchMax = 64
-
-// chaosBatchKey validates one chaos item and returns the empty key:
-// campaigns are uncacheable (seeded randomized runs), so items always
-// fan out, routed by body hash.
-func (c *Coordinator) chaosBatchKey(body []byte) (string, error) {
-	var req chaosShardRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return "", err
-	}
-	if _, err := req.Resolve(); err != nil {
-		return "", err
-	}
-	return "", nil
-}
 
 // batchEmitter serializes stream lines from the fan-out workers and
 // owns the caller-side encoding choice.
@@ -89,11 +77,11 @@ func (e *batchEmitter) emit(line wire.BatchLine) {
 	}
 }
 
-// batchHandler builds the coordinator batch endpoint for one heavy
-// class: path is the single-item backend endpoint each item forwards
-// to, kind the class's verdict frame kind, and keyOf validates an item
-// and yields its cache key ("" marks the class uncacheable).
-func (c *Coordinator) batchHandler(path string, kind wire.Kind, keyOf func([]byte) (string, error)) http.HandlerFunc {
+// batchHandler builds the coordinator batch endpoint for one class:
+// the class's batch parse (one typed strict decode: a JSON-shape error
+// in any item is a whole-batch 400, a resolve error a per-item 400
+// line), then each item goes to the class's single-item endpoint.
+func (c *Coordinator) batchHandler(cl *serve.Class) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		c.m.requests.Add(1)
 		body, err := readBody(w, r)
@@ -101,25 +89,21 @@ func (c *Coordinator) batchHandler(path string, kind wire.Kind, keyOf func([]byt
 			c.writeError(w, http.StatusBadRequest, "bad request: %v", err)
 			return
 		}
-		// Items stay raw: each one IS a single-endpoint body, forwarded
-		// verbatim to whichever shard its key routes to.
-		var req struct {
-			Items []json.RawMessage `json:"items"`
-		}
-		if err := json.Unmarshal(body, &req); err != nil {
-			c.writeError(w, http.StatusBadRequest, "bad request: %v", err)
+		items, err := cl.ParseBatch(body)
+		if err != nil {
+			c.writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		if len(req.Items) == 0 {
+		if len(items) == 0 {
 			c.writeError(w, http.StatusBadRequest, "batch needs at least one item")
 			return
 		}
-		if len(req.Items) > clusterBatchMax {
-			c.writeError(w, http.StatusBadRequest, "batch of %d items exceeds cap %d", len(req.Items), clusterBatchMax)
+		if len(items) > clusterBatchMax {
+			c.writeError(w, http.StatusBadRequest, "batch of %d items exceeds cap %d", len(items), clusterBatchMax)
 			return
 		}
 		c.m.batches.Add(1)
-		c.m.batchItems.Add(int64(len(req.Items)))
+		c.m.batchItems.Add(int64(len(items)))
 
 		e := &batchEmitter{w: w, binary: acceptsWireStream(r)}
 		if e.binary {
@@ -130,43 +114,37 @@ func (c *Coordinator) batchHandler(path string, kind wire.Kind, keyOf func([]byt
 		w.WriteHeader(http.StatusOK)
 		e.flusher, _ = w.(http.Flusher)
 
-		// First pass: key every item; serve cache/warm tiers inline,
-		// queue the rest for the shard fan-out.
+		// First pass: serve cache/warm hits inline and queue the rest,
+		// re-encoded as single-endpoint bodies, for the shard fan-out.
 		type missItem struct {
 			index int
-			key   string
-			body  json.RawMessage
+			key   string // cache key; "" for uncacheable chaos
+			route string // ring key
+			body  []byte
 		}
 		var misses []missItem
-		for i, item := range req.Items {
-			key, err := keyOf(item)
+		for i, q := range items {
+			if q.Err != nil {
+				e.emit(wire.BatchLine{Index: i, Status: http.StatusBadRequest, Error: q.Err.Error()})
+				continue
+			}
+			if q.Key != "" {
+				if raw, _, ok := c.stored(q.Key); ok {
+					c.emitStored(e, i, raw)
+					continue
+				}
+			}
+			payload, err := q.Body()
 			if err != nil {
-				e.emit(wire.BatchLine{Index: i, Status: http.StatusBadRequest, Error: err.Error()})
+				e.emit(wire.BatchLine{Index: i, Status: http.StatusInternalServerError, Error: err.Error()})
 				continue
 			}
-			if key == "" {
-				// Uncacheable class (chaos): straight to the fan-out,
-				// routed by body hash.
-				misses = append(misses, missItem{index: i, key: "", body: item})
-				continue
+			route := q.Key
+			if route == "" {
+				// Uncacheable class (chaos): routed by body hash.
+				route = "chaos|" + string(payload)
 			}
-			if v, ok := c.cache.Get(key); ok {
-				c.m.cacheHits.Add(1)
-				c.emitStored(e, i, v.([]byte))
-				continue
-			}
-			c.warmMu.RLock()
-			raw, ok := c.warmMap[key]
-			c.warmMu.RUnlock()
-			if ok {
-				c.m.cacheHits.Add(1)
-				c.m.warmHits.Add(1)
-				c.cache.Put(key, raw)
-				c.emitStored(e, i, raw)
-				continue
-			}
-			c.m.cacheMisses.Add(1)
-			misses = append(misses, missItem{index: i, key: key, body: item})
+			misses = append(misses, missItem{index: i, key: q.Key, route: route, body: payload})
 		}
 		if len(misses) == 0 {
 			return
@@ -186,20 +164,17 @@ func (c *Coordinator) batchHandler(path string, kind wire.Kind, keyOf func([]byt
 			go func(ms missItem) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				routeKey := ms.key
-				if routeKey == "" {
-					routeKey = "chaos|" + string(ms.body)
-				}
-				res, err := c.hedgedDo(r.Context(), path, wire.AcceptVerdict, ms.body, view, view.ring.Replicas(routeKey, c.cfg.Replicas))
+				res, err := c.hedgedDo(r.Context(), cl.Path, wire.AcceptVerdict, ms.body, view, view.ring.Replicas(ms.route, c.cfg.Replicas))
 				if err != nil {
 					e.emit(batchErrLine(ms.index, err))
 					return
 				}
 				if res.status >= 400 {
-					e.emit(wire.BatchLine{Index: ms.index, Status: res.status, Error: string(res.body)})
+					msg, diag := shardError(res.body)
+					e.emit(wire.BatchLine{Index: ms.index, Status: res.status, Error: msg, DiagID: diag})
 					return
 				}
-				if !verdictOK(kind, res.body) {
+				if !verdictOK(cl.Kind, res.body) {
 					e.emit(wire.BatchLine{Index: ms.index, Status: http.StatusBadGateway,
 						Error: "shard returned an unusable verdict"})
 					return

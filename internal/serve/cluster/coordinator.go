@@ -413,15 +413,15 @@ func (c *Coordinator) routes() {
 	c.mux.HandleFunc("GET /v1/cluster/members", c.handleMembersGet)
 	c.mux.HandleFunc("POST /v1/cluster/members", c.handleMembersPost)
 	c.mux.HandleFunc("DELETE /v1/cluster/members", c.handleMembersDelete)
-	c.mux.HandleFunc("POST /v1/classify", c.keyed(c.classifyKey))
-	c.mux.HandleFunc("POST /v1/solvable", c.keyed(c.solvableKey))
-	c.mux.HandleFunc("POST /v1/solve/batch", c.batchHandler("/v1/solvable", wire.KindSolvable, c.solvableKey))
-	c.mux.HandleFunc("POST /v1/net/solvable", c.keyed(c.netSolvableKey))
-	c.mux.HandleFunc("POST /v1/net/solve/batch", c.batchHandler("/v1/net/solvable", wire.KindNetSolvable, c.netSolvableKey))
+	c.mux.HandleFunc("POST /v1/classify", c.keyed(serve.Classify))
+	c.mux.HandleFunc("POST /v1/solvable", c.keyed(serve.Solvable))
+	c.mux.HandleFunc("POST /v1/solve/batch", c.batchHandler(serve.Solvable))
+	c.mux.HandleFunc("POST /v1/net/solvable", c.keyed(serve.NetSolvable))
+	c.mux.HandleFunc("POST /v1/net/solve/batch", c.batchHandler(serve.NetSolvable))
 	c.mux.HandleFunc("POST /v1/index", c.passthrough)
 	c.mux.HandleFunc("POST /v1/unindex", c.passthrough)
 	c.mux.HandleFunc("POST /v1/chaos", c.handleChaos)
-	c.mux.HandleFunc("POST /v1/chaos/batch", c.batchHandler("/v1/chaos", wire.KindChaos, c.chaosBatchKey))
+	c.mux.HandleFunc("POST /v1/chaos/batch", c.batchHandler(serve.Chaos))
 }
 
 type apiError struct {
@@ -455,16 +455,6 @@ func acceptsWireStream(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), wire.MediaTypeVerdictStream)
 }
 
-// shardAccept is the Accept header the coordinator sends to backends
-// for a keyed request: binary frames for keys that have a frame kind
-// (solvable, netsolve), JSON (classify) otherwise.
-func shardAccept(key string) string {
-	if _, ok := wire.KindForKey(key); ok {
-		return wire.AcceptVerdict
-	}
-	return ""
-}
-
 // verdictOK reports whether a shard-answered or stored body may be
 // cached and served as a verdict of kind: a current-version frame of
 // exactly that kind, or, for KindInvalid (classify, which has no frame
@@ -496,65 +486,54 @@ func negotiateBody(r *http.Request, body []byte) ([]byte, string) {
 	return append(j, '\n'), "application/json"
 }
 
-// Key extractors: each decodes just enough of the request to (a) reject
-// garbage locally and (b) compute the canonical cache/sharding key —
-// the SAME key the backend uses, so verdict stores interoperate.
-
-func (c *Coordinator) classifyKey(body []byte) (string, error) {
-	var req serve.SchemeSelector
-	if err := json.Unmarshal(body, &req); err != nil {
-		return "", err
+// shardError is the message of a shard's JSON error body ({"error",
+// "diagId"}), so a forwarded rejection reads as the node wrote it; a
+// body that is not one falls back to its (truncated) text.
+func shardError(body []byte) (msg, diagID string) {
+	var e struct {
+		Error  string `json:"error"`
+		DiagID string `json:"diagId"`
 	}
-	sch, err := req.Resolve()
-	if err != nil {
-		return "", err
+	if json.Unmarshal(body, &e) == nil && e.Error != "" {
+		return e.Error, e.DiagID
 	}
-	return serve.ClassifyKey(sch), nil
+	return truncate(bytes.TrimSpace(body), 200), ""
 }
 
-func (c *Coordinator) solvableKey(body []byte) (string, error) {
-	var req struct {
-		serve.SchemeSelector
-		Horizon    int  `json:"horizon,omitempty"`
-		MinRounds  bool `json:"minRounds,omitempty"`
-		MaxHorizon int  `json:"maxHorizon,omitempty"`
+// stored looks key up in the coordinator's cache tiers: the LRU, then
+// the warm map, promoting a warm hit into the LRU. tier names the
+// serving tier for X-Cluster-Cache ("hit" or "warm").
+func (c *Coordinator) stored(key string) (body []byte, tier string, ok bool) {
+	if v, ok := c.cache.Get(key); ok {
+		c.m.cacheHits.Add(1)
+		return v.([]byte), "hit", true
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		return "", err
+	c.warmMu.RLock()
+	raw, ok := c.warmMap[key]
+	c.warmMu.RUnlock()
+	if ok {
+		c.m.cacheHits.Add(1)
+		c.m.warmHits.Add(1)
+		c.cache.Put(key, raw)
+		return raw, "warm", true
 	}
-	sch, err := req.Resolve()
-	if err != nil {
-		return "", err
-	}
-	horizon := req.Horizon
-	if req.MinRounds {
-		horizon = req.MaxHorizon
-	}
-	return serve.SolvableKey(sch, horizon, req.MinRounds), nil
+	c.m.cacheMisses.Add(1)
+	return nil, "", false
 }
 
-func (c *Coordinator) netSolvableKey(body []byte) (string, error) {
-	var req struct {
-		serve.GraphSelector
-		F      int `json:"f"`
-		Rounds int `json:"rounds"`
+// keyed builds the handler for a deterministic, cacheable class: the
+// class's strict parse and canonical key (no node limits — only the
+// shards know their config), the two-tier cache in front,
+// consistent-hash routing with hedging and replica failover behind. The
+// routing view is captured once per request — a concurrent membership
+// change swaps the epoch for later requests, never mid-request.
+func (c *Coordinator) keyed(cl *serve.Class) http.HandlerFunc {
+	// Shards answer in frames where the class has a frame kind, and in
+	// JSON (classify) otherwise.
+	accept := ""
+	if cl.Kind != wire.KindInvalid {
+		accept = wire.AcceptVerdict
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		return "", err
-	}
-	g, err := req.Resolve()
-	if err != nil {
-		return "", err
-	}
-	return serve.NetSolvableKey(g, req.F, req.Rounds), nil
-}
-
-// keyed builds the handler for a deterministic, cacheable endpoint:
-// two-tier cache in front, consistent-hash routing with hedging and
-// replica failover behind. The routing view is captured once per
-// request — a concurrent membership change swaps the epoch for later
-// requests, never mid-request.
-func (c *Coordinator) keyed(keyOf func([]byte) (string, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		c.m.requests.Add(1)
 		c.m.keyed.Add(1)
@@ -563,30 +542,19 @@ func (c *Coordinator) keyed(keyOf func([]byte) (string, error)) http.HandlerFunc
 			c.writeError(w, http.StatusBadRequest, "bad request: %v", err)
 			return
 		}
-		key, err := keyOf(body)
+		q, err := cl.Parse(body)
 		if err != nil {
 			c.writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		if v, ok := c.cache.Get(key); ok {
-			c.m.cacheHits.Add(1)
-			c.serveRaw(w, r, key, "hit", v.([]byte))
+		key := q.Key
+		if raw, tier, ok := c.stored(key); ok {
+			c.serveRaw(w, r, key, tier, raw)
 			return
 		}
-		c.warmMu.RLock()
-		raw, ok := c.warmMap[key]
-		c.warmMu.RUnlock()
-		if ok {
-			c.m.cacheHits.Add(1)
-			c.m.warmHits.Add(1)
-			c.cache.Put(key, raw)
-			c.serveRaw(w, r, key, "warm", raw)
-			return
-		}
-		c.m.cacheMisses.Add(1)
 
 		view := c.currentView()
-		res, err := c.hedgedDo(r.Context(), r.URL.Path, shardAccept(key), body, view, view.ring.Replicas(key, c.cfg.Replicas))
+		res, err := c.hedgedDo(r.Context(), cl.Path, accept, body, view, view.ring.Replicas(key, c.cfg.Replicas))
 		if err != nil {
 			c.writeHedgeError(w, err)
 			return
@@ -597,7 +565,7 @@ func (c *Coordinator) keyed(keyOf func([]byte) (string, error)) http.HandlerFunc
 			c.forward(w, r, res)
 			return
 		}
-		if kind, _ := wire.KindForKey(key); !verdictOK(kind, res.body) {
+		if !verdictOK(cl.Kind, res.body) {
 			c.writeError(w, http.StatusBadGateway, "shard %s returned an unusable verdict", res.base)
 			return
 		}

@@ -10,20 +10,6 @@ import (
 	"repro/internal/serve"
 )
 
-// chaosShardRequest mirrors capserved's /v1/chaos request so the
-// coordinator can re-shard it: the scheme selector rides along
-// verbatim, Executions and Seed are rewritten per shard.
-type chaosShardRequest struct {
-	serve.SchemeSelector
-	Executions    int   `json:"executions"`
-	Seed          int64 `json:"seed"`
-	MaxPrefix     int   `json:"maxPrefix,omitempty"`
-	MaxRounds     int   `json:"maxRounds,omitempty"`
-	NoInvariant   bool  `json:"noInvariant,omitempty"`
-	NoShrink      bool  `json:"noShrink,omitempty"`
-	MaxViolations int   `json:"maxViolations,omitempty"`
-}
-
 // chaosShardReply decodes just what the merge needs, keeping the
 // violation stanzas raw so nothing a backend reports is lost in
 // transit.
@@ -70,7 +56,8 @@ type chaosClusterResponse struct {
 // shard whose breaker admits it, runs the sub-campaigns concurrently,
 // and merges the reports with partial-result accounting: a failed or
 // skipped shard costs coverage, never the whole campaign — unless every
-// shard fails, which is a 502.
+// shard fails: a 502, or the shard's own 4xx when a shard refused the
+// campaign (a shard limit such as MaxExecutions).
 func (c *Coordinator) handleChaos(w http.ResponseWriter, r *http.Request) {
 	c.m.requests.Add(1)
 	body, err := readBody(w, r)
@@ -78,12 +65,8 @@ func (c *Coordinator) handleChaos(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	var req chaosShardRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		c.writeError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	if _, err := req.Resolve(); err != nil {
+	req, err := serve.ParseChaos(body)
+	if err != nil {
 		c.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -131,6 +114,10 @@ func (c *Coordinator) handleChaos(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	replies := make([]*chaosShardReply, len(view.shards))
+	// rejects holds each shard's client-shaped (4xx, not shed) reply:
+	// the shards' limits, which the coordinator does not know, refused
+	// the campaign.
+	rejects := make([]*attemptResult, len(view.shards))
 	var wgLocal sync.WaitGroup
 	for j, ad := range admit {
 		n := base
@@ -142,11 +129,11 @@ func (c *Coordinator) handleChaos(w http.ResponseWriter, r *http.Request) {
 			ad.done(false)
 			continue
 		}
-		shardReq := req
+		shardReq := *req
 		shardReq.Executions = n
 		shardReq.Seed = chaos.DeriveSeed(req.Seed, 1_000_000+ad.idx)
 		outcomes[ad.idx].Seed = shardReq.Seed
-		payload, err := json.Marshal(shardReq)
+		payload, err := json.Marshal(&shardReq)
 		if err != nil {
 			ad.done(false)
 			outcomes[ad.idx].Error = err.Error()
@@ -171,7 +158,11 @@ func (c *Coordinator) handleChaos(w http.ResponseWriter, r *http.Request) {
 			case res.err != nil:
 				outcomes[ad.idx].Error = res.err.Error()
 			case res.status != http.StatusOK:
-				outcomes[ad.idx].Error = fmt.Sprintf("HTTP %d: %s", res.status, truncate(res.body, 200))
+				msg, _ := shardError(res.body)
+				outcomes[ad.idx].Error = fmt.Sprintf("HTTP %d: %s", res.status, msg)
+				if res.status < 500 && res.status != http.StatusTooManyRequests {
+					rejects[ad.idx] = &res
+				}
 			default:
 				var rep chaosShardReply
 				if err := json.Unmarshal(res.body, &rep); err != nil {
@@ -215,6 +206,15 @@ func (c *Coordinator) handleChaos(w http.ResponseWriter, r *http.Request) {
 	resp.Shards = outcomes
 	if completed == 0 {
 		c.m.fanoutPartials.Add(1)
+		for _, rej := range rejects {
+			if rej != nil {
+				// Every shard failed and one refused the request itself:
+				// answer with its rejection, as a lone node would.
+				msg, _ := shardError(rej.body)
+				c.writeError(w, rej.status, "%s", msg)
+				return
+			}
+		}
 		c.writeError(w, http.StatusBadGateway, "chaos fan-out: every shard failed")
 		return
 	}

@@ -138,10 +138,11 @@ func TestCoordinatorRefusesUnusableShardFrames(t *testing.T) {
 // recomputed by a shard instead of replayed.
 func TestCoordinatorWarmStoreSkipsUnusableFrames(t *testing.T) {
 	const query = `{"scheme":"S1","horizon":3}`
-	key, err := (&Coordinator{}).solvableKey([]byte(query))
+	q, err := serve.Solvable.Parse([]byte(query))
 	if err != nil {
 		t.Fatal(err)
 	}
+	key := q.Key
 	stale, err := wire.Marshal(&wire.Solvable{Scheme: "S1", Horizon: 3, Configs: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/big"
@@ -40,15 +39,15 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.Handle("GET /v1/warm/export", s.protect(classLight, s.handleWarmExport))
 	s.mux.Handle("POST /v1/warm/import", s.protect(classLight, s.handleWarmImport))
-	s.mux.Handle("POST /v1/classify", s.protect(classLight, s.handleClassify))
+	s.mux.Handle("POST /v1/classify", s.protect(classLight, s.handleQuery(Classify)))
 	s.mux.Handle("POST /v1/index", s.protect(classLight, s.handleIndex))
 	s.mux.Handle("POST /v1/unindex", s.protect(classLight, s.handleUnindex))
-	s.mux.Handle("POST /v1/solvable", s.protect(classHeavy, s.handleSolvable))
-	s.mux.Handle("POST /v1/solve/batch", s.protect(classHeavy, s.handleSolveBatch))
-	s.mux.Handle("POST /v1/net/solvable", s.protect(classHeavy, s.handleNetSolvable))
-	s.mux.Handle("POST /v1/net/solve/batch", s.protect(classHeavy, s.handleNetSolveBatch))
-	s.mux.Handle("POST /v1/chaos", s.protect(classHeavy, s.handleChaos))
-	s.mux.Handle("POST /v1/chaos/batch", s.protect(classHeavy, s.handleChaosBatch))
+	s.mux.Handle("POST /v1/solvable", s.protect(classHeavy, s.handleQuery(Solvable)))
+	s.mux.Handle("POST /v1/solve/batch", s.protect(classHeavy, s.handleBatch(Solvable)))
+	s.mux.Handle("POST /v1/net/solvable", s.protect(classHeavy, s.handleQuery(NetSolvable)))
+	s.mux.Handle("POST /v1/net/solve/batch", s.protect(classHeavy, s.handleBatch(NetSolvable)))
+	s.mux.Handle("POST /v1/chaos", s.protect(classHeavy, s.handleQuery(Chaos)))
+	s.mux.Handle("POST /v1/chaos/batch", s.protect(classHeavy, s.handleBatch(Chaos)))
 }
 
 // acceptsWire reports whether the request negotiated the binary verdict
@@ -86,17 +85,55 @@ func (s *Server) writeVerdict(w http.ResponseWriter, r *http.Request, v any) {
 	_, _ = w.Write(b)
 }
 
-// decode reads a bounded JSON body into v.
+// singleBodyLimit bounds a single-item request body.
+const singleBodyLimit = 1 << 20
+
+// decode strictly reads a bounded single-item JSON body into v.
 func decode(w http.ResponseWriter, r *http.Request, v any) error {
-	return decodeN(w, r, v, 1<<20)
+	return decodeStrict(http.MaxBytesReader(w, r.Body, singleBodyLimit), v)
 }
 
-// decodeN is decode with an explicit body cap (batch requests carry N
-// scenarios in one body).
-func decodeN(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+// handleQuery is the one single-item handler of every verdict class:
+// strict parse, node limits, the class's compute policy, one metadata
+// patch, and the negotiated encoding.
+func (s *Server) handleQuery(cl *Class) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q, err := cl.parse(http.MaxBytesReader(w, r.Body, singleBodyLimit))
+		if err == nil {
+			err = q.q.limit(&s.cfg)
+		}
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		start := s.cfg.Clock()
+		val, cached, shared, err := s.answer(r.Context(), cl, q)
+		if err != nil {
+			s.writeComputeError(w, err)
+			return
+		}
+		s.writeVerdict(w, r, withMeta(val, cached, shared, s.cfg.Clock().Sub(start).Milliseconds()))
+	}
+}
+
+// answer runs a parsed, limited single request under its class's
+// policy. Chaos campaigns are uncached and run under the request
+// context behind the breaker; classify is cached but never touches the
+// breaker; the engine classes run through heavyCompute.
+func (s *Server) answer(ctx context.Context, cl *Class, q Query) (val any, cached, shared bool, err error) {
+	switch {
+	case q.Key == "":
+		err = s.guard(func() error {
+			var cerr error
+			val, cerr = q.q.compute(s, ctx)
+			return cerr
+		})
+		return val, false, false, err
+	case cl.light:
+		return s.cache.do(ctx, q.Key, func() (any, error) { return q.q.compute(s, ctx) })
+	default:
+		return s.heavyCompute(ctx, q.Key, func(cctx context.Context) (any, error) { return q.q.compute(s, cctx) })
+	}
 }
 
 // SchemeSelector selects an omission scheme: a registry name or a DSL
@@ -157,6 +194,14 @@ func (q *SchemeSelector) Resolve() (*coordattack.Scheme, error) {
 		scs := make([]coordattack.Scenario, len(q.Minus))
 		for i, m := range q.Minus {
 			if scs[i], err = coordattack.ParseScenario(m); err != nil {
+				return nil, err
+			}
+			// MinusScenarios panics on a letter outside the scheme's
+			// alphabet (a double omission removed from a Γ-scheme).
+			if _, err = sch.Symbols(scs[i].Prefix()); err == nil {
+				_, err = sch.Symbols(scs[i].Period())
+			}
+			if err != nil {
 				return nil, err
 			}
 		}
@@ -259,7 +304,63 @@ type GraphSelector struct {
 	Edges   string `json:"edges,omitempty"`
 }
 
+// maxGraphVertices bounds the topology a selector may build. Resolve
+// checks it before building: no analysis comes near it (nchain refuses
+// instances past 26 directed edges), and without it one request body
+// could demand an arbitrarily large allocation, or a negative one,
+// which panics, on any tier that resolves it.
+const maxGraphVertices = 64
+
+// vertices is the vertex count the selector asks for, computed without
+// building the graph; -1 when a size parameter is out of range.
+func (q *GraphSelector) vertices() int {
+	const m = maxGraphVertices
+	in := func(x, hi int) bool { return x >= 0 && x <= hi }
+	switch q.Graph {
+	case "grid":
+		if in(q.W, m) && in(q.H, m) {
+			return q.W * q.H
+		}
+	case "hypercube":
+		if in(q.D, 6) {
+			return 1 << q.D
+		}
+	case "barbell":
+		if in(q.K, m) {
+			return 2 * q.K
+		}
+	case "theta":
+		if in(q.Bridges, m) {
+			return 2 + 2*max(q.Bridges, 2)
+		}
+	case "petersen":
+		return 10
+	case "custom":
+		// ParseEdgeList sizes the graph by its largest vertex index.
+		n, v := 0, -1
+		for i := 0; i <= len(q.Edges); i++ {
+			if i < len(q.Edges) && q.Edges[i] >= '0' && q.Edges[i] <= '9' {
+				v = 10*max(v, 0) + int(q.Edges[i]-'0')
+				if v >= m {
+					return -1
+				}
+				continue
+			}
+			n, v = max(n, v+1), -1
+		}
+		return n
+	default:
+		if in(q.N, m) {
+			return q.N
+		}
+	}
+	return -1
+}
+
 func (q *GraphSelector) Resolve() (*coordattack.Graph, error) {
+	if n := q.vertices(); n < 0 || n > maxGraphVertices {
+		return nil, fmt.Errorf("graph %q: size parameters out of range (at most %d vertices)", q.Graph, maxGraphVertices)
+	}
 	switch q.Graph {
 	case "complete":
 		return coordattack.Complete(q.N), nil
@@ -384,25 +485,37 @@ func (s *Server) guard(fn func() error) error {
 	return err
 }
 
-// writeComputeError maps a compute-path error onto an HTTP status.
-func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
+// computeError maps a compute-path error onto the status and body the
+// single endpoint answers; a batch line carries the same.
+func (s *Server) computeError(err error) (int, apiError) {
 	var open BreakerOpenError
 	var cp errComputePanic
+	var ci errInterrupted
 	switch {
 	case errors.As(err, &open):
-		w.Header().Set("Retry-After", retryAfterSeconds(open.RetryAfter))
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: open.Error()})
+		return http.StatusServiceUnavailable, apiError{Error: open.Error()}
 	case errors.As(err, &cp):
-		writeJSON(w, http.StatusInternalServerError, apiError{
-			Error:  "internal error; see server log",
-			DiagID: cp.DiagID,
-		})
+		return http.StatusInternalServerError, apiError{Error: "internal error; see server log", DiagID: cp.DiagID}
+	case errors.As(err, &ci):
+		s.m.timeouts.Add(1)
+		return http.StatusGatewayTimeout, apiError{Error: ci.Error()}
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		s.m.timeouts.Add(1)
-		writeJSON(w, http.StatusGatewayTimeout, apiError{Error: "analysis deadline exceeded"})
+		return http.StatusGatewayTimeout, apiError{Error: "analysis deadline exceeded"}
 	default:
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
+		return http.StatusInternalServerError, apiError{Error: err.Error()}
 	}
+}
+
+// writeComputeError writes computeError's answer, with Retry-After when
+// the breaker is open.
+func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
+	var open BreakerOpenError
+	if errors.As(err, &open) {
+		w.Header().Set("Retry-After", retryAfterSeconds(open.RetryAfter))
+	}
+	code, body := s.computeError(err)
+	writeJSON(w, code, body)
 }
 
 // --- /v1/classify -----------------------------------------------------
@@ -420,56 +533,37 @@ type classifyResponse struct {
 	Cached      bool            `json:"cached"`
 }
 
-func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	var req SchemeSelector
-	if err := decode(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
+// classifyVerdict shapes the Theorem III.8 classification of sch.
+func classifyVerdict(sch *coordattack.Scheme) classifyResponse {
+	v, cerr := coordattack.Classify(sch)
+	resp := classifyResponse{Scheme: sch.Name(), Description: sch.Description()}
+	if cerr != nil {
+		resp.Note = cerr.Error()
 	}
-	sch, err := req.Resolve()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key := ClassifyKey(sch)
-	val, cached, _, err := s.cache.do(r.Context(), key, func() (any, error) {
-		v, cerr := coordattack.Classify(sch)
-		resp := classifyResponse{Scheme: sch.Name(), Description: sch.Description()}
-		if cerr != nil {
-			resp.Note = cerr.Error()
-		}
-		if v != nil {
-			resp.Complete = v.Complete
-			if cerr == nil {
-				sv := v.Solvable
-				resp.Solvable = &sv
-				resp.Conditions = map[string]bool{
-					"fairMissing":   v.FairMissing,
-					"pairMissing":   v.PairMissing,
-					"wOmegaMissing": v.WOmegaMissing,
-					"bOmegaMissing": v.BOmegaMissing,
-				}
-				if v.HasWitness {
-					resp.Witness = v.Witness.String()
-				}
-				if v.PairMissing {
-					resp.Pair = []string{v.Pair[0].String(), v.Pair[1].String()}
-				}
-				if v.MinRounds != coordattack.Unbounded {
-					mr := v.MinRounds
-					resp.MinRounds = &mr
-				}
+	if v != nil {
+		resp.Complete = v.Complete
+		if cerr == nil {
+			sv := v.Solvable
+			resp.Solvable = &sv
+			resp.Conditions = map[string]bool{
+				"fairMissing":   v.FairMissing,
+				"pairMissing":   v.PairMissing,
+				"wOmegaMissing": v.WOmegaMissing,
+				"bOmegaMissing": v.BOmegaMissing,
+			}
+			if v.HasWitness {
+				resp.Witness = v.Witness.String()
+			}
+			if v.PairMissing {
+				resp.Pair = []string{v.Pair[0].String(), v.Pair[1].String()}
+			}
+			if v.MinRounds != coordattack.Unbounded {
+				mr := v.MinRounds
+				resp.MinRounds = &mr
 			}
 		}
-		return resp, nil
-	})
-	if err != nil {
-		s.writeComputeError(w, err)
-		return
 	}
-	resp := val.(classifyResponse)
-	resp.Cached = cached
-	s.writeOK(w, resp)
+	return resp
 }
 
 // --- /v1/index, /v1/unindex ------------------------------------------
@@ -486,7 +580,7 @@ type indexResponse struct {
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	var req indexRequest
 	if err := decode(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request: %v", err)
+		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	word, err := coordattack.ParseWord(req.Word)
@@ -509,7 +603,7 @@ type unindexRequest struct {
 func (s *Server) handleUnindex(w http.ResponseWriter, r *http.Request) {
 	var req unindexRequest
 	if err := decode(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request: %v", err)
+		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	k, ok := new(big.Int).SetString(req.Index, 10)
@@ -527,57 +621,14 @@ func (s *Server) handleUnindex(w http.ResponseWriter, r *http.Request) {
 
 // --- /v1/solvable -----------------------------------------------------
 
-type solvableRequest struct {
-	SchemeSelector
-	// Horizon runs the full analysis at one fixed horizon.
-	Horizon int `json:"horizon,omitempty"`
-	// MinRounds searches for the smallest solvable horizon ≤ MaxHorizon.
-	MinRounds  bool `json:"minRounds,omitempty"`
-	MaxHorizon int  `json:"maxHorizon,omitempty"`
-}
-
 // solvableResponse (and the net/chaos response types below) are
 // aliases for the wire verdict structs: the JSON tags and the binary
 // frame layout live together in internal/serve/wire, so the two
 // encodings cannot drift apart.
 type solvableResponse = wire.Solvable
 
-func (s *Server) handleSolvable(w http.ResponseWriter, r *http.Request) {
-	var req solvableRequest
-	if err := decode(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	sch, err := req.Resolve()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	horizon := req.Horizon
-	if req.MinRounds {
-		horizon = req.MaxHorizon
-	}
-	if horizon < 0 || horizon > s.cfg.MaxHorizon {
-		s.writeError(w, http.StatusBadRequest, "horizon %d out of range [0, %d]", horizon, s.cfg.MaxHorizon)
-		return
-	}
-	key := SolvableKey(sch, horizon, req.MinRounds)
-	start := s.cfg.Clock()
-	val, cached, shared, err := s.heavyCompute(r.Context(), key, func(ctx context.Context) (any, error) {
-		return s.solveVerdict(ctx, sch, horizon, req.MinRounds)
-	})
-	if err != nil {
-		s.writeComputeError(w, err)
-		return
-	}
-	resp := val.(solvableResponse)
-	resp.Cached, resp.Shared = cached, shared
-	resp.ElapsedMs = s.cfg.Clock().Sub(start).Milliseconds()
-	s.writeVerdict(w, r, resp)
-}
-
 // solveVerdict runs one bounded-round solvability analysis and shapes
-// the verdict. Callers patch Cached/Shared/ElapsedMs afterwards. The
+// the verdict; withMeta patches the serving metadata. The
 // engine run borrows a pooled scratch arena.
 func (s *Server) solveVerdict(ctx context.Context, sch *coordattack.Scheme, horizon int, minRounds bool) (any, error) {
 	eng, release := s.engineRunOptions()
@@ -616,42 +667,10 @@ func (s *Server) solveVerdict(ctx context.Context, sch *coordattack.Scheme, hori
 
 // --- /v1/net/solvable -------------------------------------------------
 
-type netSolvableRequest struct {
-	GraphSelector
-	F      int `json:"f"`
-	Rounds int `json:"rounds"`
-}
-
 type netSolvableResponse = wire.NetSolvable
 
-func (s *Server) handleNetSolvable(w http.ResponseWriter, r *http.Request) {
-	var req netSolvableRequest
-	if err := decode(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	g, badReq := s.validateNetRequest(&req)
-	if badReq != "" {
-		s.writeError(w, http.StatusBadRequest, "%s", badReq)
-		return
-	}
-	key := NetSolvableKey(g, req.F, req.Rounds)
-	start := s.cfg.Clock()
-	val, cached, _, err := s.heavyCompute(r.Context(), key, func(ctx context.Context) (any, error) {
-		return s.netVerdict(ctx, g, req.F, req.Rounds)
-	})
-	if err != nil {
-		s.writeComputeError(w, err)
-		return
-	}
-	resp := val.(netSolvableResponse)
-	resp.Cached = cached
-	resp.ElapsedMs = s.cfg.Clock().Sub(start).Milliseconds()
-	s.writeVerdict(w, r, resp)
-}
-
 // netVerdict runs one network solvability analysis and shapes the
-// verdict; callers patch Cached/ElapsedMs afterwards. The engine run
+// verdict; withMeta patches the serving metadata. The engine run
 // borrows a pooled scratch arena.
 func (s *Server) netVerdict(ctx context.Context, g *coordattack.Graph, f, rounds int) (any, error) {
 	eng, release := s.engineRunOptions()
@@ -680,79 +699,46 @@ func (s *Server) netVerdict(ctx context.Context, g *coordattack.Graph, f, rounds
 	}, nil
 }
 
-// validateNetRequest resolves and bounds-checks one netSolvableRequest.
-// Shared by the single handler and the batch tier so both reject the
-// same inputs identically.
-func (s *Server) validateNetRequest(req *netSolvableRequest) (*coordattack.Graph, string) {
-	g, err := req.Resolve()
-	if err != nil {
-		return nil, err.Error()
-	}
-	if g.N() < 2 || g.N() > s.cfg.MaxProcs {
-		return nil, fmt.Sprintf("graph size %d out of range [2, %d]", g.N(), s.cfg.MaxProcs)
-	}
-	if req.Rounds < 0 || req.Rounds > s.cfg.MaxHorizon {
-		return nil, fmt.Sprintf("rounds %d out of range [0, %d]", req.Rounds, s.cfg.MaxHorizon)
-	}
-	if req.F < 0 {
-		return nil, "f must be ≥ 0"
-	}
-	return g, ""
-}
-
 // --- /v1/chaos --------------------------------------------------------
-
-type chaosRequest struct {
-	SchemeSelector
-	Executions    int   `json:"executions,omitempty"`
-	Seed          int64 `json:"seed,omitempty"`
-	MaxPrefix     int   `json:"maxPrefix,omitempty"`
-	MaxRounds     int   `json:"maxRounds,omitempty"`
-	NoInvariant   bool  `json:"noInvariant,omitempty"`
-	NoShrink      bool  `json:"noShrink,omitempty"`
-	MaxViolations int   `json:"maxViolations,omitempty"`
-}
 
 type (
 	chaosViolation = wire.ChaosViolation
 	chaosResponse  = wire.Chaos
 )
 
-// validateChaosRequest resolves and bounds-checks one chaosRequest.
-// Shared by the single handler and the batch tier so both reject the
-// same inputs identically.
-func (s *Server) validateChaosRequest(req *chaosRequest) (*coordattack.Scheme, chaos.Algorithm, string) {
-	sch, err := req.Resolve()
-	if err != nil {
-		return nil, chaos.Algorithm{}, err.Error()
-	}
-	if req.Executions > s.cfg.MaxExecutions {
-		return nil, chaos.Algorithm{}, fmt.Sprintf("executions %d exceeds cap %d", req.Executions, s.cfg.MaxExecutions)
-	}
-	algo, err := chaos.AWForScheme(sch)
-	if err != nil {
-		return nil, chaos.Algorithm{}, err.Error()
-	}
-	return sch, algo, ""
+// errInterrupted is a campaign stopped by its context: the 504 reports
+// how far it got.
+type errInterrupted struct {
+	executions int
+	err        error
 }
 
+func (e errInterrupted) Error() string {
+	return fmt.Sprintf("campaign interrupted after %d executions: %v", e.executions, e.err)
+}
+
+func (e errInterrupted) Unwrap() error { return e.err }
+
 // chaosCampaign runs one seeded campaign under ctx and shapes the
-// report. The report pointer is returned even on error, so callers can
-// surface partial-progress information on an interrupt.
-func (s *Server) chaosCampaign(ctx context.Context, sch *coordattack.Scheme, algo chaos.Algorithm, req *chaosRequest) (*chaos.Report, chaosResponse, error) {
+// report; withMeta patches the elapsed time. A campaign its context
+// interrupts returns errInterrupted.
+func (s *Server) chaosCampaign(ctx context.Context, q *ChaosRequest) (any, error) {
 	rep, err := chaos.RunCampaignCtx(ctx, chaos.Config{
-		Scheme:         sch,
-		Algo:           algo,
-		Executions:     req.Executions,
-		Seed:           req.Seed,
-		MaxPrefix:      req.MaxPrefix,
-		MaxRounds:      req.MaxRounds,
-		CheckInvariant: !req.NoInvariant,
-		NoShrink:       req.NoShrink,
-		MaxViolations:  req.MaxViolations,
+		Scheme:         q.sch,
+		Algo:           q.algo,
+		Executions:     q.Executions,
+		Seed:           q.Seed,
+		MaxPrefix:      q.MaxPrefix,
+		MaxRounds:      q.MaxRounds,
+		CheckInvariant: !q.NoInvariant,
+		NoShrink:       q.NoShrink,
+		MaxViolations:  q.MaxViolations,
 	})
 	if err != nil {
-		return rep, chaosResponse{}, err
+		if rep != nil && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
+			return nil, errInterrupted{executions: rep.Executions, err: err}
+		}
+		return nil, err
 	}
 	resp := chaosResponse{
 		Scheme:     rep.Scheme,
@@ -775,39 +761,5 @@ func (s *Server) chaosCampaign(ctx context.Context, sch *coordattack.Scheme, alg
 		}
 		resp.Violations = append(resp.Violations, cv)
 	}
-	return rep, resp, nil
-}
-
-func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
-	var req chaosRequest
-	if err := decode(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	sch, algo, badReq := s.validateChaosRequest(&req)
-	if badReq != "" {
-		s.writeError(w, http.StatusBadRequest, "%s", badReq)
-		return
-	}
-	start := s.cfg.Clock()
-	var rep *chaos.Report
-	var resp chaosResponse
-	err := s.guard(func() error {
-		var cerr error
-		rep, resp, cerr = s.chaosCampaign(r.Context(), sch, algo, &req)
-		return cerr
-	})
-	if err != nil {
-		if rep != nil && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
-			s.m.timeouts.Add(1)
-			writeJSON(w, http.StatusGatewayTimeout, apiError{
-				Error: fmt.Sprintf("campaign interrupted after %d executions: %v", rep.Executions, err),
-			})
-			return
-		}
-		s.writeComputeError(w, err)
-		return
-	}
-	resp.ElapsedMs = s.cfg.Clock().Sub(start).Milliseconds()
-	s.writeVerdict(w, r, resp)
+	return resp, nil
 }

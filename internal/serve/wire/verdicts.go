@@ -341,6 +341,11 @@ func DecodeBatchLine(payload []byte) (*BatchLine, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
+	if k == KindBatchLine {
+		// A line embeds a verdict, never another line: AppendVerdict
+		// could not re-encode one.
+		return nil, errMalformed
+	}
 	if k != KindInvalid {
 		v, err := unmarshalPayload(k, r.b)
 		if err != nil {

@@ -232,6 +232,11 @@ func (r *reader) float() float64 {
 		return 0
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		// No served gauge is non-finite, and JSON cannot carry one.
+		r.fail()
+		return 0
+	}
 	r.b = r.b[8:]
 	return v
 }
