@@ -9,7 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
+	"sync"
 	"testing"
 
 	coordattack "repro"
@@ -173,17 +173,19 @@ func BenchmarkChains(b *testing.B) {
 	}
 }
 
-// Engine ablation — the streaming engine with a full worker pool; its
-// sequential-reference counterpart, BenchmarkChainsSequential, lives
-// next to the reference in internal/chain. Compare:
+// Engine ablation — the streaming enumerating engine (R1 is
+// chain-structured, so the default backend would answer symbolically,
+// as BenchmarkChains does); its sequential-reference counterpart,
+// BenchmarkChainsSequential, lives next to the reference in
+// internal/chain. Compare:
 //
-//	go test -bench 'BenchmarkChains(Sequential|Parallel)' -run '^$' . ./internal/chain
-func BenchmarkChainsParallel(b *testing.B) {
+//	go test -bench 'BenchmarkChains(Sequential|Engine)' -run '^$' . ./internal/chain
+func BenchmarkChainsEngine(b *testing.B) {
 	ctx := context.Background()
 	for _, r := range []int{4, 6, 8} {
 		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
 			s := scheme.R1()
-			opt := fullinfo.Options{Parallel: true, Workers: runtime.GOMAXPROCS(0)}
+			opt := fullinfo.Options{Backend: fullinfo.BackendEnumerate}
 			for i := 0; i < b.N; i++ {
 				rep, err := chain.Analyze(ctx, chain.Request{Scheme: s, Horizon: r, Engine: &opt})
 				if err != nil || rep.Solvable {
@@ -375,12 +377,12 @@ func nchainAnalyze(n, f, r int) bool {
 	return rep.Solvable
 }
 
-// Engine ablation — n-process analysis on a full worker pool; the
+// Engine ablation — n-process analysis on the streaming engine; the
 // sequential reference's BenchmarkNProcAnalyzeSequential lives in
 // internal/nchain.
-func BenchmarkNProcAnalyzeParallel(b *testing.B) {
+func BenchmarkNProcAnalyzeEngine(b *testing.B) {
 	ctx := context.Background()
-	opt := fullinfo.Options{Parallel: true, Workers: runtime.GOMAXPROCS(0)}
+	opt := fullinfo.Options{}
 	for i := 0; i < b.N; i++ {
 		rep, err := nchain.Analyze(ctx, nchain.Request{N: 3, F: 1, Horizon: 2, Engine: &opt})
 		if err != nil || !rep.Solvable {
@@ -399,9 +401,9 @@ func BenchmarkSynthesize(b *testing.B) {
 	}
 }
 
-// Engine ablation — synthesis at a deeper horizon where the graph-build
-// fan-out dominates; K3 is solvable exactly from horizon 4.
-func BenchmarkSynthesizeParallel(b *testing.B) {
+// Engine ablation — synthesis at a deeper horizon, where the engine's
+// BuildGraph run dominates; K3 is solvable exactly from horizon 4.
+func BenchmarkSynthesizeEngine(b *testing.B) {
 	s, err := scheme.ByName("K3")
 	if err != nil {
 		b.Fatal(err)
@@ -410,6 +412,61 @@ func BenchmarkSynthesizeParallel(b *testing.B) {
 		if _, _, ok := chain.Synthesize(s, 4); !ok {
 			b.Fatal("synthesis failed")
 		}
+	}
+}
+
+// ENGINE — the in-repo counterpart of verdictbench's enum-heavy
+// workload: an S2-minus automaton (Σ alphabet, so never symbolic) at
+// horizons 6 and 7, fixed and MinRounds, one-cycle graphs on five and
+// six vertices at f=1 r=2, and a four-vertex tree at f=1 r=3. Requests
+// run concurrently under b.RunParallel, each borrowing its engine arena
+// from a sync.Pool of Scratch the way the server's handlers do, so
+// GOMAXPROCS requests share the cores rather than one request's rounds.
+func BenchmarkEnumHeavyShapes(b *testing.B) {
+	s2minus := scheme.Minus("S2-minus", scheme.S2(), omission.MustScenario("wx(b.)"))
+	solve := func(h int, minRounds bool) func(context.Context, *fullinfo.Options) error {
+		return func(ctx context.Context, opt *fullinfo.Options) error {
+			_, err := chain.Analyze(ctx, chain.Request{Scheme: s2minus, Horizon: h,
+				MinRounds: minRounds, VerdictOnly: minRounds, Engine: opt})
+			return err
+		}
+	}
+	net := func(g *graph.Graph, r int) func(context.Context, *fullinfo.Options) error {
+		return func(ctx context.Context, opt *fullinfo.Options) error {
+			_, err := nchain.Analyze(ctx, nchain.Request{Graph: g, F: 1, Horizon: r,
+				VerdictOnly: true, Engine: opt})
+			return err
+		}
+	}
+	cases := []struct {
+		name string
+		run  func(context.Context, *fullinfo.Options) error
+	}{
+		{"s2minus/h6/fixed", solve(6, false)},
+		{"s2minus/h7/fixed", solve(7, false)},
+		{"s2minus/h6/min", solve(6, true)},
+		{"s2minus/h7/min", solve(7, true)},
+		{"cycle-5/f1r2", net(graph.Cycle(5), 2)},
+		{"cycle-6/f1r2", net(graph.Cycle(6), 2)},
+		{"tree-4/f1r3", net(graph.Path(4), 3)},
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			pool := sync.Pool{New: func() any { return fullinfo.NewScratch() }}
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					scr := pool.Get().(*fullinfo.Scratch)
+					err := c.run(ctx, &fullinfo.Options{Scratch: scr})
+					pool.Put(scr)
+					if err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
 	}
 }
 

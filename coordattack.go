@@ -305,23 +305,19 @@ type RoundsRequest = chain.Request
 type RoundsReport = chain.Report
 
 // EngineStats is the engine instrumentation snapshot: configurations
-// streamed, views interned, components merged, pool utilization, and
+// streamed, views interned, components merged, frontier size, and
 // wall time. Attach an observer via RoundsRequest.Observer (or
 // NetAnalysisRequest.Observer) to receive one per engine round.
 type EngineStats = fullinfo.Stats
 
 // EngineOptions tunes the analysis engine behind Analyze / AnalyzeNet;
 // attach via RoundsRequest.Engine or NetAnalysisRequest.Engine. The
-// zero value asks for a sequential enumerating run — most callers want
-// EngineDefaults() with fields overridden.
+// zero value is the standard configuration: automatic backend,
+// exhaustive scan, no graph retention.
 type EngineOptions = fullinfo.Options
 
-// EngineDefaults returns the standard engine configuration
-// (fullinfo.Defaults: parallel, exhaustive, automatic backend).
-func EngineDefaults() EngineOptions { return fullinfo.Defaults() }
-
 // EngineScratch is a reusable arena of engine state (interner tables,
-// worker forks, frontier buffers); attach one via EngineOptions.Scratch
+// frontier buffers, union-find); attach one via EngineOptions.Scratch
 // so cache-miss requests reuse allocations instead of repaying them
 // per run. One arena serves one run at a time — pool them (sync.Pool)
 // for concurrent callers. See fullinfo.Scratch for the contract.

@@ -27,8 +27,8 @@ type Request struct {
 	// component. An unsolvable horizon then reports its verdict alone
 	// (every count zero); a solvable one keeps its exact counts.
 	VerdictOnly bool
-	// Engine optionally tunes the streaming engine; nil means
-	// fullinfo.Defaults(). EarlyExit and Observer are managed by
+	// Engine optionally tunes the streaming engine; nil means the zero
+	// fullinfo.Options. EarlyExit and Observer are managed by
 	// Analyze (derived from VerdictOnly and Observer).
 	Engine *fullinfo.Options
 	// Observer, when non-nil, receives one fullinfo.Stats snapshot per
@@ -70,7 +70,7 @@ func Analyze(ctx context.Context, req Request) (Report, error) {
 			req.Observer(s)
 		}
 	}
-	opt := fullinfo.Defaults()
+	var opt fullinfo.Options
 	if req.Engine != nil {
 		opt = *req.Engine
 	}

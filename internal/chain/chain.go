@@ -200,7 +200,7 @@ type Complex struct {
 // The engine's (process, view) vertices and components are exactly the
 // complex's, and each configuration contributes one edge.
 func ProtocolComplex(s *scheme.Scheme, r int) Complex {
-	res, _, err := fullinfo.RunChecked(context.Background(), newChainStepper(s), r, fullinfo.Defaults())
+	res, _, err := fullinfo.RunChecked(context.Background(), newChainStepper(s), r, fullinfo.Options{})
 	if err != nil {
 		panic(err) // unreachable: nothing cancels the run and the chain stepper never panics
 	}

@@ -11,7 +11,7 @@ import (
 // TestEngineMatchesSequential pins the tentpole guarantee: the engine
 // returns an Analysis identical — field for field — to the sequential
 // materialize-then-union reference, for every named scheme at horizons
-// 1..5, both single-worker and with a worker pool.
+// 1..5.
 func TestEngineMatchesSequential(t *testing.T) {
 	for _, name := range scheme.Names() {
 		s, err := scheme.ByName(name)
@@ -20,13 +20,9 @@ func TestEngineMatchesSequential(t *testing.T) {
 		}
 		for r := 1; r <= 5; r++ {
 			want := analyzeSequential(s, r)
-			for _, workers := range []int{1, 4} {
-				got := analyze(t, Request{Scheme: s, Horizon: r,
-					Engine: &fullinfo.Options{Parallel: true, Workers: workers}}).Analysis
-				if got != want {
-					t.Errorf("%s r=%d workers=%d: engine %+v != sequential %+v",
-						name, r, workers, got, want)
-				}
+			got := analyze(t, Request{Scheme: s, Horizon: r}).Analysis
+			if got != want {
+				t.Errorf("%s r=%d: engine %+v != sequential %+v", name, r, got, want)
 			}
 			if got := solvableIn(t, s, r); got != want.Solvable {
 				t.Errorf("%s r=%d: verdict-only Solvable=%v, sequential Solvable=%v",
@@ -135,8 +131,7 @@ func TestEngineEarlyExitVerdicts(t *testing.T) {
 		}
 		for r := 1; r <= 4; r++ {
 			want := analyzeSequential(s, r)
-			got := analyze(t, Request{Scheme: s, Horizon: r, VerdictOnly: true,
-				Engine: &fullinfo.Options{Parallel: true, Workers: 4}}).Analysis
+			got := analyze(t, Request{Scheme: s, Horizon: r, VerdictOnly: true}).Analysis
 			if got.Solvable != want.Solvable {
 				t.Errorf("%s r=%d: early-exit Solvable=%v want %v", name, r, got.Solvable, want.Solvable)
 			}
@@ -144,28 +139,6 @@ func TestEngineEarlyExitVerdicts(t *testing.T) {
 				t.Errorf("%s r=%d: unsolvable early-exit horizon reported counts: %+v", name, r, got)
 			}
 		}
-	}
-}
-
-// TestVerdictOnlyReportIgnoresWorkers: a VerdictOnly report must not
-// depend on the pool size. S2 (a Σ scheme, never symbolic) reaches
-// frontiers past parMinFrontier by horizon 7, so 2 and 4 workers take
-// the chunked grow and scan while 1 worker takes the fused sequential
-// scan; apart from the scheduling gauges the reports must be equal.
-func TestVerdictOnlyReportIgnoresWorkers(t *testing.T) {
-	var want Report
-	for i, w := range []int{1, 2, 4} {
-		rep := analyze(t, Request{Scheme: scheme.S2(), Horizon: 7, MinRounds: true, VerdictOnly: true,
-			Engine: &fullinfo.Options{Parallel: true, Workers: w}})
-		rep.Stats.WallNanos, rep.Stats.Workers, rep.Stats.WorkerForks, rep.Stats.Absorbed = 0, 0, 0, 0
-		if i == 0 {
-			want = rep
-		} else if rep != want {
-			t.Errorf("workers=%d: %+v\n != workers=1: %+v", w, rep, want)
-		}
-	}
-	if want.Found || want.Stats.Configs != 0 {
-		t.Errorf("S2 is never solvable, so no horizon may report counts: %+v", want)
 	}
 }
 

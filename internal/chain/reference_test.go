@@ -58,8 +58,8 @@ func analyzeSequential(s *scheme.Scheme, r int) Analysis {
 }
 
 // BenchmarkChainsSequential is the sequential side of the engine
-// ablation; BenchmarkChainsParallel in the root package runs the same
-// horizons on the streaming engine with a full worker pool.
+// ablation; BenchmarkChainsEngine in the root package runs the same
+// horizons on the streaming enumerating engine.
 func BenchmarkChainsSequential(b *testing.B) {
 	for _, r := range []int{4, 6, 8} {
 		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {

@@ -96,7 +96,7 @@ func BenchmarkMinRoundsSymbolicVsFlat(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rep, err := Analyze(context.Background(), Request{
 				Scheme: s, Horizon: flatR, MinRounds: true, VerdictOnly: true,
-				Engine: &fullinfo.Options{Backend: fullinfo.BackendEnumerate, Parallel: true},
+				Engine: &fullinfo.Options{Backend: fullinfo.BackendEnumerate},
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -51,9 +51,7 @@ type program struct {
 // without carrying the unanimous-1 flag, and any other config contains
 // a 0).
 func compile(s *scheme.Scheme, r int) (*program, bool) {
-	opt := fullinfo.Defaults()
-	opt.BuildGraph = true
-	res, g, err := fullinfo.RunChecked(context.Background(), newChainStepper(s), r, opt)
+	res, g, err := fullinfo.RunChecked(context.Background(), newChainStepper(s), r, fullinfo.Options{BuildGraph: true})
 	if err != nil {
 		panic(err) // unreachable: nothing cancels the run and the chain stepper never panics
 	}

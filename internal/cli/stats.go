@@ -15,18 +15,16 @@ func engineOptions(backend string) (*coordattack.EngineOptions, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := coordattack.EngineDefaults()
-	eng.Backend = bm
-	return &eng, nil
+	return &coordattack.EngineOptions{Backend: bm}, nil
 }
 
 // formatEngineStats renders the engine instrumentation of an analysis as
 // one -stats output line, shared by every CLI that runs the fullinfo
 // engine.
 func formatEngineStats(st coordattack.EngineStats) string {
-	s := fmt.Sprintf("rounds=%d configs=%d vertices=%d components=%d mixed=%d views=%d merges=%d workers=%d",
+	s := fmt.Sprintf("rounds=%d configs=%d vertices=%d components=%d mixed=%d views=%d merges=%d",
 		st.Rounds, st.Configs, st.Vertices, st.Components, st.MixedComponents,
-		st.ViewsInterned, st.Merges, st.Workers)
+		st.ViewsInterned, st.Merges)
 	if st.SymbolicRounds > 0 || st.SymbolicFallbacks > 0 {
 		s += fmt.Sprintf(" sym=%d intervals=%d/%d peak=%d frag=%.3f fallbacks=%d",
 			st.SymbolicRounds, st.Intervals, st.IntervalRuns, st.IntervalsPeak,

@@ -1,4 +1,4 @@
-// Package fullinfo is the shared parallel, streaming engine behind every
+// Package fullinfo is the shared streaming engine behind every
 // bounded-round full-information solvability analysis in this repository
 // (internal/chain for two processes, internal/nchain for n processes on
 // K_n or an arbitrary graph).
@@ -17,13 +17,13 @@
 //   - One enumerating engine (Engine) sweeps the history tree a round at
 //     a time over flat, reusable frontier arrays. A fixed horizon r is one
 //     ExtendTo(r) call; a MinRounds search extends the same frontier
-//     horizon by horizon. Large rounds fan out over chunked workers that
-//     intern on forked interners, canonicalized in chunk order so results
-//     never depend on the worker count.
+//     horizon by horizon. A run is one goroutine: the parallelism of a
+//     service is its number of concurrent requests, each on its own
+//     engine (and, through a sync.Pool, its own Scratch).
 //
 //   - The final round streams every leaf straight into a union-find keyed
-//     by (process, view) — leaf configurations are never materialized
-//     beyond the frontier itself.
+//     by (process, view) as the growth sweep appends it — leaf
+//     configurations are never materialized beyond the frontier itself.
 //
 //   - Components carry unanimous-0/1 flags, so a mixed component is
 //     detected the moment it forms; with Options.EarlyExit the scan stops
@@ -53,8 +53,9 @@ import (
 // Stepper defines one full-information analysis problem: a process
 // count, a finite action alphabet (letters, loss patterns, …), an
 // admissibility automaton over integer states, and the per-round view
-// update. Implementations must be safe for concurrent use by multiple
-// workers; per-call scratch comes from the Ctx.
+// update. An engine calls Step from one goroutine; a Stepper shared by
+// concurrent engines must be safe for concurrent use. Per-call scratch
+// comes from the Ctx.
 type Stepper interface {
 	// NumProcs returns the number of processes n (views per node).
 	NumProcs() int
@@ -70,7 +71,7 @@ type Stepper interface {
 	Step(ctx *Ctx, state, a int, views, next []int) (nextState int, ok bool)
 }
 
-// Ctx carries a worker's interner and reusable scratch space into
+// Ctx carries the engine's interner and reusable scratch space into
 // Stepper.Step.
 type Ctx struct {
 	In  *Interner
@@ -107,7 +108,7 @@ func (c *Ctx) Buf(n int) []int {
 // action loop re-derives the same few (prev, recv) pairs — the
 // two-process chain asks for each of its four at most twice — resolve
 // repeats from registers instead of re-probing the interner table.
-// Entries never go stale: a Ctx's interner chain is append-only for
+// Entries never go stale: a Ctx's interner is append-only for
 // the Ctx's lifetime, so a memoized id stays the canonical answer.
 func (c *Ctx) View(prev, recv int) int {
 	k := packView(prev, recv)
@@ -124,7 +125,9 @@ func (c *Ctx) View(prev, recv int) int {
 	return id
 }
 
-// Options configures an engine.
+// Options configures an engine. The zero value is the standard
+// configuration: automatic backend, exhaustive scan, no graph
+// retention.
 type Options struct {
 	// Backend selects the analysis backend: BackendAuto (the zero
 	// value) lets chain-structured problems run symbolically and
@@ -136,12 +139,6 @@ type Options struct {
 	// fragmentation threshold (total (state, interval) pairs before it
 	// abandons the run to enumeration); ≤ 0 means the default.
 	SymbolicMaxIntervals int
-	// Parallel fans frontier growth and the leaf scan out over chunked
-	// workers once a round is large enough to amortize the forks. When
-	// false every round runs on the calling goroutine.
-	Parallel bool
-	// Workers is the pool size; ≤ 0 means runtime.GOMAXPROCS(0).
-	Workers int
 	// EarlyExit lets the leaf scan stop on the first mixed component.
 	// An unsolvable horizon then reports only its verdict: Solvable and
 	// Exhaustive false, every count zero.
@@ -156,16 +153,11 @@ type Options struct {
 	// goroutine; keep it cheap.
 	Observer func(Stats)
 	// Scratch, when non-nil, recycles engine state (interner tables,
-	// worker forks, frontier slices, union-finds) across runs. See the
-	// Scratch type for the single-run and BuildGraph caveats; results
-	// are bit-identical with or without it. An Engine holds the arena
-	// until Release.
+	// frontier slices, union-find) across runs. See the Scratch type for
+	// the single-run and BuildGraph caveats; results are bit-identical
+	// with or without it. An Engine holds the arena until Release.
 	Scratch *Scratch
 }
-
-// Defaults returns the standard engine configuration: parallel across
-// all CPUs, exhaustive, no graph retention.
-func Defaults() Options { return Options{Parallel: true} }
 
 // Result is the outcome of analyzing one horizon.
 type Result struct {
@@ -224,18 +216,6 @@ func (g *Graph) EachVertex(f func(proc, view int, has0, has1 bool)) {
 
 // NumVertices returns the vertex count.
 func (g *Graph) NumVertices() int { return len(g.uf.parent) }
-
-// Vertex keys pack (process, view) into an int64: low bits process,
-// high bits (arithmetically shifted, so sentinel views stay distinct)
-// the view id.
-const (
-	vertProcBits = 6
-	vertProcMask = 1<<vertProcBits - 1
-)
-
-func vertexKey(proc, view int) int64 {
-	return int64(view)<<vertProcBits | int64(proc)
-}
 
 // RunChecked analyzes horizon r in one shot on a fresh Engine. The
 // Graph is nil unless opt.BuildGraph is set. Stepper panics and context

@@ -2,7 +2,6 @@ package fullinfo
 
 import (
 	"context"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -56,29 +55,13 @@ func pow3(r int) int64 {
 	return v
 }
 
-func TestEngineSequentialParallelAgree(t *testing.T) {
-	for r := 0; r <= 6; r++ {
-		seq, _ := run(t, binStepper{}, r, Options{})
-		par, _ := run(t, binStepper{}, r, Options{Parallel: true, Workers: 4})
-		if seq != par {
-			t.Fatalf("r=%d: sequential %+v != parallel %+v", r, seq, par)
-		}
-		if want := int64(4) * pow2(r); seq.Configs != want {
-			t.Fatalf("r=%d: Configs=%d want %d", r, seq.Configs, want)
-		}
-		if !seq.Exhaustive {
-			t.Fatalf("r=%d: not exhaustive", r)
-		}
-	}
-}
-
 func TestEngineDropChainsNeverSolvable(t *testing.T) {
 	// With this toy stepper the all-drop chain gives each process a
 	// view depending only on its own input, so configs 00 and 01 share
 	// process 0's vertex, 01 and 11 share process 1's vertex: one big
 	// component containing both unanimous configs. Never solvable.
 	for r := 1; r <= 5; r++ {
-		res, _ := run(t, binStepper{}, r, Options{Parallel: true, Workers: 3})
+		res, _ := run(t, binStepper{}, r, Options{})
 		if res.Solvable {
 			t.Fatalf("r=%d: expected unsolvable, got %+v", r, res)
 		}
@@ -89,11 +72,11 @@ func TestEngineDropChainsNeverSolvable(t *testing.T) {
 }
 
 // TestEngineEarlyExit: an unsolvable horizon under EarlyExit reports its
-// verdict alone — on the fused sequential scan (r=6) and on the chunked
-// parallel one (r=12, past parMinFrontier) alike.
+// verdict alone — on the horizon-0 scan (r=0) and on the fused
+// grow-and-scan sweep (r=6) alike.
 func TestEngineEarlyExit(t *testing.T) {
-	for _, r := range []int{6, 12} {
-		res, _ := run(t, binStepper{}, r, Options{Parallel: true, Workers: 4, EarlyExit: true})
+	for _, r := range []int{0, 6} {
+		res, _ := run(t, binStepper{}, r, Options{EarlyExit: true})
 		if res != (Result{}) {
 			t.Fatalf("r=%d: early exit must report the bare verdict, got %+v", r, res)
 		}
@@ -132,146 +115,54 @@ func TestEngineZeroRounds(t *testing.T) {
 	}
 }
 
-// TestEngineBuildGraphParallel: the graph kept from a chunked final scan
-// lists exactly the vertices, with the same unanimity flags, as the one
-// kept from a sequential scan.
-func TestEngineBuildGraphParallel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large frontier")
-	}
-	const r = 11 // frontier 4·2^11 = 8192 ≥ parMinFrontier
-	type vtx struct{ proc, view int }
-	collect := func(opt Options) (Result, map[vtx][2]bool) {
-		opt.BuildGraph = true
-		res, g := run(t, binStepper{}, r, opt)
-		got := map[vtx][2]bool{}
-		g.EachVertex(func(proc, view int, has0, has1 bool) {
-			got[vtx{proc, view}] = [2]bool{has0, has1}
-		})
-		if len(got) != g.NumVertices() || g.NumVertices() != res.Vertices {
-			t.Fatalf("graph lists %d vertices, NumVertices %d, Result %d", len(got), g.NumVertices(), res.Vertices)
-		}
-		return res, got
-	}
-	seqRes, seq := collect(Options{})
-	parRes, par := collect(Options{Parallel: true, Workers: 4})
-	if seqRes != parRes || len(seq) != len(par) {
-		t.Fatalf("parallel %+v (%d vertices) != sequential %+v (%d vertices)", parRes, len(par), seqRes, len(seq))
-	}
-	for v, fl := range seq {
-		if par[v] != fl {
-			t.Fatalf("vertex %+v: parallel flags %v, sequential %v", v, par[v], fl)
-		}
-	}
-}
-
 // TestEngineOptionsContract pins the Engine's documented Options
 // behavior (see the Engine doc comment).
 func TestEngineOptionsContract(t *testing.T) {
-	t.Run("workers-resolved", func(t *testing.T) {
-		cases := []struct {
-			opt  Options
-			want int
-		}{
-			{Options{}, 1},
-			{Options{Workers: 8}, 1}, // Workers without Parallel is inert
-			{Options{Parallel: true, Workers: 3}, 3},
-			{Options{Parallel: true}, runtime.GOMAXPROCS(0)},
-		}
-		for _, c := range cases {
-			var last Stats
-			c.opt.Observer = func(s Stats) { last = s }
-			eng := NewEngine(binStepper{}, c.opt)
-			if _, err := eng.ExtendTo(context.Background(), 1); err != nil {
-				t.Fatal(err)
+	t.Run("early-exit-fused-and-rescan-agree", func(t *testing.T) {
+		// ExtendTo(r) settles horizon r on the fused grow-and-scan sweep
+		// (r=0 on the standalone scan); a second ExtendTo(r) re-scans the
+		// same frontier. Both report the bare verdict, and the early exit
+		// never truncates the frontier the next round grows from.
+		eng := NewEngine(binStepper{}, Options{EarlyExit: true})
+		for r := 0; r <= 6; r++ {
+			for _, pass := range []string{"sweep", "re-scan"} {
+				res, err := eng.ExtendTo(context.Background(), r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res != (Result{}) {
+					t.Fatalf("r=%d %s: early exit must report the bare verdict, got %+v", r, pass, res)
+				}
 			}
-			if last.Workers != c.want {
-				t.Fatalf("opt %+v: Workers=%d want %d", c.opt, last.Workers, c.want)
+			if got := eng.FrontierLen(); got != engFrontierWant(r) {
+				t.Fatalf("r=%d: early exit left a frontier of %d nodes, want %d", r, got, engFrontierWant(r))
 			}
 		}
 	})
 
-	t.Run("parallel-grow-matches-sequential", func(t *testing.T) {
-		// 4·2^10 = 4096 = parMinFrontier, so rounds 11+ take the
-		// chunked-worker path; the results must stay bit-identical.
-		var last Stats
-		seq := NewEngine(binStepper{}, Options{})
-		par := NewEngine(binStepper{}, Options{Parallel: true, Workers: 4, Observer: func(s Stats) { last = s }})
-		for r := 10; r <= 12; r++ {
-			want, err := seq.ExtendTo(context.Background(), r)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("zero-value-is-exhaustive", func(t *testing.T) {
+		// The zero Options is the standard configuration: every horizon
+		// is scanned to the end, unsolvable or not.
+		for r := 0; r <= 4; r++ {
+			res, g := run(t, binStepper{}, r, Options{})
+			if !res.Exhaustive || res.Configs != int64(engFrontierWant(r)) || g != nil {
+				t.Fatalf("r=%d: zero Options gave %+v (graph %v)", r, res, g)
 			}
-			got, err := par.ExtendTo(context.Background(), r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("r=%d: parallel %+v != sequential %+v", r, got, want)
-			}
-		}
-		if last.WorkerForks == 0 || last.Absorbed == 0 {
-			t.Fatalf("parallel rounds never forked workers: %+v", last)
 		}
 	})
-}
-
-func TestInternerAbsorb(t *testing.T) {
-	shared := NewInterner(nil)
-	a := shared.View(InitView(0), -1)
-	child := NewInterner(shared)
-	// Hit on the parent: no new id.
-	if got := child.View(InitView(0), -1); got != a {
-		t.Fatalf("child parent-hit = %d want %d", got, a)
-	}
-	b := child.View(InitView(1), a)
-	tup := child.Tuple([]int{a, b, -1})
-	c := child.View(a, tup)
-	trans := shared.absorb(child)
-	// Canonical ids must resolve to the same structures.
-	wantB := shared.View(InitView(1), a)
-	if trans[b-child.base] != wantB {
-		t.Fatalf("b translated to %d want %d", trans[b-child.base], wantB)
-	}
-	wantTup := shared.Tuple([]int{a, wantB, -1})
-	if trans[tup-child.base] != wantTup {
-		t.Fatalf("tuple translated to %d want %d", trans[tup-child.base], wantTup)
-	}
-	if got, want := trans[c-child.base], shared.View(a, wantTup); got != want {
-		t.Fatalf("c translated to %d want %d", got, want)
-	}
-}
-
-func TestInternerTwoChildrenConverge(t *testing.T) {
-	shared := NewInterner(nil)
-	c1 := NewInterner(shared)
-	c2 := NewInterner(shared)
-	x1 := c1.View(InitView(0), InitView(1))
-	x2 := c2.View(InitView(0), InitView(1))
-	t1 := shared.absorb(c1)
-	t2 := shared.absorb(c2)
-	if t1[x1-c1.base] != t2[x2-c2.base] {
-		t.Fatalf("same view canonicalized differently: %d vs %d",
-			t1[x1-c1.base], t2[x2-c2.base])
-	}
 }
 
 func TestInternerTupleHitZeroAllocs(t *testing.T) {
-	in := NewInterner(nil)
+	in := newInterner(true)
 	vals := []int{7, -1, 3, 12, -1}
 	in.Tuple(vals)
 	if a := testing.AllocsPerRun(200, func() { in.Tuple(vals) }); a != 0 {
 		t.Fatalf("Tuple hit allocates %v/op, want 0", a)
 	}
-	// Parent hits from a fork stay allocation-free too.
-	child := NewInterner(in)
-	if a := testing.AllocsPerRun(200, func() { child.Tuple(vals) }); a != 0 {
-		t.Fatalf("forked Tuple parent-hit allocates %v/op, want 0", a)
-	}
 }
 
 func BenchmarkInternerTupleHit(b *testing.B) {
-	in := NewInterner(nil)
+	in := newInterner(true)
 	vals := []int{7, -1, 3, 12, -1}
 	in.Tuple(vals)
 	b.ReportAllocs()
@@ -281,7 +172,7 @@ func BenchmarkInternerTupleHit(b *testing.B) {
 }
 
 func BenchmarkInternerViewHit(b *testing.B) {
-	in := NewInterner(nil)
+	in := newInterner(true)
 	v := in.View(InitView(0), -1)
 	w := in.View(InitView(1), v)
 	b.ReportAllocs()
@@ -338,28 +229,23 @@ func (s panicStepper) Step(ctx *Ctx, state, a int, views, next []int) (int, bool
 }
 
 func TestRunCheckedStepperPanicIsolated(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		_, _, err := RunChecked(context.Background(), panicStepper{}, 4,
-			Options{Parallel: parallel, Workers: 4})
-		if err == nil {
-			t.Fatalf("parallel=%v: panicking Stepper returned no error", parallel)
-		}
-		if !strings.Contains(err.Error(), "stepper exploded") {
-			t.Fatalf("parallel=%v: error lost the panic value: %v", parallel, err)
-		}
+	_, _, err := RunChecked(context.Background(), panicStepper{}, 4, Options{})
+	if err == nil {
+		t.Fatal("panicking Stepper returned no error")
+	}
+	if !strings.Contains(err.Error(), "stepper exploded") {
+		t.Fatalf("error lost the panic value: %v", err)
 	}
 }
 
 func TestRunCheckedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, parallel := range []bool{false, true} {
-		res, _, err := RunChecked(ctx, binStepper{}, 8, Options{Parallel: parallel, Workers: 2})
-		if err == nil {
-			t.Fatalf("parallel=%v: cancelled run returned no error", parallel)
-		}
-		if res.Exhaustive {
-			t.Fatalf("parallel=%v: cancelled run claims exhaustive analysis", parallel)
-		}
+	res, _, err := RunChecked(ctx, binStepper{}, 8, Options{})
+	if err == nil {
+		t.Fatal("cancelled run returned no error")
+	}
+	if res.Exhaustive {
+		t.Fatal("cancelled run claims exhaustive analysis")
 	}
 }

@@ -1,17 +1,16 @@
 package fullinfo
 
-// Open-addressed flat hash tables for the engine's two hottest lookup
-// structures: the Interner's view table and the (process, view) vertex
-// tables of the streaming union-finds. Both were Go maps before PR 5;
-// profiles showed two thirds of an incremental run inside runtime map
-// code (hashing, group probing, incremental growth) plus one heap
-// allocation per interned view. A power-of-two linear-probing table
-// with inline uint64 keys turns every lookup into one multiply and, in
-// the common case, a single cache line touch, and allocates only on
-// doubling.
+// Flat tables behind the Interner's view lookups. A view table kept as
+// a Go map spends most of an incremental run inside runtime map code
+// (hashing, group probing, incremental growth) plus one heap allocation
+// per interned view. The round shards (viewShard) instead direct-index
+// views by their prev id, and the few prevs with crowded receptions
+// spill into flatU64: a power-of-two linear-probing table with inline
+// uint64 keys, where a lookup is one multiply and, in the common case,
+// a single cache line touch, and only doubling allocates.
 //
 // Keys are biased by the caller so that the packed value 0 never occurs
-// (0 marks an empty slot); see packView and packVertex.
+// (0 marks an empty slot); see packView.
 
 // mix64 is the SplitMix64 finalizer: a cheap, well-distributed 64-bit
 // hash for already-packed keys.
@@ -66,35 +65,6 @@ func (f *flatU64) put(k uint64, v int32) {
 	f.n++
 }
 
-// probe combines get and put's search into one pass: it grows the
-// table up front (so the returned slot stays valid), then returns
-// either the value stored under k (hit) or the insertion slot for
-// setAt (miss). The hot create path pays a single probe sequence
-// instead of get-then-put's two.
-func (f *flatU64) probe(k uint64) (v int32, slot uint64, hit bool) {
-	if 2*(f.n+1) > len(f.keys) {
-		f.grow()
-	}
-	i := mix64(k) & f.mask
-	for {
-		switch f.keys[i] {
-		case k:
-			return f.vals[i], 0, true
-		case 0:
-			return 0, i, false
-		}
-		i = (i + 1) & f.mask
-	}
-}
-
-// setAt stores v under k at the empty slot returned by probe. No table
-// mutation may occur between the two calls.
-func (f *flatU64) setAt(slot, k uint64, v int32) {
-	f.keys[slot] = k
-	f.vals[slot] = v
-	f.n++
-}
-
 // grow doubles the table (or allocates the initial one) and rehashes.
 func (f *flatU64) grow() {
 	newCap := flatMinCap
@@ -135,15 +105,6 @@ func (f *flatU64) reset() {
 func packView(prev, recv int) uint64 {
 	return (uint64(uint32(int32(prev)))<<32 | uint64(uint32(int32(recv)))) + 1
 }
-
-// packVertex biases a vertexKey into a non-zero uint64. Vertex keys are
-// view<<vertProcBits|proc with view ≥ -3, so key ≥ -(3<<vertProcBits)
-// and adding vertBias makes the result strictly positive.
-func packVertex(k int64) uint64 {
-	return uint64(k + vertBias)
-}
-
-const vertBias = 3<<vertProcBits + 1
 
 // viewShard holds the view entries whose prev falls in one interner
 // round (see Interner.shardIdx). Because round ids are a dense

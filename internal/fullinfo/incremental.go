@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -27,11 +24,9 @@ import (
 //
 // Options contract:
 //
-//   - Parallel and Workers are honored: frontier growth and the leaf
-//     scan run on chunked workers with worker-forked interners once the
-//     frontier is large enough to amortize the forks (below
-//     parMinFrontier nodes a round runs sequentially). Both paths yield
-//     bit-identical frontiers, view ids, and Results.
+//   - Every round runs on the calling goroutine; the final round fuses
+//     its leaf scan into the growth sweep. Concurrency lives one level
+//     up: independent requests run independent engines.
 //   - EarlyExit truncates only the leaf scan (never frontier growth,
 //     which later rounds depend on). An unsolvable horizon then reports
 //     its verdict alone — Solvable=false, Exhaustive=false, zero counts
@@ -49,13 +44,11 @@ import (
 type Engine struct {
 	st  Stepper
 	opt Options
-	// sctx wraps the root interner. Unless BuildGraph needs it, the
-	// creation log is off (nothing absorbs *into* a root), shaving an
-	// append per new view; worker forks taken from it log as usual.
+	// sctx wraps the interner. Unless BuildGraph needs it, the creation
+	// log is off, shaving an append per new view.
 	sctx *Ctx
 
 	n, na, all1 int
-	workers     int
 	horizon     int
 
 	// Frontier at the current horizon, parallel slices: automaton
@@ -68,13 +61,11 @@ type Engine struct {
 
 	// Double buffers: a round builds the next frontier in the sp*
 	// slices and swaps, so steady-state rounds allocate only on
-	// high-water growth. chunks are growPar's per-worker forks and
-	// buffers, kept across rounds.
+	// high-water growth.
 	spStates []int
 	spInputs []int32
 	spViews  []int
 	growBuf  []int
-	chunks   []growChunk
 	// lastNodes/lastChildren record the previous round's fan-out so the
 	// next round's buffers can be presized (killing append-doubling
 	// copies on geometric frontiers).
@@ -112,49 +103,35 @@ const (
 	scanPollStride = 4096
 )
 
-// parMinFrontier is the frontier size below which a round runs
-// sequentially even when Options.Parallel is set: forking and absorbing
-// per-worker interners only pays for itself on bulk rounds.
-const parMinFrontier = 4096
-
 // NewEngine returns an engine positioned at horizon 0 (the frontier is
 // the 2^n input-assignment roots, or empty when the Stepper admits no
 // history at all).
 func NewEngine(st Stepper, opt Options) *Engine {
 	n := st.NumProcs()
-	workers := 1
-	if opt.Parallel {
-		workers = opt.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-	}
 	e := &Engine{
-		st:      st,
-		opt:     opt,
-		n:       n,
-		na:      st.NumActions(),
-		all1:    1<<n - 1,
-		workers: workers,
+		st:   st,
+		opt:  opt,
+		n:    n,
+		na:   st.NumActions(),
+		all1: 1<<n - 1,
 	}
 	if scr := opt.Scratch; !opt.BuildGraph && scr.acquire() {
 		// Borrow the arena's storage; Release hands it back grown.
 		e.scr = scr
-		e.sctx = scr.freshRootCtx()
+		e.sctx = scr.freshCtx()
 		e.states = scr.states[:0]
 		e.inputs = scr.inputs[:0]
 		e.views = scr.views[:0]
 		e.spStates = scr.spStates[:0]
 		e.spInputs = scr.spInputs[:0]
 		e.spViews = scr.spViews[:0]
-		e.chunks = scr.chunks
 		e.uf = scr.uf
 		e.uf.reset()
 		e.vert = scr.vert
 		e.growBuf = sliceLen(scr.growBuf, n)
 	} else {
-		// Graph.EachView replays the root interner's creation log.
-		e.sctx = &Ctx{In: newInterner(nil, opt.BuildGraph)}
+		// Graph.EachView replays the interner's creation log.
+		e.sctx = &Ctx{In: newInterner(opt.BuildGraph)}
 		e.growBuf = make([]int, n)
 	}
 	if sym := symEngineFor(st, opt); sym != nil {
@@ -187,7 +164,6 @@ func (e *Engine) Release() {
 	s.inputs, s.spInputs = e.inputs, e.spInputs
 	s.views, s.spViews = e.views, e.spViews
 	s.growBuf = e.growBuf
-	s.chunks = e.chunks
 	s.uf = e.uf
 	s.vert = e.vert
 	s.release()
@@ -218,12 +194,6 @@ func (e *Engine) FrontierLen() int {
 // Graph returns the structure of the last analyzed horizon when the
 // engine was built with Options.BuildGraph, and nil otherwise.
 func (e *Engine) Graph() *Graph { return e.graph }
-
-// growStats accumulates per-ExtendTo instrumentation across rounds.
-type growStats struct {
-	forks    int
-	absorbed int
-}
 
 // reuse returns s emptied, reallocating only when capacity c is not
 // already available.
@@ -290,31 +260,22 @@ func (e *Engine) ExtendTo(ctx context.Context, r int) (Result, error) {
 	}
 	startIDs := e.sctx.In.NumIDs()
 	rounds := r - e.horizon
-	var gs growStats
 	var sink leafSink
-	fused := false
-	for e.horizon < r {
-		if e.workers > 1 && len(e.states) >= parMinFrontier {
-			if err := e.growPar(ctx, &gs); err != nil {
-				return Result{}, err
-			}
-			continue
-		}
-		// Sequential rounds fuse the final round's leaf scan into the
-		// growth sweep: each configuration streams into the union-find
-		// the moment it is appended, saving a full re-read of the new
-		// frontier.
-		var s *leafSink
-		if e.horizon == r-1 {
-			sink.reset(e, e.sctx.In.NumIDs())
-			s, fused = &sink, true
-		}
-		if err := e.grow(ctx, s); err != nil {
+	if rounds == 0 {
+		if err := e.scan(ctx, &sink); err != nil {
 			return Result{}, err
 		}
 	}
-	if !fused {
-		if err := e.scan(ctx, &sink); err != nil {
+	for e.horizon < r {
+		// The final round fuses its leaf scan into the growth sweep:
+		// each configuration streams into the union-find the moment it
+		// is appended, saving a full re-read of the new frontier.
+		var s *leafSink
+		if e.horizon == r-1 {
+			sink.reset(e, e.sctx.In.NumIDs())
+			s = &sink
+		}
+		if err := e.grow(ctx, s); err != nil {
 			return Result{}, err
 		}
 	}
@@ -333,9 +294,6 @@ func (e *Engine) ExtendTo(ctx context.Context, r int) (Result, error) {
 			Merges:            res.Vertices - res.Components,
 			ViewsInterned:     e.sctx.In.NumIDs(),
 			NewViews:          e.sctx.In.NumIDs() - startIDs,
-			Workers:           e.workers,
-			WorkerForks:       gs.forks,
-			Absorbed:          gs.absorbed,
 			Subtrees:          len(e.states),
 			SymbolicFallbacks: symFB,
 			WallNanos:         time.Since(start).Nanoseconds(),
@@ -345,10 +303,10 @@ func (e *Engine) ExtendTo(ctx context.Context, r int) (Result, error) {
 }
 
 // verdict applies the EarlyExit contract to an analyzed horizon: an
-// unsolvable one keeps its verdict alone. The fused sequential scan
-// stops at the first mixed component while the chunked scan runs to the
-// end, so partial counts would differ between core counts for one and
-// the same request.
+// unsolvable one keeps its verdict alone. Partial counts would record
+// how far a particular scan got before the first mixed component — the
+// fused sweep, a same-horizon re-scan and the symbolic backend would
+// each report their own — so none are kept.
 func (e *Engine) verdict(res Result) Result {
 	if e.opt.EarlyExit && !res.Solvable {
 		return Result{}
@@ -482,8 +440,7 @@ func (s *leafSink) result() Result {
 	}
 }
 
-// grow advances the frontier one round on the calling goroutine and,
-// when sink is non-nil, fuses the leaf scan into the sweep. The new
+// grow advances the frontier one round and, when sink is non-nil, fuses the leaf scan into the sweep. The new
 // frontier is committed only on success: a context cancellation leaves
 // the engine retryable at its previous horizon, while a Stepper panic
 // poisons it.
@@ -543,138 +500,11 @@ func (e *Engine) commit(states []int, inputs []int32, views []int) {
 	e.sctx.In.sealRound()
 }
 
-// growChunk is one worker's share of a parallel round: a contiguous
-// frontier slice grown on a forked interner. Chunks persist across
-// rounds (and, through a Scratch, across runs), so their forks and
-// buffers are reset rather than reallocated.
-type growChunk struct {
-	ctx    Ctx // ctx.In is the chunk's interner, forked from the root
-	states []int
-	inputs []int32
-	views  []int
-	nv     []int
-	err    error
-}
-
-// fork readies the chunk for a round: its interner re-forked from root
-// (the previous round's fork was fully absorbed) and its memo cleared.
-func (ch *growChunk) fork(root *Interner, n int) {
-	if ch.ctx.In == nil {
-		ch.ctx.In = NewInterner(root)
-	} else {
-		ch.ctx.In.resetChild(root)
-	}
-	ch.ctx.resetMemo()
-	ch.nv = sliceLen(ch.nv, n)
-	ch.err = nil
-}
-
-// growPar advances the frontier one round on e.workers chunked
-// goroutines. Each chunk grows on a forked interner; the merge absorbs
-// the forks in chunk order, so the committed frontier — node order and
-// view ids — is bit-identical to what the sequential grow would have
-// produced.
-func (e *Engine) growPar(ctx context.Context, gs *growStats) error {
-	n, na := e.n, e.na
-	nodes := len(e.states)
-	chunkLen := (nodes + e.workers - 1) / e.workers
-	numChunks := (nodes + chunkLen - 1) / chunkLen
-	for len(e.chunks) < numChunks {
-		e.chunks = append(e.chunks, growChunk{})
-	}
-	chunks := e.chunks[:numChunks]
-	root := e.sctx.In
-	var abort atomic.Bool
-	var wg sync.WaitGroup
-	for c := range chunks {
-		ch := &chunks[c]
-		ch.fork(root, n)
-		lo := c * chunkLen
-		hi := min(lo+chunkLen, nodes)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				// Runs after recoverStepper: a failed chunk (cancel or
-				// panic) flips abort so sibling chunks stop early.
-				if ch.err != nil {
-					abort.Store(true)
-				}
-			}()
-			defer recoverStepper(&ch.err)
-			est := e.childEstimate(hi - lo)
-			ch.states = reuse(ch.states, est)
-			ch.inputs = reuse(ch.inputs, est)
-			ch.views = reuse(ch.views, est*n)
-			for i := lo; i < hi; i++ {
-				if (i-lo)%growPollStride == 0 {
-					if cerr := ctx.Err(); cerr != nil {
-						ch.err = cerr
-						return
-					}
-					if abort.Load() {
-						return
-					}
-				}
-				vs := e.views[i*n : (i+1)*n]
-				for a := 0; a < na; a++ {
-					ns, ok := e.st.Step(&ch.ctx, e.states[i], a, vs, ch.nv)
-					if !ok {
-						continue
-					}
-					ch.states = append(ch.states, ns)
-					ch.inputs = append(ch.inputs, e.inputs[i])
-					ch.views = append(ch.views, ch.nv...)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for c := range chunks {
-		if err := chunks[c].err; err != nil {
-			if ctx.Err() == nil {
-				e.err = err
-			}
-			return err
-		}
-	}
-
-	// Merge, in chunk order: absorb each fork's creation log into the
-	// root interner and translate the chunk's view ids on the way.
-	total := 0
-	for c := range chunks {
-		total += len(chunks[c].states)
-	}
-	nextStates := reuse(e.spStates, total)
-	nextInputs := reuse(e.spInputs, total)
-	nextViews := reuse(e.spViews, total*n)
-	for c := range chunks {
-		ch := &chunks[c]
-		trans := root.absorb(ch.ctx.In)
-		gs.forks++
-		gs.absorbed += len(trans)
-		base := ch.ctx.In.base
-		for i, v := range ch.views {
-			if v >= base {
-				ch.views[i] = trans[v-base]
-			}
-		}
-		nextStates = append(nextStates, ch.states...)
-		nextInputs = append(nextInputs, ch.inputs...)
-		nextViews = append(nextViews, ch.views...)
-	}
-	e.commit(nextStates, nextInputs, nextViews)
-	return nil
-}
-
 // scan analyzes the live frontier at the current horizon without
-// growing it (the rounds == 0 path, and the path after a parallel final
-// round). Large frontiers fan out over scanPar.
+// growing it (the rounds == 0 path: horizon 0, or a same-horizon
+// re-scan).
 func (e *Engine) scan(ctx context.Context, sink *leafSink) error {
 	sink.reset(e, e.frontierBase())
-	if e.workers > 1 && len(e.states) >= parMinFrontier {
-		return e.scanPar(ctx, sink)
-	}
 	n := e.n
 	for i := range e.states {
 		if i%scanPollStride == 0 {
@@ -685,94 +515,6 @@ func (e *Engine) scan(ctx context.Context, sink *leafSink) error {
 		sink.leaf(e.views[i*n:(i+1)*n], e.inputs[i])
 		if sink.stopped {
 			break
-		}
-	}
-	return nil
-}
-
-// scanChunk is one worker's share of a parallel leaf scan: a local
-// union-find over the chunk's vertices, merged into the sink afterwards.
-type scanChunk struct {
-	uf    compUF
-	verts flatU64
-	keys  []int64
-	err   error
-}
-
-// scanPar scans the frontier on e.workers chunked goroutines and merges
-// their union-finds into sink. It always runs to the end: EarlyExit
-// could only cut a chunk short that forms a mixed component on its own,
-// and with at least two chunks none does — the all-0 input block comes
-// first in the frontier and the all-1 block last, and for steppers whose
-// admissibility ignores the inputs (all shipped ones) every block is
-// equally large, so no chunk spans both.
-func (e *Engine) scanPar(ctx context.Context, sink *leafSink) error {
-	n := e.n
-	nodes := len(e.states)
-	chunkLen := (nodes + e.workers - 1) / e.workers
-	chunks := make([]scanChunk, (nodes+chunkLen-1)/chunkLen)
-	var wg sync.WaitGroup
-	for c := range chunks {
-		ch := &chunks[c]
-		lo := c * chunkLen
-		hi := min(lo+chunkLen, nodes)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			vertex := func(proc, view int) int32 {
-				k := vertexKey(proc, view)
-				id, slot, hit := ch.verts.probe(packVertex(k))
-				if hit {
-					return id
-				}
-				id = ch.uf.add()
-				ch.verts.setAt(slot, packVertex(k), id)
-				ch.keys = append(ch.keys, k)
-				return id
-			}
-			for i := lo; i < hi; i++ {
-				if (i-lo)%scanPollStride == 0 {
-					if cerr := ctx.Err(); cerr != nil {
-						ch.err = cerr
-						return
-					}
-				}
-				vs := e.views[i*n : (i+1)*n]
-				root := ch.uf.find(vertex(0, vs[0]))
-				for p := 1; p < n; p++ {
-					root = ch.uf.union(root, vertex(p, vs[p]))
-				}
-				switch e.inputs[i] {
-				case 0:
-					ch.uf.mark(root, flagHas0)
-				case int32(e.all1):
-					ch.uf.mark(root, flagHas1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for c := range chunks {
-		if err := chunks[c].err; err != nil {
-			return err
-		}
-	}
-
-	// Merge the chunk union-finds through the dense window.
-	guf := &e.uf
-	for c := range chunks {
-		ch := &chunks[c]
-		gid := make([]int32, len(ch.keys))
-		for i, k := range ch.keys {
-			gid[i] = sink.vertex(int(k&vertProcMask), int(k>>vertProcBits))
-		}
-		for i := range ch.keys {
-			guf.union(gid[i], gid[ch.uf.find(int32(i))])
-		}
-		for i := range ch.keys {
-			if ch.uf.parent[i] == int32(i) && ch.uf.flag[i] != 0 {
-				guf.mark(gid[i], ch.uf.flag[i])
-			}
 		}
 	}
 	return nil

@@ -82,8 +82,8 @@ func TestEngineObserverPerRound(t *testing.T) {
 		if s.Configs != 4*pow2(i) {
 			t.Fatalf("snapshot %d: Configs=%d want %d", i, s.Configs, 4*pow2(i))
 		}
-		if s.Workers != 1 || s.Subtrees != engFrontierWant(i) {
-			t.Fatalf("snapshot %d: Workers=%d Subtrees=%d", i, s.Workers, s.Subtrees)
+		if s.Subtrees != engFrontierWant(i) {
+			t.Fatalf("snapshot %d: Subtrees=%d", i, s.Subtrees)
 		}
 	}
 	// Views interned grows monotonically and NewViews sums to the total.
@@ -103,7 +103,7 @@ func engFrontierWant(r int) int { return int(4 * pow2(r)) }
 func TestEngineObserverOnRun(t *testing.T) {
 	var got []Stats
 	res, _, err := RunChecked(context.Background(), binStepper{}, 3,
-		Options{Parallel: true, Workers: 2, Observer: func(s Stats) { got = append(got, s) }})
+		Options{Observer: func(s Stats) { got = append(got, s) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +114,11 @@ func TestEngineObserverOnRun(t *testing.T) {
 	if s.Horizon != 3 || s.Rounds != 3 || s.Configs != res.Configs || s.Vertices != res.Vertices {
 		t.Fatalf("run stats %+v vs result %+v", s, res)
 	}
-	if s.Workers != 2 || s.Subtrees != engFrontierWant(3) {
-		t.Fatalf("run stats missing pool info: %+v", s)
+	if s.Subtrees != engFrontierWant(3) {
+		t.Fatalf("run stats missing frontier info: %+v", s)
+	}
+	if s.WorkerForks != 0 || s.Absorbed != 0 {
+		t.Fatalf("deprecated fork gauges must stay zero: %+v", s)
 	}
 }
 

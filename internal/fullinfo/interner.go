@@ -12,11 +12,7 @@ import (
 //	-1         null reception (a dropped message)
 //	-2 - bit   initial view of a process whose input bit is bit (InitView)
 //
-// Interners hand out ids from a contiguous range. A worker-local
-// interner forks from the shared one: it resolves hits against the
-// (frozen) shared tables first and allocates its misses from its own
-// range, recording a creation log so the ids can be canonicalized into
-// the shared space at merge time (absorb).
+// An interner hands out ids densely from 0, in creation order.
 
 // InitView returns the sentinel view id of a process that has seen
 // nothing but its own input bit (0 or 1).
@@ -35,101 +31,63 @@ type internEntry struct {
 const maxInternID = math.MaxInt32
 
 // Interner hash-conses full-information views and received-view tuples
-// into dense integer ids. Views and tuples share one id space. The view
-// fast path is an open-addressed flat table (flatU64) rather than a Go
-// map: View is the single hottest call of the engine, and the flat
-// probe costs one multiply plus (usually) one cache line.
+// into dense integer ids. Views and tuples share one id space. View is
+// the single hottest call of the engine, so views live in flat
+// direct-indexed shards (viewShard) rather than a Go map.
 //
-// Root interners additionally shard the view table by round. The
-// incremental engine seals a boundary after every frontier round
-// (sealRound), and an entry (prev, recv) is placed in — and looked up
-// from — the shard indexed by prev's round plus one. Any two calls
-// with the same key compute the same shard, so hash-consing stays
-// exact for arbitrary steppers; for the generational steppers in this
-// repository (every view's prev comes from the previous frontier) the
-// effect is that the hot probe touches a table sized like one round,
-// not like the whole history, and the cumulative table's ever-growing
-// rehashes disappear. Child forks keep a single local table: they live
-// within one round.
+// The view table is sharded by round. The incremental engine seals a
+// boundary after every frontier round (sealRound), and an entry
+// (prev, recv) is placed in — and looked up from — the shard indexed by
+// prev's round plus one. Any two calls with the same key compute the
+// same shard, so hash-consing stays exact for arbitrary steppers; for
+// the generational steppers in this repository (every view's prev comes
+// from the previous frontier) the effect is that the hot probe touches
+// a table sized like one round, not like the whole history, and the
+// cumulative table's ever-growing rehashes disappear.
 type Interner struct {
-	parent *Interner // read-only while any child is in use
-	base   int       // first id this interner may assign
 	next   int
-	shards []viewShard // root view tables, bucketed by shardIdx
+	shards []viewShard // view tables, bucketed by shardIdx
 	bounds []int       // round boundaries: bounds[i] = first id after seal i
-	views  flatU64     // child-local view table
 	tuples map[string]int
-	// logging records a creation log for this interner's own ids. It is
-	// required on forked children (absorb replays the child log) and for
-	// EachView on a root; the incremental engine's root interner runs
-	// with it off, skipping one append per created id.
+	// logging records a creation log, which EachView replays. Only
+	// BuildGraph needs it; the engine otherwise runs with it off,
+	// skipping one append per created id.
 	logging bool
 	log     []internEntry
 	arena   []int // tuple value storage, referenced by log entries
 	keyBuf  []byte
 }
 
-// NewInterner returns a logging interner allocating ids from
-// parent.next (or 0 when parent is nil). The parent must not be mutated
-// while the child is in use.
-func NewInterner(parent *Interner) *Interner {
-	return newInterner(parent, true)
-}
-
-func newInterner(parent *Interner, logging bool) *Interner {
-	base := 0
-	if parent != nil {
-		base = parent.next
-	}
+func newInterner(logging bool) *Interner {
 	return &Interner{
-		parent:  parent,
-		base:    base,
-		next:    base,
 		tuples:  map[string]int{},
 		logging: logging,
 		keyBuf:  make([]byte, 0, 64),
 	}
 }
 
-// resetRoot restores a root interner to the state newInterner(nil,
-// false) constructs, keeping every table's capacity: shard arrays are
-// zeroed in place and re-adopted by shardFor, the tuple map is cleared,
-// and the log/arena truncate. Scratch reuse only (whose engines never
-// log: BuildGraph bypasses the arena); the interner must have no live
-// children.
-func (in *Interner) resetRoot() {
-	in.parent = nil
-	in.base, in.next = 0, 0
+// reset restores the interner to the state newInterner(false)
+// constructs, keeping every table's capacity: shard arrays are zeroed
+// in place and re-adopted by shardFor, the tuple map is cleared, and
+// the log/arena truncate. Scratch reuse only (whose engines never log:
+// BuildGraph bypasses the arena).
+func (in *Interner) reset() {
+	in.next = 0
 	for i := range in.shards {
 		in.shards[i].clearKeep()
 	}
 	in.shards = in.shards[:0]
 	in.bounds = in.bounds[:0]
-	in.views.reset()
 	clear(in.tuples)
 	in.logging = false
 	in.log = in.log[:0]
 	in.arena = in.arena[:0]
 }
 
-// resetChild restores a child interner to the state NewInterner(parent)
-// constructs, keeping table capacity. The previous fork must have been
-// fully absorbed (or abandoned) first.
-func (in *Interner) resetChild(parent *Interner) {
-	in.parent = parent
-	in.base = parent.next
-	in.next = in.base
-	in.views.reset()
-	clear(in.tuples)
-	in.logging = true
-	in.log = in.log[:0]
-	in.arena = in.arena[:0]
-}
-
 // sealRound records a round boundary: ids created from now on belong
 // to a new round, and view entries keyed by a pre-seal prev land in a
-// fresh shard. Root interners only; the incremental engine calls this
-// after committing each frontier round.
+// fresh shard. The incremental engine calls this after committing each
+// frontier round.
 func (in *Interner) sealRound() {
 	in.bounds = append(in.bounds, in.next)
 }
@@ -167,7 +125,7 @@ func (in *Interner) shardFor(prev int) *viewShard {
 		k := len(in.shards)
 		if k < cap(in.shards) {
 			// Re-adopt a retired shard's storage (zeroed by clearKeep
-			// during resetRoot), so arena reuse keeps shard capacity.
+			// during reset), so arena reuse keeps shard capacity.
 			in.shards = in.shards[:k+1]
 		} else {
 			in.shards = append(in.shards, viewShard{})
@@ -197,38 +155,9 @@ func (in *Interner) shardLo(k int) int {
 	}
 }
 
-// shardGet is the read-only lookup used when probing a frozen parent.
-func (in *Interner) shardGet(prev, recv int) (int32, bool) {
-	i := in.shardIdx(prev)
-	if i >= len(in.shards) {
-		return 0, false
-	}
-	return in.shards[i].lookup(prev, recv)
-}
-
 // View interns the full-information view "previous view prev, then
 // received recv" (recv is a view id, a tuple id, or -1 for null).
 func (in *Interner) View(prev, recv int) int {
-	if in.parent != nil {
-		// A parent entry's key components are ids the parent assigned
-		// (or sentinels); child-local ids cannot appear in its tables.
-		if prev < in.parent.next && recv < in.parent.next {
-			if id, ok := in.parent.shardGet(prev, recv); ok {
-				return int(id)
-			}
-		}
-		k := packView(prev, recv)
-		id32, slot, hit := in.views.probe(k)
-		if hit {
-			return int(id32)
-		}
-		id := in.newID()
-		in.views.setAt(slot, k, int32(id))
-		if in.logging {
-			in.log = append(in.log, internEntry{a: prev, b: recv})
-		}
-		return id
-	}
 	sh := in.shardFor(prev)
 	if id, ok := sh.lookup(prev, recv); ok {
 		return int(id)
@@ -260,19 +189,10 @@ func (in *Interner) Tuple(vals []int) int {
 		b = binary.AppendVarint(b, int64(v))
 	}
 	in.keyBuf = b
-	if in.parent != nil {
-		if id, ok := in.parent.tuples[string(b)]; ok {
-			return id
-		}
-	}
 	if id, ok := in.tuples[string(b)]; ok {
 		return id
 	}
-	id := in.next
-	if id > maxInternID {
-		panic("fullinfo: interner id space exhausted")
-	}
-	in.next++
+	id := in.newID()
 	in.tuples[string(b)] = id
 	if in.logging {
 		off := len(in.arena)
@@ -282,43 +202,16 @@ func (in *Interner) Tuple(vals []int) int {
 	return id
 }
 
-// NumIDs returns the number of ids assigned by this interner chain.
+// NumIDs returns the number of ids assigned so far.
 func (in *Interner) NumIDs() int { return in.next }
 
-// absorb replays a child interner's creation log against in,
-// canonicalizing every locally assigned id. It returns trans with
-// trans[id-child.base] = canonical id. Log order guarantees that any id
-// referenced by an entry's key was created (hence translated) earlier.
-func (in *Interner) absorb(child *Interner) []int {
-	trans := make([]int, len(child.log))
-	tr := func(id int) int {
-		if id >= child.base {
-			return trans[id-child.base]
-		}
-		return id
-	}
-	var buf []int
-	for i, e := range child.log {
-		if e.tuple {
-			buf = buf[:0]
-			for _, v := range child.arena[e.a : e.a+e.b] {
-				buf = append(buf, tr(v))
-			}
-			trans[i] = in.Tuple(buf)
-		} else {
-			trans[i] = in.View(tr(e.a), tr(e.b))
-		}
-	}
-	return trans
-}
-
 // EachView calls f for every interned view (prev, recv) → id, in
-// creation order. Tuples are skipped. Only meaningful on a logging root
-// interner (base 0), where ids equal log positions.
+// creation order. Tuples are skipped. Only meaningful on a logging
+// interner, where ids equal log positions.
 func (in *Interner) EachView(f func(prev, recv, id int)) {
 	for i, e := range in.log {
 		if !e.tuple {
-			f(e.a, e.b, in.base+i)
+			f(e.a, e.b, i)
 		}
 	}
 }

@@ -1,8 +1,7 @@
 package fullinfo
 
-// Scratch is an arena of engine state — the root interner's shard
-// tables, the parallel-round chunks with their forked interners, the
-// frontier's parallel slices, and the leaf-scan union-find — reused
+// Scratch is an arena of engine state — the interner's shard tables,
+// the frontier's parallel slices, and the leaf-scan union-find — reused
 // across runs instead of reallocated per call. A service handling a
 // stream of cache-miss requests hands the same Scratch (typically from
 // a sync.Pool) to each one via Options.Scratch and the flat tables
@@ -19,15 +18,14 @@ package fullinfo
 // paths restore exactly the state a fresh allocation starts from, and
 // the differential tests in scratch_test.go pin this.
 type Scratch struct {
-	root    *Interner
-	rootCtx Ctx
+	in  *Interner
+	ctx Ctx
 
 	// Engine arenas (see Engine).
 	states, spStates []int
 	inputs, spInputs []int32
 	views, spViews   []int
 	growBuf          []int
-	chunks           []growChunk
 	uf               compUF
 	vert             []int32
 
@@ -56,19 +54,19 @@ func (s *Scratch) release() {
 	}
 }
 
-// freshRootCtx resets the reusable root interner for a new run (creation
+// freshCtx resets the reusable interner for a new run (creation
 // log off: only BuildGraph needs it, and BuildGraph bypasses the arena)
-// and wraps it in the reusable root Ctx.
-func (s *Scratch) freshRootCtx() *Ctx {
-	if s.root == nil {
-		s.root = newInterner(nil, false)
+// and wraps it in the reusable Ctx.
+func (s *Scratch) freshCtx() *Ctx {
+	if s.in == nil {
+		s.in = newInterner(false)
 	} else {
-		s.root.resetRoot()
+		s.in.reset()
 	}
-	s.rootCtx.In = s.root
-	s.rootCtx.buf = s.rootCtx.buf[:0]
-	s.rootCtx.resetMemo()
-	return &s.rootCtx
+	s.ctx.In = s.in
+	s.ctx.buf = s.ctx.buf[:0]
+	s.ctx.resetMemo()
+	return &s.ctx
 }
 
 // sliceLen returns a length-n slice reusing s's storage when possible.

@@ -63,26 +63,22 @@ var scratchCases = []struct {
 }
 
 func TestScratchRunCheckedDifferential(t *testing.T) {
-	for _, par := range []bool{false, true} {
-		scr := NewScratch()
-		// One shared Scratch across the whole interleaved sequence.
-		for _, tc := range scratchCases {
-			opt := Options{Parallel: par, Workers: 4}
-			want, _, err := RunChecked(context.Background(), tc.st, tc.r, opt)
-			if err != nil {
-				t.Fatalf("%s fresh: %v", tc.name, err)
-			}
-			opt.Scratch = scr
-			got, _, err := RunChecked(context.Background(), tc.st, tc.r, opt)
-			if err != nil {
-				t.Fatalf("%s scratch: %v", tc.name, err)
-			}
-			if got != want {
-				t.Fatalf("%s parallel=%v: scratch %+v != fresh %+v", tc.name, par, got, want)
-			}
-			if scr.inUse {
-				t.Fatalf("%s: scratch still marked in use after RunChecked", tc.name)
-			}
+	// One shared Scratch across the whole interleaved sequence.
+	scr := NewScratch()
+	for _, tc := range scratchCases {
+		want, _, err := RunChecked(context.Background(), tc.st, tc.r, Options{})
+		if err != nil {
+			t.Fatalf("%s fresh: %v", tc.name, err)
+		}
+		got, _, err := RunChecked(context.Background(), tc.st, tc.r, Options{Scratch: scr})
+		if err != nil {
+			t.Fatalf("%s scratch: %v", tc.name, err)
+		}
+		if got != want {
+			t.Fatalf("%s: scratch %+v != fresh %+v", tc.name, got, want)
+		}
+		if scr.inUse {
+			t.Fatalf("%s: scratch still marked in use after RunChecked", tc.name)
 		}
 	}
 }
@@ -90,50 +86,22 @@ func TestScratchRunCheckedDifferential(t *testing.T) {
 func TestScratchEngineDifferential(t *testing.T) {
 	scr := NewScratch()
 	for _, tc := range scratchCases {
-		for _, par := range []bool{false, true} {
-			fresh := NewEngine(tc.st, Options{Parallel: par, Workers: 4})
-			reused := NewEngine(tc.st, Options{Parallel: par, Workers: 4, Scratch: scr})
-			for r := 0; r <= tc.r; r++ {
-				want, err := fresh.ExtendTo(context.Background(), r)
-				if err != nil {
-					t.Fatalf("%s fresh r=%d: %v", tc.name, r, err)
-				}
-				got, err := reused.ExtendTo(context.Background(), r)
-				if err != nil {
-					t.Fatalf("%s scratch r=%d: %v", tc.name, r, err)
-				}
-				if got != want {
-					t.Fatalf("%s parallel=%v r=%d: scratch %+v != fresh %+v", tc.name, par, r, got, want)
-				}
+		fresh := NewEngine(tc.st, Options{})
+		reused := NewEngine(tc.st, Options{Scratch: scr})
+		for r := 0; r <= tc.r; r++ {
+			want, err := fresh.ExtendTo(context.Background(), r)
+			if err != nil {
+				t.Fatalf("%s fresh r=%d: %v", tc.name, r, err)
 			}
-			reused.Release()
+			got, err := reused.ExtendTo(context.Background(), r)
+			if err != nil {
+				t.Fatalf("%s scratch r=%d: %v", tc.name, r, err)
+			}
+			if got != want {
+				t.Fatalf("%s r=%d: scratch %+v != fresh %+v", tc.name, r, got, want)
+			}
 		}
-	}
-}
-
-// TestScratchEngineParallelRounds pushes the frontier past
-// parMinFrontier so growPar (and the child-fork freelist) actually
-// runs, twice through the same Scratch.
-func TestScratchEngineParallelRounds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large frontier")
-	}
-	const r = 12 // frontier 4·2^12 = 16384 ≥ parMinFrontier
-	want, _, err := RunChecked(context.Background(), binStepper{}, r, Options{Parallel: true, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scr := NewScratch()
-	for pass := 0; pass < 2; pass++ {
-		eng := NewEngine(binStepper{}, Options{Parallel: true, Workers: 4, Scratch: scr})
-		got, err := eng.ExtendTo(context.Background(), r)
-		if err != nil {
-			t.Fatalf("pass %d: %v", pass, err)
-		}
-		eng.Release()
-		if got != want {
-			t.Fatalf("pass %d: scratch %+v != fresh %+v", pass, got, want)
-		}
+		reused.Release()
 	}
 }
 

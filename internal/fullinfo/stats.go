@@ -26,13 +26,17 @@ type Stats struct {
 	// created.
 	ViewsInterned int
 	NewViews      int
-	// Workers is the pool size used; WorkerForks counts worker-local
-	// interner forks (0 on sequential paths); Absorbed counts
-	// creation-log entries canonicalized back into the shared interner
-	// during the merge phase.
-	Workers     int
+	// WorkerForks is always zero: every round runs on the engine's one
+	// goroutine, so no interner is ever forked.
+	//
+	// Deprecated: kept only because verdictbench/layers.go:311–312
+	// still reads it.
 	WorkerForks int
-	Absorbed    int
+	// Absorbed is always zero: no forked interner is ever merged back.
+	//
+	// Deprecated: kept only because verdictbench/layers.go:311–312
+	// still reads it.
+	Absorbed int
 	// Subtrees is the live frontier length after the invocation.
 	Subtrees int
 	// SymbolicRounds is how many of this invocation's rounds the
@@ -89,11 +93,6 @@ func (s *Stats) Merge(o Stats) {
 	s.Merges = o.Merges
 	s.ViewsInterned = o.ViewsInterned
 	s.NewViews += o.NewViews
-	if o.Workers > s.Workers {
-		s.Workers = o.Workers
-	}
-	s.WorkerForks += o.WorkerForks
-	s.Absorbed += o.Absorbed
 	s.Subtrees = o.Subtrees
 	s.SymbolicRounds += o.SymbolicRounds
 	s.Intervals = o.Intervals

@@ -478,7 +478,6 @@ func (e *symEngine) stats(res Result, rounds int, start time.Time, fallbacks int
 		Components:        res.Components,
 		MixedComponents:   res.MixedComponents,
 		Merges:            res.Vertices - res.Components,
-		Workers:           1,
 		SymbolicRounds:    rounds,
 		Intervals:         e.intervals,
 		IntervalRuns:      e.lastRuns,

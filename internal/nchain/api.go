@@ -30,8 +30,8 @@ type Request struct {
 	// component; an unsolvable horizon then reports its verdict alone
 	// (every count zero), a solvable one its exact counts.
 	VerdictOnly bool
-	// Engine optionally tunes the streaming engine; nil means
-	// fullinfo.Defaults(). EarlyExit and Observer are managed by
+	// Engine optionally tunes the streaming engine; nil means the zero
+	// fullinfo.Options. EarlyExit and Observer are managed by
 	// Analyze.
 	Engine *fullinfo.Options
 	// Observer receives one fullinfo.Stats snapshot per engine run or
@@ -89,7 +89,7 @@ func Analyze(ctx context.Context, req Request) (Report, error) {
 	} else {
 		st = knStepper(n, req.F)
 	}
-	opt := fullinfo.Defaults()
+	var opt fullinfo.Options
 	if req.Engine != nil {
 		opt = *req.Engine
 	}

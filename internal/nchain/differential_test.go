@@ -15,26 +15,20 @@ var nfCases = []struct{ n, f, maxR int }{
 	{2, 0, 3}, {2, 1, 3},
 	{3, 0, 2}, {3, 1, 2}, {3, 2, 2},
 	{4, 0, 2}, {4, 1, 2}, {4, 2, 1}, {4, 3, 1},
-	// K_2 at f=1 crosses parMinFrontier before its last round, so the
-	// chunked grow and scan run too.
+	// K_2 at f=1 runs deep: its horizon-8 frontier holds 4·3^8 nodes.
 	{2, 1, 8},
 }
 
 // TestEngineMatchesSequential pins the engine against the sequential
 // reference for K_n over n ∈ {2,3,4}, f ∈ {0..n-1}: identical Analysis
-// values, with both a single worker and a pool (which drives the
-// chunked grow/merge paths under -race once a frontier is large).
+// values.
 func TestEngineMatchesSequential(t *testing.T) {
 	for _, tc := range nfCases {
 		for r := 0; r <= tc.maxR; r++ {
 			want := analyzeSequential(tc.n, tc.f, r)
-			for _, workers := range []int{1, 4} {
-				got := analyze(t, Request{N: tc.n, F: tc.f, Horizon: r,
-					Engine: &fullinfo.Options{Parallel: true, Workers: workers}}).Analysis
-				if got != want {
-					t.Errorf("n=%d f=%d r=%d workers=%d: engine %+v != sequential %+v",
-						tc.n, tc.f, r, workers, got, want)
-				}
+			got := analyze(t, Request{N: tc.n, F: tc.f, Horizon: r}).Analysis
+			if got != want {
+				t.Errorf("n=%d f=%d r=%d: engine %+v != sequential %+v", tc.n, tc.f, r, got, want)
 			}
 			if got := analyze(t, Request{N: tc.n, F: tc.f, Horizon: r, VerdictOnly: true}).Solvable; got != want.Solvable {
 				t.Errorf("n=%d f=%d r=%d: verdict-only Solvable=%v want %v",
@@ -44,29 +38,28 @@ func TestEngineMatchesSequential(t *testing.T) {
 	}
 }
 
+// graphCases are the arbitrary-topology grid points: path, cycle, and
+// star graphs at small horizons.
+var graphCases = []struct {
+	name string
+	g    *graph.Graph
+	f, r int
+}{
+	{"path-3", graph.Path(3), 0, 2},
+	{"path-3", graph.Path(3), 1, 2},
+	{"cycle-4", graph.Cycle(4), 1, 1},
+	{"star-4", graph.Star(4), 0, 2},
+	{"star-4", graph.Star(4), 1, 1},
+}
+
 // TestGraphEngineMatchesSequential does the same for arbitrary
-// topologies: path, cycle, and star graphs at small horizons.
+// topologies.
 func TestGraphEngineMatchesSequential(t *testing.T) {
-	cases := []struct {
-		name string
-		g    *graph.Graph
-		f, r int
-	}{
-		{"path-3", graph.Path(3), 0, 2},
-		{"path-3", graph.Path(3), 1, 2},
-		{"cycle-4", graph.Cycle(4), 1, 1},
-		{"star-4", graph.Star(4), 0, 2},
-		{"star-4", graph.Star(4), 1, 1},
-	}
-	for _, tc := range cases {
+	for _, tc := range graphCases {
 		want := graphAnalyzeSequential(tc.g, tc.f, tc.r)
-		for _, workers := range []int{1, 4} {
-			got := analyze(t, Request{Graph: tc.g, F: tc.f, Horizon: tc.r,
-				Engine: &fullinfo.Options{Parallel: true, Workers: workers}}).Analysis
-			if got != want {
-				t.Errorf("%s f=%d r=%d workers=%d: engine %+v != sequential %+v",
-					tc.name, tc.f, tc.r, workers, got, want)
-			}
+		got := analyze(t, Request{Graph: tc.g, F: tc.f, Horizon: tc.r}).Analysis
+		if got != want {
+			t.Errorf("%s f=%d r=%d: engine %+v != sequential %+v", tc.name, tc.f, tc.r, got, want)
 		}
 		if got := analyze(t, Request{Graph: tc.g, F: tc.f, Horizon: tc.r, VerdictOnly: true}).Solvable; got != want.Solvable {
 			t.Errorf("%s f=%d r=%d: verdict-only Solvable=%v want %v",
@@ -183,22 +176,5 @@ func TestAnalyzeMinRoundsMatchesRestartSearch(t *testing.T) {
 	}
 	if rep.Found != wantOK || rep.Rounds != wantR {
 		t.Errorf("star-4 f=0: MinRounds %+v, want found=%v at %d", rep.Analysis, wantOK, wantR)
-	}
-}
-
-// TestVerdictOnlyReportIgnoresWorkers: a VerdictOnly network report must
-// not depend on the pool size; apart from the scheduling gauges, the
-// reports at 1, 2 and 4 workers must be equal.
-func TestVerdictOnlyReportIgnoresWorkers(t *testing.T) {
-	var want Report
-	for i, w := range []int{1, 2, 4} {
-		rep := analyze(t, Request{Graph: graph.Cycle(4), F: 1, Horizon: 2, VerdictOnly: true,
-			Engine: &fullinfo.Options{Parallel: true, Workers: w}})
-		rep.Stats.WallNanos, rep.Stats.Workers, rep.Stats.WorkerForks, rep.Stats.Absorbed = 0, 0, 0, 0
-		if i == 0 {
-			want = rep
-		} else if rep != want {
-			t.Errorf("workers=%d: %+v\n != workers=1: %+v", w, rep, want)
-		}
 	}
 }

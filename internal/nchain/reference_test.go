@@ -274,8 +274,8 @@ func graphAnalyzeSequential(g *graph.Graph, f, r int) Analysis {
 }
 
 // BenchmarkNProcAnalyzeSequential is the sequential side of the
-// n-process engine ablation; BenchmarkNProcAnalyzeParallel in the root
-// package runs the same instance on a full worker pool.
+// n-process engine ablation; BenchmarkNProcAnalyzeEngine in the root
+// package runs the same instance on the streaming engine.
 func BenchmarkNProcAnalyzeSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if !analyzeSequential(3, 1, 2).Solvable {

@@ -410,22 +410,14 @@ func CanonicalGraphKey(g *coordattack.Graph) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// engineOptions builds the per-request engine options: the defaults with
-// the server-wide backend selection applied.
-func (s *Server) engineOptions() *coordattack.EngineOptions {
-	eng := coordattack.EngineDefaults()
-	eng.Backend = s.cfg.Backend
-	return &eng
-}
-
-// engineRunOptions is engineOptions plus a pooled scratch arena, so
+// engineRunOptions builds the per-request engine options: the
+// server-wide backend selection plus a pooled scratch arena, so
 // consecutive cache-miss runs reuse the engine's flat tables instead of
 // reallocating them. The returned release returns the arena to the
 // pool; call it only after the engine run has fully finished.
 func (s *Server) engineRunOptions() (*coordattack.EngineOptions, func()) {
-	eng := s.engineOptions()
 	scr := scratchPool.Get().(*coordattack.EngineScratch)
-	eng.Scratch = scr
+	eng := &coordattack.EngineOptions{Backend: s.cfg.Backend, Scratch: scr}
 	return eng, func() { scratchPool.Put(scr) }
 }
 

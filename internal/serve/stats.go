@@ -57,7 +57,7 @@ func engineStatsOf(st coordattack.EngineStats) *engineStatsJSON {
 		MixedComponents: st.MixedComponents,
 		Merges:          st.Merges,
 		ViewsInterned:   st.ViewsInterned,
-		Workers:         st.Workers,
+		Workers:         1, // every engine run is one goroutine; the v2 frame keeps the slot
 		WallNanos:       st.WallNanos,
 	}
 	if st.SymbolicRounds > 0 || st.SymbolicFallbacks > 0 {

@@ -2,8 +2,10 @@
 # verify.sh — the full pre-merge gate.
 #
 # Tier 1 (must stay green): build + tests.
-# Extended: gofmt staleness + vet + race (the differential tests drive
-# the fullinfo parallel rounds, so races in the engine fail here) + the
+# Extended: gofmt staleness + vet + race (an engine run is one
+# goroutine, so this guards request-level concurrency: the chain and
+# nchain tests that share one scratch-arena pool across eight goroutines,
+# and the serve suites) + the
 # verdictbench module's vet and tests + the engine and service suites at
 # GOMAXPROCS 1, 2 and 4 + a short native-fuzz pass per fuzz target (go
 # test runs one -fuzz target per invocation) + a capserved lifecycle smoke (serve, query, SIGTERM,
@@ -39,7 +41,9 @@ echo "== verdictbench module (vet + test) =="
 echo "== GOMAXPROCS matrix (engine + service, -cpu 1,2,4) =="
 # Verdict bodies must not depend on scheduling: the engine and service
 # suites run at three core counts, three times each, so a report that
-# varies with the worker count fails here instead of shipping.
+# varies with how concurrent requests interleave (shared scratch pools,
+# the server's admission and singleflight paths) fails here instead of
+# shipping.
 go test -cpu 1,2,4 -count=3 ./internal/fullinfo ./internal/chain ./internal/nchain ./internal/serve/...
 
 echo "== serve alloc gates (unraced, JSON + binary) =="
