@@ -96,6 +96,69 @@ func BenchmarkThm38SpecialPair(b *testing.B) {
 	}
 }
 
+// minusCorpus is the in-repo micro-counterpart of verdictbench's
+// miss-writes workload: its five Γ bases, each minus single contained
+// ultimately periodic scenarios.
+var minusCorpus = []struct {
+	base  string
+	minus []string
+}{
+	{"R1", []string{"w.b(.)", "..(wb)", "b(w.)", ".ww(b..)", "wbw.(w)"}},
+	{"Fair", []string{"w(.)", "bw(.b)", "(.wb)", "..w(w.)"}},
+	{"AlmostFair", []string{"(w)", "b.(.)", "wwb(b.w)", ".(wb.)"}},
+	{"K2", []string{"w..(.)", ".b.w(.)", "....(.)"}},
+	{"S1", []string{"ww(w)", "..(.b)", "b.b(b)", ".(.)"}},
+}
+
+// minusSchemes compiles minusCorpus, one scheme per removed scenario.
+func minusSchemes(b *testing.B) []*scheme.Scheme {
+	var out []*scheme.Scheme
+	for _, c := range minusCorpus {
+		base, err := scheme.ByName(c.base)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range c.minus {
+			sc := omission.MustScenario(m)
+			if !base.Contains(sc) {
+				b.Fatalf("%s does not contain %s", c.base, m)
+			}
+			out = append(out, scheme.Minus(c.base+"-"+m, base, sc))
+		}
+	}
+	return out
+}
+
+// THM-III8 — classifying the miss-writes style Γ-minus automata.
+func BenchmarkClassifyMinus(b *testing.B) {
+	schemes := minusSchemes(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range schemes {
+			if _, err := classify.Classify(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// Compiling the miss-writes style Γ-minus automata: Minus (product and
+// condense) plus the prefix DFA.
+func BenchmarkMinusCompile(b *testing.B) {
+	minusSchemes(b) // validates the corpus
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range minusCorpus {
+			base, _ := scheme.ByName(c.base)
+			for _, m := range c.minus {
+				scheme.Minus(c.base+"-"+m, base, omission.MustScenario(m)).PrefixDFA()
+			}
+		}
+	}
+}
+
 // PROP-III12 — a full A_w execution per iteration.
 func BenchmarkPropIII12AW(b *testing.B) {
 	witness := omission.MustScenario("(b)")

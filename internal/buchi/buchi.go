@@ -113,19 +113,24 @@ func (d *DBA) AcceptsUP(u, v []Symbol) bool {
 	}
 }
 
-// NBA converts the DBA to an equivalent NBA.
+// NBA converts the DBA to an equivalent NBA. Its rows and singleton
+// successor sets are sliced from two backing arrays.
 func (d *DBA) NBA() *NBA {
-	n := d.NumStates()
+	n, alphabet := d.NumStates(), d.Alphabet
 	nba := &NBA{
-		Alphabet:  d.Alphabet,
+		Alphabet:  alphabet,
 		Start:     []State{d.Start},
 		Delta:     make([][][]State, n),
 		Accepting: append([]bool(nil), d.Accepting...),
 	}
+	rows := make([][]State, n*alphabet)
+	succ := make([]State, n*alphabet)
 	for q := 0; q < n; q++ {
-		nba.Delta[q] = make([][]State, d.Alphabet)
-		for a := 0; a < d.Alphabet; a++ {
-			nba.Delta[q][a] = []State{d.Delta[q][a]}
+		base := q * alphabet
+		nba.Delta[q] = rows[base : base+alphabet : base+alphabet]
+		for a := 0; a < alphabet; a++ {
+			succ[base+a] = d.Delta[q][a]
+			rows[base+a] = succ[base+a : base+a+1 : base+a+1]
 		}
 	}
 	return nba
@@ -159,39 +164,48 @@ func EmptyDBA(alphabet int) *DBA {
 // i-th component is accepting; accepting product states are those with
 // index 0 whose d-component is accepting. Both acceptance sets are then
 // visited infinitely often iff the index cycles forever.
+//
+// Only the reachable product is built, numbered in breadth-first order
+// from the start (the numbering Trim gives the full product), with every
+// row sliced from one backing array.
 func (d *DBA) Intersect(e *DBA) *DBA {
 	if d.Alphabet != e.Alphabet {
 		panic("buchi: Intersect with mismatched alphabets")
 	}
-	nd, ne := d.NumStates(), e.NumStates()
-	id := func(q1, q2 State, flag int) State { return (q1*ne+q2)*2 + flag }
-	total := nd * ne * 2
-	out := &DBA{
-		Alphabet:  d.Alphabet,
-		Start:     id(d.Start, e.Start, 0),
-		Delta:     make([][]State, total),
-		Accepting: make([]bool, total),
-	}
-	for q1 := 0; q1 < nd; q1++ {
-		for q2 := 0; q2 < ne; q2++ {
-			for flag := 0; flag < 2; flag++ {
-				q := id(q1, q2, flag)
-				nf := flag
-				if flag == 0 && d.Accepting[q1] {
-					nf = 1
-				} else if flag == 1 && e.Accepting[q2] {
-					nf = 0
-				}
-				row := make([]State, d.Alphabet)
-				for a := 0; a < d.Alphabet; a++ {
-					row[a] = id(d.Delta[q1][a], e.Delta[q2][a], nf)
-				}
-				out.Delta[q] = row
-				out.Accepting[q] = flag == 0 && d.Accepting[q1]
+	ne, alphabet := e.NumStates(), d.Alphabet
+	id := func(q1, q2 State, flag int) int { return (q1*ne+q2)*2 + flag }
+	idx := make([]int32, d.NumStates()*ne*2) // product id → output state + 1; 0 = unseen
+	order := []int{id(d.Start, e.Start, 0)}
+	idx[order[0]] = 1
+	var flat []State
+	for i := 0; i < len(order); i++ {
+		q1, q2, flag := order[i]/2/ne, order[i]/2%ne, order[i]%2
+		nf := flag
+		if flag == 0 && d.Accepting[q1] {
+			nf = 1
+		} else if flag == 1 && e.Accepting[q2] {
+			nf = 0
+		}
+		for a := 0; a < alphabet; a++ {
+			t := id(d.Delta[q1][a], e.Delta[q2][a], nf)
+			if idx[t] == 0 {
+				order = append(order, t)
+				idx[t] = int32(len(order))
 			}
+			flat = append(flat, State(idx[t]-1))
 		}
 	}
-	return out.Trim()
+	out := &DBA{
+		Alphabet:  alphabet,
+		Start:     0,
+		Delta:     make([][]State, len(order)),
+		Accepting: make([]bool, len(order)),
+	}
+	for i, p := range order {
+		out.Delta[i] = flat[i*alphabet : (i+1)*alphabet : (i+1)*alphabet]
+		out.Accepting[i] = p%2 == 0 && d.Accepting[p/2/ne]
+	}
+	return out
 }
 
 // Union returns a DBA for L(d) ∪ L(e): the plain product accepting when

@@ -56,80 +56,70 @@ type Lasso struct {
 // IsEmpty reports whether L(n) = ∅; when non-empty it also returns a
 // lasso witness: a path from a start state to an accepting state f plus a
 // non-trivial cycle from f back to itself.
+//
+// One SCC pass over the reachable part decides emptiness in O(V+E). The
+// witness is fixed by rule, not by search order: f is the lowest-numbered
+// reachable accepting state on a cycle; the stem is the first-found
+// shortest word from the start states to f and the loop the first-found
+// shortest non-empty word from f back to f, both breadth-first with the
+// start states, symbols and successor lists scanned in order.
 func (n *NBA) IsEmpty() (empty bool, witness *Lasso) {
-	reach, stems := n.reachableWithPaths()
-	for f := range n.Delta {
-		if !reach[f] || !n.Accepting[f] {
-			continue
+	f := -1
+	tj := newTarjan(n.Delta, func(scc []State, cyclic bool) {
+		if !cyclic {
+			return
 		}
-		if cyc, ok := n.cycleThrough(f); ok {
-			return false, &Lasso{Stem: stems[f], Loop: cyc}
+		for _, q := range scc {
+			if n.Accepting[q] && (f < 0 || q < f) {
+				f = q
+			}
 		}
+	})
+	for _, s := range n.Start {
+		tj.visit(s)
 	}
-	return true, nil
+	if f < 0 {
+		return true, nil
+	}
+	stem, _ := n.shortestWord(n.Start, f, false)
+	loop, _ := n.cycleThrough(f)
+	return false, &Lasso{Stem: stem, Loop: loop}
 }
 
-// reachableWithPaths BFSes from the start states, recording for each
-// reachable state one shortest input word leading to it.
-func (n *NBA) reachableWithPaths() (reach []bool, paths [][]Symbol) {
+// cycleThrough finds a shortest non-trivial cycle f → … → f, returning its
+// input word.
+func (n *NBA) cycleThrough(f State) ([]Symbol, bool) {
+	return n.shortestWord([]State{f}, f, true)
+}
+
+// shortestWord breadth-first searches from the sources (deduplicated, in
+// order) for target and returns the first-found shortest word leading
+// there, read off the parent links. The word is empty when target is a
+// source, unless nonEmpty asks for a path of at least one step.
+func (n *NBA) shortestWord(sources []State, target State, nonEmpty bool) ([]Symbol, bool) {
 	ns := n.NumStates()
-	reach = make([]bool, ns)
-	paths = make([][]Symbol, ns)
-	var queue []State
-	for _, s := range n.Start {
-		if !reach[s] {
-			reach[s] = true
-			paths[s] = []Symbol{}
+	seen := make([]bool, ns)
+	parent := make([]State, ns) // -1 at the sources
+	sym := make([]Symbol, ns)
+	queue := make([]State, 0, ns)
+	for _, s := range sources {
+		if s == target && !nonEmpty {
+			return []Symbol{}, true
+		}
+		if !seen[s] {
+			seen[s], parent[s] = true, -1
 			queue = append(queue, s)
 		}
 	}
-	for len(queue) > 0 {
-		q := queue[0]
-		queue = queue[1:]
+	for i := 0; i < len(queue); i++ {
+		q := queue[i]
 		for a := 0; a < n.Alphabet; a++ {
 			for _, t := range n.Delta[q][a] {
-				if !reach[t] {
-					reach[t] = true
-					paths[t] = append(append([]Symbol{}, paths[q]...), a)
-					queue = append(queue, t)
+				if t == target {
+					return wordThrough(parent, sym, q, a), true
 				}
-			}
-		}
-	}
-	return reach, paths
-}
-
-// cycleThrough finds a non-trivial cycle f → … → f, returning its input
-// word.
-func (n *NBA) cycleThrough(f State) ([]Symbol, bool) {
-	ns := n.NumStates()
-	visited := make([]bool, ns)
-	paths := make([][]Symbol, ns)
-	var queue []State
-	// Seed with successors of f (ensures ≥ 1 step).
-	for a := 0; a < n.Alphabet; a++ {
-		for _, t := range n.Delta[f][a] {
-			if t == f {
-				return []Symbol{a}, true
-			}
-			if !visited[t] {
-				visited[t] = true
-				paths[t] = []Symbol{a}
-				queue = append(queue, t)
-			}
-		}
-	}
-	for len(queue) > 0 {
-		q := queue[0]
-		queue = queue[1:]
-		for a := 0; a < n.Alphabet; a++ {
-			for _, t := range n.Delta[q][a] {
-				if t == f {
-					return append(append([]Symbol{}, paths[q]...), a), true
-				}
-				if !visited[t] {
-					visited[t] = true
-					paths[t] = append(append([]Symbol{}, paths[q]...), a)
+				if !seen[t] {
+					seen[t], parent[t], sym[t] = true, q, a
 					queue = append(queue, t)
 				}
 			}
@@ -138,85 +128,125 @@ func (n *NBA) cycleThrough(f State) ([]Symbol, bool) {
 	return nil, false
 }
 
+// wordThrough spells the parent-link path from its source to q, followed by
+// the symbol a.
+func wordThrough(parent []State, sym []Symbol, q State, a Symbol) []Symbol {
+	k := 1
+	for x := q; parent[x] >= 0; x = parent[x] {
+		k++
+	}
+	w := make([]Symbol, k)
+	w[k-1] = a
+	for x := q; parent[x] >= 0; x = parent[x] {
+		k--
+		w[k-1] = sym[x]
+	}
+	return w
+}
+
 // Intersect returns an NBA for L(n) ∩ L(m), using the source-state
-// round-robin degeneralization (see DBA.Intersect).
+// round-robin degeneralization (see DBA.Intersect). Only the reachable
+// product is built.
 func (n *NBA) Intersect(m *NBA) *NBA {
 	if n.Alphabet != m.Alphabet {
 		panic("buchi: Intersect with mismatched alphabets")
 	}
-	nn, nm := n.NumStates(), m.NumStates()
+	nm := m.NumStates()
 	id := func(q1, q2 State, flag int) State { return (q1*nm+q2)*2 + flag }
-	total := nn * nm * 2
-	out := &NBA{
-		Alphabet:  n.Alphabet,
-		Delta:     make([][][]State, total),
-		Accepting: make([]bool, total),
-	}
+	var start []State
 	for _, s1 := range n.Start {
 		for _, s2 := range m.Start {
-			out.Start = append(out.Start, id(s1, s2, 0))
+			start = append(start, id(s1, s2, 0))
 		}
 	}
-	for q1 := 0; q1 < nn; q1++ {
-		for q2 := 0; q2 < nm; q2++ {
-			for flag := 0; flag < 2; flag++ {
-				q := id(q1, q2, flag)
-				nf := flag
-				if flag == 0 && n.Accepting[q1] {
-					nf = 1
-				} else if flag == 1 && m.Accepting[q2] {
-					nf = 0
-				}
-				rows := make([][]State, n.Alphabet)
-				for a := 0; a < n.Alphabet; a++ {
-					for _, t1 := range n.Delta[q1][a] {
-						for _, t2 := range m.Delta[q2][a] {
-							rows[a] = append(rows[a], id(t1, t2, nf))
-						}
-					}
-				}
-				out.Delta[q] = rows
-				out.Accepting[q] = flag == 0 && n.Accepting[q1]
+	succ := func(dst []State, p State, a Symbol) []State {
+		q1, q2, flag := p/2/nm, p/2%nm, p%2
+		nf := flag
+		if flag == 0 && n.Accepting[q1] {
+			nf = 1
+		} else if flag == 1 && m.Accepting[q2] {
+			nf = 0
+		}
+		for _, t1 := range n.Delta[q1][a] {
+			for _, t2 := range m.Delta[q2][a] {
+				dst = append(dst, id(t1, t2, nf))
 			}
 		}
+		return dst
 	}
-	return out.Trim()
+	accepting := func(p State) bool { return p%2 == 0 && n.Accepting[p/2/nm] }
+	return reachablePart(n.Alphabet, n.NumStates()*nm*2, start, succ, accepting)
 }
 
-// Trim removes states unreachable from the start set.
-func (n *NBA) Trim() *NBA {
-	reach, _ := n.reachableWithPaths()
-	idx := make([]int, n.NumStates())
-	var order []State
-	for q, ok := range reach {
-		if ok {
-			idx[q] = len(order)
-			order = append(order, q)
-		} else {
-			idx[q] = -1
+// reachablePart builds the part of an implicitly given NBA that is
+// reachable from start. Its states are the ids 0..total-1, succ appends
+// the a-successors of a state in order, and accepting marks the accepting
+// ones. The result is what materializing all total states and calling
+// Trim gives: reachable states numbered in id order, successor lists and
+// start list kept in order (duplicates included).
+func reachablePart(alphabet, total int, start []State, succ func(dst []State, p State, a Symbol) []State, accepting func(State) bool) *NBA {
+	idx := make([]int32, total) // 1 once discovered; then the new number
+	var order []State           // discovery order
+	var succs []State           // successor lists of order, symbol by symbol
+	ends := []int{0}            // succs[ends[j*alphabet+a]:ends[j*alphabet+a+1]]
+	for _, s := range start {
+		if idx[s] == 0 {
+			idx[s] = 1
+			order = append(order, s)
+		}
+	}
+	for j := 0; j < len(order); j++ {
+		for a := 0; a < alphabet; a++ {
+			from := len(succs)
+			succs = succ(succs, order[j], a)
+			for _, t := range succs[from:] {
+				if idx[t] == 0 {
+					idx[t] = 1
+					order = append(order, t)
+				}
+			}
+			ends = append(ends, len(succs))
+		}
+	}
+	numbered := int32(0)
+	for p, seen := range idx {
+		if seen != 0 {
+			idx[p] = numbered
+			numbered++
 		}
 	}
 	out := &NBA{
-		Alphabet:  n.Alphabet,
+		Alphabet:  alphabet,
 		Delta:     make([][][]State, len(order)),
 		Accepting: make([]bool, len(order)),
 	}
-	for _, s := range n.Start {
-		out.Start = append(out.Start, idx[s])
+	for _, s := range start {
+		out.Start = append(out.Start, State(idx[s]))
 	}
-	for i, q := range order {
-		rows := make([][]State, n.Alphabet)
-		for a := 0; a < n.Alphabet; a++ {
-			for _, t := range n.Delta[q][a] {
-				if idx[t] >= 0 {
-					rows[a] = append(rows[a], idx[t])
-				}
+	rows := make([][]State, len(order)*alphabet)
+	flat := make([]State, len(succs))
+	for k, t := range succs {
+		flat[k] = State(idx[t])
+	}
+	for j, p := range order {
+		q := idx[p]
+		r := rows[int(q)*alphabet : int(q+1)*alphabet : int(q+1)*alphabet]
+		for a := range r {
+			if lo, hi := ends[j*alphabet+a], ends[j*alphabet+a+1]; hi > lo {
+				r[a] = flat[lo:hi:hi]
 			}
 		}
-		out.Delta[i] = rows
-		out.Accepting[i] = n.Accepting[q]
+		out.Delta[q] = r
+		out.Accepting[q] = accepting(p)
 	}
 	return out
+}
+
+// Trim removes states unreachable from the start set, keeping the
+// survivors' relative order.
+func (n *NBA) Trim() *NBA {
+	succ := func(dst []State, q State, a Symbol) []State { return append(dst, n.Delta[q][a]...) }
+	return reachablePart(n.Alphabet, n.NumStates(), n.Start, succ, func(q State) bool { return n.Accepting[q] })
 }
 
 // AcceptsUP reports whether the NBA accepts u·v^ω, by intersecting with
@@ -228,39 +258,41 @@ func (n *NBA) AcceptsUP(u, v []Symbol) bool {
 }
 
 // LiveStates returns the set of states from which some accepting run
-// exists (i.e. that can reach an accepting state lying on a cycle).
+// exists (i.e. that can reach an accepting state lying on a cycle). One
+// SCC pass over all states decides it: a component is live when it is
+// cyclic and holds an accepting state, or when a member has a successor in
+// a live component — which, in the pass's reverse topological order, has
+// been decided already.
 func (n *NBA) LiveStates() []bool {
-	ns := n.NumStates()
-	// anchors: accepting states on a non-trivial cycle.
-	live := make([]bool, ns)
-	for f := 0; f < ns; f++ {
-		if !n.Accepting[f] {
-			continue
-		}
-		if _, ok := n.cycleThrough(f); ok {
-			live[f] = true
-		}
-	}
-	// Backward closure: predecessors of live states are live.
-	changed := true
-	for changed {
-		changed = false
-		for q := 0; q < ns; q++ {
-			if live[q] {
-				continue
-			}
-			for a := 0; a < n.Alphabet && !live[q]; a++ {
-				for _, t := range n.Delta[q][a] {
-					if live[t] {
-						live[q] = true
-						changed = true
-						break
-					}
+	live := make([]bool, n.NumStates())
+	tj := newTarjan(n.Delta, func(scc []State, cyclic bool) {
+		for _, q := range scc {
+			if cyclic && n.Accepting[q] || reachesLive(n.Delta[q], live) {
+				for _, s := range scc {
+					live[s] = true
 				}
+				return
 			}
 		}
+	})
+	for q := range n.Delta {
+		tj.visit(q)
 	}
 	return live
+}
+
+// reachesLive reports whether some successor in rows is live. Successors
+// inside the component being decided are not marked yet, so only earlier
+// components count.
+func reachesLive(rows [][]State, live []bool) bool {
+	for _, succ := range rows {
+		for _, t := range succ {
+			if live[t] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // AcceptsPrefix reports whether some ω-word in L(n) begins with the given
@@ -395,36 +427,29 @@ func (n *NBA) SamplePrefix(rng *rand.Rand, length int) (word []Symbol, ok bool) 
 // acceptance sets: states Q×{0..k−1}; the copy index advances when the
 // source state belongs to the set it waits for; accepting states are index
 // 0 members of set 0. All sets are visited infinitely often iff the index
-// cycles forever.
+// cycles forever. Only the reachable part is built, numbered as Trim
+// numbers the full construction.
 func Degeneralize(alphabet int, numStates int, start []State, delta [][][]State, sets [][]bool) *NBA {
 	k := len(sets)
 	if k == 0 {
 		panic("buchi: Degeneralize with no acceptance sets")
 	}
 	id := func(q State, i int) State { return q*k + i }
-	out := &NBA{
-		Alphabet:  alphabet,
-		Delta:     make([][][]State, numStates*k),
-		Accepting: make([]bool, numStates*k),
-	}
+	var starts []State
 	for _, s := range start {
-		out.Start = append(out.Start, id(s, 0))
+		starts = append(starts, id(s, 0))
 	}
-	for q := 0; q < numStates; q++ {
-		for i := 0; i < k; i++ {
-			ni := i
-			if sets[i][q] {
-				ni = (i + 1) % k
-			}
-			rows := make([][]State, alphabet)
-			for a := 0; a < alphabet; a++ {
-				for _, t := range delta[q][a] {
-					rows[a] = append(rows[a], id(t, ni))
-				}
-			}
-			out.Delta[id(q, i)] = rows
-			out.Accepting[id(q, i)] = i == 0 && sets[0][q]
+	succ := func(dst []State, p State, a Symbol) []State {
+		q, i := p/k, p%k
+		ni := i
+		if sets[i][q] {
+			ni = (i + 1) % k
 		}
+		for _, t := range delta[q][a] {
+			dst = append(dst, id(t, ni))
+		}
+		return dst
 	}
-	return out.Trim()
+	accepting := func(p State) bool { return p%k == 0 && sets[0][p/k] }
+	return reachablePart(alphabet, numStates*k, starts, succ, accepting)
 }

@@ -30,6 +30,7 @@ package classify
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/buchi"
 	"repro/internal/omission"
@@ -114,6 +115,9 @@ type Result struct {
 	MinRoundsWitness omission.Word
 }
 
+// fairNBA is the Fair scheme's automaton as an NBA, built once.
+var fairNBA = sync.OnceValue(func() *buchi.NBA { return scheme.Fair().Automaton().NBA() })
+
 // Classify runs the Theorem III.8 analysis. Schemes over Σ are accepted
 // when their language is contained in Γ^ω (they are restricted first);
 // otherwise the theorem does not apply exactly and only the monotone
@@ -130,7 +134,7 @@ func Classify(s *scheme.Scheme) (*Result, error) {
 
 	// (i): Fair ∩ ¬L ≠ ∅.
 	comp := auto.Complement()
-	fairAndNotL := scheme.Fair().Automaton().NBA().Intersect(comp)
+	fairAndNotL := fairNBA().Intersect(comp)
 	if empty, w := fairAndNotL.IsEmpty(); !empty {
 		res.FairMissing = true
 		res.FairWitness = omission.UPWord(scheme.Letters(w.Stem), scheme.Letters(w.Loop)).Canonical()

@@ -128,11 +128,13 @@ func findSpecialPair(comp *buchi.NBA) ([2]omission.Scenario, bool) {
 		setNZ[i] = diffOf(k.ds).d != 0
 	}
 
-	product := buchi.Degeneralize(pairAlphabet, numStates, start, delta, [][]bool{setA, setB, setNZ})
-	empty, lasso := product.IsEmpty()
-	if empty {
+	// Decide on the generalized product; degeneralize only to extract the
+	// witness lasso.
+	sets := [][]bool{setA, setB, setNZ}
+	if buchi.GeneralizedEmpty(start, delta, sets) {
 		return [2]omission.Scenario{}, false
 	}
+	_, lasso := buchi.Degeneralize(pairAlphabet, numStates, start, delta, sets).IsEmpty()
 	proj := func(sym []buchi.Symbol, first bool) omission.Word {
 		w := make(omission.Word, len(sym))
 		for i, s := range sym {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/buchi"
 	"repro/internal/omission"
 )
 
@@ -65,5 +66,42 @@ func TestPrefixDFACached(t *testing.T) {
 	s := S1()
 	if s.PrefixDFA() != s.PrefixDFA() {
 		t.Fatal("PrefixDFA not cached")
+	}
+}
+
+// TestAcceptsPrefixMatchesNBA checks that AcceptsPrefix, which walks the
+// cached prefix DFA, agrees with the subset construction over the scheme's
+// Büchi automaton on random schemes, random words (including letters
+// outside a Γ-scheme's alphabet) and the empty language.
+func TestAcceptsPrefixMatchesNBA(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	schemes := []*Scheme{MustNew("empty", "∅", buchi.EmptyDBA(3)), S2()}
+	for i := 0; i < 200; i++ {
+		schemes = append(schemes, Random(rng, 1+rng.Intn(8)))
+	}
+	sawEmpty := false
+	for _, s := range schemes {
+		if s.PrefixDFA().Start() < 0 {
+			sawEmpty = true
+		}
+		for trial := 0; trial < 50; trial++ {
+			w := make(omission.Word, rng.Intn(10))
+			for i := range w {
+				w[i] = omission.Sigma[rng.Intn(len(omission.Sigma))]
+				if rng.Intn(4) != 0 && s.OverGamma() {
+					w[i] = omission.Gamma[rng.Intn(len(omission.Gamma))]
+				}
+			}
+			want := false
+			if sym, err := s.Symbols(w); err == nil {
+				want = s.Automaton().NBA().AcceptsPrefix(sym)
+			}
+			if got := s.AcceptsPrefix(w); got != want {
+				t.Fatalf("%s: AcceptsPrefix(%v) = %v, NBA subset construction %v", s.Name(), w, got, want)
+			}
+		}
+	}
+	if !sawEmpty {
+		t.Fatal("corpus has no empty language")
 	}
 }

@@ -11,6 +11,9 @@
 package scheme
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -28,10 +31,13 @@ type Scheme struct {
 	desc string
 	auto *buchi.DBA
 
-	// pdfa caches the compiled prefix DFA (see PrefixDFA); automata are
-	// immutable once wrapped, so the compilation is done at most once.
-	pdfaOnce sync.Once
-	pdfa     *PrefixDFA
+	// pdfa caches the compiled prefix DFA (see PrefixDFA) and digest the
+	// automaton digest (see Digest); automata are immutable once wrapped,
+	// so each is computed at most once.
+	pdfaOnce   sync.Once
+	pdfa       *PrefixDFA
+	digestOnce sync.Once
+	digest     string
 }
 
 // New wraps a deterministic Büchi automaton as a scheme. The automaton
@@ -112,13 +118,51 @@ func (s *Scheme) Contains(sc omission.Scenario) bool {
 }
 
 // AcceptsPrefix reports whether some scenario of the scheme begins with w,
-// i.e. w ∈ Pref(L) (Definition II.4).
+// i.e. w ∈ Pref(L) (Definition II.4), by walking the cached prefix DFA.
 func (s *Scheme) AcceptsPrefix(w omission.Word) bool {
-	sym, err := s.Symbols(w)
-	if err != nil {
-		return false
+	d := s.PrefixDFA()
+	q := d.Start()
+	for _, l := range w {
+		if q < 0 {
+			return false
+		}
+		q = d.StepLetter(q, l)
 	}
-	return s.auto.NBA().AcceptsPrefix(sym)
+	return q >= 0
+}
+
+// Digest is the canonical identity of the scheme's compiled automaton: the
+// hex form of the first 16 bytes of a SHA-256 over its alphabet, start,
+// state count, transition table and accepting set. Two schemes with
+// identical automata — however they were spelled — share a digest. It is
+// computed once per scheme.
+func (s *Scheme) Digest() string {
+	s.digestOnce.Do(func() {
+		a := s.auto
+		h := sha256.New()
+		var buf [8]byte
+		put := func(x int) {
+			binary.LittleEndian.PutUint64(buf[:], uint64(int64(x)))
+			h.Write(buf[:])
+		}
+		put(a.Alphabet)
+		put(a.Start)
+		put(len(a.Delta))
+		for _, row := range a.Delta {
+			for _, q := range row {
+				put(q)
+			}
+		}
+		for _, acc := range a.Accepting {
+			if acc {
+				h.Write([]byte{1})
+			} else {
+				h.Write([]byte{0})
+			}
+		}
+		s.digest = hex.EncodeToString(h.Sum(nil)[:16])
+	})
+	return s.digest
 }
 
 // PrefixOracle supports incremental Pref(L) queries: extend a partial

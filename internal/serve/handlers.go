@@ -10,8 +10,6 @@ import (
 	"math/big"
 	"net/http"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	coordattack "repro"
 	"repro/internal/chaos"
@@ -211,67 +209,13 @@ func (q *SchemeSelector) Resolve() (*coordattack.Scheme, error) {
 	return sch, nil
 }
 
-// CanonicalSchemeKey is the canonical cache key of a scheme: a digest of its
-// compiled Büchi automaton (alphabet, start, transition table, accepting
-// set). Two requests naming the same automaton — "S1" versus the
-// expression "[.w]^w | [.b]^w" compiled to an identical DBA, or any
-// spelling of the same Minus — share cache entries and singleflight.
-// schemeDigests caches each scheme's automaton digest by pointer.
-// Resolve hands out memoized pointers, so steady-state traffic hits
-// this cache and skips the sha256 walk. Entries are tiny (a pointer and
-// a 32-byte string); the crude size cap below only matters if something
-// churns through unbounded fresh Scheme values.
-var (
-	schemeDigests    sync.Map
-	schemeDigestsLen atomic.Int64
-)
-
-const schemeDigestsMax = 4096
-
-func CanonicalSchemeKey(sch *coordattack.Scheme) string {
-	if v, ok := schemeDigests.Load(sch); ok {
-		return v.(string)
-	}
-	key := computeSchemeKey(sch)
-	if schemeDigestsLen.Add(1) > schemeDigestsMax {
-		// Reset rather than evict: reaching the cap at all means the
-		// caller is not using memoized schemes, so precision is moot.
-		// (Range+Delete, not Clear — the module predates go1.23.)
-		schemeDigests.Range(func(k, _ any) bool {
-			schemeDigests.Delete(k)
-			return true
-		})
-		schemeDigestsLen.Store(1)
-	}
-	schemeDigests.Store(sch, key)
-	return key
-}
-
-func computeSchemeKey(sch *coordattack.Scheme) string {
-	a := sch.Automaton()
-	h := sha256.New()
-	var buf [8]byte
-	put := func(x int) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(x)))
-		h.Write(buf[:])
-	}
-	put(a.Alphabet)
-	put(int(a.Start))
-	put(len(a.Delta))
-	for _, row := range a.Delta {
-		for _, q := range row {
-			put(int(q))
-		}
-	}
-	for _, acc := range a.Accepting {
-		if acc {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
-}
+// CanonicalSchemeKey is the canonical cache key of a scheme: the digest of
+// its compiled Büchi automaton (alphabet, start, transition table,
+// accepting set), memoized on the scheme. Two requests naming the same
+// automaton — "S1" versus the expression "[.w]^w | [.b]^w" compiled to an
+// identical DBA, or any spelling of the same Minus — share cache entries
+// and singleflight.
+func CanonicalSchemeKey(sch *coordattack.Scheme) string { return sch.Digest() }
 
 // Cache-key builders for the verdict caches. The coordinator
 // (internal/serve/cluster) composes the very same keys, so its warm

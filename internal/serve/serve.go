@@ -182,11 +182,14 @@ type Server struct {
 	// set and the store opened cleanly); warmLoaded counts the verdicts
 	// usable at boot. warmVals is the in-memory mirror the result cache
 	// consults on LRU misses and /v1/warm/export enumerates for cluster
-	// handoffs; warmImported counts entries accepted via /v1/warm/import.
+	// handoffs, holding each verdict in its stored form (encodeVerdict):
+	// a few hundred bytes rather than the decoded response and its engine
+	// stats, since every fresh verdict of a warm-store node stays here.
+	// warmImported counts entries accepted via /v1/warm/import.
 	warm         *VerdictStore
 	warmLoaded   int
 	warmMu       sync.RWMutex
-	warmVals     map[string]any
+	warmVals     map[string][]byte
 	warmImported atomic.Int64
 
 	// baseCtx is the computation lifetime: singleflight leaders run
@@ -212,7 +215,7 @@ func New(cfg Config) *Server {
 		heavy:    newGate(cfg.AnalysisConcurrency, cfg.QueueDepth, time.Second),
 		light:    newGate(cfg.LightConcurrency, 4*cfg.QueueDepth, time.Second),
 		brk:      NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock),
-		warmVals: make(map[string]any),
+		warmVals: make(map[string][]byte),
 	}
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
 	s.started = cfg.Clock()

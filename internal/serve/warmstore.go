@@ -322,8 +322,8 @@ func (s *Server) attachWarmStore(path string) {
 	}
 	s.warmMu.Lock()
 	for k, raw := range rawEntries {
-		if v, ok := decodeVerdict(k, raw); ok {
-			s.warmVals[k] = v
+		if _, ok := decodeVerdict(k, raw); ok {
+			s.warmVals[k] = raw
 		}
 	}
 	loaded := len(s.warmVals)
@@ -340,12 +340,16 @@ func (s *Server) attachWarmStore(path string) {
 }
 
 // warmLookup answers an LRU miss from the in-memory warm map — disk
-// entries loaded at boot plus everything persisted or imported since.
+// entries loaded at boot plus everything persisted or imported since —
+// decoding the stored form.
 func (s *Server) warmLookup(key string) (any, bool) {
 	s.warmMu.RLock()
-	v, ok := s.warmVals[key]
+	raw, ok := s.warmVals[key]
 	s.warmMu.RUnlock()
-	return v, ok
+	if !ok {
+		return nil, false
+	}
+	return decodeVerdict(key, raw)
 }
 
 // persistVerdict records a fresh singleflight success in the warm tier,
@@ -361,7 +365,7 @@ func (s *Server) persistVerdict(key string, val any) {
 		return
 	}
 	s.warmMu.Lock()
-	s.warmVals[key] = val
+	s.warmVals[key] = b
 	s.warmMu.Unlock()
 	if err := s.warm.Append(key, b); err != nil {
 		s.cfg.Logf("capserved: %v", err)

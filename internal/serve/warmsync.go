@@ -40,12 +40,8 @@ func (s *Server) handleWarmExport(w http.ResponseWriter, r *http.Request) {
 	seg := wire.AppendSegmentHeader(nil)
 	entries := 0
 	seen := make(map[string]bool)
-	add := func(key string, val any) bool {
+	add := func(key string, b []byte) bool {
 		if seen[key] {
-			return true
-		}
-		b, ok := encodeVerdict(key, val)
-		if !ok {
 			return true
 		}
 		seen[key] = true
@@ -55,7 +51,9 @@ func (s *Server) handleWarmExport(w http.ResponseWriter, r *http.Request) {
 	}
 	full := true
 	s.cache.lru.Range(func(key string, val any) bool {
-		full = add(key, val)
+		if b, ok := encodeVerdict(key, val); ok {
+			full = add(key, b)
+		}
 		return full
 	})
 	if full {
@@ -88,7 +86,7 @@ func (s *Server) installWarmEntry(key string, raw []byte) bool {
 	s.warmMu.Lock()
 	_, dup := s.warmVals[key]
 	if !dup {
-		s.warmVals[key] = v
+		s.warmVals[key] = raw
 	}
 	s.warmMu.Unlock()
 	if dup {

@@ -58,6 +58,8 @@ for target in FuzzIndexRoundTrip FuzzParseScenario FuzzScenarioEquality; do
 	echo "-- ${target}"
 	go test -run "^${target}$" -fuzz "^${target}$" -fuzztime "${FUZZTIME}" ./internal/omission/
 done
+echo "-- FuzzEmptinessVsReference"
+go test -run '^FuzzEmptinessVsReference$' -fuzz '^FuzzEmptinessVsReference$' -fuzztime "${FUZZTIME}" ./internal/buchi/
 echo "-- FuzzSymbolicVsReference"
 go test -run '^FuzzSymbolicVsReference$' -fuzz '^FuzzSymbolicVsReference$' -fuzztime "${FUZZTIME}" ./internal/chain/
 for target in FuzzWireFrameDecode FuzzWarmSegment; do
