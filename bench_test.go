@@ -377,6 +377,16 @@ func BenchmarkAblationRunnerGoroutine(b *testing.B) {
 	}
 }
 
+// The hardened runner (the /v1/chaos class) on the same inputs.
+func BenchmarkAblationRunnerHardened(b *testing.B) {
+	sc := omission.MustScenario("bbbbbbbbbbw(.)")
+	witness := omission.MustScenario("(b)")
+	ctx := context.Background()
+	for i := 0; i < b.N; i++ {
+		sim.RunHardenedScenario(ctx, consensus.NewAW(witness), consensus.NewAW(witness), [2]sim.Value{0, 1}, sc, 50)
+	}
+}
+
 // ABL — connectivity algorithms: Edmonds–Karp vs Stoer–Wagner.
 func BenchmarkAblationEdmondsKarp(b *testing.B) {
 	g := graph.Grid(5, 5)
@@ -547,6 +557,16 @@ func BenchmarkAblationNetGoroutine(b *testing.B) {
 	in := make([]netsim.Value, g.N())
 	for i := 0; i < b.N; i++ {
 		netsim.RunGoroutines(g, netconsensus.NewFloodNodes(g), in, netsim.NoDrops{}, g.N())
+	}
+}
+
+// The hardened sequential network runner (chaos campaigns) on the same inputs.
+func BenchmarkAblationNetHardened(b *testing.B) {
+	g := graph.Cycle(12)
+	in := make([]netsim.Value, g.N())
+	ctx := context.Background()
+	for i := 0; i < b.N; i++ {
+		netsim.RunHardened(ctx, g, netconsensus.NewFloodNodes(g), in, netsim.NoDrops{}, g.N())
 	}
 }
 

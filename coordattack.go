@@ -284,7 +284,7 @@ func RunAdversary(white, black Process, inputs [2]Value, adv Adversary, maxRound
 
 // RunConcurrent is Run with each process hosted in its own goroutine,
 // rounds enforced purely by channel communication. Traces are identical
-// to Run's.
+// to Run's, and a process panic reaches the caller as with Run.
 func RunConcurrent(white, black Process, inputs [2]Value, src Source, maxRounds int) Trace {
 	return sim.RunGoroutinesScenario(white, black, inputs, src, maxRounds)
 }

@@ -1,377 +1,44 @@
 package netsim
 
-import (
-	"context"
-	"fmt"
-	"runtime/debug"
+import "context"
 
-	"repro/internal/graph"
-)
+// The server host gives every live node its own server goroutine, as in
+// the two-process kernel. The loop waits on a server only while ctx is
+// live, so a node blocking in a method cannot hang the run. With one call
+// outstanding and a one-slot reply buffer a server never blocks on
+// replying, so closing its call channel releases it on every exit path;
+// only a node that blocks forever inside a method pins its goroutine.
 
-// The goroutine runner hosts every node in its own server goroutine, with
-// the synchronous round structure enforced purely by channel
-// communication (the same CSP pattern as the two-process kernel). The
-// coordinator requests all sends, applies the adversary's drops, delivers,
-// and collects decision state. Traces are identical to Run's.
-//
-// The runner fails closed: a node that panics in Send/Receive/Decision is
-// converted into a crash-stop (its panic value and stack are captured as
-// a NodeCrash, it stops sending and receiving, and only its own trace
-// entries suffer), and the whole run obeys a context, so neither a
-// panicking nor a non-terminating execution can ever hang or kill the
-// caller. Server goroutines are released on every exit path — normal
-// termination, early decision, cancellation, and panic — via a stop
-// channel that guards every channel operation; only a node that blocks
-// forever *inside* one of its own methods can pin its server goroutine
-// (nothing can preempt that in Go), and even then the coordinator still
-// returns.
-
-// NodeCrash records a node panic absorbed by a hardened runner and
-// converted into a crash-stop.
-type NodeCrash struct {
-	// Node is the vertex id of the node that panicked.
-	Node int
-	// Round is the round (1-based) in which the panic occurred.
-	Round int
-	// Op is the node method that panicked ("Send", "Receive", "Decision"
-	// or "Init").
-	Op string
-	// Diag is the panic value followed by the goroutine stack.
-	Diag string
+type servers struct {
+	ctx     context.Context
+	calls   []chan call
+	replies []chan reply
 }
 
-// String implements fmt.Stringer.
-func (c NodeCrash) String() string {
-	d := c.Diag
-	for i := 0; i < len(d); i++ {
-		if d[i] == '\n' {
-			d = d[:i]
-			break
+// serve starts one server per live node. A server stops once its node
+// panics: the loop never calls a crash-stopped node again.
+func serve(ctx context.Context, x *execution) *servers {
+	s := &servers{ctx: ctx, calls: make([]chan call, len(x.nodes)), replies: make([]chan reply, len(x.nodes))}
+	for i, node := range x.nodes {
+		calls, replies := make(chan call), make(chan reply, 1)
+		s.calls[i], s.replies[i] = calls, replies
+		if x.crashed[i] {
+			continue
 		}
-	}
-	return fmt.Sprintf("node %d panicked in %s at round %d: %s", c.Node, c.Op, c.Round, d)
-}
-
-// HardenedTrace couples a network trace with the failures the hardened
-// runners absorbed on its behalf.
-type HardenedTrace struct {
-	Trace
-	// Crashes lists node panics converted to crash-stops (at most one per
-	// node).
-	Crashes []NodeCrash
-	// Interrupted is set when the context expired before the run
-	// finished; Err then carries the context error.
-	Interrupted bool
-	Err         error
-}
-
-// Crashed reports whether the given node crash-stopped, with its
-// diagnostic.
-func (t *HardenedTrace) Crashed(node int) (NodeCrash, bool) {
-	for _, c := range t.Crashes {
-		if c.Node == node {
-			return c, true
-		}
-	}
-	return NodeCrash{}, false
-}
-
-type nodeSendResp struct {
-	msgs map[int]Message
-	err  error
-}
-
-type nodeRecvReq struct {
-	round int
-	msgs  map[int]Message
-}
-
-type nodeRecvResp struct {
-	decided bool
-	value   Value
-	err     error
-}
-
-type nodeServer struct {
-	sendReq  chan int
-	sendResp chan nodeSendResp
-	recvReq  chan nodeRecvReq
-	recvResp chan nodeRecvResp
-}
-
-func newNodeServer() *nodeServer {
-	// Responses are buffered so a server that finishes its round after the
-	// coordinator abandoned the run never blocks on delivery.
-	return &nodeServer{
-		sendReq:  make(chan int),
-		sendResp: make(chan nodeSendResp, 1),
-		recvReq:  make(chan nodeRecvReq, 1),
-		recvResp: make(chan nodeRecvResp, 1),
-	}
-}
-
-func recoverDiag(op string, round int, errp *error) {
-	if p := recover(); p != nil {
-		*errp = fmt.Errorf("%s panicked at round %d: %v\n%s", op, round, p, debug.Stack())
-	}
-}
-
-func safeSend(n Node, r int) (msgs map[int]Message, err error) {
-	defer recoverDiag("Send", r, &err)
-	return n.Send(r), nil
-}
-
-func safeReceive(n Node, r int, msgs map[int]Message) (err error) {
-	defer recoverDiag("Receive", r, &err)
-	n.Receive(r, msgs)
-	return nil
-}
-
-func safeDecision(n Node, r int) (v Value, ok bool, err error) {
-	defer recoverDiag("Decision", r, &err)
-	v, ok = n.Decision()
-	return v, ok, nil
-}
-
-// serveNode is the per-node server loop. Once the node panics it is
-// crash-stopped: the server keeps answering the round protocol (with
-// empty sends and frozen decisions) but never touches the node again.
-func serveNode(n Node, s *nodeServer, stop <-chan struct{}) {
-	crashed := false
-	for {
-		var r int
-		select {
-		case r = <-s.sendReq:
-		case <-stop:
-			return
-		}
-		var sr nodeSendResp
-		if !crashed {
-			sr.msgs, sr.err = safeSend(n, r)
-			if sr.err != nil {
-				crashed = true
-				sr.msgs = nil
+		go func() {
+			for c := range calls {
+				rep := c.do(node, true)
+				if replies <- rep; rep.fault != nil {
+					return
+				}
 			}
-		}
-		select {
-		case s.sendResp <- sr:
-		case <-stop:
-			return
-		}
-		var req nodeRecvReq
-		select {
-		case req = <-s.recvReq:
-		case <-stop:
-			return
-		}
-		var rr nodeRecvResp
-		if !crashed {
-			if err := safeReceive(n, req.round, req.msgs); err != nil {
-				crashed = true
-				rr.err = err
-			} else if v, ok, err := safeDecision(n, req.round); err != nil {
-				crashed = true
-				rr.err = err
-			} else {
-				rr.value, rr.decided = v, ok
-			}
-		}
-		select {
-		case s.recvResp <- rr:
-		case <-stop:
-			return
-		}
-	}
-}
-
-// RunGoroutines executes the same semantics as Run with one goroutine per
-// node. Node panics crash-stop the offending node (diagnostics are
-// available through RunGoroutinesHardened); the process never dies.
-func RunGoroutines(g *graph.Graph, nodes []Node, inputs []Value, adv Adversary, maxRounds int) Trace {
-	return RunGoroutinesHardened(context.Background(), g, nodes, inputs, adv, maxRounds).Trace
-}
-
-// RunGoroutinesHardened is the fully hardened goroutine runner: panic
-// isolation per node, context-based cancellation and deadlines, and
-// guaranteed release of all server goroutines on every exit path.
-func RunGoroutinesHardened(ctx context.Context, g *graph.Graph, nodes []Node, inputs []Value, adv Adversary, maxRounds int) HardenedTrace {
-	n := g.N()
-	if len(nodes) != n || len(inputs) != n {
-		panic("netsim: nodes/inputs length mismatch")
-	}
-	ht := HardenedTrace{Trace: Trace{
-		Inputs:        append([]Value(nil), inputs...),
-		Decisions:     make([]Value, n),
-		DecisionRound: make([]int, n),
-	}}
-	for i := range ht.Decisions {
-		ht.Decisions[i] = -1
-		ht.DecisionRound[i] = -1
-	}
-	crashed := make([]bool, n)
-	crash := func(i, round int, err error) {
-		if crashed[i] {
-			return
-		}
-		crashed[i] = true
-		ht.Crashes = append(ht.Crashes, NodeCrash{Node: i, Round: round, Op: opOf(err), Diag: err.Error()})
-	}
-
-	// Init runs on the coordinator (servers not yet started) under the
-	// same panic isolation.
-	for i, node := range nodes {
-		var err error
-		func() {
-			defer recoverDiag("Init", 0, &err)
-			node.Init(i, g, inputs[i])
 		}()
-		if err != nil {
-			crash(i, 0, err)
-		}
-	}
-
-	stop := make(chan struct{})
-	defer close(stop)
-	servers := make([]*nodeServer, n)
-	for i, node := range nodes {
-		servers[i] = newNodeServer()
-		if !crashed[i] {
-			go serveNode(node, servers[i], stop)
-		} else {
-			go serveNode(crashedNode{}, servers[i], stop)
-		}
-	}
-
-	interrupt := func(err error) HardenedTrace {
-		ht.Interrupted = true
-		ht.Err = err
-		ht.TimedOut = true
-		return ht
-	}
-
-	// Round-0 decisions are read from the trace state: an undecided,
-	// uncrashed node keeps the run going.
-	record := func(round int, decided []nodeRecvResp) bool {
-		all := true
-		for i := range nodes {
-			if crashed[i] {
-				continue
-			}
-			if ht.DecisionRound[i] < 0 {
-				if decided[i].decided {
-					ht.Decisions[i] = decided[i].value
-					ht.DecisionRound[i] = round
-				} else {
-					all = false
-				}
-			}
-		}
-		return all
-	}
-
-	// Round-0 decisions are read directly (servers idle between rounds).
-	zero := make([]nodeRecvResp, n)
-	for i, node := range nodes {
-		if crashed[i] {
-			continue
-		}
-		v, ok, err := safeDecision(node, 0)
-		if err != nil {
-			crash(i, 0, err)
-			continue
-		}
-		zero[i] = nodeRecvResp{decided: ok, value: v}
-	}
-	if record(0, zero) {
-		return ht
-	}
-
-	for r := 1; r <= maxRounds; r++ {
-		if err := ctx.Err(); err != nil {
-			return interrupt(err)
-		}
-		ht.Rounds = r
-		drops := adv.Drops(r, g)
-		if len(drops) > ht.MaxDropsPerRound {
-			ht.MaxDropsPerRound = len(drops)
-		}
-		ht.TotalDrops += len(drops)
-
-		for _, s := range servers {
-			select {
-			case s.sendReq <- r:
-			case <-ctx.Done():
-				return interrupt(ctx.Err())
-			}
-		}
-		outgoing := make([]map[int]Message, n)
-		for i, s := range servers {
-			select {
-			case resp := <-s.sendResp:
-				if resp.err != nil {
-					crash(i, r, resp.err)
-				}
-				outgoing[i] = resp.msgs
-			case <-ctx.Done():
-				return interrupt(ctx.Err())
-			}
-		}
-		incoming := make([]map[int]Message, n)
-		for i := range incoming {
-			incoming[i] = map[int]Message{}
-		}
-		for from, msgs := range outgoing {
-			for to, m := range msgs {
-				if m == nil || !g.HasEdge(from, to) || drops[graph.DirEdge{From: from, To: to}] {
-					continue
-				}
-				incoming[to][from] = m
-			}
-		}
-		for i, s := range servers {
-			select {
-			case s.recvReq <- nodeRecvReq{round: r, msgs: incoming[i]}:
-			case <-ctx.Done():
-				return interrupt(ctx.Err())
-			}
-		}
-		resps := make([]nodeRecvResp, n)
-		for i, s := range servers {
-			select {
-			case resp := <-s.recvResp:
-				if resp.err != nil {
-					crash(i, r, resp.err)
-				}
-				resps[i] = resp
-			case <-ctx.Done():
-				return interrupt(ctx.Err())
-			}
-		}
-		if record(r, resps) {
-			return ht
-		}
-	}
-	ht.TimedOut = true
-	return ht
-}
-
-// crashedNode is the stand-in served for a node that already panicked in
-// Init: it participates in the round protocol but does nothing.
-type crashedNode struct{}
-
-func (crashedNode) Init(int, *graph.Graph, Value) {}
-func (crashedNode) Send(int) map[int]Message      { return nil }
-func (crashedNode) Receive(int, map[int]Message)  {}
-func (crashedNode) Decision() (Value, bool)       { return -1, false }
-
-// opOf extracts the method name from a recoverDiag error ("Send panicked
-// at round …").
-func opOf(err error) string {
-	s := err.Error()
-	for i := 0; i < len(s); i++ {
-		if s[i] == ' ' {
-			return s[:i]
-		}
 	}
 	return s
+}
+
+func (s *servers) close() {
+	for _, c := range s.calls {
+		close(c)
+	}
 }

@@ -167,3 +167,48 @@ func TestHardenedMatchesPlainOnCleanRuns(t *testing.T) {
 		t.Fatalf("clean runs reported faults: %+v / %+v", hard, conc)
 	}
 }
+
+// fourthAskPanics decides at initialization and panics when asked for its
+// decision a fourth time.
+type fourthAskPanics struct {
+	rogueNode
+	asked int
+}
+
+func (p *fourthAskPanics) Decision() (Value, bool) {
+	if p.asked++; p.asked == 4 {
+		panic("asked again")
+	}
+	return p.rogueNode.Decision()
+}
+
+// countAsks counts its Decision calls.
+type countAsks struct {
+	countNode
+	asked int
+}
+
+func (p *countAsks) Decision() (Value, bool) {
+	p.asked++
+	return p.countNode.Decision()
+}
+
+// TestRunnersAskOnlyUndecided: every runner asks an undecided node once
+// per round and never asks a decided node again (the goroutine runner
+// once asked after every round, so it alone saw node 0 panic).
+func TestRunnersAskOnlyUndecided(t *testing.T) {
+	g := graph.Complete(3)
+	for _, concurrent := range []bool{false, true} {
+		decided, undecided := &fourthAskPanics{}, &countAsks{countNode: countNode{after: 100}}
+		ns := []Node{decided, undecided, &countNode{after: 100}}
+		var ht HardenedTrace
+		if concurrent {
+			ht = RunGoroutinesHardened(context.Background(), g, ns, make([]Value, 3), NoDrops{}, 6)
+		} else {
+			ht = RunHardened(context.Background(), g, ns, make([]Value, 3), NoDrops{}, 6)
+		}
+		if len(ht.Crashes) != 0 || ht.Rounds != 6 || ht.DecisionRound[0] != 0 || decided.asked != 1 || undecided.asked != 7 {
+			t.Fatalf("concurrent=%v: crashes=%v %s, asked %d and %d times", concurrent, ht.Crashes, ht.Trace, decided.asked, undecided.asked)
+		}
+	}
+}

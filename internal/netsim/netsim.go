@@ -11,6 +11,7 @@
 package netsim
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -147,77 +148,166 @@ func (t Trace) String() string {
 }
 
 // Run executes the nodes on the graph under the adversary for at most
-// maxRounds rounds.
+// maxRounds rounds. A node panic propagates.
 func Run(g *graph.Graph, nodes []Node, inputs []Value, adv Adversary, maxRounds int) Trace {
+	return runner{}.run(context.Background(), g, nodes, inputs, adv, maxRounds).Trace
+}
+
+// RunHardened is Run with fail-closed guarantees: a panicking node is
+// crash-stopped with a diagnostic instead of killing the process, and the
+// context bounds the run's wall-clock time (checked at every round
+// boundary).
+func RunHardened(ctx context.Context, g *graph.Graph, nodes []Node, inputs []Value, adv Adversary, maxRounds int) HardenedTrace {
+	return runner{harden: true}.run(ctx, g, nodes, inputs, adv, maxRounds)
+}
+
+// RunGoroutines executes the same semantics as Run with one goroutine per
+// node. Node panics crash-stop the offending node (diagnostics are
+// available through RunGoroutinesHardened); the process never dies.
+func RunGoroutines(g *graph.Graph, nodes []Node, inputs []Value, adv Adversary, maxRounds int) Trace {
+	return RunGoroutinesHardened(context.Background(), g, nodes, inputs, adv, maxRounds).Trace
+}
+
+// RunGoroutinesHardened is RunHardened with one server goroutine per
+// node; the context also bounds every wait on a node.
+func RunGoroutinesHardened(ctx context.Context, g *graph.Graph, nodes []Node, inputs []Value, adv Adversary, maxRounds int) HardenedTrace {
+	return runner{servers: true, harden: true}.run(ctx, g, nodes, inputs, adv, maxRounds)
+}
+
+// A runner picks where node calls run (inline, or on one server goroutine
+// per node) and whether a panic crash-stops the node.
+type runner struct{ servers, harden bool }
+
+// execution is one run in progress, with one call and reply per node.
+type execution struct {
+	nodes   []Node
+	harden  bool
+	crashed []bool
+	ht      HardenedTrace
+	calls   []call
+	reps    []reply
+}
+
+// run is the package's one round loop. Init and the round-0 decisions run
+// on the caller's goroutine. It stops once every live node has decided.
+func (rn runner) run(ctx context.Context, g *graph.Graph, nodes []Node, inputs []Value, adv Adversary, maxRounds int) HardenedTrace {
 	n := g.N()
 	if len(nodes) != n || len(inputs) != n {
 		panic("netsim: nodes/inputs length mismatch")
 	}
+	x := &execution{nodes: nodes, harden: rn.harden, crashed: make([]bool, n), calls: make([]call, n), reps: make([]reply, n)}
+	x.ht.Trace = Trace{Inputs: append([]Value(nil), inputs...), Decisions: make([]Value, n), DecisionRound: make([]int, n)}
 	for i, node := range nodes {
-		node.Init(i, g, inputs[i])
+		x.ht.Decisions[i], x.ht.DecisionRound[i] = sim.None, -1
+		x.fail(i, 0, initialize(node, i, g, inputs[i], x.harden))
 	}
-	tr := Trace{
-		Inputs:        append([]Value(nil), inputs...),
-		Decisions:     make([]Value, n),
-		DecisionRound: make([]int, n),
+	x.ask(0)
+	if x.exchange(nil); x.decided() {
+		return x.ht
 	}
-	for i := range tr.Decisions {
-		tr.Decisions[i] = sim.None
-		tr.DecisionRound[i] = -1
-	}
-	record := func(round int) bool {
-		all := true
-		for i, node := range nodes {
-			if tr.DecisionRound[i] < 0 {
-				if v, ok := node.Decision(); ok {
-					tr.Decisions[i] = v
-					tr.DecisionRound[i] = round
-				} else {
-					all = false
-				}
-			}
-		}
-		return all
-	}
-	if record(0) {
-		return tr
+	var s *servers
+	if rn.servers {
+		s = serve(ctx, x)
+		defer s.close()
 	}
 	for r := 1; r <= maxRounds; r++ {
-		tr.Rounds = r
-		drops := adv.Drops(r, g)
-		if len(drops) > tr.MaxDropsPerRound {
-			tr.MaxDropsPerRound = len(drops)
+		if err := x.round(ctx, s, g, adv, r); err != nil {
+			x.ht.Interrupted, x.ht.Err, x.ht.TimedOut = true, err, true
+			return x.ht
 		}
-		tr.TotalDrops += len(drops)
-
-		outgoing := make([]map[int]Message, n)
-		for i, node := range nodes {
-			outgoing[i] = node.Send(r)
-		}
-		incoming := make([]map[int]Message, n)
-		for i := range incoming {
-			incoming[i] = map[int]Message{}
-		}
-		for from, msgs := range outgoing {
-			for to, m := range msgs {
-				if m == nil || !g.HasEdge(from, to) {
-					continue
-				}
-				if drops[graph.DirEdge{From: from, To: to}] {
-					continue
-				}
-				incoming[to][from] = m
-			}
-		}
-		for i, node := range nodes {
-			node.Receive(r, incoming[i])
-		}
-		if record(r) {
-			return tr
+		if x.decided() {
+			return x.ht
 		}
 	}
-	tr.TimedOut = true
-	return tr
+	x.ht.TimedOut = true
+	return x.ht
+}
+
+// round runs round r, unless ctx has expired.
+func (x *execution) round(ctx context.Context, s *servers, g *graph.Graph, adv Adversary, r int) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	x.ht.Rounds = r
+	drops := adv.Drops(r, g)
+	x.ht.MaxDropsPerRound = max(x.ht.MaxDropsPerRound, len(drops))
+	x.ht.TotalDrops += len(drops)
+	for i := range x.calls {
+		x.calls[i] = call{round: r, send: true}
+	}
+	if err := x.exchange(s); err != nil {
+		return err
+	}
+	// Fresh maps: a node may keep the one it receives. A server also
+	// decides; inline, every node receives before any is asked.
+	for i := range x.calls {
+		x.calls[i] = call{round: r, deliver: true, msgs: map[int]Message{}, decide: s != nil && x.ht.DecisionRound[i] < 0}
+	}
+	for from, rep := range x.reps {
+		for to, m := range rep.msgs {
+			if m != nil && g.HasEdge(from, to) && !drops[graph.DirEdge{From: from, To: to}] {
+				x.calls[to].msgs[from] = m
+			}
+		}
+	}
+	if err := x.exchange(s); err != nil || s != nil {
+		return err
+	}
+	x.ask(r)
+	return x.exchange(nil)
+}
+
+// exchange makes every live node's call — in turn on the caller's
+// goroutine, or at once on the servers — and takes in the replies in node
+// order. A crashed node gets no call.
+func (x *execution) exchange(s *servers) error {
+	for i, c := range x.calls {
+		if s == nil || x.crashed[i] {
+			continue
+		}
+		select {
+		case s.calls[i] <- c:
+		case <-s.ctx.Done():
+			return s.ctx.Err()
+		}
+	}
+	for i, node := range x.nodes {
+		if x.reps[i] = (reply{}); x.crashed[i] {
+			continue
+		}
+		if s == nil {
+			x.reps[i] = x.calls[i].do(node, x.harden)
+		} else {
+			select {
+			case x.reps[i] = <-s.replies[i]:
+			case <-s.ctx.Done():
+				return s.ctx.Err()
+			}
+		}
+		c, rep := x.calls[i], x.reps[i]
+		x.fail(i, c.round, rep.fault)
+		if c.decide && rep.decided {
+			x.ht.Decisions[i], x.ht.DecisionRound[i] = rep.value, c.round
+		}
+	}
+	return nil
+}
+
+// ask sets the calls asking the undecided nodes for their decision.
+func (x *execution) ask(r int) {
+	for i := range x.calls {
+		x.calls[i] = call{round: r, decide: x.ht.DecisionRound[i] < 0}
+	}
+}
+
+// decided reports whether every node has decided or crashed.
+func (x *execution) decided() bool {
+	for i, r := range x.ht.DecisionRound {
+		if r < 0 && !x.crashed[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Report is the consensus-property check outcome for a network trace.

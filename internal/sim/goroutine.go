@@ -1,149 +1,68 @@
 package sim
 
-import "repro/internal/omission"
+// The server host gives each process its own server goroutine, reached
+// over channels: two exchanges per round, both processes working at once,
+// no memory touched by more than one goroutine.
 
-// The goroutine runner gives each process its own server goroutine and
-// drives the synchronous rounds purely by channel communication, in the
-// CSP style: the coordinator requests the round's message from both
-// servers, applies the adversary's omission letter, delivers, and collects
-// decision status. No shared memory is touched by more than one goroutine;
-// the round barrier is the communication itself.
-
-type sendResp struct {
-	msg Message
-	ok  bool
+// call is one exchange with a server: the round's Send, or its Receive
+// (when deliver is set) followed by Decision (when decide is set).
+type call struct {
+	round                 int
+	send, deliver, decide bool
+	msg                   Message
 }
 
-type recvReq struct {
-	round   int
-	msg     Message
-	deliver bool // false when the process has halted: skip Receive
+// reply answers a call: the message sent, or the decision.
+type reply struct {
+	msg   Message
+	value Value
+	ok    bool
+	fault *fault
 }
 
-type recvResp struct {
-	decided bool
-	value   Value
+type servers struct {
+	calls   [2]chan call
+	replies [2]chan reply
 }
 
-type procServer struct {
-	sendReq  chan int
-	sendResp chan sendResp
-	recvReq  chan recvReq
-	recvResp chan recvResp
-}
-
-// serve runs the process event loop until sendReq is closed.
-func serve(p Process, s *procServer) {
-	for r := range s.sendReq {
-		msg, ok := p.Send(r)
-		s.sendResp <- sendResp{msg, ok}
-		req := <-s.recvReq
-		if req.deliver {
-			p.Receive(req.round, req.msg)
-		}
-		v, decided := p.Decision()
-		s.recvResp <- recvResp{decided, v}
-	}
-}
-
-// RunGoroutines executes the same semantics as Run, with each process
-// hosted in its own goroutine. The resulting trace is identical to the
-// sequential runner's (asserted by tests): determinism comes from the
-// lock-step protocol, not from scheduling.
-func RunGoroutines(white, black Process, inputs [2]Value, adv Adversary, maxRounds int) Trace {
-	white.Init(White, inputs[0])
-	black.Init(Black, inputs[1])
-
-	servers := [2]*procServer{}
-	for i, p := range []Process{white, black} {
-		s := &procServer{
-			sendReq:  make(chan int),
-			sendResp: make(chan sendResp),
-			recvReq:  make(chan recvReq),
-			recvResp: make(chan recvResp),
-		}
-		servers[i] = s
-		go serve(p, s)
-	}
-	defer func() {
-		close(servers[0].sendReq)
-		close(servers[1].sendReq)
-	}()
-
-	tr := Trace{Inputs: inputs, DecisionRound: [2]int{-1, -1}, Decisions: [2]Value{None, None}}
-
-	// Initial decision check (round 0) happens outside the servers: the
-	// processes are not concurrently owned yet.
-	both := true
-	for i, p := range []Process{white, black} {
-		if v, ok := p.Decision(); ok {
-			tr.Decisions[i] = v
-			tr.DecisionRound[i] = 0
-		} else {
-			both = false
-		}
-	}
-	if both {
-		return tr
-	}
-
-	for r := 1; r <= maxRounds; r++ {
-		letter := adv.Next(r, tr.Played)
-		tr.Played = append(tr.Played, letter)
-		tr.Rounds = r
-
-		// Phase 1: collect sends from both servers concurrently.
-		servers[White].sendReq <- r
-		servers[Black].sendReq <- r
-		wSend := <-servers[White].sendResp
-		bSend := <-servers[Black].sendResp
-
-		if wSend.ok {
-			tr.MessagesSent++
-		}
-		if bSend.ok {
-			tr.MessagesSent++
-		}
-
-		// Phase 2: apply the omission letter and deliver.
-		var toWhite, toBlack Message
-		if bSend.ok && !letter.LostBlack() {
-			toWhite = bSend.msg
-			if wSend.ok {
-				tr.MessagesDelivered++
-			}
-		}
-		if wSend.ok && !letter.LostWhite() {
-			toBlack = wSend.msg
-			if bSend.ok {
-				tr.MessagesDelivered++
-			}
-		}
-		servers[White].recvReq <- recvReq{round: r, msg: toWhite, deliver: wSend.ok}
-		servers[Black].recvReq <- recvReq{round: r, msg: toBlack, deliver: bSend.ok}
-		wRecv := <-servers[White].recvResp
-		bRecv := <-servers[Black].recvResp
-
-		both = true
-		for i, resp := range []recvResp{wRecv, bRecv} {
-			if tr.DecisionRound[i] < 0 {
-				if resp.decided {
-					tr.Decisions[i] = resp.value
-					tr.DecisionRound[i] = r
-				} else {
-					both = false
+// serve starts one server per process. With one call outstanding and a
+// one-slot reply buffer a server never blocks on replying; close ends it.
+func serve(procs [2]Process) *servers {
+	s := &servers{}
+	for i, p := range procs {
+		calls, replies := make(chan call), make(chan reply, 1)
+		s.calls[i], s.replies[i] = calls, replies
+		go func() {
+			for c := range calls {
+				var rep reply
+				if c.send {
+					rep.msg, rep.ok, rep.fault = trySend(p, c.round)
+				} else if c.deliver {
+					rep.fault = tryReceive(p, c.round, c.msg)
 				}
+				if c.decide && rep.fault == nil {
+					rep.value, rep.ok, rep.fault = tryDecision(p)
+				}
+				replies <- rep
 			}
-		}
-		if both {
-			return tr
-		}
+		}()
 	}
-	tr.TimedOut = true
-	return tr
+	return s
 }
 
-// RunGoroutinesScenario is RunGoroutines with a fixed scenario source.
-func RunGoroutinesScenario(white, black Process, inputs [2]Value, src omission.Source, maxRounds int) Trace {
-	return RunGoroutines(white, black, inputs, SourceAdversary{src}, maxRounds)
+func (s *servers) close() {
+	for _, c := range s.calls {
+		close(c)
+	}
+}
+
+// collect takes the replies of the live processes in process order.
+func (s *servers) collect(x *execution, r int) (reps [2]reply) {
+	for i, c := range s.replies {
+		if !x.crashed[i] {
+			reps[i] = <-c
+			x.fail(ID(i), r, reps[i].fault)
+		}
+	}
+	return reps
 }

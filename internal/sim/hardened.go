@@ -1,15 +1,13 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"runtime/debug"
-
-	"repro/internal/omission"
+	"strings"
 )
 
 // The hardened runner exists for chaos testing (internal/chaos): it
-// executes the same round structure as Run but fails closed. A process
+// executes the same round loop as Run but fails closed. A process
 // that panics mid-round is converted into a crash-stop — its panic value
 // and stack are captured as a Crash diagnostic, it stops sending and
 // receiving, and only its own trace entries suffer — and the run obeys a
@@ -22,8 +20,8 @@ type Crash struct {
 	Proc ID
 	// Round is the round (1-based) in which the panic occurred.
 	Round int
-	// Op is the process method that panicked ("Send", "Receive" or
-	// "Decision").
+	// Op is the process method that panicked ("Init", "Send", "Receive"
+	// or "Decision").
 	Op string
 	// Diag is the panic value followed by the goroutine stack.
 	Diag string
@@ -31,16 +29,8 @@ type Crash struct {
 
 // String implements fmt.Stringer.
 func (c Crash) String() string {
-	return fmt.Sprintf("%s panicked in %s at round %d: %s", c.Proc, c.Op, c.Round, firstLine(c.Diag))
-}
-
-func firstLine(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
-	}
-	return s
+	line, _, _ := strings.Cut(c.Diag, "\n")
+	return fmt.Sprintf("%s panicked in %s at round %d: %s", c.Proc, c.Op, c.Round, line)
 }
 
 // HardenedTrace couples a trace with the failures the hardened runner
@@ -56,136 +46,59 @@ type HardenedTrace struct {
 	Err         error
 }
 
-// hardenedProc wraps one process with panic isolation: after the first
-// panic the process is crashed — it sends nothing, receives nothing, and
-// its decision is frozen.
-type hardenedProc struct {
-	p       Process
-	id      ID
-	crashed bool
+// fault is a process panic caught by a try function.
+type fault struct {
+	op    string
+	val   any
+	stack []byte
 }
 
-func (h *hardenedProc) guard(round int, op string, crashes *[]Crash) {
-	if p := recover(); p != nil {
-		h.crashed = true
-		*crashes = append(*crashes, Crash{
-			Proc:  h.id,
-			Round: round,
-			Op:    op,
-			Diag:  fmt.Sprintf("%v\n%s", p, debug.Stack()),
-		})
+func catch(op string, f **fault) {
+	if v := recover(); v != nil {
+		*f = &fault{op: op, val: v, stack: debug.Stack()}
 	}
 }
 
-func (h *hardenedProc) send(r int, crashes *[]Crash) (msg Message, ok bool) {
-	if h.crashed {
-		return nil, false
+// The try functions make one process call, recovering a panic.
+
+func tryInit(p Process, id ID, input Value, guard bool) (f *fault) {
+	if guard {
+		defer catch("Init", &f)
 	}
-	defer h.guard(r, "Send", crashes)
-	return h.p.Send(r)
+	p.Init(id, input)
+	return nil
 }
 
-func (h *hardenedProc) receive(r int, msg Message, crashes *[]Crash) {
-	if h.crashed {
-		return
-	}
-	defer h.guard(r, "Receive", crashes)
-	h.p.Receive(r, msg)
+func trySend(p Process, r int) (msg Message, ok bool, f *fault) {
+	defer catch("Send", &f)
+	msg, ok = p.Send(r)
+	return msg, ok, nil
 }
 
-func (h *hardenedProc) decision(r int, crashes *[]Crash) (Value, bool) {
-	if h.crashed {
-		return None, false
-	}
-	defer h.guard(r, "Decision", crashes)
-	return h.p.Decision()
+func tryReceive(p Process, r int, msg Message) (f *fault) {
+	defer catch("Receive", &f)
+	p.Receive(r, msg)
+	return nil
 }
 
-// RunHardened executes the two processes under the adversary with panic
-// isolation and context-based cancellation. Semantics match Run exactly
-// on well-behaved executions (asserted by tests); a panicking process is
-// converted into a crash-stop, and an expired context stops the run at
-// the next round boundary with Interrupted set.
-func RunHardened(ctx context.Context, white, black Process, inputs [2]Value, adv Adversary, maxRounds int) HardenedTrace {
-	ht := HardenedTrace{Trace: Trace{Inputs: inputs, DecisionRound: [2]int{-1, -1}, Decisions: [2]Value{None, None}}}
-	procs := [2]*hardenedProc{{p: white, id: White}, {p: black, id: Black}}
-	for i, h := range procs {
-		func() {
-			defer h.guard(0, "Init", &ht.Crashes)
-			h.p.Init(h.id, inputs[i])
-		}()
-	}
-
-	record := func(round int) bool {
-		both := true
-		for i, h := range procs {
-			if ht.DecisionRound[i] < 0 {
-				if v, ok := h.decision(round, &ht.Crashes); ok {
-					ht.Decisions[i] = v
-					ht.DecisionRound[i] = round
-				} else {
-					both = false
-				}
-			}
-		}
-		return both
-	}
-	if record(0) {
-		return ht
-	}
-	for r := 1; r <= maxRounds; r++ {
-		if err := ctx.Err(); err != nil {
-			ht.Interrupted = true
-			ht.Err = err
-			ht.TimedOut = true
-			return ht
-		}
-		letter := adv.Next(r, ht.Played)
-		ht.Played = append(ht.Played, letter)
-		ht.Rounds = r
-
-		wMsg, wOK := procs[White].send(r, &ht.Crashes)
-		bMsg, bOK := procs[Black].send(r, &ht.Crashes)
-		if wOK {
-			ht.MessagesSent++
-		}
-		if bOK {
-			ht.MessagesSent++
-		}
-
-		var toWhite, toBlack Message
-		if bOK && !letter.LostBlack() {
-			toWhite = bMsg
-			if wOK {
-				ht.MessagesDelivered++
-			}
-		}
-		if wOK && !letter.LostWhite() {
-			toBlack = wMsg
-			if bOK {
-				ht.MessagesDelivered++
-			}
-		}
-		if wOK {
-			procs[White].receive(r, toWhite, &ht.Crashes)
-		}
-		if bOK {
-			procs[Black].receive(r, toBlack, &ht.Crashes)
-		}
-		if record(r) {
-			return ht
-		}
-		// Both processes crashed: nothing can ever decide; stop early.
-		if procs[White].crashed && procs[Black].crashed {
-			ht.TimedOut = true
-			return ht
-		}
-	}
-	ht.TimedOut = true
-	return ht
+func tryDecision(p Process) (v Value, ok bool, f *fault) {
+	defer catch("Decision", &f)
+	v, ok = p.Decision()
+	return v, ok, nil
 }
 
-// RunHardenedScenario is RunHardened with a fixed scenario source.
-func RunHardenedScenario(ctx context.Context, white, black Process, inputs [2]Value, src omission.Source, maxRounds int) HardenedTrace {
-	return RunHardened(ctx, white, black, inputs, SourceAdversary{src}, maxRounds)
+// fail handles the panic f (if any) caught in process i's round-r call: a
+// hardened run crash-stops the process, any other re-raises the panic.
+func (x *execution) fail(i ID, r int, f *fault) {
+	if f != nil {
+		x.crash(i, r, f)
+	}
+}
+
+func (x *execution) crash(i ID, r int, f *fault) {
+	if !x.harden {
+		panic(f.val)
+	}
+	x.crashed[i] = true
+	x.ht.Crashes = append(x.ht.Crashes, Crash{Proc: i, Round: r, Op: f.op, Diag: fmt.Sprintf("%v\n%s", f.val, f.stack)})
 }

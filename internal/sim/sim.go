@@ -3,13 +3,17 @@
 // round r every process sends a message, receives the other's message —
 // unless the round's omission letter drops it — and updates its state.
 //
-// Two runners execute the same semantics: a sequential one used by
-// exhaustive tests, and a channel/goroutine one in which each process is a
-// CSP-style server goroutine and the round structure is enforced purely by
-// communication. Tests assert trace equality between the two.
+// One round loop runs every execution; the runners differ only in where
+// the process calls run and what a process panic does. Run calls the
+// processes on the caller's goroutine; RunGoroutines hosts each on a
+// CSP-style server goroutine, the round structure enforced purely by
+// communication; both re-raise a panic on the caller's goroutine.
+// RunHardened crash-stops a panicking process and obeys a context. Only
+// undecided live processes are asked for their decision.
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/omission"
@@ -131,74 +135,171 @@ func (f FuncAdversary) Next(r int, past omission.Word) omission.Letter { return 
 // maxRounds rounds, sequentially. Processes are Init-ed with the given
 // inputs. The run stops as soon as both processes have decided (a decided
 // process may keep running until its partner decides — per the Process
-// contract it signals halt via Send).
+// contract it signals halt via Send). A process panic propagates.
 func Run(white, black Process, inputs [2]Value, adv Adversary, maxRounds int) Trace {
-	white.Init(White, inputs[0])
-	black.Init(Black, inputs[1])
-	tr := Trace{Inputs: inputs, DecisionRound: [2]int{-1, -1}}
-	tr.Decisions = [2]Value{None, None}
-	record := func(round int) bool {
-		both := true
-		for i, p := range []Process{white, black} {
-			if tr.DecisionRound[i] < 0 {
-				if v, ok := p.Decision(); ok {
-					tr.Decisions[i] = v
-					tr.DecisionRound[i] = round
-				} else {
-					both = false
-				}
-			}
-		}
-		return both
-	}
-	if record(0) {
-		return tr
-	}
-	for r := 1; r <= maxRounds; r++ {
-		letter := adv.Next(r, tr.Played)
-		tr.Played = append(tr.Played, letter)
-		tr.Rounds = r
-
-		wMsg, wOK := white.Send(r)
-		bMsg, bOK := black.Send(r)
-		if wOK {
-			tr.MessagesSent++
-		}
-		if bOK {
-			tr.MessagesSent++
-		}
-
-		var toWhite, toBlack Message
-		if bOK && !letter.LostBlack() {
-			toWhite = bMsg
-			if wOK {
-				tr.MessagesDelivered++
-			}
-		}
-		if wOK && !letter.LostWhite() {
-			toBlack = wMsg
-			if bOK {
-				tr.MessagesDelivered++
-			}
-		}
-		// A halted process no longer takes receive steps.
-		if wOK {
-			white.Receive(r, toWhite)
-		}
-		if bOK {
-			black.Receive(r, toBlack)
-		}
-		if record(r) {
-			return tr
-		}
-	}
-	tr.TimedOut = true
-	return tr
+	return runner{}.run(context.Background(), white, black, inputs, adv, maxRounds).Trace
 }
 
 // RunScenario is Run with a fixed scenario source.
 func RunScenario(white, black Process, inputs [2]Value, src omission.Source, maxRounds int) Trace {
 	return Run(white, black, inputs, SourceAdversary{src}, maxRounds)
+}
+
+// RunGoroutines is Run with each process hosted in its own goroutine. The
+// trace is identical to Run's: determinism comes from the lock-step
+// protocol, not from scheduling. A panic is re-raised on the caller's
+// goroutine.
+func RunGoroutines(white, black Process, inputs [2]Value, adv Adversary, maxRounds int) Trace {
+	return runner{servers: true}.run(context.Background(), white, black, inputs, adv, maxRounds).Trace
+}
+
+// RunGoroutinesScenario is RunGoroutines with a fixed scenario source.
+func RunGoroutinesScenario(white, black Process, inputs [2]Value, src omission.Source, maxRounds int) Trace {
+	return RunGoroutines(white, black, inputs, SourceAdversary{src}, maxRounds)
+}
+
+// RunHardened is Run with panic isolation and context-based cancellation:
+// a panicking process is converted into a crash-stop, an expired context
+// stops the run at the next round boundary with Interrupted set, and a
+// run whose processes both crashed stops early.
+func RunHardened(ctx context.Context, white, black Process, inputs [2]Value, adv Adversary, maxRounds int) HardenedTrace {
+	return runner{harden: true}.run(ctx, white, black, inputs, adv, maxRounds)
+}
+
+// RunHardenedScenario is RunHardened with a fixed scenario source.
+func RunHardenedScenario(ctx context.Context, white, black Process, inputs [2]Value, src omission.Source, maxRounds int) HardenedTrace {
+	return RunHardened(ctx, white, black, inputs, SourceAdversary{src}, maxRounds)
+}
+
+// A runner picks where process calls run (inline, or on one server
+// goroutine per process) and whether a panic crash-stops the process.
+type runner struct{ servers, harden bool }
+
+// execution is one run in progress.
+type execution struct {
+	procs   [2]Process
+	harden  bool
+	crashed [2]bool
+	ht      HardenedTrace
+}
+
+// run is the package's one round loop. Init and the round-0 decisions run
+// on the caller's goroutine; inline calls are direct unless hardened.
+func (rn runner) run(ctx context.Context, white, black Process, inputs [2]Value, adv Adversary, maxRounds int) HardenedTrace {
+	x := &execution{procs: [2]Process{white, black}, harden: rn.harden}
+	x.ht.Trace = Trace{Inputs: inputs, Decisions: [2]Value{None, None}, DecisionRound: [2]int{-1, -1}}
+	for i, p := range &x.procs {
+		x.fail(ID(i), 0, tryInit(p, ID(i), inputs[i], x.harden))
+	}
+	// decide asks the undecided live processes for their decision after
+	// round r.
+	decide := func(r int) {
+		for i, p := range &x.procs {
+			switch {
+			case x.crashed[i] || x.ht.DecisionRound[i] >= 0:
+			case x.harden:
+				v, ok, f := tryDecision(p)
+				x.fail(ID(i), r, f)
+				x.record(i, r, v, ok)
+			default:
+				v, ok := p.Decision()
+				x.record(i, r, v, ok)
+			}
+		}
+	}
+	if decide(0); x.decided() {
+		return x.ht
+	}
+	var s *servers
+	if rn.servers {
+		s = serve(x.procs)
+		defer s.close()
+	}
+	done := ctx.Done() // nil when ctx can never be cancelled
+	for r := 1; r <= maxRounds; r++ {
+		if done != nil && ctx.Err() != nil {
+			x.ht.Interrupted, x.ht.Err, x.ht.TimedOut = true, ctx.Err(), true
+			return x.ht
+		}
+		letter := adv.Next(r, x.ht.Played)
+		x.ht.Played = append(x.ht.Played, letter)
+		x.ht.Rounds = r
+
+		// ok=false: the process has halted or crashed and sends nothing.
+		var msg [2]Message
+		var ok [2]bool
+		for i, p := range &x.procs {
+			switch {
+			case x.crashed[i]:
+			case s != nil:
+				s.calls[i] <- call{round: r, send: true}
+			case x.harden:
+				var f *fault
+				msg[i], ok[i], f = trySend(p, r)
+				x.fail(ID(i), r, f)
+			default:
+				msg[i], ok[i] = p.Send(r)
+			}
+		}
+		if s != nil {
+			for i, rep := range s.collect(x, r) {
+				msg[i], ok[i] = rep.msg, rep.ok
+			}
+		}
+		lost := [2]bool{letter.LostWhite(), letter.LostBlack()}
+		var in [2]Message
+		for i := range in {
+			if !ok[i] {
+				continue
+			}
+			x.ht.MessagesSent++
+			if other := 1 - i; !lost[i] {
+				in[other] = msg[i]
+				if ok[other] {
+					x.ht.MessagesDelivered++
+				}
+			}
+		}
+
+		// A halted process takes no receive step; a server also decides.
+		for i, p := range &x.procs {
+			switch {
+			case x.crashed[i]:
+			case s != nil:
+				s.calls[i] <- call{round: r, deliver: ok[i], msg: in[i], decide: x.ht.DecisionRound[i] < 0}
+			case !ok[i]:
+			case x.harden:
+				x.fail(ID(i), r, tryReceive(p, r, in[i]))
+			default:
+				p.Receive(r, in[i])
+			}
+		}
+		if s == nil {
+			decide(r)
+		} else {
+			for i, rep := range s.collect(x, r) {
+				x.record(i, r, rep.value, rep.ok)
+			}
+		}
+		if x.decided() {
+			return x.ht
+		}
+		if x.crashed[White] && x.crashed[Black] {
+			break // nothing can ever decide
+		}
+	}
+	x.ht.TimedOut = true
+	return x.ht
+}
+
+func (x *execution) record(i, r int, v Value, ok bool) {
+	if ok {
+		x.ht.Decisions[i], x.ht.DecisionRound[i] = v, r
+	}
+}
+
+func (x *execution) decided() bool {
+	return x.ht.DecisionRound[White] >= 0 && x.ht.DecisionRound[Black] >= 0
 }
 
 // Report is the outcome of checking the three consensus properties of

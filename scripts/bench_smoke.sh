@@ -6,7 +6,9 @@
 # strategy on R1 (never solvable, so both sides walk every horizon
 # 0..maxR). Acceptance bar ≥2×: the restart side rebuilds interners,
 # union-find, and the walk at every horizon, while the incremental side
-# grows one frontier.
+# grows one frontier. One search takes tens of microseconds, so the pair
+# is timed over 300 iterations by default: at 3 the ratio rode on
+# scheduler noise and fell below the bar on some runs.
 #
 # BENCH_5.json is a historical record: the frontier-dedup engine against
 # a frozen older engine. Both are gone, so it is no longer regenerated.
@@ -29,9 +31,10 @@ OUT6="${2:-BENCH_6.json}"
 MAXR=8
 FLAT_MAXR="${BENCH6_FLAT_MAXR:-13}"
 MAXR6="${BENCH6_MAXR:-40}"
-COUNT="${BENCH_COUNT:-3x}"
+COUNT4="${BENCH_COUNT:-300x}"
+COUNT6="${BENCH_COUNT:-3x}"
 
-RAW="$(go test -run '^$' -bench '^BenchmarkMinRoundsIncrementalVsRestart$' -benchtime "${COUNT}" .)"
+RAW="$(go test -run '^$' -bench '^BenchmarkMinRoundsIncrementalVsRestart$' -benchtime "${COUNT4}" .)"
 echo "${RAW}"
 
 RESTART_NS="$(echo "${RAW}" | awk '/\/restart/ {print $3}')"
@@ -59,7 +62,7 @@ if ! awk "BEGIN {exit !(${SPEEDUP} >= 2.0)}"; then
 	exit 1
 fi
 
-RAW6="$(BENCH6_FLAT_MAXR="${FLAT_MAXR}" BENCH6_MAXR="${MAXR6}" go test -run '^$' -bench '^BenchmarkMinRoundsSymbolicVsFlat$' -benchtime "${COUNT}" ./internal/chain/)"
+RAW6="$(BENCH6_FLAT_MAXR="${FLAT_MAXR}" BENCH6_MAXR="${MAXR6}" go test -run '^$' -bench '^BenchmarkMinRoundsSymbolicVsFlat$' -benchtime "${COUNT6}" ./internal/chain/)"
 echo "${RAW6}"
 
 SYM_NS="$(echo "${RAW6}" | awk '/\/symbolic/ {for (i = 1; i < NF; i++) if ($(i + 1) == "ns/op") print $i}' | head -n 1)"

@@ -62,6 +62,10 @@ echo "-- FuzzEmptinessVsReference"
 go test -run '^FuzzEmptinessVsReference$' -fuzz '^FuzzEmptinessVsReference$' -fuzztime "${FUZZTIME}" ./internal/buchi/
 echo "-- FuzzSymbolicVsReference"
 go test -run '^FuzzSymbolicVsReference$' -fuzz '^FuzzSymbolicVsReference$' -fuzztime "${FUZZTIME}" ./internal/chain/
+for pkg in ./internal/sim/ ./internal/netsim/; do
+	echo "-- FuzzRunnersVsReference (${pkg})"
+	go test -run '^FuzzRunnersVsReference$' -fuzz '^FuzzRunnersVsReference$' -fuzztime "${FUZZTIME}" "${pkg}"
+done
 for target in FuzzWireFrameDecode FuzzWarmSegment; do
 	echo "-- ${target}"
 	go test -run "^${target}$" -fuzz "^${target}$" -fuzztime "${FUZZTIME}" ./internal/serve/wire/
