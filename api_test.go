@@ -154,11 +154,31 @@ func TestEndToEndSolver(t *testing.T) {
 	}
 }
 
+// analyze runs coordattack.Analyze and fails the test on an engine error.
+func analyze(t *testing.T, req coordattack.RoundsRequest) coordattack.RoundsReport {
+	t.Helper()
+	rep, err := coordattack.Analyze(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// analyzeNet is analyze for coordattack.AnalyzeNet.
+func analyzeNet(t *testing.T, req coordattack.NetAnalysisRequest) coordattack.NetAnalysisReport {
+	t.Helper()
+	rep, err := coordattack.AnalyzeNet(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestSolvableInRoundsFacade(t *testing.T) {
-	if coordattack.SolvableInRounds(coordattack.R1(), 3) {
+	if analyze(t, coordattack.RoundsRequest{Scheme: coordattack.R1(), Horizon: 3, VerdictOnly: true}).Solvable {
 		t.Error("Γ^ω is never bounded-round solvable")
 	}
-	if !coordattack.SolvableInRounds(coordattack.S1(), 2) {
+	if !analyze(t, coordattack.RoundsRequest{Scheme: coordattack.S1(), Horizon: 2, VerdictOnly: true}).Solvable {
 		t.Error("S1 is 2-round solvable")
 	}
 }
@@ -193,7 +213,7 @@ func TestNetworkFacade(t *testing.T) {
 	g2 := coordattack.Hypercube(3)
 	tr = coordattack.RunNetwork(g2, coordattack.NewFloodNodes(g2),
 		make([]coordattack.Value, g2.N()),
-		coordattack.RandomLossAdversary(2, rand.New(rand.NewSource(3))), g2.N())
+		coordattack.RandomLossAdversarySeed(2, 3), g2.N())
 	if !coordattack.CheckNetwork(tr).OK() {
 		t.Fatalf("flood under budget failed: %s", tr)
 	}
@@ -275,10 +295,10 @@ func TestTopologyAndValencyFacade(t *testing.T) {
 	if got := an.Valency(coordattack.MustWord("b")); got != coordattack.Valent0 {
 		t.Errorf("valency(b) = %v", got)
 	}
-	if p, ok := coordattack.MinRoundsComplete(3, 1, 3); !ok || p != 2 {
-		t.Errorf("K3 f=1 horizon %d", p)
+	if rep := analyzeNet(t, coordattack.NetAnalysisRequest{N: 3, F: 1, Horizon: 3, MinRounds: true, VerdictOnly: true}); !rep.Found || rep.Rounds != 2 {
+		t.Errorf("K3 f=1 horizon %d", rep.Rounds)
 	}
-	if coordattack.AnalyzeComplete(2, 1, 3) {
+	if analyzeNet(t, coordattack.NetAnalysisRequest{N: 2, F: 1, Horizon: 3, VerdictOnly: true}).Solvable {
 		t.Error("two generals with f=1 stay unsolvable")
 	}
 }
@@ -323,15 +343,15 @@ func ExampleWorstCaseAdversary() {
 }
 
 func TestAnalyzeRoundsFacade(t *testing.T) {
-	an := coordattack.AnalyzeRounds(coordattack.S1(), 2)
+	an := analyze(t, coordattack.RoundsRequest{Scheme: coordattack.S1(), Horizon: 2}).Analysis
 	if !an.Solvable || an.MixedComponents != 0 || an.Components == 0 || an.Configs == 0 {
-		t.Errorf("AnalyzeRounds(S1, 2) = %+v", an)
+		t.Errorf("Analyze(S1, 2) = %+v", an)
 	}
-	if coordattack.AnalyzeRounds(coordattack.R1(), 2).Solvable {
+	if analyze(t, coordattack.RoundsRequest{Scheme: coordattack.R1(), Horizon: 2}).Solvable {
 		t.Error("R1 must not be 2-round solvable")
 	}
-	if an.Solvable != coordattack.SolvableInRounds(coordattack.S1(), 2) {
-		t.Error("AnalyzeRounds and SolvableInRounds disagree")
+	if an.Solvable != analyze(t, coordattack.RoundsRequest{Scheme: coordattack.S1(), Horizon: 2, VerdictOnly: true}).Solvable {
+		t.Error("full and verdict-only analyses disagree")
 	}
 }
 

@@ -260,7 +260,7 @@ func BenchmarkChainsEngine(b *testing.B) {
 }
 
 // Tentpole ablation — MinRounds search as per-horizon engine restarts
-// (the pre-incremental MinRoundsSearch strategy: a fresh engine, grown
+// (the pre-incremental search strategy: a fresh engine, grown
 // from the roots, at every horizon) versus one incremental engine whose
 // horizon-r frontier seeds horizon r+1. R1 is never solvable, so both
 // sides sweep the full 0..maxR range. BENCH_4.json records the speedup.

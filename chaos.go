@@ -46,7 +46,9 @@ const (
 // scenarios sampled from the scheme, checking every trace with the
 // consensus watchdog (and optionally the Proposition III.12 invariant);
 // the first violation is minimized by the shrinker.
-func RunChaosCampaign(cfg ChaosConfig) (*ChaosReport, error) { return chaos.RunCampaign(cfg) }
+func RunChaosCampaign(cfg ChaosConfig) (*ChaosReport, error) {
+	return RunChaosCampaignCtx(context.Background(), cfg)
+}
 
 // RunChaosCampaignCtx is RunChaosCampaign under a campaign-wide context,
 // re-checked between executions so a cancelled sweep aborts promptly
@@ -58,7 +60,7 @@ func RunChaosCampaignCtx(ctx context.Context, cfg ChaosConfig) (*ChaosReport, er
 // RunNetworkChaosCampaign executes seeded random network executions under
 // randomly composed budget-respecting fault injectors.
 func RunNetworkChaosCampaign(cfg NetChaosConfig) (*ChaosReport, error) {
-	return chaos.RunNetworkCampaign(cfg)
+	return RunNetworkChaosCampaignCtx(context.Background(), cfg)
 }
 
 // RunNetworkChaosCampaignCtx is RunNetworkChaosCampaign under a

@@ -31,7 +31,7 @@
 //     and goroutine/CSP-based), and consensus property checking.
 //
 //   - Bounded-round solvability analysis through full-information
-//     indistinguishability chains (SolvableInRounds), the operational form
+//     indistinguishability chains (Analyze), the operational form
 //     of the paper's impossibility machinery.
 //
 //   - Section V: synchronous networks of arbitrary topology — consensus
@@ -63,7 +63,6 @@ import (
 	"repro/internal/classify"
 	"repro/internal/consensus"
 	"repro/internal/fullinfo"
-	"repro/internal/nchain"
 	"repro/internal/obstruction"
 	"repro/internal/omission"
 	"repro/internal/scheme"
@@ -348,96 +347,9 @@ func ParseEngineBackend(s string) (EngineBackend, error) {
 
 // Analyze is the context-first engine entry point for two-process
 // bounded-round analysis. Deadlines and cancellation propagate into the
-// engine; every legacy analysis helper below delegates here.
+// engine.
 func Analyze(ctx context.Context, req RoundsRequest) (RoundsReport, error) {
 	return chain.Analyze(ctx, req)
-}
-
-// mustAnalyze runs chain.Analyze for the deprecated context-free
-// helpers below, which have always panicked on engine errors.
-func mustAnalyze(req RoundsRequest) RoundsReport {
-	rep, err := chain.Analyze(context.Background(), req)
-	if err != nil {
-		panic(err.Error())
-	}
-	return rep
-}
-
-// mustAnalyzeNet is mustAnalyze for nchain.Analyze.
-func mustAnalyzeNet(req NetAnalysisRequest) NetAnalysisReport {
-	rep, err := nchain.Analyze(context.Background(), req)
-	if err != nil {
-		panic(err.Error())
-	}
-	return rep
-}
-
-// foundRounds gives the deprecated searches their (0, false) shape for
-// a horizon that was not found.
-func foundRounds(r int, found bool) (int, bool) {
-	if !found {
-		return 0, false
-	}
-	return r, true
-}
-
-// SolvableInRounds reports whether an r-round consensus algorithm exists
-// for the scheme, by exhaustive full-information analysis. Unlike
-// Classify, it also applies to schemes with double omissions.
-//
-// Deprecated: use Analyze with RoundsRequest.VerdictOnly.
-func SolvableInRounds(s *Scheme, r int) bool {
-	return mustAnalyze(RoundsRequest{Scheme: s, Horizon: r, VerdictOnly: true}).Solvable
-}
-
-// RoundsAnalysis is the full bounded-round solvability computation:
-// configuration count, indistinguishability components, and the
-// mixed-component count whose vanishing is equivalent to solvability.
-type RoundsAnalysis = chain.Analysis
-
-// AnalyzeRounds runs the exhaustive r-round analysis for the scheme and
-// returns the full component counts.
-//
-// Deprecated: use Analyze.
-func AnalyzeRounds(s *Scheme, r int) RoundsAnalysis {
-	return mustAnalyze(RoundsRequest{Scheme: s, Horizon: r}).Analysis
-}
-
-// MinRoundsSearch finds the smallest horizon ≤ maxR at which the scheme
-// is bounded-round solvable.
-//
-// Deprecated: use Analyze with RoundsRequest.MinRounds.
-func MinRoundsSearch(s *Scheme, maxR int) (int, bool) {
-	rep := mustAnalyze(RoundsRequest{Scheme: s, Horizon: maxR, MinRounds: true, VerdictOnly: true})
-	return foundRounds(rep.Rounds, rep.Found)
-}
-
-// SolvableInRoundsChecked is SolvableInRounds under a context.
-//
-// Deprecated: use Analyze with RoundsRequest.VerdictOnly.
-func SolvableInRoundsChecked(ctx context.Context, s *Scheme, r int) (bool, error) {
-	rep, err := chain.Analyze(ctx, RoundsRequest{Scheme: s, Horizon: r, VerdictOnly: true})
-	return rep.Solvable, err
-}
-
-// AnalyzeRoundsChecked is AnalyzeRounds under a context.
-//
-// Deprecated: use Analyze.
-func AnalyzeRoundsChecked(ctx context.Context, s *Scheme, r int) (RoundsAnalysis, error) {
-	rep, err := chain.Analyze(ctx, RoundsRequest{Scheme: s, Horizon: r})
-	return rep.Analysis, err
-}
-
-// MinRoundsSearchChecked is MinRoundsSearch under a context.
-//
-// Deprecated: use Analyze with RoundsRequest.MinRounds.
-func MinRoundsSearchChecked(ctx context.Context, s *Scheme, maxR int) (int, bool, error) {
-	rep, err := chain.Analyze(ctx, RoundsRequest{Scheme: s, Horizon: maxR, MinRounds: true, VerdictOnly: true})
-	if err != nil {
-		return 0, false, err
-	}
-	r, ok := foundRounds(rep.Rounds, rep.Found)
-	return r, ok, nil
 }
 
 // Synthesize compiles a round-optimal consensus algorithm for the scheme
@@ -478,43 +390,6 @@ const (
 // scheme with fixed inputs and exploration horizon.
 func NewValencyAnalyzer(factory func() (white, black Process), s *Scheme, inputs [2]Value, horizon int) *ValencyAnalyzer {
 	return bivalency.New(factory, s, inputs, horizon)
-}
-
-// AnalyzeComplete runs the n-process bounded-round analysis on the
-// complete graph K_n with at most f losses per round (the paper's
-// future-work direction): it reports whether r-round consensus exists.
-//
-// Deprecated: use AnalyzeNet with NetAnalysisRequest.VerdictOnly.
-func AnalyzeComplete(n, f, r int) bool {
-	return mustAnalyzeNet(NetAnalysisRequest{N: n, F: f, Horizon: r, VerdictOnly: true}).Solvable
-}
-
-// MinRoundsComplete finds the smallest solvable horizon ≤ maxR for
-// (n, f) on K_n.
-//
-// Deprecated: use AnalyzeNet with NetAnalysisRequest.MinRounds.
-func MinRoundsComplete(n, f, maxR int) (int, bool) {
-	rep := mustAnalyzeNet(NetAnalysisRequest{N: n, F: f, Horizon: maxR, MinRounds: true, VerdictOnly: true})
-	return foundRounds(rep.Rounds, rep.Found)
-}
-
-// AnalyzeGraphConsensus decides whether r-round consensus exists on an
-// arbitrary small graph with at most f message losses per round,
-// quantifying over all algorithms — the exhaustive form of Theorem V.1.
-//
-// Deprecated: use AnalyzeNet with NetAnalysisRequest.Graph and
-// VerdictOnly.
-func AnalyzeGraphConsensus(g *Graph, f, r int) bool {
-	return mustAnalyzeNet(NetAnalysisRequest{Graph: g, F: f, Horizon: r, VerdictOnly: true}).Solvable
-}
-
-// MinRoundsGraph finds the smallest solvable horizon ≤ maxR for (g, f).
-//
-// Deprecated: use AnalyzeNet with NetAnalysisRequest.Graph and
-// MinRounds.
-func MinRoundsGraph(g *Graph, f, maxR int) (int, bool) {
-	rep := mustAnalyzeNet(NetAnalysisRequest{Graph: g, F: f, Horizon: maxR, MinRounds: true, VerdictOnly: true})
-	return foundRounds(rep.Rounds, rep.Found)
 }
 
 // RoleOf classifies a Γ-scenario in the special-pair matching.

@@ -33,7 +33,7 @@ func main() {
 			// Commit by flooding: every node re-broadcasts all known
 			// votes for n−1 rounds and commits the minimum.
 			for name, adv := range map[string]coordattack.NetAdversary{
-				"random losses  ": coordattack.RandomLossAdversary(f, rng),
+				"random losses  ": coordattack.RandomLossAdversarySeed(f, 42),
 				"targeted at cut": coordattack.TargetedCutAdversary(cut, f),
 			} {
 				tr := coordattack.RunNetwork(g, coordattack.NewFloodNodes(g), inputs, adv, g.N()+2)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,10 +25,14 @@ func main() {
 	}
 
 	// The chain analysis finds the exact horizon...
-	p, ok := coordattack.MinRoundsSearch(s, 6)
-	if !ok {
+	rep, err := coordattack.Analyze(context.Background(), coordattack.RoundsRequest{Scheme: s, Horizon: 6, MinRounds: true, VerdictOnly: true})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !rep.Found {
 		log.Fatal("no bounded horizon found")
 	}
+	p := rep.Rounds
 	fmt.Printf("bounded-round analysis: first solvable horizon = %d (= blackout budget + 1)\n", p)
 
 	// ...and Synthesize compiles an algorithm for it.

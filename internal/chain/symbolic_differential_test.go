@@ -79,9 +79,9 @@ func TestSymbolicMinRoundsMatches(t *testing.T) {
 	}
 }
 
-// TestDeprecatedSearchMatchesBackends: the root facade's deprecated
-// MinRoundsSearch helpers run the default (auto) backend selection; its
-// answers must coincide with both explicit backends.
+// TestDeprecatedSearchMatchesBackends: a MinRounds search with the
+// default (auto) backend selection, as the facade's Analyze runs it,
+// must coincide with both explicit backends.
 func TestDeprecatedSearchMatchesBackends(t *testing.T) {
 	for _, name := range scheme.Names() {
 		s, err := scheme.ByName(name)

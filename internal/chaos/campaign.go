@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"time"
 
@@ -12,11 +13,6 @@ import (
 	"repro/internal/scheme"
 	"repro/internal/sim"
 )
-
-// consensusAW builds a fresh A_w pair for the excluded scenario.
-func consensusAW(w omission.Scenario) (sim.Process, sim.Process) {
-	return consensus.NewAW(w), consensus.NewAW(w)
-}
 
 // Algorithm is a two-process algorithm under chaos test: a factory for
 // fresh process pairs, plus the A_w witness when the algorithm is A_w
@@ -46,7 +42,7 @@ func AWForScheme(s *scheme.Scheme) (Algorithm, error) {
 	w := v.Witness
 	return Algorithm{
 		Name:    fmt.Sprintf("A_w[w=%s]", w),
-		New:     func() (sim.Process, sim.Process) { return consensusAW(w) },
+		New:     func() (sim.Process, sim.Process) { return consensus.NewAW(w), consensus.NewAW(w) },
 		Witness: w,
 	}, nil
 }
@@ -90,9 +86,6 @@ func (c *Config) defaults() {
 	if c.MaxRounds <= 0 {
 		c.MaxRounds = 200
 	}
-	if c.MaxViolations <= 0 {
-		c.MaxViolations = 8
-	}
 }
 
 // Report aggregates a campaign's outcome.
@@ -122,100 +115,143 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// RunCampaign executes Config.Executions seeded random executions of the
-// algorithm under scenarios sampled from the scheme, each with panic
+// RunCampaignCtx executes Config.Executions seeded random executions of
+// the algorithm under scenarios sampled from the scheme, each with panic
 // isolation and an optional wall-clock deadline, checking every trace
 // with the watchdog. The first violation is minimized by the shrinker.
-func RunCampaign(cfg Config) (*Report, error) {
-	return RunCampaignCtx(context.Background(), cfg)
-}
-
-// RunCampaignCtx is RunCampaign under a campaign-wide context: the
-// context is re-checked between executions (and is the parent of every
-// per-execution deadline), so cancellation aborts a sweep promptly
-// rather than only at the end. On cancellation the partial report of the
-// executions that did complete is returned together with ctx.Err();
-// Report.Executions then reflects the truncated count.
+//
+// The campaign context is re-checked between executions and is the
+// parent of every per-execution deadline, so cancellation aborts a sweep
+// promptly. On cancellation the partial report is returned together with
+// ctx.Err(); Report.Executions then counts the executions that ran.
 func RunCampaignCtx(ctx context.Context, cfg Config) (*Report, error) {
 	cfg.defaults()
 	if cfg.Scheme == nil || cfg.Algo.New == nil {
 		return nil, fmt.Errorf("chaos: campaign needs a scheme and an algorithm")
 	}
-	rep := &Report{
-		Scheme:     cfg.Scheme.Name(),
-		Algorithm:  cfg.Algo.Name,
-		Seed:       cfg.Seed,
-		Executions: cfg.Executions,
+	l := &loop{
+		ctx:           ctx,
+		deadline:      cfg.Deadline,
+		maxViolations: cfg.MaxViolations,
+		rep: &Report{
+			Scheme:     cfg.Scheme.Name(),
+			Algorithm:  cfg.Algo.Name,
+			Seed:       cfg.Seed,
+			Executions: cfg.Executions,
+		},
+		exec: func(ctx context.Context, rng *rand.Rand) (trial, error) {
+			sc, ok := cfg.Scheme.SampleScenario(rng, 1+rng.Intn(cfg.MaxPrefix))
+			if !ok {
+				return trial{}, fmt.Errorf("chaos: scheme %s has no member scenarios", cfg.Scheme.Name())
+			}
+			return runTwoProcess(ctx, &cfg, sc, [2]sim.Value{sim.Value(rng.Intn(2)), sim.Value(rng.Intn(2))}), nil
+		},
 	}
-	invariant := cfg.CheckInvariant && cfg.Algo.Witness != nil
+	if !cfg.NoShrink {
+		l.minimize = func(t trial) (omission.Scenario, bool) {
+			return Shrink(cfg.Scheme, t.Played, t.Property, func(cand omission.Scenario) (Property, bool) {
+				ctx, cancel := l.bound()
+				defer cancel()
+				c := runTwoProcess(ctx, &cfg, cand, [2]sim.Value(t.Inputs))
+				return c.Property, c.Property != "" && !l.cancelled(c)
+			})
+		}
+	}
+	return l.run()
+}
 
-	for i := 0; i < cfg.Executions && len(rep.Violations) < cfg.MaxViolations; i++ {
-		if err := ctx.Err(); err != nil {
+// runTwoProcess executes one hardened run of the algorithm under the
+// scenario and classifies it; an A_w pair over a Γ scenario also gets
+// the Proposition III.12 watchdog.
+func runTwoProcess(ctx context.Context, cfg *Config, sc omission.Scenario, inputs [2]sim.Value) trial {
+	white, black := cfg.Algo.New()
+	ht := sim.RunHardenedScenario(ctx, white, black, inputs, sc, cfg.MaxRounds)
+	t := trial{Violation: Violation{Scenario: sc, Played: ht.Played, Inputs: inputs[:]}, rounds: ht.Rounds, interrupted: ht.Interrupted, trace: ht.Trace}
+	t.Property, t.Detail = classifyRun(crashStrings(ht.Crashes), ht.Interrupted, ht.Rounds, ht.Err, sim.Check(ht.Trace))
+	if t.Property == "" && cfg.CheckInvariant && cfg.Algo.Witness != nil && sc.InGamma() {
+		if d, ok := CheckAWInvariant(cfg.Algo.Witness, inputs, sc, cfg.MaxRounds); !ok {
+			t.Property, t.Detail = PropInvariant, d
+		}
+	}
+	return t
+}
+
+// trial is one classified execution: what it cost, whether its context
+// interrupted it, and its Violation as far as the campaign kind knows it
+// (Property is "" when the execution is clean).
+type trial struct {
+	Violation
+	rounds      int
+	interrupted bool
+	trace       fmt.Stringer
+}
+
+// loop is the one campaign loop both campaign kinds run; exec and
+// minimize are all that differs between them.
+type loop struct {
+	ctx      context.Context
+	deadline time.Duration
+	// maxViolations caps the recorded violations (8 when not positive).
+	maxViolations int
+	// rep arrives with Scheme, Algorithm, Seed and the planned Executions.
+	rep *Report
+	// exec draws one execution's inputs (and scenario) from rng, runs it
+	// under ctx and classifies the trace.
+	exec func(ctx context.Context, rng *rand.Rand) (trial, error)
+	// minimize, when set, shrinks a violating execution's scenario.
+	minimize func(trial) (omission.Scenario, bool)
+}
+
+// run sweeps the executions: it re-checks the campaign context between
+// them, derives each execution's seed, bounds it by the per-execution
+// deadline, and records its violation, stamped with the seed that
+// replays it, until the violation cap. An execution that the campaign's
+// own context interrupted proves nothing about the algorithm, so it is
+// never a violation: the sweep stops there with ctx.Err().
+func (l *loop) run() (*Report, error) {
+	rep, limit := l.rep, l.maxViolations
+	if limit <= 0 {
+		limit = 8
+	}
+	for i := 0; i < rep.Executions && len(rep.Violations) < limit; i++ {
+		if err := l.ctx.Err(); err != nil {
 			rep.Executions = i
 			return rep, err
 		}
-		execSeed := DeriveSeed(cfg.Seed, i)
-		rng := NewRand(execSeed)
-		sc, ok := cfg.Scheme.SampleScenario(rng, 1+rng.Intn(cfg.MaxPrefix))
-		if !ok {
-			return nil, fmt.Errorf("chaos: scheme %s has no member scenarios", cfg.Scheme.Name())
+		seed := DeriveSeed(rep.Seed, i)
+		ctx, cancel := l.bound()
+		t, err := l.exec(ctx, NewRand(seed))
+		cancel()
+		if err != nil {
+			return nil, err
 		}
-		inputs := [2]sim.Value{sim.Value(rng.Intn(2)), sim.Value(rng.Intn(2))}
-
-		ht := runOnce(ctx, cfg, sc, inputs)
-		rep.Rounds += int64(ht.Rounds)
-		prop, detail, bad := classifyTwoProcess(ht)
-		if !bad && invariant && sc.InGamma() {
-			if d, ok := CheckAWInvariant(cfg.Algo.Witness, inputs, sc, cfg.MaxRounds); !ok {
-				prop, detail, bad = PropInvariant, d, true
-			}
+		rep.Rounds += int64(t.rounds)
+		if l.cancelled(t) {
+			rep.Executions = i + 1
+			return rep, l.ctx.Err()
 		}
-		if !bad {
+		if t.Property == "" {
 			continue
 		}
-		v := Violation{
-			Property:  prop,
-			Detail:    detail,
-			Scheme:    cfg.Scheme.Name(),
-			Algorithm: cfg.Algo.Name,
-			Scenario:  sc,
-			Played:    ht.Played,
-			Inputs:    inputs[:],
-			Seed:      execSeed,
-			Execution: i,
-			Trace:     ht.Trace.String(),
-		}
-		if !cfg.NoShrink {
-			repro := func(cand omission.Scenario) (Property, bool) {
-				h := runOnce(ctx, cfg, cand, inputs)
-				p, _, b := classifyTwoProcess(h)
-				if !b && invariant && cand.InGamma() {
-					if _, ok := CheckAWInvariant(cfg.Algo.Witness, inputs, cand, cfg.MaxRounds); !ok {
-						return PropInvariant, true
-					}
-				}
-				return p, b
-			}
-			if min, ok := Shrink(cfg.Scheme, ht.Played, prop, repro); ok {
-				v.Minimized = true
-				v.MinScenario = min
-			}
+		v := t.Violation
+		v.Scheme, v.Algorithm, v.Seed, v.Execution, v.Trace = rep.Scheme, rep.Algorithm, seed, i, t.trace.String()
+		if l.minimize != nil {
+			v.MinScenario, v.Minimized = l.minimize(t)
 		}
 		rep.Violations = append(rep.Violations, v)
 	}
 	return rep, nil
 }
 
-// runOnce executes one hardened run of the algorithm under the scenario.
-// The campaign context is the parent of the per-execution deadline, so a
-// campaign-wide cancellation also interrupts a running execution at its
-// next round boundary.
-func runOnce(ctx context.Context, cfg Config, sc omission.Scenario, inputs [2]sim.Value) sim.HardenedTrace {
-	if cfg.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
-		defer cancel()
+// bound returns the context of one execution: the per-execution
+// deadline, parented on the campaign context.
+func (l *loop) bound() (context.Context, context.CancelFunc) {
+	if l.deadline > 0 {
+		return context.WithTimeout(l.ctx, l.deadline)
 	}
-	white, black := cfg.Algo.New()
-	return sim.RunHardenedScenario(ctx, white, black, inputs, sc, cfg.MaxRounds)
+	return l.ctx, func() {}
 }
+
+// cancelled reports whether the campaign context, not the algorithm or
+// the per-execution deadline, ended the execution.
+func (l *loop) cancelled(t trial) bool { return t.interrupted && l.ctx.Err() != nil }

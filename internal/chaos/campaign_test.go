@@ -39,7 +39,7 @@ func TestChaosCampaignSevenEnvironments(t *testing.T) {
 			continue
 		}
 		solvable++
-		rep, err := RunCampaign(Config{
+		rep, err := RunCampaignCtx(context.Background(), Config{
 			Scheme:         s,
 			Algo:           algo,
 			Executions:     perScheme,
@@ -105,7 +105,7 @@ func TestFirstCleanExchangeViolationMinimized(t *testing.T) {
 		Seed:       1,
 		MaxRounds:  40,
 	}
-	rep, err := RunCampaign(cfg)
+	rep, err := RunCampaignCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +142,8 @@ func TestFirstCleanExchangeViolationMinimized(t *testing.T) {
 	if inputs[0] != v.Inputs[0] || inputs[1] != v.Inputs[1] {
 		t.Fatalf("replay inputs %v differ from reported %v", inputs, v.Inputs)
 	}
-	ht := runOnce(context.Background(), cfg, sc, inputs)
-	if p, _, bad := classifyTwoProcess(ht); !bad || p != v.Property {
-		t.Fatalf("replay did not reproduce %s (bad=%v prop=%s)", v.Property, bad, p)
+	if got := runTwoProcess(context.Background(), &cfg, sc, inputs); got.Property != v.Property {
+		t.Fatalf("replay did not reproduce %s (prop=%q)", v.Property, got.Property)
 	}
 }
 
@@ -179,7 +178,7 @@ func TestCampaignCatchesMismatchedPair(t *testing.T) {
 			return consensus.NewAW(omission.MustScenario("(w)")), consensus.NewAW(omission.MustScenario("(b)"))
 		},
 	}
-	rep, err := RunCampaign(Config{
+	rep, err := RunCampaignCtx(context.Background(), Config{
 		Scheme:     scheme.S1(),
 		Algo:       bad,
 		Executions: 300,
@@ -217,7 +216,7 @@ func TestPanicIsolationTwoProcess(t *testing.T) {
 			return &panicAt{round: 1}, &consensus.FirstCleanExchange{Deadline: 5}
 		},
 	}
-	rep, err := RunCampaign(Config{
+	rep, err := RunCampaignCtx(context.Background(), Config{
 		Scheme:     scheme.S0(),
 		Algo:       algo,
 		Executions: 5,
@@ -261,7 +260,7 @@ func TestDeadlineEnforcement(t *testing.T) {
 			return &slowProcess{}, &slowProcess{}
 		},
 	}
-	rep, err := RunCampaign(Config{
+	rep, err := RunCampaignCtx(context.Background(), Config{
 		Scheme:     scheme.S0(),
 		Algo:       algo,
 		Executions: 1,
@@ -328,6 +327,69 @@ func TestCampaignCancelBetweenExecutions(t *testing.T) {
 	}
 }
 
+// TestCampaignCancelMidExecutionIsNotAViolation cancels the campaign
+// inside the factory of execution 4, so that run is interrupted by the
+// campaign's own context. That is no deadline violation of the
+// algorithm: the run counts in Executions, nothing is recorded or
+// shrunk, and the campaign returns ctx.Err() — also when a violation cap
+// of 1 would otherwise have been filled by the phantom violation.
+func TestCampaignCancelMidExecutionIsNotAViolation(t *testing.T) {
+	s := scheme.S1()
+	base, err := AWForScheme(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, maxViolations := range []int{0, 1} {
+		ctx, cancel := context.WithCancel(context.Background())
+		built := 0
+		algo := base
+		algo.New = func() (sim.Process, sim.Process) {
+			if built++; built == 5 {
+				cancel()
+			}
+			return base.New()
+		}
+		rep, err := RunCampaignCtx(ctx, Config{Scheme: s, Algo: algo, Executions: 100, Seed: 4, MaxViolations: maxViolations})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cap=%d: campaign error = %v, want context.Canceled", maxViolations, err)
+		}
+		if rep == nil || rep.Executions != 5 || !rep.OK() {
+			t.Fatalf("cap=%d: report = %v, want 5 executions and no violation", maxViolations, rep)
+		}
+		if built != 5 {
+			t.Fatalf("cap=%d: factory ran %d times, want 5 (the interrupted run is not shrunk)", maxViolations, built)
+		}
+	}
+}
+
+// TestShrinkIgnoresCandidatesTheCampaignInterrupted: execution 0 of a
+// sleeper hits its own deadline, a real violation; the campaign is then
+// cancelled while the shrinker re-runs it. An interrupted candidate
+// proves nothing, so the violation is reported unminimized rather than
+// "minimized" by runs the cancellation cut short.
+func TestShrinkIgnoresCandidatesTheCampaignInterrupted(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	built := 0
+	algo := Algorithm{Name: "sleeper", New: func() (sim.Process, sim.Process) {
+		if built++; built == 2 {
+			cancel()
+		}
+		return sleepyInit{}, mute{}
+	}}
+	rep, err := RunCampaignCtx(ctx, Config{Scheme: scheme.S1(), Algo: algo, Executions: 3, Seed: 5, Deadline: sleepyDeadline})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("campaign error = %v, want context.Canceled", err)
+	}
+	if rep == nil || rep.Executions != 1 || len(rep.Violations) != 1 {
+		t.Fatalf("report = %v, want one execution with one violation", rep)
+	}
+	if v := rep.Violations[0]; v.Property != PropDeadline || v.Minimized {
+		t.Fatalf("violation = %s, want an unminimized deadline violation", v)
+	}
+}
+
 // TestCampaignIsDeterministic replays the same seed twice and compares
 // reports.
 func TestCampaignIsDeterministic(t *testing.T) {
@@ -337,7 +399,7 @@ func TestCampaignIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := RunCampaign(Config{Scheme: s, Algo: algo, Executions: 50, Seed: 99, CheckInvariant: true})
+		rep, err := RunCampaignCtx(context.Background(), Config{Scheme: s, Algo: algo, Executions: 50, Seed: 99, CheckInvariant: true})
 		if err != nil {
 			t.Fatal(err)
 		}

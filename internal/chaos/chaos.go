@@ -22,9 +22,11 @@
 //     scenario — shortest reproducing prefix, then letters simplified
 //     toward '.' — before reporting, so counterexamples arrive small.
 //
-//   - Campaign runners (campaign.go, netcampaign.go) that execute N
-//     seeded executions against a scheme or a graph, each under a
-//     wall-clock deadline with panic isolation, and aggregate a Report.
+//   - One campaign loop (campaign.go) that executes N seeded executions
+//     against a scheme (RunCampaignCtx) or a graph (RunNetworkCampaignCtx,
+//     netcampaign.go), each under a wall-clock deadline with panic
+//     isolation, and aggregates a Report; an execution the campaign's own
+//     context interrupted ends the sweep instead of becoming a violation.
 //
 // Everything is deterministic given the campaign seed: per-execution
 // seeds are derived with a SplitMix64 step, and each Violation is stamped

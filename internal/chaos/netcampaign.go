@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	"repro/internal/graph"
@@ -40,124 +39,63 @@ type NetConfig struct {
 	MaxViolations int
 }
 
-func (c *NetConfig) defaults() {
+func (c *NetConfig) defaults(connectivity int) {
 	if c.Executions <= 0 {
 		c.Executions = 200
 	}
 	if c.MaxLossesPerRound <= 0 {
-		c.MaxLossesPerRound = c.Graph.EdgeConnectivity() - 1
+		c.MaxLossesPerRound = connectivity - 1
 	}
 	if c.MaxRounds <= 0 {
 		c.MaxRounds = c.Graph.N() + 2
-	}
-	if c.MaxViolations <= 0 {
-		c.MaxViolations = 8
 	}
 	if c.AlgorithmName == "" {
 		c.AlgorithmName = "flood"
 	}
 }
 
-// RunNetworkCampaign executes seeded random executions of the node
+// RunNetworkCampaignCtx executes seeded random executions of the node
 // algorithm on the graph under randomly composed, budget-respecting
 // fault injectors, checking uniform consensus on every trace. Panics
-// crash-stop single nodes; deadlines bound every execution.
-func RunNetworkCampaign(cfg NetConfig) (*Report, error) {
-	return RunNetworkCampaignCtx(context.Background(), cfg)
-}
-
-// RunNetworkCampaignCtx is RunNetworkCampaign under a campaign-wide
-// context, re-checked between executions and parented under every
-// per-execution deadline. On cancellation the partial report is returned
-// together with ctx.Err(), Report.Executions truncated to the count that
-// actually ran.
+// crash-stop single nodes; deadlines bound every execution. The campaign
+// context is handled as in RunCampaignCtx.
 func RunNetworkCampaignCtx(ctx context.Context, cfg NetConfig) (*Report, error) {
 	if cfg.Graph == nil || cfg.NewNodes == nil {
 		return nil, fmt.Errorf("chaos: network campaign needs a graph and a node factory")
 	}
-	cfg.defaults()
-	if cfg.MaxLossesPerRound >= cfg.Graph.EdgeConnectivity() {
-		return nil, fmt.Errorf("chaos: budget f=%d ≥ c(G)=%d — consensus is unsolvable by Theorem V.1, a campaign would only report the theorem",
-			cfg.MaxLossesPerRound, cfg.Graph.EdgeConnectivity())
+	c := cfg.Graph.EdgeConnectivity()
+	cfg.defaults(c)
+	f := cfg.MaxLossesPerRound
+	if f < 0 || f >= c {
+		return nil, fmt.Errorf("chaos: budget f=%d outside 0 ≤ f < c(G)=%d — consensus is unsolvable by Theorem V.1, a campaign would only report the theorem", f, c)
 	}
-	rep := &Report{
-		Scheme:     fmt.Sprintf("%s,f=%d", cfg.Graph.Name(), cfg.MaxLossesPerRound),
-		Algorithm:  cfg.AlgorithmName,
-		Seed:       cfg.Seed,
-		Executions: cfg.Executions,
+	run := netsim.RunHardened
+	if cfg.Goroutines {
+		run = netsim.RunGoroutinesHardened
 	}
-	n := cfg.Graph.N()
-	for i := 0; i < cfg.Executions && len(rep.Violations) < cfg.MaxViolations; i++ {
-		if err := ctx.Err(); err != nil {
-			rep.Executions = i
-			return rep, err
-		}
-		execSeed := DeriveSeed(cfg.Seed, i)
-		rng := NewRand(execSeed)
-		inputs := make([]netsim.Value, n)
-		for j := range inputs {
-			inputs[j] = netsim.Value(rng.Intn(2))
-		}
-		adv := randomInjector(rng, cfg.Graph, cfg.MaxLossesPerRound)
-
-		execCtx := ctx
-		var cancel context.CancelFunc
-		if cfg.Deadline > 0 {
-			execCtx, cancel = context.WithTimeout(ctx, cfg.Deadline)
-		}
-		var ht netsim.HardenedTrace
-		if cfg.Goroutines {
-			ht = netsim.RunGoroutinesHardened(execCtx, cfg.Graph, cfg.NewNodes(), inputs, adv, cfg.MaxRounds)
-		} else {
-			ht = netsim.RunHardened(execCtx, cfg.Graph, cfg.NewNodes(), inputs, adv, cfg.MaxRounds)
-		}
-		if cancel != nil {
-			cancel()
-		}
-		rep.Rounds += int64(ht.Rounds)
-
-		prop, detail, bad := classifyNetwork(ht)
-		if !bad {
-			continue
-		}
-		simInputs := make([]sim.Value, n)
-		copy(simInputs, inputs)
-		rep.Violations = append(rep.Violations, Violation{
-			Property:  prop,
-			Detail:    detail,
-			Scheme:    rep.Scheme,
-			Algorithm: cfg.AlgorithmName,
-			Inputs:    simInputs,
-			Seed:      execSeed,
-			Execution: i,
-			Trace:     ht.Trace.String(),
-		})
+	l := &loop{
+		ctx:           ctx,
+		deadline:      cfg.Deadline,
+		maxViolations: cfg.MaxViolations,
+		rep: &Report{
+			Scheme:     fmt.Sprintf("%s,f=%d", cfg.Graph.Name(), f),
+			Algorithm:  cfg.AlgorithmName,
+			Seed:       cfg.Seed,
+			Executions: cfg.Executions,
+		},
+		exec: func(ctx context.Context, rng *rand.Rand) (trial, error) {
+			inputs := make([]netsim.Value, cfg.Graph.N())
+			for j := range inputs {
+				inputs[j] = netsim.Value(rng.Intn(2))
+			}
+			adv := randomInjector(rng, cfg.Graph, f)
+			ht := run(ctx, cfg.Graph, cfg.NewNodes(), inputs, adv, cfg.MaxRounds)
+			t := trial{Violation: Violation{Inputs: inputs}, rounds: ht.Rounds, interrupted: ht.Interrupted, trace: ht.Trace}
+			t.Property, t.Detail = classifyRun(crashStrings(ht.Crashes), ht.Interrupted, ht.Rounds, ht.Err, sim.Report(netsim.Check(ht.Trace)))
+			return t, nil
+		},
 	}
-	return rep, nil
-}
-
-// classifyNetwork inspects a hardened network trace.
-func classifyNetwork(ht netsim.HardenedTrace) (Property, string, bool) {
-	if len(ht.Crashes) > 0 {
-		parts := make([]string, len(ht.Crashes))
-		for i, c := range ht.Crashes {
-			parts[i] = c.String()
-		}
-		return PropPanic, strings.Join(parts, "; "), true
-	}
-	if ht.Interrupted {
-		return PropDeadline, fmt.Sprintf("run interrupted after %d rounds: %v", ht.Rounds, ht.Err), true
-	}
-	rep := netsim.Check(ht.Trace)
-	switch {
-	case !rep.Agreement:
-		return PropAgreement, strings.Join(rep.Violations, "; "), true
-	case !rep.Validity:
-		return PropValidity, strings.Join(rep.Violations, "; "), true
-	case !rep.Terminated:
-		return PropTermination, strings.Join(rep.Violations, "; "), true
-	}
-	return "", "", false
+	return l.run()
 }
 
 // randomInjector composes a budget-respecting adversary for one

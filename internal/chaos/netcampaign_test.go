@@ -36,7 +36,7 @@ func TestNetworkCampaignFloodClean(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, g := range graphs {
 		for _, goroutines := range []bool{false, true} {
-			rep, err := RunNetworkCampaign(NetConfig{
+			rep, err := RunNetworkCampaignCtx(context.Background(), NetConfig{
 				Graph:      g,
 				NewNodes:   floodNodes(g.N()),
 				Executions: execs,
@@ -60,7 +60,7 @@ func TestNetworkCampaignFloodClean(t *testing.T) {
 // pretend otherwise.
 func TestNetworkCampaignRejectsUnsolvableBudget(t *testing.T) {
 	g := graph.Cycle(4) // c(G) = 2
-	_, err := RunNetworkCampaign(NetConfig{
+	_, err := RunNetworkCampaignCtx(context.Background(), NetConfig{
 		Graph:             g,
 		NewNodes:          floodNodes(4),
 		MaxLossesPerRound: 2,
@@ -70,6 +70,27 @@ func TestNetworkCampaignRejectsUnsolvableBudget(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "unsolvable") {
 		t.Fatalf("error should cite unsolvability: %v", err)
+	}
+}
+
+// TestNetworkCampaignRefusesDisconnectedGraph: on a graph with c(G) = 0
+// no budget is within Theorem V.1, so the campaign refuses it rather
+// than run the default budget c(G)−1 = −1 into the drop sampler.
+func TestNetworkCampaignRefusesDisconnectedGraph(t *testing.T) {
+	oneEdge := graph.New("one-edge", 3)
+	oneEdge.AddEdge(0, 1)
+	for _, g := range []*graph.Graph{graph.New("two-isolated", 2), oneEdge} {
+		for _, f := range []int{0, 1} {
+			_, err := RunNetworkCampaignCtx(context.Background(), NetConfig{
+				Graph:             g,
+				NewNodes:          floodNodes(g.N()),
+				Executions:        5,
+				MaxLossesPerRound: f,
+			})
+			if err == nil || !strings.Contains(err.Error(), "Theorem V.1") {
+				t.Fatalf("%s f=%d: err = %v, want a Theorem V.1 refusal", g.Name(), f, err)
+			}
+		}
 	}
 }
 
@@ -141,7 +162,7 @@ func TestPanicIsolationNetwork(t *testing.T) {
 // stamped, and diagnostic-bearing.
 func TestNetworkCampaignReportsPanic(t *testing.T) {
 	g := graph.Complete(3)
-	rep, err := RunNetworkCampaign(NetConfig{
+	rep, err := RunNetworkCampaignCtx(context.Background(), NetConfig{
 		Graph: g,
 		NewNodes: func() []netsim.Node {
 			return []netsim.Node{&netconsensus.FloodMin{}, &panicNode{round: 1}, &netconsensus.FloodMin{}}
@@ -173,7 +194,7 @@ func TestNetworkCampaignReportsPanic(t *testing.T) {
 func TestDeadlineEnforcementNetwork(t *testing.T) {
 	g := graph.Complete(3)
 	for _, goroutines := range []bool{false, true} {
-		rep, err := RunNetworkCampaign(NetConfig{
+		rep, err := RunNetworkCampaignCtx(context.Background(), NetConfig{
 			Graph: g,
 			NewNodes: func() []netsim.Node {
 				return []netsim.Node{&slowNode{}, &netconsensus.FloodMin{}, &netconsensus.FloodMin{}}
@@ -231,5 +252,38 @@ func TestNetworkCampaignCancelBetweenExecutions(t *testing.T) {
 	}
 	if rep == nil || rep.Executions != cancelAfter {
 		t.Fatalf("partial report = %+v, want exactly %d executions", rep, cancelAfter)
+	}
+}
+
+// TestNetworkCampaignCancelMidExecutionIsNotAViolation is the network
+// form of TestCampaignCancelMidExecutionIsNotAViolation, on both runners.
+func TestNetworkCampaignCancelMidExecutionIsNotAViolation(t *testing.T) {
+	g := graph.Complete(4)
+	for _, goroutines := range []bool{false, true} {
+		for _, maxViolations := range []int{0, 1} {
+			ctx, cancel := context.WithCancel(context.Background())
+			built := 0
+			inner := floodNodes(g.N())
+			rep, err := RunNetworkCampaignCtx(ctx, NetConfig{
+				Graph: g,
+				NewNodes: func() []netsim.Node {
+					if built++; built == 5 {
+						cancel()
+					}
+					return inner()
+				},
+				Executions:    100,
+				Seed:          4,
+				Goroutines:    goroutines,
+				MaxViolations: maxViolations,
+			})
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("goroutines=%v cap=%d: campaign error = %v, want context.Canceled", goroutines, maxViolations, err)
+			}
+			if rep == nil || rep.Executions != 5 || !rep.OK() {
+				t.Fatalf("goroutines=%v cap=%d: report = %v, want 5 executions and no violation", goroutines, maxViolations, rep)
+			}
+		}
 	}
 }

@@ -78,29 +78,33 @@ func (v Violation) String() string {
 	return b.String()
 }
 
-// classifyTwoProcess inspects a hardened two-process trace and returns
-// the broken property, if any.
-func classifyTwoProcess(ht sim.HardenedTrace) (Property, string, bool) {
-	if len(ht.Crashes) > 0 {
-		parts := make([]string, len(ht.Crashes))
-		for i, c := range ht.Crashes {
-			parts[i] = c.String()
-		}
-		return PropPanic, strings.Join(parts, "; "), true
-	}
-	if ht.Interrupted {
-		return PropDeadline, fmt.Sprintf("run interrupted after %d rounds: %v", ht.Rounds, ht.Err), true
-	}
-	rep := sim.Check(ht.Trace)
+// classifyRun is the watchdog's ladder over one hardened run of either
+// simulator: an absorbed panic, then an expired deadline, then
+// agreement, validity and termination from the consensus check. It
+// returns the first broken property, or "" when the run is clean.
+func classifyRun(crashes []string, interrupted bool, rounds int, err error, check sim.Report) (Property, string) {
 	switch {
-	case !rep.Agreement:
-		return PropAgreement, strings.Join(rep.Violations, "; "), true
-	case !rep.Validity:
-		return PropValidity, strings.Join(rep.Violations, "; "), true
-	case !rep.Terminated:
-		return PropTermination, strings.Join(rep.Violations, "; "), true
+	case len(crashes) > 0:
+		return PropPanic, strings.Join(crashes, "; ")
+	case interrupted:
+		return PropDeadline, fmt.Sprintf("run interrupted after %d rounds: %v", rounds, err)
+	case !check.Agreement:
+		return PropAgreement, strings.Join(check.Violations, "; ")
+	case !check.Validity:
+		return PropValidity, strings.Join(check.Violations, "; ")
+	case !check.Terminated:
+		return PropTermination, strings.Join(check.Violations, "; ")
 	}
-	return "", "", false
+	return "", ""
+}
+
+// crashStrings renders a hardened trace's crash records for classifyRun.
+func crashStrings[C fmt.Stringer](crashes []C) []string {
+	parts := make([]string, len(crashes))
+	for i, c := range crashes {
+		parts[i] = c.String()
+	}
+	return parts
 }
 
 // CheckAWInvariant runs the pair A_w under the scenario and verifies the

@@ -130,7 +130,7 @@ func Capnet(args []string, stdout, stderr io.Writer) int {
 	var adv coordattack.NetAdversary
 	switch *adversary {
 	case "random":
-		adv = coordattack.RandomLossAdversary(*f, rng)
+		adv = coordattack.RandomLossAdversarySeed(*f, *seed)
 	case "targeted":
 		adv = coordattack.TargetedCutAdversary(cut, *f)
 	case "cut":

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -59,10 +60,13 @@ func TestExperimentsReproducePaper(t *testing.T) {
 		"ho":       {"Γ^ω (equivalence verified: true)", "obstruction"},
 		"floodlat": {"cycle-8      8  2     1  7                         7"},
 	}
-	for _, e := range All() {
+	all := All()
+	outs := make([]string, len(all))
+	for i, e := range all {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			out := e.Run()
+			outs[i] = out
 			if out == "" {
 				t.Fatal("empty report")
 			}
@@ -77,4 +81,53 @@ func TestExperimentsReproducePaper(t *testing.T) {
 			}
 		})
 	}
+	checkMeasuredBlock(t, outs)
+}
+
+// checkMeasuredBlock compares EXPERIMENTS.md's measured block with what
+// `experiments -all` prints for these reports (each followed by a
+// newline), ignoring trailing whitespace. It is skipped when a -run
+// filter left some experiment out.
+func checkMeasuredBlock(t *testing.T, outs []string) {
+	t.Helper()
+	var want strings.Builder
+	for _, out := range outs {
+		if out == "" {
+			return
+		}
+		want.WriteString(out + "\n")
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const head = "# Measured output (`cmd/experiments -all`)\n\n```\n"
+	_, block, ok := strings.Cut(string(doc), head)
+	if !ok {
+		t.Fatalf("EXPERIMENTS.md has no %q block", strings.TrimSpace(head))
+	}
+	block, _, _ = strings.Cut(block, "```")
+	got, exp := trimLines(block), trimLines(want.String())
+	for i := 0; i < len(got) || i < len(exp); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(exp) {
+			w = exp[i]
+		}
+		if g != w {
+			t.Fatalf("EXPERIMENTS.md measured block is stale at line %d of the block:\n  file: %q\n  -all: %q\nregenerate it with go run ./cmd/experiments -all", i+1, g, w)
+		}
+	}
+}
+
+// trimLines splits text into lines without trailing whitespace, dropping
+// trailing blank lines.
+func trimLines(text string) []string {
+	lines := strings.Split(strings.TrimRight(text, " \t\n"), "\n")
+	for i, l := range lines {
+		lines[i] = strings.TrimRight(l, " \t")
+	}
+	return lines
 }

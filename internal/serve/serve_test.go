@@ -448,6 +448,21 @@ func TestBreakerCoversChaos(t *testing.T) {
 	}
 }
 
+// TestChaosTimeoutMidCampaignIs504 pins that a campaign the request
+// timeout interrupts answers 504, also when the timeout lands inside an
+// execution and the request caps violations at 1: the interrupted run is
+// the request's deadline, not a deadline violation of A_w.
+func TestChaosTimeoutMidCampaignIs504(t *testing.T) {
+	_, ts := testServer(t, Config{RequestTimeout: 20 * time.Millisecond})
+	body := `{"scheme":"S1","executions":100000,"seed":7,"maxViolations":1}`
+	for i := 0; i < 3; i++ {
+		resp, raw := postJSON(t, ts.URL+"/v1/chaos", body)
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("timed-out campaign %d = %d (%s), want 504", i, resp.StatusCode, raw)
+		}
+	}
+}
+
 // TestGracefulDrain proves the SIGTERM path: after the lifecycle context
 // is cancelled, in-flight requests run to completion, new connections are
 // refused, readiness flips, and ListenAndServe returns cleanly.

@@ -95,9 +95,7 @@ type NetAnalysisReport = nchain.Report
 
 // AnalyzeNet is the context-first engine entry point for n-process
 // bounded-round analysis (the exhaustive, all-algorithms form of
-// Theorem V.1 on small instances). The legacy helpers AnalyzeComplete,
-// MinRoundsComplete, AnalyzeGraphConsensus, and MinRoundsGraph delegate
-// here.
+// Theorem V.1 on small instances).
 func AnalyzeNet(ctx context.Context, req NetAnalysisRequest) (NetAnalysisReport, error) {
 	return nchain.Analyze(ctx, req)
 }
@@ -132,16 +130,6 @@ func CheckNetwork(t NetTrace) NetReport { return netsim.Check(t) }
 
 // NoDrops is the failure-free adversary.
 func NoDrops() NetAdversary { return netsim.NoDrops{} }
-
-// RandomLossAdversary drops up to f random directed messages per round.
-//
-// Deprecated: prefer RandomLossAdversarySeed, which owns its random
-// source, so a shared *rand.Rand cannot couple the adversary to other
-// consumers and break replayability. This wrapper remains for callers
-// that deliberately share a source.
-func RandomLossAdversary(f int, rng *rand.Rand) NetAdversary {
-	return netsim.RandomF{F: f, Rng: rng}
-}
 
 // RandomLossAdversarySeed drops up to f random directed messages per
 // round from a private source derived from seed. Two adversaries built

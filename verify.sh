@@ -38,13 +38,15 @@ echo "== verdictbench module (vet + test) =="
 # yet it imports serve, serve/client, serve/cluster and serve/wire.
 (cd verdictbench && go vet ./... && go test ./...)
 
-echo "== GOMAXPROCS matrix (engine + service, -cpu 1,2,4) =="
+echo "== GOMAXPROCS matrix (engine + service + chaos, -cpu 1,2,4) =="
 # Verdict bodies must not depend on scheduling: the engine and service
 # suites run at three core counts, three times each, so a report that
 # varies with how concurrent requests interleave (shared scratch pools,
 # the server's admission and singleflight paths) fails here instead of
-# shipping.
-go test -cpu 1,2,4 -count=3 ./internal/fullinfo ./internal/chain ./internal/nchain ./internal/serve/...
+# shipping. The chaos suite runs there too: both campaign kinds,
+# including the goroutine-per-node host, must give the same Report on
+# any core count.
+go test -cpu 1,2,4 -count=3 ./internal/fullinfo ./internal/chain ./internal/nchain ./internal/serve/... ./internal/chaos
 
 echo "== serve alloc gates (unraced, JSON + binary) =="
 # The alloc gates skip themselves under -race (the detector's
@@ -66,6 +68,8 @@ for pkg in ./internal/sim/ ./internal/netsim/; do
 	echo "-- FuzzRunnersVsReference (${pkg})"
 	go test -run '^FuzzRunnersVsReference$' -fuzz '^FuzzRunnersVsReference$' -fuzztime "${FUZZTIME}" "${pkg}"
 done
+echo "-- FuzzCampaignsVsReference"
+go test -run '^FuzzCampaignsVsReference$' -fuzz '^FuzzCampaignsVsReference$' -fuzztime "${FUZZTIME}" ./internal/chaos/
 for target in FuzzWireFrameDecode FuzzWarmSegment; do
 	echo "-- ${target}"
 	go test -run "^${target}$" -fuzz "^${target}$" -fuzztime "${FUZZTIME}" ./internal/serve/wire/
