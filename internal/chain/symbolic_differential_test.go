@@ -167,3 +167,30 @@ func FuzzSymbolicVsReference(f *testing.F) {
 		}
 	})
 }
+
+// TestSymbolicS1Horizon2IntervalRuns pins an interval gauge that
+// capserved's /v1/stats aggregate cannot show: under the default
+// backend, S1 at horizon 2 runs both rounds symbolically and covers its
+// 7 admissible indices {0,1,3,4,5,7,8} with 3 maximal runs after the
+// cross-state merge.
+func TestSymbolicS1Horizon2IntervalRuns(t *testing.T) {
+	var last fullinfo.Stats
+	runs := 0
+	rep, err := Analyze(context.Background(), Request{
+		Scheme:   scheme.S1(),
+		Horizon:  2,
+		Observer: func(st fullinfo.Stats) { last = st; runs++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Solvable {
+		t.Fatal("S1 at horizon 2 should be solvable")
+	}
+	if runs != 1 {
+		t.Fatalf("observer fired %d times, want 1", runs)
+	}
+	if last.SymbolicRounds != 2 || last.IntervalRuns != 3 {
+		t.Fatalf("S1 h=2: SymbolicRounds=%d IntervalRuns=%d, want 2 and 3", last.SymbolicRounds, last.IntervalRuns)
+	}
+}

@@ -108,7 +108,7 @@ func TestClusterBatchDifferential(t *testing.T) {
 		if err := json.Unmarshal(rraw, &rv); err != nil {
 			t.Fatal(err)
 		}
-		if cv != rv {
+		if !cv.equal(rv) {
 			t.Fatalf("item %d: cluster batch says %+v, single node says %+v", i, cv, rv)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/serve"
+	"repro/internal/serve/wire"
 )
 
 // --- ring -------------------------------------------------------------
@@ -170,12 +172,29 @@ func clusterStats(t *testing.T, base string) Stats {
 	return st
 }
 
-// verdict is the semantic core of a solvability reply — the part that
-// must be identical however many nodes computed it.
+// verdict is a whole solvability reply, /v1/solvable or
+// /v1/net/solvable, with the per-request metadata zeroed: cached,
+// shared and elapsedMs. Everything else is a function of the key and
+// must be identical however many nodes computed it. The body decodes
+// into both wire structs; the fields the other kind lacks stay zero.
 type verdict struct {
-	Solvable bool `json:"solvable"`
-	Horizon  int  `json:"horizon"`
+	Sol wire.Solvable
+	Net wire.NetSolvable
 }
+
+func (v *verdict) UnmarshalJSON(b []byte) error {
+	if err := json.Unmarshal(b, &v.Sol); err != nil {
+		return err
+	}
+	if err := json.Unmarshal(b, &v.Net); err != nil {
+		return err
+	}
+	v.Sol.Cached, v.Sol.Shared, v.Sol.ElapsedMs = false, false, 0
+	v.Net.Cached, v.Net.ElapsedMs = false, 0
+	return nil
+}
+
+func (v verdict) equal(w verdict) bool { return reflect.DeepEqual(v, w) }
 
 // TestClusterDifferentialAgainstSingleNode routes a mixed query set
 // through a 3-node cluster and checks every verdict against a lone
@@ -207,7 +226,7 @@ func TestClusterDifferentialAgainstSingleNode(t *testing.T) {
 		if err := json.Unmarshal(rraw, &rv); err != nil {
 			t.Fatal(err)
 		}
-		if cv != rv {
+		if !cv.equal(rv) {
 			t.Fatalf("%s %s: cluster says %+v, single node says %+v", q.path, q.body, cv, rv)
 		}
 	}
@@ -257,7 +276,7 @@ func TestClusterSurvivesKilledBackend(t *testing.T) {
 		var cv, rv verdict
 		json.Unmarshal(craw, &cv)
 		json.Unmarshal(rraw, &rv)
-		if cv != rv {
+		if !cv.equal(rv) {
 			t.Fatalf("request %d verdict drifted with dead backend: cluster %+v vs single %+v", i, cv, rv)
 		}
 	}
@@ -452,7 +471,7 @@ func TestClusterUnderFaultyTransport(t *testing.T) {
 		var cv, rv verdict
 		json.Unmarshal(craw, &cv)
 		json.Unmarshal(rraw, &rv)
-		if cv != rv {
+		if !cv.equal(rv) {
 			t.Fatalf("verdict corrupted under chaos transport: %+v vs %+v", cv, rv)
 		}
 	}
@@ -517,7 +536,7 @@ func TestCoordinatorWarmStoreOutlivesBackends(t *testing.T) {
 	var v1, v2 verdict
 	json.Unmarshal(raw, &v1)
 	json.Unmarshal(raw2, &v2)
-	if v1 != v2 {
+	if !v1.equal(v2) {
 		t.Fatalf("warm verdict drifted: %+v vs %+v", v1, v2)
 	}
 }

@@ -451,7 +451,7 @@ func TestClusterChurnDifferential(t *testing.T) {
 		var cv, rv verdict
 		json.Unmarshal(craw, &cv)
 		json.Unmarshal(rraw, &rv)
-		if cv != rv {
+		if !cv.equal(rv) {
 			t.Fatalf("verdict drifted under churn: cluster %+v vs single %+v (query %s)", cv, rv, body)
 		}
 		time.Sleep(15 * time.Millisecond)

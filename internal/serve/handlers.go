@@ -597,7 +597,6 @@ func (s *Server) solveVerdict(ctx context.Context, sch *coordattack.Scheme, hori
 		resp.Components = rep.Components
 		resp.MixedComponents = rep.MixedComponents
 	}
-	resp.Engine = engineStatsOf(rep.Stats)
 	return resp, nil
 }
 
@@ -631,7 +630,6 @@ func (s *Server) netVerdict(ctx context.Context, g *coordattack.Graph, f, rounds
 		Solvable:         rep.Solvable,
 		EdgeConnectivity: c,
 		TheoremV1:        f < c,
-		Engine:           engineStatsOf(rep.Stats),
 	}, nil
 }
 

@@ -4,8 +4,7 @@ import (
 	"net/http"
 	"sync/atomic"
 
-	coordattack "repro"
-	"repro/internal/serve/wire"
+	"repro/internal/fullinfo"
 )
 
 // engineAgg accumulates fullinfo engine instrumentation across every
@@ -14,6 +13,8 @@ import (
 // counters keep growing even when the request later times out. Cache
 // hits and singleflight followers never re-run the engine and therefore
 // never count — /v1/stats measures work done, not requests served.
+// Verdict replies carry no engine block, so /v1/stats is where served
+// engine work shows.
 type engineAgg struct {
 	runs          atomic.Int64
 	rounds        atomic.Int64
@@ -26,7 +27,7 @@ type engineAgg struct {
 }
 
 // observe is the fullinfo Observer hook wired into every engine request.
-func (a *engineAgg) observe(st coordattack.EngineStats) {
+func (a *engineAgg) observe(st fullinfo.Stats) {
 	a.runs.Add(1)
 	a.rounds.Add(int64(st.Rounds))
 	a.configs.Add(st.Configs)
@@ -40,35 +41,6 @@ func (a *engineAgg) observe(st coordattack.EngineStats) {
 			break
 		}
 	}
-}
-
-// engineStatsJSON is the per-response engine instrumentation block,
-// cached alongside the verdict so repeat queries can still show what the
-// original computation cost. The struct itself lives in wire, where the
-// JSON tags and the binary frame layout stay one source of truth.
-type engineStatsJSON = wire.EngineStats
-
-func engineStatsOf(st coordattack.EngineStats) *engineStatsJSON {
-	js := &engineStatsJSON{
-		Rounds:          st.Rounds,
-		Configs:         st.Configs,
-		Vertices:        st.Vertices,
-		Components:      st.Components,
-		MixedComponents: st.MixedComponents,
-		Merges:          st.Merges,
-		ViewsInterned:   st.ViewsInterned,
-		Workers:         1, // every engine run is one goroutine; the v2 frame keeps the slot
-		WallNanos:       st.WallNanos,
-	}
-	if st.SymbolicRounds > 0 || st.SymbolicFallbacks > 0 {
-		js.SymbolicRounds = st.SymbolicRounds
-		js.Intervals = st.Intervals
-		js.IntervalRuns = st.IntervalRuns
-		js.IntervalsPeak = st.IntervalsPeak
-		js.FragmentationRatio = st.FragmentationRatio()
-		js.SymbolicFallbacks = st.SymbolicFallbacks
-	}
-	return js
 }
 
 // StatsVarz is the GET /v1/stats aggregate: lifetime engine work plus

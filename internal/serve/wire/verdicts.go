@@ -7,90 +7,12 @@ import (
 )
 
 // The verdict structs live here — with their JSON tags — so the JSON
-// bodies the service has always produced and the binary frames are two
+// bodies the service produces and the binary frames are two
 // encodings of one source of truth. internal/serve aliases these types;
 // the coordinator renders frames as JSON for callers that did not ask
-// for binary (FrameToJSON).
-
-// EngineStats is the per-response engine instrumentation block, cached
-// alongside the verdict so repeat queries can still show what the
-// original computation cost.
-type EngineStats struct {
-	Rounds          int   `json:"rounds"`
-	Configs         int64 `json:"configs"`
-	Vertices        int   `json:"vertices"`
-	Components      int   `json:"components"`
-	MixedComponents int   `json:"mixedComponents"`
-	Merges          int   `json:"merges"`
-	ViewsInterned   int   `json:"viewsInterned"`
-	Workers         int   `json:"workers"`
-	// Symbolic interval-walk gauges, present only when the symbolic
-	// backend ran (or was requested and fell back): rounds advanced
-	// symbolically, the final and peak interval counts, the
-	// intervals-per-run fragmentation ratio, and fallback events.
-	SymbolicRounds     int     `json:"symbolicRounds,omitempty"`
-	Intervals          int     `json:"intervals,omitempty"`
-	IntervalRuns       int     `json:"intervalRuns,omitempty"`
-	IntervalsPeak      int     `json:"intervalsPeak,omitempty"`
-	FragmentationRatio float64 `json:"fragmentationRatio,omitempty"`
-	SymbolicFallbacks  int     `json:"symbolicFallbacks,omitempty"`
-	WallNanos          int64   `json:"wallNanos"`
-}
-
-func (e *EngineStats) appendPayload(dst []byte) []byte {
-	dst = appendInt(dst, int64(e.Rounds))
-	dst = appendInt(dst, e.Configs)
-	dst = appendInt(dst, int64(e.Vertices))
-	dst = appendInt(dst, int64(e.Components))
-	dst = appendInt(dst, int64(e.MixedComponents))
-	dst = appendInt(dst, int64(e.Merges))
-	dst = appendInt(dst, int64(e.ViewsInterned))
-	dst = appendInt(dst, int64(e.Workers))
-	dst = appendInt(dst, int64(e.SymbolicRounds))
-	dst = appendInt(dst, int64(e.Intervals))
-	dst = appendInt(dst, int64(e.IntervalRuns))
-	dst = appendInt(dst, int64(e.IntervalsPeak))
-	dst = appendFloat(dst, e.FragmentationRatio)
-	dst = appendInt(dst, int64(e.SymbolicFallbacks))
-	dst = appendInt(dst, e.WallNanos)
-	return dst
-}
-
-func (e *EngineStats) decode(r *reader) {
-	e.Rounds = int(r.int())
-	e.Configs = r.int()
-	e.Vertices = int(r.int())
-	e.Components = int(r.int())
-	e.MixedComponents = int(r.int())
-	e.Merges = int(r.int())
-	e.ViewsInterned = int(r.int())
-	e.Workers = int(r.int())
-	e.SymbolicRounds = int(r.int())
-	e.Intervals = int(r.int())
-	e.IntervalRuns = int(r.int())
-	e.IntervalsPeak = int(r.int())
-	e.FragmentationRatio = r.float()
-	e.SymbolicFallbacks = int(r.int())
-	e.WallNanos = r.int()
-}
-
-// appendEngine encodes an optional engine block: presence byte + block.
-func appendEngine(dst []byte, e *EngineStats) []byte {
-	if e == nil {
-		return append(dst, 0)
-	}
-	dst = append(dst, 1)
-	return e.appendPayload(dst)
-}
-
-func decodeEngine(r *reader) *EngineStats {
-	if !r.bool() || r.err != nil {
-		return nil
-	}
-	e := new(EngineStats)
-	e.decode(r)
-	return e
-}
+// for binary (FrameToJSON). A verdict holds no engine provenance: the
+// same key gets the same verdict however it was computed, and only
+// Cached, Shared and ElapsedMs vary per request.
 
 // Solvable is the /v1/solvable verdict (bounded-round solvability of a
 // two-general omission scheme).
@@ -102,13 +24,12 @@ type Solvable struct {
 	Configs  int    `json:"configs,omitempty"`
 	// ConfigsExact carries the exact decimal configuration count when it
 	// overflowed the Configs int (deep symbolic horizons); empty otherwise.
-	ConfigsExact    string       `json:"configsExact,omitempty"`
-	Components      int          `json:"components,omitempty"`
-	MixedComponents int          `json:"mixedComponents,omitempty"`
-	Engine          *EngineStats `json:"engine,omitempty"`
-	Cached          bool         `json:"cached"`
-	Shared          bool         `json:"shared"`
-	ElapsedMs       int64        `json:"elapsedMs"`
+	ConfigsExact    string `json:"configsExact,omitempty"`
+	Components      int    `json:"components,omitempty"`
+	MixedComponents int    `json:"mixedComponents,omitempty"`
+	Cached          bool   `json:"cached"`
+	Shared          bool   `json:"shared"`
+	ElapsedMs       int64  `json:"elapsedMs"`
 }
 
 func (v *Solvable) appendPayload(dst []byte) []byte {
@@ -125,7 +46,6 @@ func (v *Solvable) appendPayload(dst []byte) []byte {
 	dst = appendBigDecimal(dst, v.ConfigsExact)
 	dst = appendInt(dst, int64(v.Components))
 	dst = appendInt(dst, int64(v.MixedComponents))
-	dst = appendEngine(dst, v.Engine)
 	dst = appendBool(dst, v.Cached)
 	dst = appendBool(dst, v.Shared)
 	dst = appendInt(dst, v.ElapsedMs)
@@ -146,7 +66,6 @@ func (v *Solvable) decode(r *reader) {
 	v.ConfigsExact = r.bigDecimal()
 	v.Components = int(r.int())
 	v.MixedComponents = int(r.int())
-	v.Engine = decodeEngine(r)
 	v.Cached = r.bool()
 	v.Shared = r.bool()
 	v.ElapsedMs = r.int()
@@ -155,16 +74,15 @@ func (v *Solvable) decode(r *reader) {
 // NetSolvable is the /v1/net/solvable verdict (n-process network
 // solvability under f-bounded omissions).
 type NetSolvable struct {
-	Graph            string       `json:"graph"`
-	N                int          `json:"n"`
-	F                int          `json:"f"`
-	Rounds           int          `json:"rounds"`
-	Solvable         bool         `json:"solvable"`
-	EdgeConnectivity int          `json:"edgeConnectivity"`
-	TheoremV1        bool         `json:"theoremV1Solvable"` // f < c(G)
-	Engine           *EngineStats `json:"engine,omitempty"`
-	Cached           bool         `json:"cached"`
-	ElapsedMs        int64        `json:"elapsedMs"`
+	Graph            string `json:"graph"`
+	N                int    `json:"n"`
+	F                int    `json:"f"`
+	Rounds           int    `json:"rounds"`
+	Solvable         bool   `json:"solvable"`
+	EdgeConnectivity int    `json:"edgeConnectivity"`
+	TheoremV1        bool   `json:"theoremV1Solvable"` // f < c(G)
+	Cached           bool   `json:"cached"`
+	ElapsedMs        int64  `json:"elapsedMs"`
 }
 
 func (v *NetSolvable) appendPayload(dst []byte) []byte {
@@ -175,7 +93,6 @@ func (v *NetSolvable) appendPayload(dst []byte) []byte {
 	dst = appendBool(dst, v.Solvable)
 	dst = appendInt(dst, int64(v.EdgeConnectivity))
 	dst = appendBool(dst, v.TheoremV1)
-	dst = appendEngine(dst, v.Engine)
 	dst = appendBool(dst, v.Cached)
 	dst = appendInt(dst, v.ElapsedMs)
 	return dst
@@ -189,7 +106,6 @@ func (v *NetSolvable) decode(r *reader) {
 	v.Solvable = r.bool()
 	v.EdgeConnectivity = int(r.int())
 	v.TheoremV1 = r.bool()
-	v.Engine = decodeEngine(r)
 	v.Cached = r.bool()
 	v.ElapsedMs = r.int()
 }

@@ -7,16 +7,19 @@
 //
 // Payloads are positional field encodings per kind: varint counters
 // (unsigned for sizes, zigzag for signed values), length-prefixed
-// strings, single-byte bools, fixed 8-byte floats, and an explicit
-// big-int encoding for ConfigsExact so exact configuration counts past
-// int64 survive the trip byte-for-byte.
+// strings, single-byte bools, and an explicit big-int encoding for
+// ConfigsExact so exact configuration counts past int64 survive the
+// trip byte-for-byte. A verdict carries the answer and the counts
+// behind it, plus the per-request cached/shared/elapsedMs fields; how
+// the engine computed it is not part of the reply (capserved's
+// /v1/stats aggregates that).
 //
 // Frames are the only verdict encoding between processes: on disk and
 // in warm sync (both as warm segments, see segment.go) and between the
 // coordinator and its shards. JSON appears only at the caller-facing
 // edge, where it stays the default: every frame kind marshals to
-// exactly the same JSON the service has always produced (the verdict
-// structs live here, with their JSON tags), and FrameToJSON renders it.
+// exactly the JSON the service produces (the verdict structs live
+// here, with their JSON tags), and FrameToJSON renders it.
 // Classify verdicts have no frame kind and are JSON throughout.
 // Content negotiation happens over plain HTTP Accept/Content-Type with
 // the media types below.
@@ -27,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/big"
 )
 
@@ -55,7 +57,8 @@ const (
 	// coordinator refuses such a shard reply, so the verdict is
 	// recomputed.
 	// Version 2 dropped the engine block's frontier-dedup gauges.
-	Version = 2
+	// Version 3 dropped the engine block.
+	Version = 3
 	// headerLen is magic(2) + version(1) + kind(1) + length(4).
 	headerLen = 8
 	// MaxFramePayload bounds one frame's payload; a length field past it
@@ -142,11 +145,6 @@ func DecodeFrame(b []byte) (kind Kind, payload, rest []byte, err error) {
 
 func appendUint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
 func appendInt(dst []byte, v int64) []byte   { return binary.AppendVarint(dst, v) }
-func appendFloat(dst []byte, v float64) []byte {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	return append(dst, buf[:]...)
-}
 
 func appendBool(dst []byte, v bool) []byte {
 	if v {
@@ -220,24 +218,6 @@ func (r *reader) int() int64 {
 		return 0
 	}
 	r.b = r.b[n:]
-	return v
-}
-
-func (r *reader) float() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		// No served gauge is non-finite, and JSON cannot carry one.
-		r.fail()
-		return 0
-	}
-	r.b = r.b[8:]
 	return v
 }
 

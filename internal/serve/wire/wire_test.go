@@ -18,16 +18,6 @@ import (
 // contract that lets frames be the only encoding between processes
 // while JSON stays byte-identical at the caller-facing edge.
 
-func fullEngine() *EngineStats {
-	return &EngineStats{
-		Rounds: 7, Configs: 1 << 40, Vertices: 12345, Components: 42,
-		MixedComponents: 9, Merges: 88, ViewsInterned: 4096, Workers: 16,
-		SymbolicRounds: 33, Intervals: 510,
-		IntervalRuns: 17, IntervalsPeak: 1023, FragmentationRatio: 30.0,
-		SymbolicFallbacks: 1, WallNanos: 123_456_789_012,
-	}
-}
-
 // configsExactDeep is 4·3^40 — the exact configuration count of a deep
 // symbolic horizon, well past int64. ISSUE 10 pins that it survives the
 // frame byte-for-byte.
@@ -44,12 +34,12 @@ func solvableShapes() map[string]*Solvable {
 		"full": {
 			Scheme: "S2-(b)", Horizon: 11, Solvable: false, Found: &notFound,
 			Configs: 1 << 30, Components: 17, MixedComponents: 3,
-			Engine: fullEngine(), Cached: true, Shared: true, ElapsedMs: 918,
+			Cached: true, Shared: true, ElapsedMs: 918,
 		},
 		"exact-overflow": {
 			Scheme: "S1", Horizon: 40, Solvable: true, Found: &found,
 			Configs: math.MaxInt32, ConfigsExact: configsExactDeep(),
-			Engine: fullEngine(), ElapsedMs: 100_000,
+			ElapsedMs: 100_000,
 		},
 		"negative-exact": {Scheme: "S1", Horizon: 1, ConfigsExact: "-12345678901234567890123456789"},
 		"verbatim-exact": {Scheme: "S1", Horizon: 1, ConfigsExact: "007"}, // non-canonical: travels verbatim
@@ -61,7 +51,7 @@ func netShapes() map[string]*NetSolvable {
 		"minimal": {Graph: "K4", N: 4, F: 1, Rounds: 2, Solvable: true, EdgeConnectivity: 3, TheoremV1: true, ElapsedMs: 1},
 		"full": {
 			Graph: "cycle:9", N: 9, F: 2, Rounds: 8, Solvable: false,
-			EdgeConnectivity: 2, TheoremV1: false, Engine: fullEngine(),
+			EdgeConnectivity: 2, TheoremV1: false,
 			Cached: true, ElapsedMs: 4321,
 		},
 	}
@@ -403,7 +393,7 @@ func TestKindForKey(t *testing.T) {
 // (frames are canonical for typed verdicts).
 func FuzzWireFrameDecode(f *testing.F) {
 	for _, v := range []any{
-		&Solvable{Scheme: "S1", Horizon: 3, Solvable: true, ConfigsExact: configsExactDeep(), Engine: fullEngine()},
+		&Solvable{Scheme: "S1", Horizon: 3, Solvable: true, ConfigsExact: configsExactDeep(), Components: 2, MixedComponents: 1},
 		&NetSolvable{Graph: "K4", N: 4, F: 1},
 		&Chaos{Scheme: "S1", Violations: []ChaosViolation{{Property: "agreement"}}},
 		&BatchLine{Index: 1, Status: 200, Verdict: &Solvable{Scheme: "S2"}},

@@ -39,20 +39,14 @@ func postAccept(t *testing.T, url, body, accept string) (*http.Response, []byte)
 }
 
 // normalizeVerdict zeroes the per-request serving metadata (cache tier,
-// shared-flight flag, wall-clock measurements) that legitimately
-// differs between two requests for the same verdict.
+// shared-flight flag, elapsed wall time): the only fields that
+// legitimately differ between two answers for the same key.
 func normalizeVerdict(v any) {
 	switch t := v.(type) {
 	case *wire.Solvable:
 		t.Cached, t.Shared, t.ElapsedMs = false, false, 0
-		if t.Engine != nil {
-			t.Engine.WallNanos = 0
-		}
 	case *wire.NetSolvable:
 		t.Cached, t.ElapsedMs = false, 0
-		if t.Engine != nil {
-			t.Engine.WallNanos = 0
-		}
 	case *wire.Chaos:
 		t.ElapsedMs = 0
 	}
@@ -257,47 +251,67 @@ func TestBatchEndpointsBinaryDifferential(t *testing.T) {
 	}
 }
 
-// TestWarmServedBinaryDifferential is the warm-tier differential: a
+// TestWarmServedBinaryDifferential is the warm-tier differential: every
 // verdict computed by one node and served from the warm store by its
-// successor must be identical through both encodings — and the binary
-// response must be a frame even though the store was written by a node
-// that persisted it before any client asked for frames.
+// successor must equal the original, normalized, through both
+// encodings. The binary response must be a frame even though the store
+// was written by a node that persisted it before any client asked for
+// frames.
 func TestWarmServedBinaryDifferential(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "warm.bin")
-	const query = `{"scheme":"S1","horizon":9}`
+	queries := []struct {
+		path, body string
+		fresh      func() any
+	}{
+		{"/v1/solvable", `{"scheme":"S1","horizon":9}`, func() any { return new(wire.Solvable) }},
+		{"/v1/solvable", `{"scheme":"S2","minus":["(b)"],"horizon":5}`, func() any { return new(wire.Solvable) }},
+		{"/v1/solvable", `{"scheme":"S2","minRounds":true,"maxHorizon":4}`, func() any { return new(wire.Solvable) }},
+		{"/v1/net/solvable", `{"graph":"cycle","n":4,"f":1,"rounds":2}`, func() any { return new(wire.NetSolvable) }},
+	}
 
 	_, ts1 := testServer(t, Config{WarmStorePath: path})
-	resp, raw := postJSON(t, ts1.URL+"/v1/solvable", query)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("node 1 = %d: %s", resp.StatusCode, raw)
+	first := make([]any, len(queries))
+	for i, q := range queries {
+		resp, raw := postJSON(t, ts1.URL+q.path, q.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("node 1 %s = %d: %s", q.body, resp.StatusCode, raw)
+		}
+		first[i] = q.fresh()
+		if err := json.Unmarshal(raw, first[i]); err != nil {
+			t.Fatal(err)
+		}
+		normalizeVerdict(first[i])
 	}
 	ts1.Close()
 
 	s2, ts2 := testServer(t, Config{WarmStorePath: path})
-	if s2.warmLoaded == 0 {
-		t.Fatal("node 2 loaded no warm verdicts")
+	if s2.warmLoaded != len(queries) {
+		t.Fatalf("node 2 loaded %d warm verdicts, want %d", s2.warmLoaded, len(queries))
 	}
-	bresp, braw := postAccept(t, ts2.URL+"/v1/solvable", query, wire.AcceptVerdict)
-	if bresp.StatusCode != http.StatusOK {
-		t.Fatalf("node 2 binary = %d: %s", bresp.StatusCode, braw)
+	for i, q := range queries {
+		jresp, jraw := postJSON(t, ts2.URL+q.path, q.body)
+		bresp, braw := postAccept(t, ts2.URL+q.path, q.body, wire.AcceptVerdict)
+		if jresp.StatusCode != http.StatusOK || bresp.StatusCode != http.StatusOK {
+			t.Fatalf("node 2 %s: json=%d binary=%d", q.body, jresp.StatusCode, bresp.StatusCode)
+		}
+		if !wire.IsFrame(braw) {
+			t.Fatalf("warm-served binary body is not a frame: %q", braw)
+		}
+		jv, bv := q.fresh(), q.fresh()
+		if err := json.Unmarshal(jraw, jv); err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.UnmarshalInto(braw, bv); err != nil {
+			t.Fatal(err)
+		}
+		normalizeVerdict(jv)
+		normalizeVerdict(bv)
+		if !reflect.DeepEqual(jv, first[i]) || !reflect.DeepEqual(bv, first[i]) {
+			t.Fatalf("warm verdict for %s drifted:\n json %#v\n  bin %#v\nfirst %#v", q.body, jv, bv, first[i])
+		}
 	}
-	if !wire.IsFrame(braw) {
-		t.Fatalf("warm-served binary body is not a frame: %q", braw)
-	}
-	var got, want wire.Solvable
-	if err := wire.UnmarshalInto(braw, &got); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	if !got.Cached {
-		t.Fatal("node 2 re-ran the engine instead of serving the warm verdict")
-	}
-	normalizeVerdict(&got)
-	normalizeVerdict(&want)
-	if !reflect.DeepEqual(&got, &want) {
-		t.Fatalf("warm binary verdict drifted:\n got %#v\nwant %#v", got, want)
+	if runs := s2.engine.runs.Load(); runs != 0 {
+		t.Fatalf("node 2 ran the engine %d times instead of serving the warm verdicts", runs)
 	}
 }
 
