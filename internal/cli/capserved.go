@@ -41,7 +41,7 @@ func Capserved(args []string, stdout, stderr io.Writer) int {
 	maxHorizon := fs.Int("max-horizon", 12, "largest accepted analysis horizon")
 	maxBatch := fs.Int("max-batch", 64, "largest accepted /v1/solve/batch item count")
 	backendStr := fs.String("backend", "auto", "analysis backend for served requests: auto|symbolic|enumerate")
-	warmStore := fs.String("warm-store", "", "path of the persistent warm verdict store (a binary warm segment, loaded at boot; a non-segment file is discarded)")
+	warmStore := fs.String("warm-store", "", "path of the append-only warm verdict store (a binary warm segment whose newest -cache verdicts are preloaded at boot; a non-segment file is discarded)")
 	coordinator := fs.Bool("coordinator", false, "run as cluster coordinator over -backends instead of serving analyses directly")
 	backends := fs.String("backends", "", "comma-separated backend base URLs for -coordinator mode (e.g. http://127.0.0.1:8321,http://127.0.0.1:8322)")
 	replicas := fs.Int("replicas", 2, "replica candidates per keyed request in -coordinator mode")

@@ -14,7 +14,7 @@ import (
 //	POST /v1/chaos/batch      — seeded chaos campaigns
 //
 // N items are admitted under ONE heavy admission slot and ONE breaker
-// settle, deduplicated against the LRU/warm tiers where the class is
+// settle, deduplicated against the LRU where the class is
 // cacheable (and against each other — a repeated key inside the batch
 // computes once), with per-item verdicts streamed the moment each
 // completes: JSON lines by default, binary verdict frames when the

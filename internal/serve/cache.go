@@ -100,10 +100,12 @@ type flightCall struct {
 // one computation per key runs at a time, concurrent callers for the
 // same key share its outcome, and successes are persisted in the LRU.
 //
-// When a warm tier is attached (Config.WarmStorePath), an LRU miss
-// consults the verdicts loaded from the store at boot — so a restarted
-// node answers previously computed queries without re-running the
-// engine — and every fresh success is appended to the store.
+// The LRU is the only in-memory verdict tier. When a warm store is
+// attached (Config.WarmStorePath), its newest verdicts are preloaded
+// into the LRU at boot — so a restarted node answers recently computed
+// queries without re-running the engine — and every fresh success is
+// appended to the store; nothing else remembers a verdict the LRU has
+// evicted, so memory stays bounded by CacheEntries.
 //
 // The computation runs fn under a context supplied by the server (its
 // lifetime context plus the compute budget), NOT the callers' request
@@ -118,14 +120,11 @@ type resultCache struct {
 	// onPanic, when set, records a compute-fn panic (metrics + log) and
 	// returns a diagnostic ID for the client-facing error.
 	onPanic func(key string, p any, stack []byte) string
-	// warmGet consults the persistent warm tier on an LRU miss; persist
-	// appends a fresh success to it. Both may be nil (no warm store).
-	warmGet  func(key string) (any, bool)
-	persist  func(key string, val any)
-	hits     atomic.Int64
-	misses   atomic.Int64
-	shared   atomic.Int64
-	warmHits atomic.Int64
+	// persist appends a fresh success to the warm store (nil: no store).
+	persist func(key string, val any)
+	hits    atomic.Int64
+	misses  atomic.Int64
+	shared  atomic.Int64
 }
 
 // errComputePanic is how a panic inside a compute fn reaches waiters:
@@ -146,8 +145,8 @@ func newResultCache(max int) *resultCache {
 }
 
 // do returns the cached or computed value for key. cached reports an LRU
-// or warm-store hit; shared reports that the value came from another
-// caller's in-flight computation. Errors are never cached.
+// hit; shared reports that the value came from another caller's
+// in-flight computation. Errors are never cached.
 func (rc *resultCache) do(ctx context.Context, key string, fn func() (any, error)) (val any, cached, shared bool, err error) {
 	if v, ok := rc.peek(key); ok {
 		return v, true, false, nil
@@ -181,25 +180,14 @@ func (rc *resultCache) do(ctx context.Context, key string, fn func() (any, error
 	}
 }
 
-// peek consults only the cache tiers — LRU, then the warm store — and
-// never computes. The batch path uses it to keep serving hits while
-// the breaker holds off fresh engine work.
+// peek consults only the LRU and never computes. The batch path uses it
+// to keep serving hits while the breaker holds off fresh engine work.
 func (rc *resultCache) peek(key string) (any, bool) {
-	if v, ok := rc.lru.Get(key); ok {
+	v, ok := rc.lru.Get(key)
+	if ok {
 		rc.hits.Add(1)
-		return v, true
 	}
-	if rc.warmGet != nil {
-		if v, ok := rc.warmGet(key); ok {
-			// Promote into the LRU so the hot tier keeps serving it even
-			// if the warm map is large and cold.
-			rc.lru.Put(key, v)
-			rc.hits.Add(1)
-			rc.warmHits.Add(1)
-			return v, true
-		}
-	}
-	return nil, false
+	return v, ok
 }
 
 // run executes one singleflight computation. Cleanup is unconditional:

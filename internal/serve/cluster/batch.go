@@ -129,7 +129,7 @@ func (c *Coordinator) batchHandler(cl *serve.Class) http.HandlerFunc {
 				continue
 			}
 			if q.Key != "" {
-				if raw, _, ok := c.stored(q.Key); ok {
+				if raw, ok := c.stored(q.Key); ok {
 					c.emitStored(e, i, raw)
 					continue
 				}
@@ -196,7 +196,7 @@ func (c *Coordinator) batchHandler(cl *serve.Class) http.HandlerFunc {
 	}
 }
 
-// emitStored streams a coordinator cache/warm hit. Cached marks the
+// emitStored streams a coordinator cache hit. Cached marks the
 // coordinator's tier — the embedded verdict is the shard's original
 // reply, so its own cached flag reflects the backend's cache.
 func (c *Coordinator) emitStored(e *batchEmitter, index int, body []byte) {

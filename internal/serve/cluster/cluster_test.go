@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -491,7 +493,8 @@ func TestClusterUnderFaultyTransport(t *testing.T) {
 
 // TestCoordinatorWarmStoreOutlivesBackends: verdicts computed through
 // the coordinator land in its warm store; a NEW coordinator booted on
-// that store answers the same query with every backend dead.
+// that store preloads them into its LRU and answers the same query as a
+// cache hit with every backend dead.
 func TestCoordinatorWarmStoreOutlivesBackends(t *testing.T) {
 	dir := t.TempDir()
 	warm := dir + "/coord-warm.seg"
@@ -530,8 +533,8 @@ func TestCoordinatorWarmStoreOutlivesBackends(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("warm-only coordinator = %d: %s", resp2.StatusCode, raw2)
 	}
-	if tier := resp2.Header.Get("X-Cluster-Cache"); tier != "warm" {
-		t.Fatalf("X-Cluster-Cache = %q, want warm", tier)
+	if tier := resp2.Header.Get("X-Cluster-Cache"); tier != "hit" {
+		t.Fatalf("X-Cluster-Cache = %q, want hit (preloaded from the warm store)", tier)
 	}
 	var v1, v2 verdict
 	json.Unmarshal(raw, &v1)
@@ -539,6 +542,89 @@ func TestCoordinatorWarmStoreOutlivesBackends(t *testing.T) {
 	if !v1.equal(v2) {
 		t.Fatalf("warm verdict drifted: %+v vs %+v", v1, v2)
 	}
+}
+
+// stubShard is a backend transport that answers every request with one
+// fixed net-solvability frame, so the coordinator's miss path runs with
+// no sockets and no engine behind it.
+type stubShard struct{ frame []byte }
+
+func (s stubShard) RoundTrip(r *http.Request) (*http.Response, error) {
+	io.Copy(io.Discard, r.Body)
+	r.Body.Close()
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Header:     http.Header{"Content-Type": {wire.MediaTypeVerdict}},
+		Body:       io.NopCloser(bytes.NewReader(s.frame)),
+		Request:    r,
+	}, nil
+}
+
+// heapInuse reports the live heap after a full collection.
+func heapInuse() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapInuse)
+}
+
+// TestCoordinatorHeapBoundedByCacheEntries pushes 100k distinct
+// verdicts through the coordinator's real miss path (keyed →
+// hedgedDo → persistWarm) against a stub shard, with a warm store
+// attached. Every verdict is appended to the store, yet the live heap
+// must grow by no more than a bound set by CacheEntries: nothing but
+// the LRU may remember a verdict.
+func TestCoordinatorHeapBoundedByCacheEntries(t *testing.T) {
+	const (
+		verdicts = 100_000
+		entries  = 512
+		// perEntry is generous for one cached body, its key and the
+		// LRU's list and map overhead; slack absorbs the runtime's own
+		// churn (pools, sweep granularity).
+		perEntry = 2 << 10
+		slack    = 4 << 20
+	)
+	frame, err := wire.Marshal(&wire.NetSolvable{Graph: "path", N: 2, Solvable: true, EdgeConnectivity: 1, TheoremV1: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := New(Config{
+		Backends:      []string{"http://stub-shard"},
+		Replicas:      1,
+		CacheEntries:  entries,
+		WarmStorePath: filepath.Join(t.TempDir(), "coord-warm.seg"),
+		HTTPClient:    &http.Client{Transport: stubShard{frame: frame}},
+		Logf:          quietLogf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		co.Shutdown(ctx)
+	}()
+	h := co.Handler()
+	before := heapInuse()
+	for i := 0; i < verdicts; i++ {
+		body := fmt.Sprintf(`{"graph":"path","n":2,"f":0,"rounds":%d}`, i)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/net/solvable", strings.NewReader(body)))
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Cluster-Cache") != "miss" {
+			t.Fatalf("verdict %d: status %d, X-Cluster-Cache %q: %s", i, rec.Code, rec.Header().Get("X-Cluster-Cache"), rec.Body)
+		}
+	}
+	grew := heapInuse() - before
+	if n := co.warm.Len(); n != verdicts {
+		t.Fatalf("warm store holds %d records, want one per miss (%d)", n, verdicts)
+	}
+	if n := co.cache.Len(); n != entries {
+		t.Fatalf("LRU holds %d verdicts, want CacheEntries (%d)", n, entries)
+	}
+	if bound := int64(slack + entries*perEntry); grew > bound {
+		t.Fatalf("heap grew %d KiB over %d verdicts, bound %d KiB (CacheEntries %d)", grew>>10, verdicts, bound>>10, entries)
+	}
+	t.Logf("heap grew %d KiB over %d verdicts", grew>>10, verdicts)
 }
 
 // TestCoordinatorDrainCancelsHedgesNoLeak is the graceful-drain

@@ -46,12 +46,13 @@ type Config struct {
 	// DrainTimeout bounds graceful shutdown (default 10s).
 	DrainTimeout time.Duration
 	// CacheEntries sizes the coordinator's LRU over raw verdict bodies
-	// (default 4096).
+	// (default 4096) — its only in-memory verdict tier.
 	CacheEntries int
-	// WarmStorePath, when set, persists verdict bodies to a wire warm
-	// segment file (frames; JSON for classify) loaded at boot — a
-	// restarted coordinator answers known queries without touching any
-	// backend. A file that is not a segment is discarded with a log line.
+	// WarmStorePath, when set, appends verdict bodies to a wire warm
+	// segment file (frames; JSON for classify) whose newest CacheEntries
+	// verdicts are preloaded into the LRU at boot — a restarted
+	// coordinator answers recent queries without touching any backend.
+	// A file that is not a segment is discarded with a log line.
 	WarmStorePath string
 	// BreakerThreshold / BreakerCooldown parameterize each shard's
 	// circuit breaker (defaults 3 consecutive failures, 5s cooldown —
@@ -186,9 +187,9 @@ type Coordinator struct {
 	epochHist []epochRecord
 	view      atomic.Pointer[epochView]
 
+	// warm is the append-only verdict store (nil without
+	// WarmStorePath); warmLoaded counts the verdicts it preloaded.
 	warm       *serve.VerdictStore
-	warmMu     sync.RWMutex
-	warmMap    map[string][]byte
 	warmLoaded int
 
 	// baseCtx is the coordinator lifetime: every backend attempt, probe,
@@ -213,7 +214,6 @@ type Coordinator struct {
 		keyed          atomic.Int64
 		cacheHits      atomic.Int64
 		cacheMisses    atomic.Int64
-		warmHits       atomic.Int64
 		hedges         atomic.Int64
 		hedgeWins      atomic.Int64
 		failovers      atomic.Int64
@@ -258,7 +258,6 @@ func New(cfg Config) (*Coordinator, error) {
 		mux:     http.NewServeMux(),
 		cache:   serve.NewLRU(cfg.CacheEntries),
 		members: map[string]*member{},
-		warmMap: map[string][]byte{},
 	}
 	now := cfg.Clock()
 	for _, base := range cfg.Backends {
@@ -276,21 +275,26 @@ func New(cfg Config) (*Coordinator, error) {
 	c.rebuild("boot")
 	c.memMu.Unlock()
 	if cfg.WarmStorePath != "" {
-		store, entries, err := serve.OpenVerdictStore(cfg.WarmStorePath)
+		store, recs, err := serve.OpenVerdictStore(cfg.WarmStorePath)
 		if err != nil {
 			cfg.Logf("coordinator: warm store disabled: %v", err)
 		} else {
 			if store.Discarded() {
 				cfg.Logf("coordinator: warm store %s is not a warm segment; discarded it", cfg.WarmStorePath)
 			}
-			// Serve only what a shard could have answered today: frames
+			// Preload only what a shard could have answered today: frames
 			// of another version or kind are recomputed, not replayed.
-			for k, v := range entries {
-				if kind, _ := wire.KindForKey(k); verdictOK(kind, v) {
-					c.warmMap[k] = v
-				}
+			kept, err := store.KeepNewest(recs, cfg.CacheEntries, func(k string, v []byte) bool {
+				kind, _ := wire.KindForKey(k)
+				return verdictOK(kind, v)
+			})
+			if err != nil {
+				cfg.Logf("coordinator: %v", err)
 			}
-			c.warm, c.warmLoaded = store, len(c.warmMap)
+			for _, r := range kept {
+				c.cache.Put(r.Key, r.Val)
+			}
+			c.warm, c.warmLoaded = store, len(kept)
 		}
 	}
 	c.hedgeDelayNs.Store(int64(cfg.HedgeDelay))
@@ -500,30 +504,20 @@ func shardError(body []byte) (msg, diagID string) {
 	return truncate(bytes.TrimSpace(body), 200), ""
 }
 
-// stored looks key up in the coordinator's cache tiers: the LRU, then
-// the warm map, promoting a warm hit into the LRU. tier names the
-// serving tier for X-Cluster-Cache ("hit" or "warm").
-func (c *Coordinator) stored(key string) (body []byte, tier string, ok bool) {
+// stored looks key up in the coordinator's LRU, its only in-memory
+// verdict tier.
+func (c *Coordinator) stored(key string) (body []byte, ok bool) {
 	if v, ok := c.cache.Get(key); ok {
 		c.m.cacheHits.Add(1)
-		return v.([]byte), "hit", true
-	}
-	c.warmMu.RLock()
-	raw, ok := c.warmMap[key]
-	c.warmMu.RUnlock()
-	if ok {
-		c.m.cacheHits.Add(1)
-		c.m.warmHits.Add(1)
-		c.cache.Put(key, raw)
-		return raw, "warm", true
+		return v.([]byte), true
 	}
 	c.m.cacheMisses.Add(1)
-	return nil, "", false
+	return nil, false
 }
 
 // keyed builds the handler for a deterministic, cacheable class: the
 // class's strict parse and canonical key (no node limits — only the
-// shards know their config), the two-tier cache in front,
+// shards know their config), the LRU in front,
 // consistent-hash routing with hedging and replica failover behind. The
 // routing view is captured once per request — a concurrent membership
 // change swaps the epoch for later requests, never mid-request.
@@ -548,8 +542,8 @@ func (c *Coordinator) keyed(cl *serve.Class) http.HandlerFunc {
 			return
 		}
 		key := q.Key
-		if raw, tier, ok := c.stored(key); ok {
-			c.serveRaw(w, r, key, tier, raw)
+		if raw, ok := c.stored(key); ok {
+			c.serveRaw(w, r, key, raw)
 			return
 		}
 
@@ -598,14 +592,14 @@ func (c *Coordinator) passthrough(w http.ResponseWriter, r *http.Request) {
 	w.Write(res.body)
 }
 
-func (c *Coordinator) serveRaw(w http.ResponseWriter, r *http.Request, key, tier string, body []byte) {
+func (c *Coordinator) serveRaw(w http.ResponseWriter, r *http.Request, key string, body []byte) {
 	out, ct := negotiateBody(r, body)
 	if ct == "" {
 		c.writeError(w, http.StatusBadGateway, "cached verdict for %s is undecodable", key)
 		return
 	}
 	w.Header().Set("Content-Type", ct)
-	w.Header().Set("X-Cluster-Cache", tier)
+	w.Header().Set("X-Cluster-Cache", "hit")
 	w.WriteHeader(http.StatusOK)
 	w.Write(out)
 }
@@ -627,16 +621,10 @@ func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, res *attem
 	w.Write(body)
 }
 
+// persistWarm appends a fresh shard verdict to the warm store, if any.
 func (c *Coordinator) persistWarm(key string, body []byte) {
-	c.warmMu.Lock()
-	if _, dup := c.warmMap[key]; !dup {
-		c.warmMap[key] = body
-	}
-	c.warmMu.Unlock()
-	if c.warm != nil {
-		if err := c.warm.Append(key, body); err != nil {
-			c.cfg.Logf("coordinator: %v", err)
-		}
+	if err := c.warm.Append(key, body); err != nil {
+		c.cfg.Logf("coordinator: %v", err)
 	}
 }
 

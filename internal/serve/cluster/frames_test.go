@@ -123,11 +123,8 @@ func TestCoordinatorRefusesUnusableShardFrames(t *testing.T) {
 			if n := hits.Load(); n != 3 {
 				t.Fatalf("shard saw %d requests, want 3 (nothing served from cache)", n)
 			}
-			co.warmMu.RLock()
-			warm := len(co.warmMap)
-			co.warmMu.RUnlock()
-			if warm != 0 || co.warm.Len() != 0 {
-				t.Fatalf("warm map %d, warm store %d entries; want nothing persisted", warm, co.warm.Len())
+			if n := co.cache.Len(); n != 0 || co.warm.Len() != 0 {
+				t.Fatalf("LRU %d, warm store %d entries; want nothing cached or persisted", n, co.warm.Len())
 			}
 		})
 	}
@@ -210,14 +207,13 @@ func TestCoordinatorDiscardsLegacyWarmStore(t *testing.T) {
 	if discards != 1 {
 		t.Fatalf("discard logged %d times, want once: %q", discards, logs)
 	}
-	co.warmMu.RLock()
-	defer co.warmMu.RUnlock()
-	if len(co.warmMap) != 1 {
-		t.Fatalf("warm map holds %d verdicts, want the recomputed one", len(co.warmMap))
+	if n := co.cache.Len(); n != 1 || co.warm.Len() != 1 {
+		t.Fatalf("LRU holds %d verdicts, warm store %d; want the recomputed one", n, co.warm.Len())
 	}
-	for k, v := range co.warmMap {
-		if !strings.HasPrefix(k, "solvable|") || !wire.IsFrame(v) {
-			t.Fatalf("persisted %q = %q, want a solvability frame", k, v)
+	co.cache.Range(func(k string, v any) bool {
+		if !strings.HasPrefix(k, "solvable|") || !wire.IsFrame(v.([]byte)) {
+			t.Fatalf("cached %q = %q, want a solvability frame", k, v)
 		}
-	}
+		return true
+	})
 }

@@ -18,9 +18,8 @@ import (
 // new epoch assigns to it — every request it now owns would be an
 // engine miss until its caches refill. The handoff turns that latency
 // cliff into a bounded rebalance: the coordinator replays warm verdicts
-// for the newcomer's key range, sourced from its own warm map (a
-// superset of its LRU hot set) plus exports pulled from the newcomer's
-// ring neighbors — the shards that, as hedge/failover targets, most
+// for the newcomer's key range, sourced from its own LRU plus exports
+// pulled from the newcomer's ring neighbors — the shards that, as hedge/failover targets, most
 // likely answered those keys while the newcomer was away.
 //
 // The handoff is best-effort and bounded (HandoffMaxEntries keys,
@@ -75,21 +74,20 @@ func (c *Coordinator) handoff(ctx context.Context, view *epochView, idx int) (in
 	target := view.shards[idx]
 	limit := c.cfg.HandoffMaxEntries
 
-	// Collect candidates: coordinator warm map first (cheap, local, and
-	// a superset of the coordinator's hot set), then neighbor exports.
+	// Collect candidates: the coordinator's LRU first (cheap, local, most
+	// recent first), then neighbor exports.
 	collected := make(map[string][]byte)
 	owns := func(key string) bool { return view.ring.Owner(key) == idx }
 
-	c.warmMu.RLock()
-	for k, v := range c.warmMap {
+	c.cache.Range(func(k string, v any) bool {
 		if len(collected) >= limit {
-			break
+			return false
 		}
 		if owns(k) {
-			collected[k] = v
+			collected[k] = v.([]byte)
 		}
-	}
-	c.warmMu.RUnlock()
+		return true
+	})
 
 	for _, nb := range view.ring.Successors(idx, handoffNeighbors) {
 		if len(collected) >= limit {
@@ -108,8 +106,8 @@ func (c *Coordinator) handoff(ctx context.Context, view *epochView, idx int) (in
 		})
 		view.shards[nb].exportedKeys.Add(int64(exported))
 		if err != nil {
-			// A dead neighbor must not sink the handoff; the local warm
-			// map and other neighbors still contribute.
+			// A dead neighbor must not sink the handoff; the local LRU
+			// and other neighbors still contribute.
 			c.cfg.Logf("coordinator: handoff export from %s: %v", view.shards[nb].base, err)
 		}
 	}

@@ -323,7 +323,7 @@ func TestProberEjectsAndReadmits(t *testing.T) {
 func TestWarmHandoffOnJoin(t *testing.T) {
 	_, ts, _ := testCluster(t, 2, nil)
 
-	// Populate the coordinator's warm map with a spread of verdicts —
+	// Populate the coordinator's LRU with a spread of verdicts —
 	// enough keys that the joiner almost surely owns at least one.
 	for i := 0; i < 20; i++ {
 		body := fmt.Sprintf(`{"scheme":"S2","minus":["%s(.)"],"horizon":3}`,

@@ -2,8 +2,8 @@
 // consistent-hashes canonical automaton keys across N backend capserved
 // instances, hedges slow or broken shards to the next replica on the
 // ring, fans chaos campaigns out over the fleet, and fronts everything
-// with the same two-tier verdict cache (LRU + persistent warm store) a
-// single node uses.
+// with the same verdict cache a single node uses: a bounded LRU, backed
+// by an optional append-only warm store that preloads it at boot.
 //
 // The failure model is deliberately the paper's: the coordinator treats
 // its backends the way a process treats its peers under a message

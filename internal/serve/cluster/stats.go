@@ -38,7 +38,7 @@ type MembershipStats struct {
 
 // Stats is the GET /v1/stats (and /varz) cluster snapshot: the hedge,
 // failover, and breaker counters the chaos harness asserts on, the
-// two-tier cache gauges, and the membership/epoch block.
+// cache and warm-store gauges, and the membership/epoch block.
 type Stats struct {
 	Ready         bool    `json:"ready"`
 	Draining      bool    `json:"draining"`
@@ -52,7 +52,6 @@ type Stats struct {
 	CacheHits   int64 `json:"cacheHits"`
 	CacheMisses int64 `json:"cacheMisses"`
 	CacheLen    int   `json:"cacheEntries"`
-	WarmHits    int64 `json:"warmHits"`
 	WarmLoaded  int   `json:"warmLoaded"`
 	WarmStored  int   `json:"warmStored"`
 
@@ -90,7 +89,6 @@ func (c *Coordinator) StatsSnapshot() Stats {
 		CacheHits:       c.m.cacheHits.Load(),
 		CacheMisses:     c.m.cacheMisses.Load(),
 		CacheLen:        c.cache.Len(),
-		WarmHits:        c.m.warmHits.Load(),
 		WarmLoaded:      c.warmLoaded,
 		WarmStored:      c.warm.Len(),
 		Hedges:          c.m.hedges.Load(),

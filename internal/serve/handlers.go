@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/big"
 	"net/http"
+	"strconv"
 	"strings"
 
 	coordattack "repro"
@@ -226,14 +227,18 @@ func ClassifyKey(sch *coordattack.Scheme) string {
 	return "classify|" + CanonicalSchemeKey(sch)
 }
 
-// SolvableKey keys a bounded-round solvability verdict.
+// SolvableKey keys a bounded-round solvability verdict. Keys are built
+// by concatenation (they run on every request, hits included) and must
+// stay byte-identical to "solvable|%s|h=%d|min=%v": stored verdicts are
+// named by them.
 func SolvableKey(sch *coordattack.Scheme, horizon int, minRounds bool) string {
-	return fmt.Sprintf("solvable|%s|h=%d|min=%v", CanonicalSchemeKey(sch), horizon, minRounds)
+	return "solvable|" + CanonicalSchemeKey(sch) + "|h=" + strconv.Itoa(horizon) + "|min=" + strconv.FormatBool(minRounds)
 }
 
-// NetSolvableKey keys a network solvability verdict.
+// NetSolvableKey keys a network solvability verdict, byte-identical to
+// "netsolve|%s|f=%d|r=%d".
 func NetSolvableKey(g *coordattack.Graph, f, rounds int) string {
-	return fmt.Sprintf("netsolve|%s|f=%d|r=%d", CanonicalGraphKey(g), f, rounds)
+	return "netsolve|" + CanonicalGraphKey(g) + "|f=" + strconv.Itoa(f) + "|r=" + strconv.Itoa(rounds)
 }
 
 // GraphSelector selects a network topology by kind or explicit edge list.

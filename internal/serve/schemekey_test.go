@@ -3,9 +3,11 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	coordattack "repro"
 	"repro/internal/scheme"
 )
 
@@ -58,5 +60,30 @@ func TestCanonicalSchemeKeyGolden(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != randomSchemeKeysGolden {
 		t.Errorf("random scheme keys hash to %s, golden %s", got, randomSchemeKeysGolden)
+	}
+}
+
+// TestVerdictKeysMatchSprintf pins the concatenated key builders to the
+// fmt.Sprintf form stored verdicts were named by, over a grid of
+// horizons, budgets, rounds and both minRounds values.
+func TestVerdictKeysMatchSprintf(t *testing.T) {
+	sch, err := scheme.ByName("S1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := coordattack.Petersen()
+	for _, n := range []int{-1, 0, 1, 2, 7, 12, 13, 99, 1 << 20} {
+		for _, minRounds := range []bool{false, true} {
+			want := fmt.Sprintf("solvable|%s|h=%d|min=%v", CanonicalSchemeKey(sch), n, minRounds)
+			if got := SolvableKey(sch, n, minRounds); got != want {
+				t.Errorf("SolvableKey(h=%d, min=%v) = %q, want %q", n, minRounds, got, want)
+			}
+		}
+		for _, r := range []int{0, 1, 3, 12, 1000} {
+			want := fmt.Sprintf("netsolve|%s|f=%d|r=%d", CanonicalGraphKey(g), n, r)
+			if got := NetSolvableKey(g, n, r); got != want {
+				t.Errorf("NetSolvableKey(f=%d, r=%d) = %q, want %q", n, r, got, want)
+			}
+		}
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -62,12 +61,13 @@ type Config struct {
 	DrainTimeout time.Duration
 	// CacheEntries sizes the LRU result cache (default 1024).
 	CacheEntries int
-	// WarmStorePath, when non-empty, enables the persistent warm tier of
-	// the verdict cache: a wire warm segment file of computed verdicts
-	// (frames; JSON for classify) keyed by canonical automaton digest,
-	// loaded at boot so a restarted node serves previously computed
-	// answers without re-running the engine. A file that is not a
-	// segment (a legacy JSON-lines store) is discarded with a log line.
+	// WarmStorePath, when non-empty, enables the warm store: a wire warm
+	// segment file of computed verdicts (frames; JSON for classify)
+	// keyed by canonical automaton digest. Every fresh verdict is
+	// appended to it; at boot its newest CacheEntries verdicts are
+	// preloaded into the LRU, so a restarted node serves recently
+	// computed answers without re-running the engine. A file that is not
+	// a segment (a legacy JSON-lines store) is discarded with a log line.
 	WarmStorePath string
 	// BreakerThreshold is the consecutive-failure trip count (default 5).
 	BreakerThreshold int
@@ -178,18 +178,12 @@ type Server struct {
 	heavy  *gate
 	light  *gate
 	brk    *Breaker
-	// warm is the persistent verdict tier (nil unless WarmStorePath is
-	// set and the store opened cleanly); warmLoaded counts the verdicts
-	// usable at boot. warmVals is the in-memory mirror the result cache
-	// consults on LRU misses and /v1/warm/export enumerates for cluster
-	// handoffs, holding each verdict in its stored form (encodeVerdict):
-	// a few hundred bytes rather than the decoded response and its engine
-	// stats, since every fresh verdict of a warm-store node stays here.
-	// warmImported counts entries accepted via /v1/warm/import.
+	// warm is the append-only verdict store (nil unless WarmStorePath
+	// is set and the store opened cleanly); warmLoaded counts the
+	// verdicts it preloaded into the LRU at boot. warmImported counts
+	// entries accepted via /v1/warm/import.
 	warm         *VerdictStore
 	warmLoaded   int
-	warmMu       sync.RWMutex
-	warmVals     map[string][]byte
 	warmImported atomic.Int64
 
 	// baseCtx is the computation lifetime: singleflight leaders run
@@ -209,18 +203,16 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg.defaults()
 	s := &Server{
-		cfg:      cfg,
-		mux:      http.NewServeMux(),
-		cache:    newResultCache(cfg.CacheEntries),
-		heavy:    newGate(cfg.AnalysisConcurrency, cfg.QueueDepth, time.Second),
-		light:    newGate(cfg.LightConcurrency, 4*cfg.QueueDepth, time.Second),
-		brk:      NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock),
-		warmVals: make(map[string][]byte),
+		cfg:   cfg,
+		mux:   http.NewServeMux(),
+		cache: newResultCache(cfg.CacheEntries),
+		heavy: newGate(cfg.AnalysisConcurrency, cfg.QueueDepth, time.Second),
+		light: newGate(cfg.LightConcurrency, 4*cfg.QueueDepth, time.Second),
+		brk:   NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock),
 	}
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
 	s.started = cfg.Clock()
 	s.cache.onPanic = s.panicDiag
-	s.cache.warmGet = s.warmLookup
 	s.cache.persist = s.persistVerdict
 	if cfg.WarmStorePath != "" {
 		s.attachWarmStore(cfg.WarmStorePath)
@@ -496,7 +488,6 @@ type Varz struct {
 	CacheHits          int64   `json:"cacheHits"`
 	CacheMisses        int64   `json:"cacheMisses"`
 	CacheEntries       int     `json:"cacheEntries"`
-	WarmHits           int64   `json:"warmHits"`
 	WarmLoaded         int     `json:"warmLoaded"`
 	WarmStored         int     `json:"warmStored"`
 	WarmImported       int64   `json:"warmImported"`
@@ -528,7 +519,6 @@ func (s *Server) varz() Varz {
 		CacheHits:          s.cache.hits.Load(),
 		CacheMisses:        s.cache.misses.Load(),
 		CacheEntries:       s.cache.lru.Len(),
-		WarmHits:           s.cache.warmHits.Load(),
 		WarmLoaded:         s.warmLoaded,
 		WarmStored:         s.warm.Len(),
 		WarmImported:       s.warmImported.Load(),

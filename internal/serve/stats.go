@@ -59,7 +59,6 @@ type StatsVarz struct {
 	IntervalsPeak      int64 `json:"intervalsPeak"`
 	CacheHits          int64 `json:"cacheHits"`
 	CacheMisses        int64 `json:"cacheMisses"`
-	WarmHits           int64 `json:"warmHits"`
 	SingleflightShared int64 `json:"singleflightShared"`
 }
 
@@ -75,7 +74,6 @@ func (s *Server) statsVarz() StatsVarz {
 		IntervalsPeak:      s.engine.intervalsPeak.Load(),
 		CacheHits:          s.cache.hits.Load(),
 		CacheMisses:        s.cache.misses.Load(),
-		WarmHits:           s.cache.warmHits.Load(),
 		SingleflightShared: s.cache.shared.Load(),
 	}
 }

@@ -8,47 +8,59 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
 	"repro/internal/serve/wire"
 )
 
-// VerdictStore is the persistent warm tier of the two-tier verdict
-// cache: an append-only wire warm segment mapping canonical cache keys
-// to verdicts — frames, or JSON bodies for classify keys. A node loads
-// it at boot, so a restart serves previously computed answers instantly
-// instead of re-running the engine; the cluster coordinator
-// (internal/serve/cluster) reuses the same store for shard replies.
+// VerdictStore is the persistent half of the verdict cache: an
+// append-only wire warm segment mapping canonical cache keys to
+// verdicts — frames, or JSON bodies for classify keys. It is a log, not
+// an index: nothing of it stays in memory. A node opens it at boot,
+// preloads its newest CacheEntries verdicts into the LRU (KeepNewest) —
+// so a restart serves recently computed answers instantly instead of
+// re-running the engine — and from then on only appends; the cluster
+// coordinator (internal/serve/cluster) reuses the same store for shard
+// replies.
 //
 // The file is the durability story, not a database: writes are appended
-// under a mutex with no fsync, later records win on duplicate keys, and
-// a torn tail (crash mid-append) is dropped on load. The store is a
-// cache — a file it cannot read costs recomputation, never correctness —
-// so a file that is not a segment (a JSON-lines store from an earlier
-// release, or anything else) opens as zero entries and is discarded.
-// The load path rewrites the file when it was discarded, when it ends
-// in a torn tail (appends must not land behind one), or when the dead
-// weight (duplicate or torn records) crosses a threshold: the live
-// entries go to a temp file in the same directory that is atomically
-// renamed over the original, so a crash mid-rewrite leaves either the
-// old file or the new one, never a hybrid. Verdicts are deterministic
-// facts about automata, so replaying a stale store can only miss
-// entries, never serve wrong ones — the consistency caveats are spelled
-// out in DESIGN.md.
+// under a mutex with no fsync, a key recomputed after an LRU eviction is
+// appended again (later records win on load), and a torn tail (crash
+// mid-append) is dropped on load. The store is a cache — a file it
+// cannot read costs recomputation, never correctness — so a file that
+// is not a segment (a JSON-lines store from an earlier release, or
+// anything else) opens as zero entries and is discarded. The load path
+// rewrites the file when it was discarded, when it ends in a torn tail
+// (appends must not land behind one), or when the dead weight
+// (duplicate or torn records) crosses a threshold; KeepNewest rewrites
+// it to just the preloaded records. A rewrite writes a temp file in the
+// same directory that is atomically renamed over the original, so a
+// crash mid-rewrite leaves either the old file or the new one, never a
+// hybrid. Verdicts are deterministic facts about automata, so replaying
+// a stale store can only miss entries, never serve wrong ones — the
+// consistency caveats are spelled out in DESIGN.md.
 type VerdictStore struct {
 	mu   sync.Mutex
 	f    *os.File
 	path string
-	// seen tracks keys already on disk so re-computations after an LRU
-	// eviction don't grow the file without bound.
-	seen map[string]struct{}
+	// records counts the live records loaded (or kept by KeepNewest)
+	// plus every record appended since: one per Append, duplicates
+	// included.
+	records int
 	// compacted reports how many dead records the load-time compaction
 	// dropped (0 when it didn't run); discarded reports that the file
 	// was not a segment and was replaced by an empty one.
 	compacted int
 	discarded bool
+}
+
+// VerdictRecord is one stored verdict: a canonical cache key and its
+// stored form (a frame, or a JSON body for classify keys).
+type VerdictRecord struct {
+	Key string
+	Val []byte
 }
 
 // warmCompactMinWaste is how many dead records (duplicates, torn tails)
@@ -58,31 +70,30 @@ type VerdictStore struct {
 const warmCompactMinWaste = 64
 
 // OpenVerdictStore opens (creating if absent) the store at path and
-// returns it together with every well-formed entry currently on disk,
-// rewriting the file first when it is not a segment, ends torn, or
+// returns it together with every live record on disk, oldest first:
+// each key once, holding its last write, at that write's position. The
+// file is rewritten first when it is not a segment, ends torn, or
 // carries dead records past the threshold. A non-segment or torn file
 // that cannot be rewritten is refused with an error: appending to it
 // would bury every later record.
-func OpenVerdictStore(path string) (*VerdictStore, map[string][]byte, error) {
+func OpenVerdictStore(path string) (*VerdictStore, []VerdictRecord, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("warm store: %w", err)
 	}
-	s := &VerdictStore{f: f, path: path, seen: make(map[string]struct{})}
-	entries, rawRecords, torn, err := s.load()
+	s := &VerdictStore{f: f, path: path}
+	recs, rawRecords, torn, err := s.load()
 	if err != nil {
 		f.Close()
 		return nil, nil, err
 	}
-	for k := range entries {
-		s.seen[k] = struct{}{}
-	}
-	waste := rawRecords - len(entries)
+	s.records = len(recs)
+	waste := rawRecords - len(recs)
 	if mustRewrite := s.discarded || torn; mustRewrite || waste >= warmCompactMinWaste {
-		err := s.compact(entries)
+		err := s.compact(recs)
 		if err == nil {
 			s.compacted = waste
-			return s, entries, nil
+			return s, recs, nil
 		}
 		if mustRewrite {
 			s.f.Close()
@@ -95,16 +106,15 @@ func OpenVerdictStore(path string) (*VerdictStore, map[string][]byte, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("warm store: %w", err)
 	}
-	return s, entries, nil
+	return s, recs, nil
 }
 
 // load reads every well-formed record. A zero-length file is
 // initialized as a segment; a file that is not a segment sets
-// s.discarded and loads nothing. Returns the live entries, the raw
-// record count (for waste accounting; a torn tail counts as one), and
-// whether the file ended torn.
-func (s *VerdictStore) load() (map[string][]byte, int, bool, error) {
-	entries := make(map[string][]byte)
+// s.discarded and loads nothing. Returns the live records oldest first
+// (lastWrites), the raw record count (for waste accounting; a torn tail
+// counts as one), and whether the file ended torn.
+func (s *VerdictStore) load() ([]VerdictRecord, int, bool, error) {
 	fi, err := s.f.Stat()
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("warm store: %w", err)
@@ -115,54 +125,68 @@ func (s *VerdictStore) load() (map[string][]byte, int, bool, error) {
 		if _, err := s.f.Write(wire.AppendSegmentHeader(nil)); err != nil {
 			return nil, 0, false, fmt.Errorf("warm store: %w", err)
 		}
-		return entries, 0, false, nil
+		return nil, 0, false, nil
 	}
 	sr, err := wire.NewSegmentReader(s.f)
 	if errors.Is(err, wire.ErrNotSegment) {
 		s.discarded = true
-		return entries, 0, false, nil
+		return nil, 0, false, nil
 	}
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("warm store: reading %s: %w", s.path, err)
 	}
-	for rawRecords := 0; ; rawRecords++ {
+	var all []VerdictRecord
+	for {
 		k, v, err := sr.Next()
 		if err == io.EOF {
-			return entries, rawRecords, false, nil
+			return lastWrites(all), len(all), false, nil
 		}
 		if err != nil {
 			// Everything after a bad record is unrecoverable: there is
 			// no boundary to resync on.
-			return entries, rawRecords + 1, true, nil
+			return lastWrites(all), len(all) + 1, true, nil
 		}
-		entries[k] = v
+		all = append(all, VerdictRecord{Key: k, Val: v})
 	}
 }
 
-// compact rewrites the store to hold exactly entries via a temp file in
-// the same directory and an atomic rename, then swaps the store's
-// handle to the fresh file. Keys are written in sorted order so the
-// result is deterministic. Caller owns s exclusively (open time).
-func (s *VerdictStore) compact(entries map[string][]byte) error {
+// lastWrites keeps the last record of each key, in the order of those
+// last records, reusing all's backing array.
+func lastWrites(all []VerdictRecord) []VerdictRecord {
+	seen := make(map[string]struct{}, len(all))
+	w := len(all)
+	for i := len(all) - 1; i >= 0; i-- {
+		if _, dup := seen[all[i].Key]; dup {
+			continue
+		}
+		seen[all[i].Key] = struct{}{}
+		w--
+		all[w] = all[i]
+	}
+	clear(all[:w])
+	return all[w:]
+}
+
+// compact rewrites the store to hold exactly recs, in order, via a temp
+// file in the same directory and an atomic rename, then swaps the
+// store's handle to the fresh file. Order is kept because it is the
+// recency the next boot preloads by. Caller holds s exclusively (open
+// time) or s.mu.
+func (s *VerdictStore) compact(recs []VerdictRecord) error {
 	dir, base := filepath.Dir(s.path), filepath.Base(s.path)
 	tmp, err := os.CreateTemp(dir, base+".compact-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	keys := make([]string, 0, len(entries))
-	for k := range entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	w := bufio.NewWriter(tmp)
 	if _, err := w.Write(wire.AppendSegmentHeader(nil)); err != nil {
 		tmp.Close()
 		return err
 	}
 	var rec []byte
-	for _, k := range keys {
-		rec = wire.AppendSegmentRecord(rec[:0], k, entries[k])
+	for _, r := range recs {
+		rec = wire.AppendSegmentRecord(rec[:0], r.Key, r.Val)
 		if _, err := w.Write(rec); err != nil {
 			tmp.Close()
 			return err
@@ -191,6 +215,37 @@ func (s *VerdictStore) compact(entries map[string][]byte) error {
 	return nil
 }
 
+// KeepNewest selects the newest max records of recs that usable accepts
+// — recs oldest first, as OpenVerdictStore returned them — and, when
+// that drops any record, rewrites the file to exactly the selection, so
+// a boot carries forward no more than one cache's worth of verdicts.
+// It returns the selection oldest first, ready to be put into an LRU in
+// recency order. A failed rewrite leaves the file as it was (the next
+// boot retries) and is returned alongside the selection: the store
+// stays usable.
+func (s *VerdictStore) KeepNewest(recs []VerdictRecord, max int, usable func(key string, val []byte) bool) ([]VerdictRecord, error) {
+	kept := make([]VerdictRecord, 0, min(max, len(recs)))
+	for i := len(recs) - 1; i >= 0 && len(kept) < max; i-- {
+		if usable(recs[i].Key, recs[i].Val) {
+			kept = append(kept, recs[i])
+		}
+	}
+	slices.Reverse(kept)
+	if len(kept) == len(recs) {
+		return kept, nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.f == nil {
+		return kept, fmt.Errorf("warm store: closed")
+	}
+	if err := s.compact(kept); err != nil {
+		return kept, fmt.Errorf("warm store: rewriting %s to its newest %d records: %w", s.path, len(kept), err)
+	}
+	s.records = len(kept)
+	return kept, nil
+}
+
 // Compacted reports how many dead records the load-time rewrite
 // removed (0 when the store was clean enough to keep).
 func (s *VerdictStore) Compacted() int {
@@ -213,9 +268,9 @@ func (s *VerdictStore) Discarded() bool {
 	return s.discarded
 }
 
-// Append persists one verdict. Keys already on disk are skipped — the
-// store holds deterministic facts, so the first write is as good as any
-// later one.
+// Append persists one verdict. It does not look for the key on disk: a
+// verdict recomputed after an LRU eviction is appended again, and the
+// next load keeps only the later record.
 func (s *VerdictStore) Append(key string, v []byte) error {
 	if s == nil {
 		return nil
@@ -225,24 +280,22 @@ func (s *VerdictStore) Append(key string, v []byte) error {
 	if s.f == nil {
 		return fmt.Errorf("warm store: closed")
 	}
-	if _, dup := s.seen[key]; dup {
-		return nil
-	}
 	if _, err := s.f.Write(wire.AppendSegmentRecord(nil, key, v)); err != nil {
 		return fmt.Errorf("warm store: appending to %s: %w", s.path, err)
 	}
-	s.seen[key] = struct{}{}
+	s.records++
 	return nil
 }
 
-// Len reports how many distinct keys the store has persisted.
+// Len reports the records loaded at open (or kept by KeepNewest) plus
+// the records appended since.
 func (s *VerdictStore) Len() int {
 	if s == nil {
 		return 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.seen)
+	return s.records
 }
 
 // Close flushes and closes the backing file. Append after Close errors.
@@ -310,52 +363,41 @@ func encodeVerdict(key string, val any) ([]byte, bool) {
 	return b, true
 }
 
-// attachWarmStore wires the warm tier into the result cache: entries
-// loaded from disk answer LRU misses (via Server.warmLookup), and fresh
-// successes are appended. Store errors degrade to a log line — a broken
-// warm store must never take down serving.
+// attachWarmStore wires the warm store into the result cache: its
+// newest CacheEntries decodable verdicts are preloaded into the LRU, the
+// file is rewritten to just those, and fresh successes are appended
+// (persistVerdict). Store errors degrade to a log line — a broken warm
+// store must never take down serving.
 func (s *Server) attachWarmStore(path string) {
-	store, rawEntries, err := OpenVerdictStore(path)
+	store, recs, err := OpenVerdictStore(path)
 	if err != nil {
 		s.cfg.Logf("capserved: warm store disabled: %v", err)
 		return
 	}
-	s.warmMu.Lock()
-	for k, raw := range rawEntries {
-		if _, ok := decodeVerdict(k, raw); ok {
-			s.warmVals[k] = raw
-		}
-	}
-	loaded := len(s.warmVals)
-	s.warmMu.Unlock()
-	s.warm = store
-	s.warmLoaded = loaded
 	if store.Discarded() {
 		s.cfg.Logf("capserved: warm store %s is not a warm segment; discarded it", path)
 	}
 	if n := store.Compacted(); n > 0 {
 		s.cfg.Logf("capserved: warm store %s compacted (%d dead records dropped)", path, n)
 	}
-	s.cfg.Logf("capserved: warm store %s loaded %d verdicts", path, loaded)
-}
-
-// warmLookup answers an LRU miss from the in-memory warm map — disk
-// entries loaded at boot plus everything persisted or imported since —
-// decoding the stored form.
-func (s *Server) warmLookup(key string) (any, bool) {
-	s.warmMu.RLock()
-	raw, ok := s.warmVals[key]
-	s.warmMu.RUnlock()
-	if !ok {
-		return nil, false
+	kept, err := store.KeepNewest(recs, s.cfg.CacheEntries, func(k string, raw []byte) bool {
+		_, ok := decodeVerdict(k, raw)
+		return ok
+	})
+	if err != nil {
+		s.cfg.Logf("capserved: %v", err)
 	}
-	return decodeVerdict(key, raw)
+	for _, r := range kept {
+		v, _ := decodeVerdict(r.Key, r.Val)
+		s.cache.lru.Put(r.Key, v)
+	}
+	s.warm, s.warmLoaded = store, len(kept)
+	s.cfg.Logf("capserved: warm store %s preloaded the newest %d of %d verdicts", path, len(kept), len(recs))
 }
 
-// persistVerdict records a fresh singleflight success in the warm tier,
-// in its stored form (encodeVerdict). Without an attached store this is
-// a no-op: the in-memory map only tracks what disk (or a handoff peer)
-// already knows, so a storeless node keeps its old memory profile.
+// persistVerdict appends a fresh singleflight success to the warm
+// store, in its stored form (encodeVerdict). Without an attached store
+// this is a no-op.
 func (s *Server) persistVerdict(key string, val any) {
 	if s.warm == nil {
 		return
@@ -364,9 +406,6 @@ func (s *Server) persistVerdict(key string, val any) {
 	if !ok {
 		return
 	}
-	s.warmMu.Lock()
-	s.warmVals[key] = b
-	s.warmMu.Unlock()
 	if err := s.warm.Append(key, b); err != nil {
 		s.cfg.Logf("capserved: %v", err)
 	}

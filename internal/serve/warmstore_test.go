@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -16,6 +17,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/scheme"
 	"repro/internal/serve/wire"
 )
 
@@ -61,7 +63,7 @@ func TestWarmStoreConfigsExactRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store2.Close()
-	got, ok := decodeVerdict(key, entries2[key])
+	got, ok := decodeVerdict(key, recordMap(entries2)[key])
 	if !ok {
 		t.Fatalf("decodeVerdict failed for %q", key)
 	}
@@ -79,6 +81,25 @@ func TestWarmStoreConfigsExactRoundTrip(t *testing.T) {
 	if back.Cmp(exact) != 0 {
 		t.Fatalf("ConfigsExact = %s, want %s", back, exact)
 	}
+}
+
+// recordMap indexes the records OpenVerdictStore returned by key (each
+// key appears once there).
+func recordMap(recs []VerdictRecord) map[string][]byte {
+	m := make(map[string][]byte, len(recs))
+	for _, r := range recs {
+		m[r.Key] = r.Val
+	}
+	return m
+}
+
+// recordKeys lists the keys of recs in order.
+func recordKeys(recs []VerdictRecord) string {
+	keys := make([]string, len(recs))
+	for i, r := range recs {
+		keys[i] = r.Key
+	}
+	return strings.Join(keys, ",")
 }
 
 // seedSegment encodes alternating key/value strings as a warm segment.
@@ -117,7 +138,8 @@ func segmentKeys(t *testing.T, path string) []string {
 // TestVerdictStoreTornAndDuplicateLines checks crash tolerance: a torn
 // final record is dropped (and the file rewritten, so later appends do
 // not land behind it), later duplicate records win on load, and Append
-// skips keys already on disk instead of growing the file.
+// writes a recomputed key again — the store keeps no key index — while
+// the next load keeps only the later record.
 func TestVerdictStoreTornAndDuplicateLines(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "warm.seg")
 	seed := seedSegment("a", `{"n":1}`, "a", `{"n":2}`, "b", `{"trunc":true}`)
@@ -132,35 +154,36 @@ func TestVerdictStoreTornAndDuplicateLines(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("loaded %d entries, want 1 (only the duplicated good key): %v", len(entries), entries)
 	}
-	if string(entries["a"]) != `{"n":2}` {
-		t.Fatalf(`entries["a"] = %s, want the later record {"n":2}`, entries["a"])
+	if string(recordMap(entries)["a"]) != `{"n":2}` {
+		t.Fatalf(`entries["a"] = %s, want the later record {"n":2}`, recordMap(entries)["a"])
 	}
 	if store.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", store.Len())
 	}
-	// Appending the known key is a no-op; a new key lands.
+	// Appending the known key writes a second record; a new key lands.
 	if err := store.Append("a", []byte(`{"n":3}`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Append("c", []byte(`{"n":4}`)); err != nil {
 		t.Fatal(err)
 	}
-	if store.Len() != 2 {
-		t.Fatalf("Len after appends = %d, want 2", store.Len())
+	if store.Len() != 3 {
+		t.Fatalf("Len after appends = %d, want 3 (1 loaded + 2 appended)", store.Len())
 	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if keys := segmentKeys(t, path); strings.Join(keys, ",") != "a,c" {
-		t.Fatalf("records on disk = %q, want [a c] (torn tail dropped, dup append skipped)", keys)
+	if keys := segmentKeys(t, path); strings.Join(keys, ",") != "a,a,c" {
+		t.Fatalf("records on disk = %q, want [a a c] (torn tail dropped, dup appended)", keys)
 	}
 	store2, entries2, err := OpenVerdictStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store2.Close()
-	if len(entries2) != 2 || string(entries2["c"]) != `{"n":4}` {
-		t.Fatalf("reopen loaded %v, want a and the appended c", entries2)
+	got := recordMap(entries2)
+	if recordKeys(entries2) != "a,c" || string(got["a"]) != `{"n":3}` || string(got["c"]) != `{"n":4}` {
+		t.Fatalf("reopen loaded %v, want a's later record then the appended c", entries2)
 	}
 }
 
@@ -207,8 +230,11 @@ func TestWarmStoreRestartAnswersFromCache(t *testing.T) {
 	if second.Solvable != first.Solvable || second.Horizon != first.Horizon {
 		t.Fatalf("warm verdict drifted: node1=%+v node2=%+v", first, second)
 	}
-	if hits := s2.cache.warmHits.Load(); hits < 1 {
-		t.Fatalf("warmHits = %d, want >= 1", hits)
+	if hits := s2.cache.hits.Load(); hits < 1 {
+		t.Fatalf("cache hits = %d, want >= 1", hits)
+	}
+	if runs := s2.engine.runs.Load(); runs != 0 {
+		t.Fatalf("node 2 ran the engine %d times, want 0", runs)
 	}
 }
 
@@ -238,16 +264,17 @@ func TestVerdictStoreCompactsOnLoad(t *testing.T) {
 	if len(entries) != 2 {
 		t.Fatalf("loaded %d entries, want 2", len(entries))
 	}
-	if string(entries["hot"]) != fmt.Sprintf(`{"n":%d}`, warmCompactMinWaste-1) {
-		t.Fatalf(`entries["hot"] = %s, want the last duplicate to win`, entries["hot"])
+	if string(recordMap(entries)["hot"]) != fmt.Sprintf(`{"n":%d}`, warmCompactMinWaste-1) {
+		t.Fatalf(`entries["hot"] = %s, want the last duplicate to win`, recordMap(entries)["hot"])
 	}
 	if store.Compacted() != warmCompactMinWaste {
 		t.Fatalf("Compacted = %d, want %d", store.Compacted(), warmCompactMinWaste)
 	}
 
-	// On disk: exactly the live entries, in sorted key order.
-	if keys := segmentKeys(t, path); strings.Join(keys, ",") != "cold,hot" {
-		t.Fatalf("compacted segment holds %q, want [cold hot]", keys)
+	// On disk: exactly the live entries, in the order of their last
+	// writes (the recency a later boot preloads by).
+	if keys := segmentKeys(t, path); strings.Join(keys, ",") != "hot,cold" {
+		t.Fatalf("compacted segment holds %q, want [hot cold]", keys)
 	}
 
 	// Appends land in the fresh file and a reopen sees everything.
@@ -287,8 +314,8 @@ func TestVerdictStoreNoCompactionUnderThreshold(t *testing.T) {
 	if len(entries) != 2 || store.Compacted() != 0 {
 		t.Fatalf("entries=%d compacted=%d, want 2 entries and no compaction", len(entries), store.Compacted())
 	}
-	if string(entries["a"]) != `{"n":4}` {
-		t.Fatalf(`entries["a"] = %s, want the last duplicate to win`, entries["a"])
+	if string(recordMap(entries)["a"]) != `{"n":4}` || recordKeys(entries) != "b,a" {
+		t.Fatalf(`entries = %v, want b then a's last duplicate {"n":4}`, entries)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -408,9 +435,9 @@ func TestWarmStoreLegacyFileRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	for k, b := range entries {
-		if !strings.HasPrefix(k, "solvable|") || !wire.IsFrame(b) {
-			t.Fatalf("persisted %q = %q, want a solvability frame", k, b)
+	for _, r := range entries {
+		if !strings.HasPrefix(r.Key, "solvable|") || !wire.IsFrame(r.Val) {
+			t.Fatalf("persisted %q = %q, want a solvability frame", r.Key, r.Val)
 		}
 	}
 	if len(entries) != 1 {
@@ -466,9 +493,9 @@ func TestWarmStoreRecomputesOtherFrameVersions(t *testing.T) {
 	}
 	store1.Close()
 	var key string
-	for k := range entries {
-		if strings.HasPrefix(k, "solvable|") {
-			key = k
+	for _, r := range entries {
+		if strings.HasPrefix(r.Key, "solvable|") {
+			key = r.Key
 		}
 	}
 	if key == "" {
@@ -508,5 +535,118 @@ func TestWarmStoreRecomputesOtherFrameVersions(t *testing.T) {
 	}
 	if got.Cached || got.Solvable != fresh.Solvable || got.Configs != fresh.Configs {
 		t.Fatalf("node 2 answered %+v, want the recomputed %+v", got, fresh)
+	}
+}
+
+// heapInuse reports the live heap after a full collection.
+func heapInuse() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapInuse)
+}
+
+// TestWarmNodeHeapBoundedByCacheEntries pushes 100k distinct verdicts
+// through a warm-store node's real miss path (resultCache.do → run →
+// persist) with a trivial compute function. Every verdict is appended
+// to the store, yet the live heap must grow by no more than a bound set
+// by CacheEntries: nothing but the LRU may remember a verdict.
+func TestWarmNodeHeapBoundedByCacheEntries(t *testing.T) {
+	const (
+		verdicts = 100_000
+		entries  = 512
+		// perEntry is generous for one decoded verdict, its key and the
+		// LRU's list and map overhead; slack absorbs the runtime's own
+		// churn (pools, sweep granularity).
+		perEntry = 2 << 10
+		slack    = 4 << 20
+	)
+	s := New(Config{WarmStorePath: filepath.Join(t.TempDir(), "warm.seg"), CacheEntries: entries})
+	defer s.warm.Close()
+	before := heapInuse()
+	ctx := context.Background()
+	for i := 0; i < verdicts; i++ {
+		key := fmt.Sprintf("solvable|%032x|h=3|min=false", i)
+		_, cached, _, err := s.cache.do(ctx, key, func() (any, error) {
+			return solvableResponse{Scheme: "S1", Horizon: 3, Solvable: i%2 == 0, Configs: i}, nil
+		})
+		if err != nil || cached {
+			t.Fatalf("verdict %d: cached=%v err=%v, want a fresh computation", i, cached, err)
+		}
+	}
+	grew := heapInuse() - before
+	if n := s.warm.Len(); n != verdicts {
+		t.Fatalf("warm store holds %d records, want one per miss (%d)", n, verdicts)
+	}
+	if n := s.cache.lru.Len(); n != entries {
+		t.Fatalf("LRU holds %d verdicts, want CacheEntries (%d)", n, entries)
+	}
+	if bound := int64(slack + entries*perEntry); grew > bound {
+		t.Fatalf("heap grew %d KiB over %d verdicts, bound %d KiB (CacheEntries %d)", grew>>10, verdicts, bound>>10, entries)
+	}
+	t.Logf("heap grew %d KiB over %d verdicts", grew>>10, verdicts)
+}
+
+// TestWarmStoreRestartPreloadsNewest: a node restarted on a store
+// holding 3×CacheEntries verdicts preloads the newest CacheEntries of
+// them — answered as cache hits with zero engine runs — rewrites the
+// file to exactly those records, and recomputes the oldest.
+func TestWarmStoreRestartPreloadsNewest(t *testing.T) {
+	const entries = 8
+	path := filepath.Join(t.TempDir(), "warm.seg")
+	var queries []string
+	for _, h := range []int{2, 3} {
+		for _, name := range scheme.Names() {
+			queries = append(queries, fmt.Sprintf(`{"scheme":%q,"horizon":%d}`, name, h))
+		}
+	}
+	queries = queries[:3*entries]
+
+	_, ts1 := testServer(t, Config{WarmStorePath: path, CacheEntries: entries})
+	for _, q := range queries {
+		if resp, raw := postJSON(t, ts1.URL+"/v1/solvable", q); resp.StatusCode != http.StatusOK {
+			t.Fatalf("node 1 %s = %d: %s", q, resp.StatusCode, raw)
+		}
+	}
+	ts1.Close()
+	keys := segmentKeys(t, path)
+	if len(keys) != len(queries) {
+		t.Fatalf("node 1 appended %d records for %d distinct queries", len(keys), len(queries))
+	}
+
+	s2, ts2 := testServer(t, Config{WarmStorePath: path, CacheEntries: entries})
+	if s2.warmLoaded != entries || s2.cache.lru.Len() != entries {
+		t.Fatalf("node 2 preloaded %d (LRU %d), want CacheEntries (%d)", s2.warmLoaded, s2.cache.lru.Len(), entries)
+	}
+	if got, want := strings.Join(segmentKeys(t, path), ","), strings.Join(keys[2*entries:], ","); got != want {
+		t.Fatalf("store after boot holds\n%s\nwant the newest %d records\n%s", got, entries, want)
+	}
+	answer := func(q string) solvableResponse {
+		t.Helper()
+		resp, raw := postJSON(t, ts2.URL+"/v1/solvable", q)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("node 2 %s = %d: %s", q, resp.StatusCode, raw)
+		}
+		var v solvableResponse
+		if err := json.Unmarshal(raw, &v); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for _, q := range queries[2*entries:] {
+		if !answer(q).Cached {
+			t.Fatalf("node 2 recomputed the preloaded %s", q)
+		}
+	}
+	if runs := s2.engine.runs.Load(); runs != 0 {
+		t.Fatalf("node 2 ran the engine %d times for preloaded verdicts, want 0", runs)
+	}
+	for _, q := range queries[:entries] {
+		if answer(q).Cached {
+			t.Fatalf("node 2 served %s, older than its newest %d verdicts, from cache", q, entries)
+		}
+	}
+	if misses := s2.cache.misses.Load(); misses != entries {
+		t.Fatalf("node 2 missed %d times, want one per old verdict (%d)", misses, entries)
 	}
 }

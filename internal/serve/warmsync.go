@@ -11,7 +11,7 @@ import (
 // Warm-tier synchronization surface, consumed by the cluster
 // coordinator's membership handoff (internal/serve/cluster): when a
 // backend joins or is readmitted to the ring, the coordinator exports
-// warm verdicts from the newcomer's ring neighbors and imports the
+// the LRU verdicts of the newcomer's ring neighbors and imports the
 // slice of them the new epoch assigns to it. Both directions carry a
 // wire warm segment (application/x-capwarm-segment) — the verdict
 // store's on-disk format — so a coordinator can pipe an export straight
@@ -26,10 +26,9 @@ type WarmImportResponse struct {
 	Skipped  int `json:"skipped"`
 }
 
-// handleWarmExport streams up to ?max= warm verdicts (default 4096) as
-// a warm segment: the LRU hot set first (most recent first — the
-// entries a newcomer most wants), then the rest of the warm map. Each
-// entry appears once; truncation is flagged in X-Warm-Truncated.
+// handleWarmExport streams up to ?max= verdicts (default 4096) of the
+// LRU as a warm segment, most recent first — the entries a newcomer most
+// wants. Truncation is flagged in X-Warm-Truncated.
 func (s *Server) handleWarmExport(w http.ResponseWriter, r *http.Request) {
 	max := 4096
 	if q := r.URL.Query().Get("max"); q != "" {
@@ -38,58 +37,36 @@ func (s *Server) handleWarmExport(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	seg := wire.AppendSegmentHeader(nil)
-	entries := 0
-	seen := make(map[string]bool)
-	add := func(key string, b []byte) bool {
-		if seen[key] {
-			return true
-		}
-		seen[key] = true
-		entries++
-		seg = wire.AppendSegmentRecord(seg, key, b)
-		return entries < max
-	}
-	full := true
+	entries, truncated := 0, false
 	s.cache.lru.Range(func(key string, val any) bool {
+		if entries == max {
+			truncated = true
+			return false
+		}
 		if b, ok := encodeVerdict(key, val); ok {
-			full = add(key, b)
+			seg = wire.AppendSegmentRecord(seg, key, b)
+			entries++
 		}
-		return full
+		return true
 	})
-	if full {
-		s.warmMu.RLock()
-		for k, v := range s.warmVals {
-			if !add(k, v) {
-				full = false
-				break
-			}
-		}
-		s.warmMu.RUnlock()
-	}
 	w.Header().Set("Content-Type", wire.MediaTypeWarmSegment)
-	if !full {
+	if truncated {
 		w.Header().Set("X-Warm-Truncated", "1")
 	}
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(seg)
 }
 
-// installWarmEntry installs one decodable imported verdict into the
-// warm map, the LRU (so it serves hot immediately), and the persistent
-// store when one is attached. Returns false for undecodable or
-// duplicate entries.
+// installWarmEntry installs one decodable imported verdict into the LRU
+// (so it serves hot immediately) and appends it to the warm store when
+// one is attached. Returns false for undecodable entries and for keys
+// the LRU already holds.
 func (s *Server) installWarmEntry(key string, raw []byte) bool {
-	v, ok := decodeVerdict(key, raw)
-	if !ok {
+	if _, dup := s.cache.lru.Get(key); dup {
 		return false
 	}
-	s.warmMu.Lock()
-	_, dup := s.warmVals[key]
-	if !dup {
-		s.warmVals[key] = raw
-	}
-	s.warmMu.Unlock()
-	if dup {
+	v, ok := decodeVerdict(key, raw)
+	if !ok {
 		return false
 	}
 	s.cache.lru.Put(key, v)

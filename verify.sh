@@ -6,7 +6,8 @@
 # goroutine, so this guards request-level concurrency: the chain and
 # nchain tests that share one scratch-arena pool across eight goroutines,
 # and the serve suites) + the
-# verdictbench module's vet and tests + the engine and service suites at
+# verdictbench module's vet and tests + a 2 s verdictbench run per
+# workload (plus one traced run) + the engine and service suites at
 # GOMAXPROCS 1, 2 and 4 + a short native-fuzz pass per fuzz target (go
 # test runs one -fuzz target per invocation) + a capserved lifecycle smoke (serve, query, SIGTERM,
 # assert a clean drained exit) — which now includes a 3-node coordinator
@@ -37,6 +38,30 @@ echo "== verdictbench module (vet + test) =="
 # The benchmark is its own module, so the root ./... never builds it,
 # yet it imports serve, serve/client, serve/cluster and serve/wire.
 (cd verdictbench && go vet ./... && go test ./...)
+
+echo "== verdictbench (2 s per workload) =="
+# A short run of the repository benchmark on every workload: the build,
+# every validity check and the oracle's verdicts have to hold. A run
+# with wrong verdicts exits 0 with "correct":false on its last line, so
+# that line is checked too. The traced miss-writes run also replays a
+# node's /v1/warm/export into a fresh OpenVerdictStore. Reports stay in
+# the gitignored .bench_build/.
+mkdir -p .bench_build
+bench() { # <workload> <trace>
+	out=".bench_build/verify-$1-trace$2.json"
+	if ! bash verdictbench/run.sh --workload "$1" --seed 1 --seconds 2 --trace "$2" >"${out}"; then
+		echo "verify.sh: verdictbench $1 (trace $2) failed; report in ${out}" >&2
+		exit 1
+	fi
+	if ! tail -n 1 "${out}" | grep -q '"correct":true'; then
+		echo "verify.sh: verdictbench $1 (trace $2) served wrong verdicts; report in ${out}" >&2
+		exit 1
+	fi
+}
+for w in hot-reads miss-writes enum-heavy cluster-mixed; do
+	bench "${w}" 0
+done
+bench miss-writes 1
 
 echo "== GOMAXPROCS matrix (engine + service + chaos, -cpu 1,2,4) =="
 # Verdict bodies must not depend on scheduling: the engine and service
