@@ -28,8 +28,8 @@ const (
 	// ChurnLeave removes a backend via the admin API — a clean,
 	// coordinated departure (new epoch, no probe involvement).
 	ChurnLeave
-	// ChurnJoin (re)introduces a backend via the admin API, triggering
-	// a warm handoff.
+	// ChurnJoin (re)introduces a backend via the admin API as a member
+	// of a fresh epoch.
 	ChurnJoin
 )
 
@@ -103,7 +103,7 @@ func ChurnSchedule(seed int64, plan ChurnPlan) []ChurnEvent {
 	for p := 0; p < plan.Pairs; p++ {
 		sliceStart := quiet + time.Duration(p)*slice
 		// Down in the first third of the slice, up in the middle third:
-		// the final third is slack for the prober/handoff to converge
+		// the final third is slack for the prober to converge
 		// before the next pair begins.
 		down := sliceStart + time.Duration(rng.Int63n(int64(slice/3)))
 		up := sliceStart + slice/3 + time.Duration(rng.Int63n(int64(slice/3)))

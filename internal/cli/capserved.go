@@ -26,7 +26,7 @@ import (
 // cache, and chaos-campaign fan-out. Membership is live: the admin API
 // (GET/POST/DELETE /v1/cluster/members) joins and removes backends at
 // runtime, and the health prober ejects dead backends from routing and
-// readmits recovered ones with a warm-verdict handoff.
+// readmits recovered ones.
 func Capserved(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("capserved", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -50,7 +50,6 @@ func Capserved(args []string, stdout, stderr io.Writer) int {
 	probeTimeout := fs.Duration("probe-timeout", 0, "per-probe deadline (0 = min(probe-interval, 1s))")
 	probeFail := fs.Int("probe-fail", 3, "consecutive probe failures that eject a backend from routing")
 	probeRecover := fs.Int("probe-recover", 2, "consecutive probe successes that readmit an ejected backend")
-	handoffMax := fs.Int("handoff-max", 1024, "max warm verdicts replayed to a joining/readmitted backend (negative disables handoffs)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -83,7 +82,6 @@ func Capserved(args []string, stdout, stderr io.Writer) int {
 			ProbeTimeout:          *probeTimeout,
 			ProbeFailThreshold:    *probeFail,
 			ProbeRecoverThreshold: *probeRecover,
-			HandoffMaxEntries:     *handoffMax,
 			Logf:                  logf,
 		})
 		if err != nil {

@@ -73,8 +73,8 @@ func (c *LRU) Len() int {
 // Range calls fn for each entry from most to least recently used,
 // stopping early when fn returns false. Keys and values are snapshotted
 // under the lock and fn runs outside it, so fn may use the cache (and
-// recency order is the order at snapshot time) — the cluster handoff
-// uses this to enumerate the hot set without stalling the serving path.
+// recency order is the order at snapshot time) — /v1/warm/export uses
+// this to enumerate the hot set without stalling the serving path.
 func (c *LRU) Range(fn func(key string, val any) bool) {
 	c.mu.Lock()
 	snap := make([]lruEntry, 0, c.ll.Len())

@@ -159,7 +159,7 @@ func readBody(r io.Reader, limit int64) (*bytes.Buffer, error) {
 // ReadBounded drains r into a pooled buffer, failing with
 // *TruncatedError past limit. It is the package's pooled replacement
 // for io.ReadAll at response-consumption sites (the cluster coordinator
-// uses it for shard replies and handoff bodies). The caller must
+// uses it for shard replies). The caller must
 // ReleaseBuffer the result once its Bytes() are no longer referenced —
 // and must copy bytes that outlive the release.
 func ReadBounded(r io.Reader, limit int64) (*bytes.Buffer, error) {

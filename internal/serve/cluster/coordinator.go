@@ -76,14 +76,8 @@ type Config struct {
 	ProbeFailThreshold int
 	// ProbeRecoverThreshold is how many consecutive probe successes
 	// readmit an ejected member (default 2). Readmission re-closes the
-	// shard's breaker and triggers a warm handoff.
+	// shard's breaker.
 	ProbeRecoverThreshold int
-	// HandoffMaxEntries bounds how many warm verdicts a join/readmit
-	// handoff replays to the newcomer (default 1024; negative disables
-	// handoffs).
-	HandoffMaxEntries int
-	// HandoffTimeout bounds one whole handoff (default 10s).
-	HandoffTimeout time.Duration
 	// HTTPClient is the transport to the backends; injectable so tests
 	// (and chaos campaigns) can wrap it with a fault-injecting
 	// RoundTripper. Default: a dedicated client with sane pooling.
@@ -138,12 +132,6 @@ func (c *Config) defaults() {
 	if c.ProbeRecoverThreshold <= 0 {
 		c.ProbeRecoverThreshold = 2
 	}
-	if c.HandoffMaxEntries == 0 {
-		c.HandoffMaxEntries = 1024
-	}
-	if c.HandoffTimeout <= 0 {
-		c.HandoffTimeout = 10 * time.Second
-	}
 	if c.HTTPClient == nil {
 		c.HTTPClient = &http.Client{Transport: &http.Transport{
 			MaxIdleConnsPerHost: 16,
@@ -161,14 +149,12 @@ func (c *Config) defaults() {
 // shared by every epoch that routes to the backend, so breaker state
 // and counters survive membership changes.
 type shard struct {
-	base         string
-	brk          *serve.Breaker
-	requests     atomic.Int64
-	failures     atomic.Int64
-	hedges       atomic.Int64 // hedged attempts sent to this shard
-	hedgeWins    atomic.Int64 // hedged attempts that produced the reply
-	handoffKeys  atomic.Int64 // warm verdicts pushed to this shard on join/readmit
-	exportedKeys atomic.Int64 // warm verdicts this shard exported as a handoff neighbor
+	base      string
+	brk       *serve.Breaker
+	requests  atomic.Int64
+	failures  atomic.Int64
+	hedges    atomic.Int64 // hedged attempts sent to this shard
+	hedgeWins atomic.Int64 // hedged attempts that produced the reply
 }
 
 // Coordinator is the cluster router. Construct with New, mount
@@ -192,8 +178,8 @@ type Coordinator struct {
 	warm       *serve.VerdictStore
 	warmLoaded int
 
-	// baseCtx is the coordinator lifetime: every backend attempt, probe,
-	// and handoff runs under it, so drain cancels in-flight work; wg
+	// baseCtx is the coordinator lifetime: every backend attempt and
+	// probe runs under it, so drain cancels in-flight work; wg
 	// tracks the goroutines so drain can prove they are gone.
 	baseCtx    context.Context
 	cancelBase context.CancelFunc
@@ -225,17 +211,13 @@ type Coordinator struct {
 		batches        atomic.Int64 // /v1/solve/batch requests admitted
 		batchItems     atomic.Int64 // items across all admitted batches
 
-		epochSwaps     atomic.Int64
-		joins          atomic.Int64
-		leaves         atomic.Int64
-		probes         atomic.Int64
-		probeFailures  atomic.Int64
-		ejections      atomic.Int64
-		readmissions   atomic.Int64
-		handoffs       atomic.Int64
-		handoffKeys    atomic.Int64
-		handoffErrors  atomic.Int64
-		handoffSkipped atomic.Int64
+		epochSwaps    atomic.Int64
+		joins         atomic.Int64
+		leaves        atomic.Int64
+		probes        atomic.Int64
+		probeFailures atomic.Int64
+		ejections     atomic.Int64
+		readmissions  atomic.Int64
 	}
 }
 
@@ -372,8 +354,8 @@ func (c *Coordinator) ListenAndServe(ctx context.Context) error {
 	return err
 }
 
-// Shutdown cancels every in-flight backend attempt (hedges, probes and
-// handoffs included), waits for their goroutines under ctx, closes the
+// Shutdown cancels every in-flight backend attempt (hedges and probes
+// included), waits for their goroutines under ctx, closes the
 // warm store, and releases idle backend connections. It is exposed
 // separately so tests driving Handler directly can assert a leak-free
 // drain.

@@ -82,7 +82,7 @@ func (c *Coordinator) currentView() *epochView {
 
 // rebuild recomputes the epoch view from the member table and swaps it
 // in. Caller holds c.memMu. reason is recorded in the epoch history.
-func (c *Coordinator) rebuild(reason string) *epochView {
+func (c *Coordinator) rebuild(reason string) {
 	var bases []string
 	var shards []*shard
 	for _, base := range c.memOrder {
@@ -113,7 +113,6 @@ func (c *Coordinator) rebuild(reason string) *epochView {
 		c.epochHist = c.epochHist[len(c.epochHist)-maxEpochHistory:]
 	}
 	c.cfg.Logf("coordinator: epoch %d (%s): %d routable members", seq, reason, len(bases))
-	return v
 }
 
 // normalizeBase canonicalizes a backend base URL for use as the member
@@ -130,25 +129,22 @@ func normalizeBase(base string) (string, error) {
 }
 
 // AddBackend introduces a new backend into the live membership: it
-// joins as an active member of a fresh epoch and receives a warm
-// handoff for the key range the new ring assigns to it. Errors if the
-// backend is already a member.
+// joins as an active member of a fresh epoch. Errors if the backend is
+// already a member.
 func (c *Coordinator) AddBackend(base string) error {
 	base, err := normalizeBase(base)
 	if err != nil {
 		return err
 	}
 	c.memMu.Lock()
+	defer c.memMu.Unlock()
 	if _, dup := c.members[base]; dup {
-		c.memMu.Unlock()
 		return fmt.Errorf("cluster: backend %s is already a member", base)
 	}
 	c.members[base] = &member{sh: c.newShard(base), state: memberActive, joinedAt: c.cfg.Clock()}
 	c.memOrder = append(c.memOrder, base)
-	view := c.rebuild("join " + base)
+	c.rebuild("join " + base)
 	c.m.joins.Add(1)
-	c.memMu.Unlock()
-	c.startHandoff(base, view)
 	return nil
 }
 
@@ -182,19 +178,17 @@ func (c *Coordinator) RemoveBackend(base string) error {
 
 // MemberInfo is one member's admin/stats snapshot.
 type MemberInfo struct {
-	Backend      string    `json:"backend"`
-	State        string    `json:"state"`
-	Routable     bool      `json:"routable"`
-	Breaker      string    `json:"breaker"`
-	ProbeFails   int       `json:"probeConsecutiveFails,omitempty"`
-	Ejections    int64     `json:"ejections,omitempty"`
-	JoinedAt     time.Time `json:"joinedAt"`
-	Requests     int64     `json:"requests"`
-	Failures     int64     `json:"failures"`
-	Hedges       int64     `json:"hedges"`
-	HedgeWins    int64     `json:"hedgeWins"`
-	HandoffKeys  int64     `json:"handoffKeys,omitempty"`
-	ExportedKeys int64     `json:"exportedKeys,omitempty"`
+	Backend    string    `json:"backend"`
+	State      string    `json:"state"`
+	Routable   bool      `json:"routable"`
+	Breaker    string    `json:"breaker"`
+	ProbeFails int       `json:"probeConsecutiveFails,omitempty"`
+	Ejections  int64     `json:"ejections,omitempty"`
+	JoinedAt   time.Time `json:"joinedAt"`
+	Requests   int64     `json:"requests"`
+	Failures   int64     `json:"failures"`
+	Hedges     int64     `json:"hedges"`
+	HedgeWins  int64     `json:"hedgeWins"`
 }
 
 // membersResponse is the GET /v1/cluster/members body.
@@ -214,19 +208,17 @@ func (c *Coordinator) Members() membersResponse {
 		m := c.members[base]
 		state, _ := m.sh.brk.Snapshot()
 		resp.Members = append(resp.Members, MemberInfo{
-			Backend:      base,
-			State:        m.state.String(),
-			Routable:     m.state != memberEjected,
-			Breaker:      state,
-			ProbeFails:   m.probeFails,
-			Ejections:    m.ejections,
-			JoinedAt:     m.joinedAt,
-			Requests:     m.sh.requests.Load(),
-			Failures:     m.sh.failures.Load(),
-			Hedges:       m.sh.hedges.Load(),
-			HedgeWins:    m.sh.hedgeWins.Load(),
-			HandoffKeys:  m.sh.handoffKeys.Load(),
-			ExportedKeys: m.sh.exportedKeys.Load(),
+			Backend:    base,
+			State:      m.state.String(),
+			Routable:   m.state != memberEjected,
+			Breaker:    state,
+			ProbeFails: m.probeFails,
+			Ejections:  m.ejections,
+			JoinedAt:   m.joinedAt,
+			Requests:   m.sh.requests.Load(),
+			Failures:   m.sh.failures.Load(),
+			Hedges:     m.sh.hedges.Load(),
+			HedgeWins:  m.sh.hedgeWins.Load(),
 		})
 	}
 	return resp

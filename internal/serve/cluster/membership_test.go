@@ -23,7 +23,7 @@ func ownersByBase(members []string, keys []string) map[string]string {
 	r := NewRing(members, 64)
 	out := make(map[string]string, len(keys))
 	for _, k := range keys {
-		out[k] = members[r.Owner(k)]
+		out[k] = members[r.Replicas(k, 1)[0]]
 	}
 	return out
 }
@@ -108,27 +108,6 @@ func TestRingVnodeSkewBounds(t *testing.T) {
 					n, m, 100*frac, 45.0/float64(n), 180.0/float64(n))
 			}
 		}
-	}
-}
-
-// TestRingSuccessors: successors are distinct, exclude the member, and
-// clamp to the other-member count.
-func TestRingSuccessors(t *testing.T) {
-	r := NewRing(ringMembers(4), 64)
-	for m := 0; m < 4; m++ {
-		succ := r.Successors(m, 2)
-		if len(succ) != 2 {
-			t.Fatalf("Successors(%d, 2) = %v, want 2 members", m, succ)
-		}
-		if succ[0] == succ[1] || succ[0] == m || succ[1] == m {
-			t.Fatalf("Successors(%d, 2) = %v: not distinct-from-self", m, succ)
-		}
-	}
-	if got := r.Successors(0, 99); len(got) != 3 {
-		t.Fatalf("Successors(0, 99) = %v, want clamped to 3", got)
-	}
-	if got := NewRing(ringMembers(1), 8).Successors(0, 2); got != nil {
-		t.Fatalf("singleton ring has successors: %v", got)
 	}
 }
 
@@ -238,6 +217,18 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	}
 }
 
+// stateOf reads a member's lifecycle state from the coordinator's
+// stats, or "" when the coordinator does not know base.
+func stateOf(t *testing.T, coURL, base string) string {
+	t.Helper()
+	for _, sh := range clusterStats(t, coURL).Shards {
+		if sh.Backend == base {
+			return sh.State
+		}
+	}
+	return ""
+}
+
 // TestProberEjectsAndReadmits is the self-healing acceptance path: a
 // killed backend is ejected from routing within the probe budget (its
 // request counter freezes — no more hedges spent on it), and after a
@@ -250,20 +241,9 @@ func TestProberEjectsAndReadmits(t *testing.T) {
 		cfg.ProbeRecoverThreshold = 2
 	})
 
-	memberState := func(base string) (string, bool) {
-		st := clusterStats(t, ts.URL)
-		for _, sh := range st.Shards {
-			if sh.Backend == base {
-				return sh.State, true
-			}
-		}
-		return "", false
-	}
-
 	nodes[1].kill()
 	waitFor(t, 5*time.Second, "ejection of the killed backend", func() bool {
-		s, ok := memberState(nodes[1].ts.URL)
-		return ok && s == "ejected"
+		return stateOf(t, ts.URL, nodes[1].ts.URL) == "ejected"
 	})
 	st := clusterStats(t, ts.URL)
 	if st.Backends != 2 || st.Membership.Routable != 2 {
@@ -299,8 +279,7 @@ func TestProberEjectsAndReadmits(t *testing.T) {
 	// Restart → automatic readmission, breaker closed, back in routing.
 	nodes[1].restart(serve.New(serve.Config{MaxHorizon: 13, Logf: quietLogf}).Handler())
 	waitFor(t, 5*time.Second, "readmission of the restarted backend", func() bool {
-		s, ok := memberState(nodes[1].ts.URL)
-		return ok && s == "active"
+		return stateOf(t, ts.URL, nodes[1].ts.URL) == "active"
 	})
 	st = clusterStats(t, ts.URL)
 	if st.Membership.Routable != 3 || st.Membership.Readmissions < 1 {
@@ -314,57 +293,81 @@ func TestProberEjectsAndReadmits(t *testing.T) {
 	}
 }
 
-// --- warm handoff -----------------------------------------------------
+// --- rejoin without replay --------------------------------------------
 
-// TestWarmHandoffOnJoin: verdicts computed through the coordinator are
-// replayed to a joining backend for the key range it now owns — the
-// newcomer's warm tier is non-empty before it has served a single
-// request.
-func TestWarmHandoffOnJoin(t *testing.T) {
-	_, ts, _ := testCluster(t, 2, nil)
+// backendRequests reads a backend's API request count from its /varz.
+func backendRequests(t *testing.T, base string) int64 {
+	t.Helper()
+	resp, err := http.Get(base + "/varz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var vz serve.Varz
+	if err := json.NewDecoder(resp.Body).Decode(&vz); err != nil {
+		t.Fatal(err)
+	}
+	return vz.Requests
+}
 
-	// Populate the coordinator's LRU with a spread of verdicts —
-	// enough keys that the joiner almost surely owns at least one.
-	for i := 0; i < 20; i++ {
-		body := fmt.Sprintf(`{"scheme":"S2","minus":["%s(.)"],"horizon":3}`,
+// TestRejoinServedFromCoordinatorLRU pins why a joining or readmitted
+// member needs no verdict replay: the coordinator's LRU answers every
+// key it has served, so after a cold backend joins and another is
+// ejected and readmitted cold, repeats of earlier requests are all
+// coordinator hits and never reach either newcomer.
+func TestRejoinServedFromCoordinatorLRU(t *testing.T) {
+	_, ts, nodes := testCluster(t, 2, func(cfg *Config) {
+		cfg.ProbeInterval = 25 * time.Millisecond
+		cfg.ProbeTimeout = 100 * time.Millisecond
+		cfg.ProbeFailThreshold = 2
+		cfg.ProbeRecoverThreshold = 2
+	})
+
+	bodies := make([]string, 20)
+	for i := range bodies {
+		bodies[i] = fmt.Sprintf(`{"scheme":"S2","minus":["%s(.)"],"horizon":3}`,
 			strings.Repeat("w", i%5+1)+strings.Repeat("b", i/5+1))
-		resp, raw := postJSON(t, ts.URL+"/v1/solvable", body)
+		resp, raw := postJSON(t, ts.URL+"/v1/solvable", bodies[i])
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("seed query %d = %d: %s", i, resp.StatusCode, raw)
 		}
 	}
 
-	// Join a cold backend.
-	joiner := serve.New(serve.Config{MaxHorizon: 13, Logf: quietLogf})
-	jts := httptest.NewServer(joiner.Handler())
+	// Join a cold backend through the admin API.
+	jts := httptest.NewServer(serve.New(serve.Config{MaxHorizon: 13, Logf: quietLogf}).Handler())
 	defer jts.Close()
 	resp, raw := postJSON(t, ts.URL+"/v1/cluster/members", fmt.Sprintf(`{"backend":%q}`, jts.URL))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("join = %d: %s", resp.StatusCode, raw)
 	}
 
-	// The handoff is async; wait for the coordinator to report it and
-	// the joiner to hold imported verdicts.
-	waitFor(t, 5*time.Second, "handoff to the joining backend", func() bool {
-		st := clusterStats(t, ts.URL)
-		if st.Membership.Handoffs < 1 {
-			return false
-		}
-		r, err := http.Get(jts.URL + "/varz")
-		if err != nil {
-			return false
-		}
-		defer r.Body.Close()
-		var vz serve.Varz
-		if err := json.NewDecoder(r.Body).Decode(&vz); err != nil {
-			return false
-		}
-		return vz.WarmImported >= 1
+	// Let the prober eject another backend and readmit it cold.
+	nodes[1].kill()
+	waitFor(t, 5*time.Second, "ejection of the killed backend", func() bool {
+		return stateOf(t, ts.URL, nodes[1].ts.URL) == "ejected"
 	})
+	nodes[1].restart(serve.New(serve.Config{MaxHorizon: 13, Logf: quietLogf}).Handler())
+	waitFor(t, 5*time.Second, "readmission of the restarted backend", func() bool {
+		return stateOf(t, ts.URL, nodes[1].ts.URL) == "active"
+	})
+	if st := clusterStats(t, ts.URL); st.Membership.Routable != 3 || st.Membership.Readmissions < 1 {
+		t.Fatalf("routable=%d readmissions=%d, want 3 and >= 1",
+			st.Membership.Routable, st.Membership.Readmissions)
+	}
 
-	st := clusterStats(t, ts.URL)
-	if st.Membership.HandoffKeys < 1 {
-		t.Fatalf("handoffKeys = %d, want >= 1", st.Membership.HandoffKeys)
+	for i, body := range bodies {
+		resp, raw := postJSON(t, ts.URL+"/v1/solvable", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("repeat query %d = %d: %s", i, resp.StatusCode, raw)
+		}
+		if tier := resp.Header.Get("X-Cluster-Cache"); tier != "hit" {
+			t.Fatalf("repeat query %d X-Cluster-Cache = %q, want hit", i, tier)
+		}
+	}
+	for _, base := range []string{jts.URL, nodes[1].ts.URL} {
+		if n := backendRequests(t, base); n != 0 {
+			t.Fatalf("newcomer %s took %d requests, want 0", base, n)
+		}
 	}
 }
 

@@ -60,8 +60,6 @@ func (c *Coordinator) probeOnce() {
 	}
 	wg.Wait()
 
-	var readmitted []string
-	var view *epochView
 	c.memMu.Lock()
 	for _, v := range verdicts {
 		m, ok := c.members[v.base]
@@ -82,8 +80,7 @@ func (c *Coordinator) probeOnce() {
 					m.probeOKs = 0
 					m.sh.brk.Reset()
 					c.m.readmissions.Add(1)
-					view = c.rebuild("readmit " + v.base)
-					readmitted = append(readmitted, v.base)
+					c.rebuild("readmit " + v.base)
 				}
 			}
 			continue
@@ -102,17 +99,11 @@ func (c *Coordinator) probeOnce() {
 				m.state = memberEjected
 				m.ejections++
 				c.m.ejections.Add(1)
-				view = c.rebuild("eject " + v.base)
+				c.rebuild("eject " + v.base)
 			}
 		}
 	}
 	c.memMu.Unlock()
-
-	// Handoffs run outside the lock: a readmitted shard is warmed for
-	// the key range the fresh epoch assigns to it.
-	for _, base := range readmitted {
-		c.startHandoff(base, view)
-	}
 }
 
 // probe performs one health check: GET /healthz under ProbeTimeout.

@@ -15,7 +15,8 @@
 // may also add and remove parties mid-run: membership is an
 // epoch-versioned copy-on-write table (see membership.go), an active
 // prober ejects dead backends from routing and readmits recovered
-// ones, and rejoining shards are warmed by a bounded verdict handoff.
+// ones. A rejoining shard needs no verdict replay: the coordinator's
+// LRU answers the keys it served before the change.
 // DESIGN.md §3d spells out the full model.
 package cluster
 
@@ -97,51 +98,6 @@ func (r *Ring) Replicas(key string, k int) []int {
 	out := make([]int, 0, k)
 	seen := make(map[int]bool, k)
 	for i := 0; len(out) < k && i < len(r.points); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.member] {
-			seen[p.member] = true
-			out = append(out, p.member)
-		}
-	}
-	return out
-}
-
-// Owner returns the member index owning key (its primary shard), or -1
-// on an empty ring.
-func (r *Ring) Owner(key string) int {
-	reps := r.Replicas(key, 1)
-	if len(reps) == 0 {
-		return -1
-	}
-	return reps[0]
-}
-
-// Successors returns up to k distinct members that follow member m on
-// the ring — m's "neighbors" in the handoff sense: the shards most
-// likely to have answered, as hedge/failover targets, the keys the
-// current epoch assigns to m. m itself is excluded.
-func (r *Ring) Successors(m, k int) []int {
-	if r.n <= 1 || k <= 0 {
-		return nil
-	}
-	if k > r.n-1 {
-		k = r.n - 1
-	}
-	// Start from m's first point; walk forward collecting distinct other
-	// members in ring order.
-	start := -1
-	for i, p := range r.points {
-		if p.member == m {
-			start = i
-			break
-		}
-	}
-	if start < 0 {
-		return nil
-	}
-	out := make([]int, 0, k)
-	seen := map[int]bool{m: true}
-	for i := 1; len(out) < k && i <= len(r.points); i++ {
 		p := r.points[(start+i)%len(r.points)]
 		if !seen[p.member] {
 			seen[p.member] = true

@@ -13,12 +13,10 @@ type ShardStats struct {
 	Hedges       int64  `json:"hedges"`
 	HedgeWins    int64  `json:"hedgeWins"`
 	Ejections    int64  `json:"ejections,omitempty"`
-	HandoffKeys  int64  `json:"handoffKeys,omitempty"`
-	ExportedKeys int64  `json:"exportedKeys,omitempty"`
 }
 
 // MembershipStats is the live-membership block of /v1/stats: epoch
-// bookkeeping, prober verdicts, and handoff accounting.
+// bookkeeping and prober verdicts.
 type MembershipStats struct {
 	Epoch        int64         `json:"epoch"`
 	EpochSwaps   int64         `json:"epochSwaps"`
@@ -30,9 +28,6 @@ type MembershipStats struct {
 	ProbeFails   int64         `json:"probeFailures"`
 	Ejections    int64         `json:"ejections"`
 	Readmissions int64         `json:"readmissions"`
-	Handoffs     int64         `json:"handoffs"`
-	HandoffKeys  int64         `json:"handoffKeys"`
-	HandoffErrs  int64         `json:"handoffErrors"`
 	EpochHistory []epochRecord `json:"epochHistory,omitempty"`
 }
 
@@ -112,9 +107,6 @@ func (c *Coordinator) StatsSnapshot() Stats {
 		ProbeFails:   c.m.probeFailures.Load(),
 		Ejections:    c.m.ejections.Load(),
 		Readmissions: c.m.readmissions.Load(),
-		Handoffs:     c.m.handoffs.Load(),
-		HandoffKeys:  c.m.handoffKeys.Load(),
-		HandoffErrs:  c.m.handoffErrors.Load(),
 	}
 
 	c.memMu.Lock()
@@ -133,8 +125,6 @@ func (c *Coordinator) StatsSnapshot() Stats {
 			Hedges:       m.sh.hedges.Load(),
 			HedgeWins:    m.sh.hedgeWins.Load(),
 			Ejections:    m.ejections,
-			HandoffKeys:  m.sh.handoffKeys.Load(),
-			ExportedKeys: m.sh.exportedKeys.Load(),
 		})
 	}
 	c.memMu.Unlock()

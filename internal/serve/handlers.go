@@ -37,7 +37,6 @@ func (s *Server) routes() {
 	})
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.Handle("GET /v1/warm/export", s.protect(classLight, s.handleWarmExport))
-	s.mux.Handle("POST /v1/warm/import", s.protect(classLight, s.handleWarmImport))
 	s.mux.Handle("POST /v1/classify", s.protect(classLight, s.handleQuery(Classify)))
 	s.mux.Handle("POST /v1/index", s.protect(classLight, s.handleIndex))
 	s.mux.Handle("POST /v1/unindex", s.protect(classLight, s.handleUnindex))
@@ -370,11 +369,6 @@ func (s *Server) engineRunOptions() (*coordattack.EngineOptions, func()) {
 	return eng, func() { scratchPool.Put(scr) }
 }
 
-// isEngineFailure classifies an error for the circuit breaker: deadline
-// blowouts and engine faults count, client-shaped errors do not reach
-// this path at all (they are rejected before the breaker).
-func isEngineFailure(err error) bool { return err != nil }
-
 // heavyCompute runs fn behind the circuit breaker, singleflight, and the
 // LRU, under a compute context detached from the request (server
 // lifetime + compute budget) so caller disconnects cannot kill shared
@@ -397,7 +391,9 @@ func (s *Server) heavyCompute(rctx context.Context, key string, fn func(ctx cont
 		defer cancel()
 		v, e := fn(cctx)
 		settled = true
-		done(isEngineFailure(e))
+		// Client-shaped errors are rejected before the breaker, so any
+		// error here is an engine failure.
+		done(e != nil)
 		return v, e
 	})
 }

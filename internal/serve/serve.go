@@ -180,11 +180,9 @@ type Server struct {
 	brk    *Breaker
 	// warm is the append-only verdict store (nil unless WarmStorePath
 	// is set and the store opened cleanly); warmLoaded counts the
-	// verdicts it preloaded into the LRU at boot. warmImported counts
-	// entries accepted via /v1/warm/import.
-	warm         *VerdictStore
-	warmLoaded   int
-	warmImported atomic.Int64
+	// verdicts it preloaded into the LRU at boot.
+	warm       *VerdictStore
+	warmLoaded int
 
 	// baseCtx is the computation lifetime: singleflight leaders run
 	// under it so request disconnects don't kill shared work. It is
@@ -490,7 +488,6 @@ type Varz struct {
 	CacheEntries       int     `json:"cacheEntries"`
 	WarmLoaded         int     `json:"warmLoaded"`
 	WarmStored         int     `json:"warmStored"`
-	WarmImported       int64   `json:"warmImported"`
 	SingleflightShared int64   `json:"singleflightShared"`
 	BreakerState       string  `json:"breakerState"`
 	BreakerFails       int     `json:"breakerConsecutiveFails"`
@@ -521,7 +518,6 @@ func (s *Server) varz() Varz {
 		CacheEntries:       s.cache.lru.Len(),
 		WarmLoaded:         s.warmLoaded,
 		WarmStored:         s.warm.Len(),
-		WarmImported:       s.warmImported.Load(),
 		SingleflightShared: s.cache.shared.Load(),
 		BreakerState:       state,
 		BreakerFails:       fails,

@@ -3,13 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/big"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -442,31 +440,6 @@ func TestWarmStoreLegacyFileRecomputed(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("reopen loaded %d verdicts, want 1", len(entries))
-	}
-}
-
-// TestWarmImportBoundsClaimedLength: a warm segment length prefix is a
-// claim, not an allocation request. An 8-byte import body — the header
-// plus a uvarint claiming a 64 MiB key — must cost the node well under
-// 1 MiB.
-func TestWarmImportBoundsClaimedLength(t *testing.T) {
-	s := New(Config{})
-	body := binary.AppendUvarint(wire.AppendSegmentHeader(nil), wire.MaxSegmentField)
-	if len(body) != 8 {
-		t.Fatalf("body is %d bytes, want 8", len(body))
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	req := httptest.NewRequest(http.MethodPost, "/v1/warm/import", bytes.NewReader(body))
-	req.Header.Set("Content-Type", wire.MediaTypeWarmSegment)
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
-	runtime.ReadMemStats(&after)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("import = %d: %s", rec.Code, rec.Body)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-		t.Fatalf("8-byte import allocated %d bytes, want well under 1 MiB", got)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 
 // Warm segments carry cached verdicts between and across processes:
 // they are the on-disk format of the warm verdict store and the body of
-// /v1/warm/export and /v1/warm/import. A segment is a 4-byte header
-// followed by length-prefixed records
+// /v1/warm/export. A segment is a 4-byte header followed by
+// length-prefixed records
 //
 //	uvarint(len(k)) k uvarint(len(v)) v
 //

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -120,4 +121,30 @@ func FuzzWarmSegment(f *testing.F) {
 			t.Fatalf("re-encoded segment reads %q, want %q", back, recs)
 		}
 	})
+}
+
+// TestSegmentBoundsClaimedLength: a length prefix is a claim, not an
+// allocation request. Readers take segments they did not write (a warm
+// export body, a store file on disk), so an 8-byte segment, the header
+// plus a uvarint claiming a MaxSegmentField key, must cost well under
+// 1 MiB to read.
+func TestSegmentBoundsClaimedLength(t *testing.T) {
+	body := binary.AppendUvarint(AppendSegmentHeader(nil), MaxSegmentField)
+	if len(body) != 8 {
+		t.Fatalf("body is %d bytes, want 8", len(body))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sr, err := NewSegmentReader(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = sr.Next()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Next on a torn record = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("reading an 8-byte segment allocated %d bytes, want well under 1 MiB", got)
+	}
 }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -8,7 +10,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/serve/client"
 	"repro/internal/serve/wire"
 )
 
@@ -315,95 +319,81 @@ func TestWarmServedBinaryDifferential(t *testing.T) {
 	}
 }
 
-// TestWarmSegmentExportImport round-trips warm state through the binary
-// segment encoding of /v1/warm/export and /v1/warm/import: a node's
-// warm verdicts travel as one segment body and the importer serves them
-// as cache hits.
+// TestWarmSegmentExportImport covers the export path a verdict replay
+// depends on: node 1's /v1/warm/export, read through client.WarmExport,
+// is appended to a fresh verdict store, and a node booted on that store
+// answers every exported key with the bytes node 1 serves for a cache
+// hit, in JSON and in frames, without running the engine. Both nodes
+// share a frozen clock so elapsedMs cannot differ.
 func TestWarmSegmentExportImport(t *testing.T) {
-	src, tsSrc := testServer(t, Config{WarmStorePath: filepath.Join(t.TempDir(), "warm-src.bin")})
-	const query = `{"scheme":"S2","horizon":8}`
-	if resp, raw := postJSON(t, tsSrc.URL+"/v1/solvable", query); resp.StatusCode != http.StatusOK {
-		t.Fatalf("source solve = %d: %s", resp.StatusCode, raw)
-	}
-	if src.warm.Len() == 0 {
-		t.Fatal("source has no warm verdicts")
+	frozen := time.Unix(1_700_000_000, 0)
+	clock := func() time.Time { return frozen }
+	queries := []struct{ path, body string }{
+		{"/v1/solvable", `{"scheme":"S1","horizon":9}`},
+		{"/v1/solvable", `{"scheme":"S2","minus":["(b)"],"horizon":5}`},
+		{"/v1/solvable", `{"scheme":"S2","minRounds":true,"maxHorizon":4}`},
+		{"/v1/net/solvable", `{"graph":"cycle","n":4,"f":1,"rounds":2}`},
+		{"/v1/classify", `{"scheme":"S1"}`},
 	}
 
-	req, err := http.NewRequest(http.MethodGet, tsSrc.URL+"/v1/warm/export", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", wire.MediaTypeWarmSegment)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("export = %d: %s", resp.StatusCode, seg)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, wire.MediaTypeWarmSegment) {
-		t.Fatalf("export Content-Type = %q, want %q", ct, wire.MediaTypeWarmSegment)
-	}
-	sr, err := wire.NewSegmentReader(strings.NewReader(string(seg)))
-	if err != nil {
-		t.Fatalf("export body is not a segment: %v", err)
-	}
-	records := 0
-	for {
-		if _, _, err := sr.Next(); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatalf("bad export record: %v", err)
+	_, ts1 := testServer(t, Config{Clock: clock})
+	type reply struct{ json, frame []byte }
+	hits := make([]reply, len(queries))
+	for i, q := range queries {
+		if resp, raw := postJSON(t, ts1.URL+q.path, q.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("node 1 %s = %d: %s", q.body, resp.StatusCode, raw)
 		}
-		records++
-	}
-	if records == 0 {
-		t.Fatal("export segment holds no records")
+		jresp, jraw := postJSON(t, ts1.URL+q.path, q.body)
+		bresp, braw := postAccept(t, ts1.URL+q.path, q.body, wire.AcceptVerdict)
+		if jresp.StatusCode != http.StatusOK || bresp.StatusCode != http.StatusOK {
+			t.Fatalf("node 1 hit %s: json=%d binary=%d", q.body, jresp.StatusCode, bresp.StatusCode)
+		}
+		hits[i] = reply{jraw, braw}
 	}
 
-	dst, tsDst := testServer(t, Config{WarmStorePath: filepath.Join(t.TempDir(), "warm-dst.bin")})
-	ireq, err := http.NewRequest(http.MethodPost, tsDst.URL+"/v1/warm/import", strings.NewReader(string(seg)))
+	entries, truncated, err := client.New(ts1.URL, client.Options{}).WarmExport(context.Background(), 0)
+	if err != nil {
+		t.Fatalf("warm export: %v", err)
+	}
+	if truncated || len(entries) != len(queries) {
+		t.Fatalf("export = %d entries (truncated %v), want %d", len(entries), truncated, len(queries))
+	}
+	path := filepath.Join(t.TempDir(), "replayed.bin")
+	store, recs, err := OpenVerdictStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ireq.Header.Set("Content-Type", wire.MediaTypeWarmSegment)
-	iresp, err := http.DefaultClient.Do(ireq)
-	if err != nil {
+	if len(recs) != 0 {
+		t.Fatalf("fresh store holds %d records", len(recs))
+	}
+	for _, e := range entries {
+		if err := store.Append(e.K, e.V); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	irep, err := io.ReadAll(iresp.Body)
-	iresp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
+
+	s3, ts3 := testServer(t, Config{WarmStorePath: path, Clock: clock})
+	if s3.warmLoaded != len(entries) {
+		t.Fatalf("node 3 preloaded %d verdicts, want %d", s3.warmLoaded, len(entries))
 	}
-	if iresp.StatusCode != http.StatusOK {
-		t.Fatalf("import = %d: %s", iresp.StatusCode, irep)
+	for i, q := range queries {
+		jresp, jraw := postJSON(t, ts3.URL+q.path, q.body)
+		bresp, braw := postAccept(t, ts3.URL+q.path, q.body, wire.AcceptVerdict)
+		if jresp.StatusCode != http.StatusOK || bresp.StatusCode != http.StatusOK {
+			t.Fatalf("node 3 %s: json=%d binary=%d", q.body, jresp.StatusCode, bresp.StatusCode)
+		}
+		if !bytes.Equal(jraw, hits[i].json) {
+			t.Fatalf("JSON for %s differs:\nnode 3 %s\nnode 1 %s", q.body, jraw, hits[i].json)
+		}
+		if !bytes.Equal(braw, hits[i].frame) {
+			t.Fatalf("frame for %s differs:\nnode 3 %q\nnode 1 %q", q.body, braw, hits[i].frame)
+		}
 	}
-	var rep WarmImportResponse
-	if err := json.Unmarshal(irep, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Imported != records {
-		t.Fatalf("imported %d of %d exported records", rep.Imported, records)
-	}
-	if dst.warm.Len() == 0 {
-		t.Fatal("importer holds no warm verdicts")
-	}
-	sresp, sraw := postJSON(t, tsDst.URL+"/v1/solvable", query)
-	if sresp.StatusCode != http.StatusOK {
-		t.Fatalf("importer solve = %d: %s", sresp.StatusCode, sraw)
-	}
-	var v wire.Solvable
-	if err := json.Unmarshal(sraw, &v); err != nil {
-		t.Fatal(err)
-	}
-	if !v.Cached {
-		t.Fatal("importer recomputed a verdict it just imported")
+	if runs := s3.engine.runs.Load(); runs != 0 {
+		t.Fatalf("node 3 ran the engine %d times instead of serving the replayed verdicts", runs)
 	}
 }
 

@@ -10,6 +10,10 @@
 # full membership. The phase's availability is the fraction of replies
 # that were neither shed nor errors.
 #
+# The kill is a gate in front of the backend's handler (capbench's
+# killGate): the process and its LRU survive, so the readmitted backend
+# is not cold. The bench measures eject and readmit, not a cold restart.
+#
 # Acceptance bars:
 #   -availability-bar 0.99 — >= 99% of churn-phase requests answered
 #   -p99-bar 2             — churn p99 within 2x the healthy p99
