@@ -35,7 +35,7 @@ func Capserved(args []string, stdout, stderr io.Writer) int {
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
 	concurrency := fs.Int("concurrency", 0, "max concurrent expensive analyses (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "admission queue depth before shedding (0 = 2x concurrency)")
-	cache := fs.Int("cache", 1024, "LRU result-cache entries")
+	cache := fs.Int("cache", 0, "LRU result-cache entries (0 = the role default: 1024 on a node, 4096 on a -coordinator)")
 	breakerTrip := fs.Int("breaker-trip", 5, "consecutive engine failures that trip the circuit breaker")
 	breakerCooldown := fs.Duration("breaker-cooldown", 10*time.Second, "breaker fast-fail window before a half-open probe")
 	maxHorizon := fs.Int("max-horizon", 12, "largest accepted analysis horizon")

@@ -3,8 +3,14 @@ package cli
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/serve"
+	"repro/internal/serve/wire"
 )
 
 // runCmd runs one CLI entry point and returns (exit, stdout, stderr).
@@ -341,5 +347,41 @@ func TestCapservedFlagErrors(t *testing.T) {
 	// A hopeless listen address fails fast with exit 1, not a hang.
 	if code, _, errb := runCmd(t, capserved, "-addr", "256.256.256.256:1"); code != 1 || errb == "" {
 		t.Fatalf("bad addr: exit %d, want 1 with error", code)
+	}
+}
+
+// TestCapservedCacheRoleDefault: without -cache, a node's LRU holds
+// 1024 verdicts and a coordinator's 4096. Boot preloads at most one
+// LRU's worth of a warm store and rewrites the file to just those, so
+// the records left in a 5000-record store show the size each role got;
+// the unusable listen address ends the run right after boot.
+func TestCapservedCacheRoleDefault(t *testing.T) {
+	for _, tc := range []struct {
+		role []string
+		want int
+	}{
+		{nil, 1024},
+		{[]string{"-coordinator", "-backends", "http://127.0.0.1:1", "-probe-interval", "0"}, 4096},
+	} {
+		path := filepath.Join(t.TempDir(), "warm.seg")
+		seg := wire.AppendSegmentHeader(nil)
+		for i := 0; i < 5000; i++ {
+			seg = wire.AppendSegmentRecord(seg, fmt.Sprintf("classify|k%d", i), []byte(`{"scheme":"S1"}`))
+		}
+		if err := os.WriteFile(path, seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		args := append([]string{"-addr", "256.256.256.256:1", "-warm-store", path}, tc.role...)
+		if code, _, errb := runCmd(t, capserved, args...); code != 1 {
+			t.Fatalf("%v: exit %d, want 1 (bad addr): %s", tc.role, code, errb)
+		}
+		store, recs, err := serve.OpenVerdictStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.Close()
+		if len(recs) != tc.want {
+			t.Fatalf("%v: boot kept %d warm verdicts, want the role's default LRU size %d", tc.role, len(recs), tc.want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"net/http"
+	"time"
 
 	"repro/internal/serve/wire"
 )
@@ -16,9 +17,11 @@ import (
 // N items are admitted under ONE heavy admission slot and ONE breaker
 // settle, deduplicated against the LRU where the class is
 // cacheable (and against each other — a repeated key inside the batch
-// computes once), with per-item verdicts streamed the moment each
-// completes: JSON lines by default, binary verdict frames when the
-// caller negotiated them (Accept: application/x-capverdict-stream).
+// computes once), with per-item verdicts streamed in item order (the
+// lines written so far are flushed once an item has waited
+// batchFlushAfter on a computation): JSON lines by default, binary
+// verdict frames when the caller negotiated them
+// (Accept: application/x-capverdict-stream).
 // A JSON-shape error in any item (unknown field, wrong type, trailing
 // data) rejects the whole batch with 400. Everything after the decode
 // fails per item: an item its resolve or a node limit rejects, or a
@@ -26,7 +29,13 @@ import (
 // with the single endpoint's message while its siblings keep
 // streaming. Chaos campaigns are uncacheable, so under an open breaker
 // they fast-fail with 503 while cacheable classes still serve their
-// cache/warm hits.
+// cache hits.
+
+// batchFlushAfter is how long a batch item may wait on a computation
+// before the lines written ahead of it are flushed. A symbolic miss
+// mostly answers sooner, so a batch of them costs no flush per item,
+// and no line waits longer than this behind one engine run.
+const batchFlushAfter = time.Millisecond
 
 // batchBodyLimit bounds a batch request body; N scenarios share one
 // body, so the cap is wider than the single-item 1 MiB.
@@ -89,11 +98,20 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, items []Query)
 	}
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
+	// pending marks lines written since the last flush. A hit never
+	// waits, so a run of hits costs no flush of its own.
+	pending := false
+	flush := func() {
+		if pending && flusher != nil {
+			flusher.Flush()
+			pending = false
+		}
+	}
 
 	rctx := r.Context()
 	engineFailed := false
 	for i := range items {
-		line := s.batchLine(rctx, i, items[i], berr)
+		line := s.batchLine(rctx, i, items[i], berr, flush)
 		if line.Status >= 500 && line.Verdict == nil && berr == nil && items[i].Err == nil {
 			engineFailed = true
 		}
@@ -108,7 +126,7 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, items []Query)
 			}
 			putFrameBuf(fb)
 		} else {
-			jb := getJSONBufCompact()
+			jb := getJSONBuf()
 			encErr = jb.enc.Encode(line)
 			if encErr == nil {
 				_, encErr = w.Write(jb.buf.Bytes())
@@ -120,9 +138,7 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, items []Query)
 			// already computed are in the cache for the retry.
 			break
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+		pending = true
 	}
 	if done != nil {
 		settled = true
@@ -131,10 +147,12 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, items []Query)
 }
 
 // batchLine produces the response line for one batch item: a parse
-// error, a cache/warm hit, a breaker fast-fail, or a fresh computation
+// error, a cache hit, a breaker fast-fail, or a fresh computation
 // through the singleflight cache (which also dedups repeats within the
 // batch — the first occurrence computes, later ones hit the LRU).
-func (s *Server) batchLine(rctx context.Context, i int, q Query, berr error) wire.BatchLine {
+// stalled flushes the lines ahead of an item that waits on a
+// computation.
+func (s *Server) batchLine(rctx context.Context, i int, q Query, berr error, stalled func()) wire.BatchLine {
 	if q.Err != nil {
 		return wire.BatchLine{Index: i, Status: http.StatusBadRequest, Error: q.Err.Error()}
 	}
@@ -162,14 +180,15 @@ func (s *Server) batchLine(rctx context.Context, i int, q Query, berr error) wir
 	var err error
 	if q.Key == "" {
 		// Uncacheable (chaos): run directly under the request context,
-		// mirroring the single-item endpoint.
+		// mirroring the single-item endpoint, behind a flush.
+		stalled()
 		val, err = q.q.compute(s, rctx)
 	} else {
-		val, cached, shared, err = s.cache.do(rctx, q.Key, func() (any, error) {
+		val, cached, shared, err = s.cache.doStalled(rctx, q.Key, func() (any, error) {
 			cctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.ComputeBudget)
 			defer cancel()
 			return q.q.compute(s, cctx)
-		})
+		}, stalled)
 	}
 	if err != nil {
 		code, body := s.computeError(err)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -367,5 +368,88 @@ func TestSolveBatchDrainFinishesStream(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("ListenAndServe did not return after drain")
+	}
+}
+
+// TestSolveBatchStreamsBeforeParkedMiss: lines already written reach
+// the client before the batch waits on a computation. Item 0 is a
+// primed hit; item 1's key has a singleflight leader parked until the
+// test releases it, so the batch cannot finish, yet line 0 must arrive.
+func TestSolveBatchStreamsBeforeParkedMiss(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	if resp, raw := postJSON(t, ts.URL+"/v1/solvable", `{"scheme":"S1","horizon":2}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("priming = %d: %s", resp.StatusCode, raw)
+	}
+	sch, err := coordattack.SchemeByName("S1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	leaderIn := make(chan struct{})
+	go s.cache.do(context.Background(), SolvableKey(sch, 3, false), func() (any, error) {
+		close(leaderIn)
+		<-release
+		return solvableResponse{Scheme: "S1", Horizon: 3, Solvable: true}, nil
+	})
+	<-leaderIn
+
+	first := make(chan string, 1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		resp, err := http.Post(ts.URL+"/v1/solve/batch", "application/json",
+			strings.NewReader(`{"items":[{"scheme":"S1","horizon":2},{"scheme":"S1","horizon":3}]}`))
+		if err != nil {
+			first <- err.Error()
+			return
+		}
+		defer resp.Body.Close()
+		line, err := bufio.NewReader(resp.Body).ReadString('\n')
+		if err != nil {
+			line = err.Error()
+		}
+		first <- line
+		io.Copy(io.Discard, resp.Body)
+	}()
+	select {
+	case line := <-first:
+		var ln batchLine
+		if err := json.Unmarshal([]byte(line), &ln); err != nil || ln.Index != 0 || ln.Verdict == nil || !ln.Verdict.Cached {
+			t.Errorf("first streamed line = %q, want item 0 as a cached verdict", line)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("no batch line within 2s while item 1 waits on a computation")
+	}
+	close(release)
+	<-done
+}
+
+// flushCounter counts the flushes a handler asks of its writer.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() { f.flushes++; f.ResponseRecorder.Flush() }
+
+// TestSolveBatchAllHitsNoFlush: a batch whose items are all cache hits
+// waits on nothing, so its lines go out with the response and the
+// handler asks for no flush of its own.
+func TestSolveBatchAllHitsNoFlush(t *testing.T) {
+	s := New(Config{Logf: func(string, ...any) {}})
+	body := `{"items":[{"scheme":"S1","horizon":1},{"scheme":"S1","horizon":2},{"scheme":"S1","horizon":3}]}`
+	var w *flushCounter
+	for pass := 0; pass < 2; pass++ {
+		w = &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/solve/batch", strings.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("pass %d: batch = %d: %s", pass, w.Code, w.Body)
+		}
+	}
+	if n := strings.Count(w.Body.String(), `"cached":true`); n != 3 {
+		t.Fatalf("second pass has %d cached verdicts, want 3:\n%s", n, w.Body)
+	}
+	if w.flushes != 0 {
+		t.Fatalf("all-hit batch flushed %d times, want 0", w.flushes)
 	}
 }

@@ -30,21 +30,12 @@ var jsonBufPool = sync.Pool{New: func() any {
 	return jb
 }}
 
-// getJSONBuf returns a reset buffer whose encoder pretty-prints, the
-// format of every whole-response body.
+// getJSONBuf returns a reset buffer whose encoder writes compact JSON,
+// the one format of every JSON body: whole responses and JSON-lines
+// batch records alike (Encode ends each value with one newline).
 func getJSONBuf() *jsonBuf {
 	jb := jsonBufPool.Get().(*jsonBuf)
 	jb.buf.Reset()
-	jb.enc.SetIndent("", "  ")
-	return jb
-}
-
-// getJSONBufCompact is getJSONBuf for JSON-lines streams: one record
-// per line, so the encoder must not insert newlines of its own.
-func getJSONBufCompact() *jsonBuf {
-	jb := jsonBufPool.Get().(*jsonBuf)
-	jb.buf.Reset()
-	jb.enc.SetIndent("", "")
 	return jb
 }
 

@@ -7,6 +7,7 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // LRU is a plain mutex-guarded LRU over string keys. In capserved the
@@ -148,6 +149,12 @@ func newResultCache(max int) *resultCache {
 // hit; shared reports that the value came from another caller's
 // in-flight computation. Errors are never cached.
 func (rc *resultCache) do(ctx context.Context, key string, fn func() (any, error)) (val any, cached, shared bool, err error) {
+	return rc.doStalled(ctx, key, fn, nil)
+}
+
+// doStalled is do that also runs stalled, when non-nil, on the caller's
+// goroutine once it has waited batchFlushAfter on a computation.
+func (rc *resultCache) doStalled(ctx context.Context, key string, fn func() (any, error), stalled func()) (val any, cached, shared bool, err error) {
 	if v, ok := rc.peek(key); ok {
 		return v, true, false, nil
 	}
@@ -155,12 +162,10 @@ func (rc *resultCache) do(ctx context.Context, key string, fn func() (any, error
 	if call, ok := rc.calls[key]; ok {
 		rc.mu.Unlock()
 		rc.shared.Add(1)
-		select {
-		case <-call.done:
-			return call.val, false, true, call.err
-		case <-ctx.Done():
-			return nil, false, true, ctx.Err()
+		if err := wait(ctx, call.done, stalled); err != nil {
+			return nil, false, true, err
 		}
+		return call.val, false, true, call.err
 	}
 	call := &flightCall{done: make(chan struct{})}
 	rc.calls[key] = call
@@ -172,11 +177,31 @@ func (rc *resultCache) do(ctx context.Context, key string, fn func() (any, error
 	// keeps running under the compute context fn captured, and later
 	// callers pick up its result. The leader does NOT pass ctx to fn.
 	go rc.run(key, call, fn)
-	select {
-	case <-call.done:
-		return call.val, false, false, call.err
-	case <-ctx.Done():
-		return nil, false, false, ctx.Err()
+	if err := wait(ctx, call.done, stalled); err != nil {
+		return nil, false, false, err
+	}
+	return call.val, false, false, call.err
+}
+
+// wait blocks until done is closed or ctx expires, running stalled (when
+// non-nil) once the wait has lasted batchFlushAfter.
+func wait(ctx context.Context, done <-chan struct{}, stalled func()) error {
+	var stall <-chan time.Time
+	if stalled != nil {
+		t := time.NewTimer(batchFlushAfter)
+		defer t.Stop()
+		stall = t.C
+	}
+	for {
+		select {
+		case <-done:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-stall:
+			stall = nil
+			stalled()
+		}
 	}
 }
 

@@ -17,10 +17,10 @@ import (
 // and routed INDIVIDUALLY, each miss fanning out to its own shard's
 // replica set through the normal hedged path, so per-shard breakers,
 // hedging, and failover all operate per item, not per batch.
-// Cache and warm hits stream immediately (cacheable classes only; chaos
-// campaigns always fan out); misses stream as each shard answers. Lines
-// carry the originating item index, so arrival order is completion
-// order. The stream is JSON lines by default and BatchLine frames when
+// Cache hits go out together, flushed once before the fan-out
+// (cacheable classes only; chaos campaigns always fan out); misses
+// stream as each shard answers. Lines carry the originating item
+// index, so arrival order is completion order. The stream is JSON lines by default and BatchLine frames when
 // the caller negotiated application/x-capverdict-stream. Shards answer
 // every item with a frame of the endpoint's kind (anything else is a
 // per-item 502, never cached); binary callers get the frame payload
@@ -112,7 +112,6 @@ func (c *Coordinator) batchHandler(cl *serve.Class) http.HandlerFunc {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 		}
 		w.WriteHeader(http.StatusOK)
-		e.flusher, _ = w.(http.Flusher)
 
 		// First pass: serve cache/warm hits inline and queue the rest,
 		// re-encoded as single-endpoint bodies, for the shard fan-out.
@@ -148,6 +147,11 @@ func (c *Coordinator) batchHandler(cl *serve.Class) http.HandlerFunc {
 		}
 		if len(misses) == 0 {
 			return
+		}
+		// Every later line waits on a shard round trip: send the first
+		// pass's lines now, and from here on flush each line as it lands.
+		if e.flusher, _ = w.(http.Flusher); e.flusher != nil {
+			e.flusher.Flush()
 		}
 
 		// Second pass: each miss routes by its own key and goes through

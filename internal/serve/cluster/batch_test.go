@@ -178,3 +178,33 @@ func TestClusterBatchShapeGuards(t *testing.T) {
 		t.Fatalf("oversized batch = %d, want 400", resp.StatusCode)
 	}
 }
+
+// flushCounter counts the flushes a handler asks of its writer.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() { f.flushes++; f.ResponseRecorder.Flush() }
+
+// TestClusterBatchAllHitsNoFlush: a batch the coordinator's LRU answers
+// whole has no shard round trip to wait on, so its lines go out with
+// the response and the handler asks for no flush of its own.
+func TestClusterBatchAllHitsNoFlush(t *testing.T) {
+	co, _, _ := testCluster(t, 3, nil)
+	body := `{"items":[{"scheme":"S1","horizon":1},{"scheme":"S1","horizon":2},{"scheme":"S1","horizon":3}]}`
+	var w *flushCounter
+	for pass := 0; pass < 2; pass++ {
+		w = &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+		co.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/solve/batch", strings.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("pass %d: batch = %d: %s", pass, w.Code, w.Body)
+		}
+	}
+	if n := strings.Count(w.Body.String(), `"cached":true`); n != 3 {
+		t.Fatalf("second pass has %d coordinator hits, want 3:\n%s", n, w.Body)
+	}
+	if w.flushes != 0 {
+		t.Fatalf("all-hit batch flushed %d times, want 0", w.flushes)
+	}
+}

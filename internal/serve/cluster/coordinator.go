@@ -417,9 +417,7 @@ type apiError struct {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func (c *Coordinator) writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -454,7 +452,7 @@ func verdictOK(kind wire.Kind, body []byte) bool {
 }
 
 // negotiateBody renders a checked verdict body for the caller: frames
-// pass through to binary callers and render as pretty JSON for JSON
+// pass through to binary callers and render as compact JSON for JSON
 // callers; classify JSON bodies pass through. The returned content type
 // is "" when a frame payload cannot be decoded — the caller should
 // answer 502.
@@ -465,7 +463,7 @@ func negotiateBody(r *http.Request, body []byte) ([]byte, string) {
 	if acceptsWire(r) {
 		return body, wire.MediaTypeVerdict
 	}
-	j, err := wire.FrameToJSON(body, "  ")
+	j, err := wire.FrameToJSON(body, "")
 	if err != nil {
 		return nil, ""
 	}

@@ -62,8 +62,7 @@ func acceptsWireStream(r *http.Request) bool {
 }
 
 // writeVerdict writes a 200 verdict in the negotiated encoding: one
-// binary frame when the caller asked for it, the usual pretty JSON
-// otherwise. A verdict the codec cannot frame (never the case for the
+// binary frame when the caller asked for it, compact JSON otherwise. A verdict the codec cannot frame (never the case for the
 // served types) degrades to JSON rather than failing the request.
 func (s *Server) writeVerdict(w http.ResponseWriter, r *http.Request, v any) {
 	if !acceptsWire(r) {
@@ -467,7 +466,7 @@ type classifyResponse struct {
 	Pair        []string        `json:"pair,omitempty"`
 	MinRounds   *int            `json:"minRounds,omitempty"`
 	Note        string          `json:"note,omitempty"`
-	Cached      bool            `json:"cached"`
+	Cached      bool            `json:"cached,omitempty"`
 }
 
 // classifyVerdict shapes the Theorem III.8 classification of sch.

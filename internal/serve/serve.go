@@ -445,6 +445,8 @@ func retryAfterSeconds(d time.Duration) string {
 }
 
 // statusWriter records the response status for the metrics middleware.
+// It passes Flush through, so batch lines stream, and Unwrap for
+// http.ResponseController.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -466,6 +468,14 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 	}
 	return sw.ResponseWriter.Write(b)
 }
+
+func (sw *statusWriter) Flush() {
+	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
 
 // Varz is the /varz metrics snapshot.
 type Varz struct {

@@ -12,7 +12,8 @@ import (
 // the coordinator renders frames as JSON for callers that did not ask
 // for binary (FrameToJSON). A verdict holds no engine provenance: the
 // same key gets the same verdict however it was computed, and only
-// Cached, Shared and ElapsedMs vary per request.
+// Cached, Shared and ElapsedMs vary per request. Frames always carry
+// those three; JSON omits each when it is false or zero.
 
 // Solvable is the /v1/solvable verdict (bounded-round solvability of a
 // two-general omission scheme).
@@ -27,9 +28,9 @@ type Solvable struct {
 	ConfigsExact    string `json:"configsExact,omitempty"`
 	Components      int    `json:"components,omitempty"`
 	MixedComponents int    `json:"mixedComponents,omitempty"`
-	Cached          bool   `json:"cached"`
-	Shared          bool   `json:"shared"`
-	ElapsedMs       int64  `json:"elapsedMs"`
+	Cached          bool   `json:"cached,omitempty"`
+	Shared          bool   `json:"shared,omitempty"`
+	ElapsedMs       int64  `json:"elapsedMs,omitempty"`
 }
 
 func (v *Solvable) appendPayload(dst []byte) []byte {
@@ -81,8 +82,8 @@ type NetSolvable struct {
 	Solvable         bool   `json:"solvable"`
 	EdgeConnectivity int    `json:"edgeConnectivity"`
 	TheoremV1        bool   `json:"theoremV1Solvable"` // f < c(G)
-	Cached           bool   `json:"cached"`
-	ElapsedMs        int64  `json:"elapsedMs"`
+	Cached           bool   `json:"cached,omitempty"`
+	ElapsedMs        int64  `json:"elapsedMs,omitempty"`
 }
 
 func (v *NetSolvable) appendPayload(dst []byte) []byte {
@@ -129,7 +130,7 @@ type Chaos struct {
 	Rounds     int64            `json:"rounds"`
 	OK         bool             `json:"ok"`
 	Violations []ChaosViolation `json:"violations,omitempty"`
-	ElapsedMs  int64            `json:"elapsedMs"`
+	ElapsedMs  int64            `json:"elapsedMs,omitempty"`
 }
 
 func (v *Chaos) appendPayload(dst []byte) []byte {
@@ -413,9 +414,9 @@ func KindForKey(key string) (Kind, bool) {
 	return KindInvalid, false
 }
 
-// FrameToJSON transcodes one verdict frame into its JSON encoding —
-// pretty-printed with indent (the service's whole-body format) or
-// compact when indent is empty.
+// FrameToJSON transcodes one verdict frame into its JSON encoding:
+// compact, the service's format, when indent is empty, and indented
+// with indent otherwise.
 func FrameToJSON(b []byte, indent string) ([]byte, error) {
 	v, err := Unmarshal(b)
 	if err != nil {

@@ -10,16 +10,17 @@
 // strings, single-byte bools, and an explicit big-int encoding for
 // ConfigsExact so exact configuration counts past int64 survive the
 // trip byte-for-byte. A verdict carries the answer and the counts
-// behind it, plus the per-request cached/shared/elapsedMs fields; how
-// the engine computed it is not part of the reply (capserved's
-// /v1/stats aggregates that).
+// behind it, plus the per-request cached/shared/elapsedMs fields
+// (always in a frame; in JSON only when true or nonzero); how the
+// engine computed it is not part of the reply (capserved's /v1/stats
+// aggregates that).
 //
 // Frames are the only verdict encoding between processes: on disk and
 // in warm sync (both as warm segments, see segment.go) and between the
 // coordinator and its shards. JSON appears only at the caller-facing
 // edge, where it stays the default: every frame kind marshals to
-// exactly the JSON the service produces (the verdict structs live
-// here, with their JSON tags), and FrameToJSON renders it.
+// exactly the compact JSON the service produces (the verdict structs
+// live here, with their JSON tags), and FrameToJSON renders it.
 // Classify verdicts have no frame kind and are JSON throughout.
 // Content negotiation happens over plain HTTP Accept/Content-Type with
 // the media types below.

@@ -7,7 +7,8 @@
 #   1. BenchmarkServeSolveAllocs — a cached-hit /v1/solvable request
 #      driven through the full middleware stack (admission, breaker,
 #      decode, key, cache, pooled encode). allocs/op is pinned by
-#      TestServeSolveAllocsGate at <= 24; the gate runs first so the
+#      TestServeSolveAllocsGate at <= serveAllocBudget (read from
+#      internal/serve/bench_test.go); the gate runs first so the
 #      recorded number is also the enforced one. The pre-refactor seed
 #      (commit 4f494fa, measured with the same driver before the pooled
 #      I/O / streaming-encode / scratch-reuse work) is recorded
@@ -41,6 +42,14 @@ SEED_COMMIT="4f494fa"
 SEED_ALLOCS=43
 SEED_BYTES=4392
 SEED_NS=11021
+
+# The budget the gate enforces, read from the test source so the record
+# cannot drift from it.
+BUDGET="$(sed -n 's/^const serveAllocBudget = \([0-9][0-9]*\)$/\1/p' internal/serve/bench_test.go)"
+if [ -z "${BUDGET}" ]; then
+	echo "bench_batch: serveAllocBudget not found in internal/serve/bench_test.go" >&2
+	exit 1
+fi
 
 echo "== alloc gate =="
 go test -run '^TestServeSolveAllocsGate$' -count=1 ./internal/serve/
@@ -81,7 +90,7 @@ record = {
         "nsPerOp": ${NS},
         "bytesPerOp": ${BYTES},
         "allocsPerOp": ${ALLOCS},
-        "allocBudget": 24,
+        "allocBudget": ${BUDGET},
     },
     "batchComparison": rep["batchComparison"],
 }

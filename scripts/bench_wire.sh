@@ -6,9 +6,11 @@
 #
 #   1. BenchmarkServeSolveAllocs / BenchmarkServeSolveBinaryAllocs —
 #      the cached-hit /v1/solvable hot path through the full middleware
-#      stack, once per encoding. Both are alloc-gated (<= 24) by
-#      TestServeSolveAllocsGate and TestServeSolveBinaryAllocsGate,
-#      which run first so the recorded numbers are the enforced ones.
+#      stack, once per encoding. Both are alloc-gated by
+#      TestServeSolveAllocsGate and TestServeSolveBinaryAllocsGate
+#      (serveAllocBudget and serveBinaryAllocBudget, read from
+#      internal/serve/bench_test.go), which run first so the recorded
+#      numbers are the enforced ones.
 #
 #   2. capbench -batch — the PR-9 batch-vs-single comparison, re-run so
 #      BENCH_10 carries the number the CI trend gate compares against
@@ -35,6 +37,18 @@ BATCH_BAR="${BENCH10_BATCH_BAR:-1.5}"
 WIRE_BAR="${BENCH10_WIRE_BAR:-1.2}"
 WIRE_BYTES_BAR="${BENCH10_WIRE_BYTES_BAR:-0.6}"
 TREND_SLACK="${BENCH10_TREND_SLACK:-0.10}"
+
+# The budgets the gates enforce, read from the test source so the
+# record cannot drift from them.
+alloc_budget() { # alloc_budget <const-name>
+	sed -n "s/^const $1 = \([0-9][0-9]*\)\$/\1/p" internal/serve/bench_test.go
+}
+BUDGET="$(alloc_budget serveAllocBudget)"
+BBUDGET="$(alloc_budget serveBinaryAllocBudget)"
+if [ -z "${BUDGET}" ] || [ -z "${BBUDGET}" ]; then
+	echo "bench_wire: an alloc budget is missing from internal/serve/bench_test.go" >&2
+	exit 1
+fi
 
 echo "== alloc gates (JSON + binary) =="
 go test -run '^TestServeSolve(Binary)?AllocsGate$' -count=1 ./internal/serve/
@@ -79,8 +93,8 @@ rep = json.load(open(src))
 record = {
     "benchmark": "BenchmarkServeSolve{,Binary}Allocs + capbench -batch -wire",
     "serveAllocs": {
-        "json":   {"nsPerOp": ${NS}, "bytesPerOp": ${BYTES}, "allocsPerOp": ${ALLOCS}, "allocBudget": 24},
-        "binary": {"nsPerOp": ${BNS}, "bytesPerOp": ${BBYTES}, "allocsPerOp": ${BALLOCS}, "allocBudget": 24},
+        "json":   {"nsPerOp": ${NS}, "bytesPerOp": ${BYTES}, "allocsPerOp": ${ALLOCS}, "allocBudget": ${BUDGET}},
+        "binary": {"nsPerOp": ${BNS}, "bytesPerOp": ${BBYTES}, "allocsPerOp": ${BALLOCS}, "allocBudget": ${BBUDGET}},
     },
     "batchComparison": rep["batchComparison"],
     "wireComparison": rep["wireComparison"],

@@ -73,16 +73,16 @@ HEALTH="$(curl -fsS "${BASE}/healthz")"
 # shows in /v1/stats below.
 BODY='{"scheme":"S1","horizon":2}'
 FIRST="$(curl -fsS -X POST -d "${BODY}" "${BASE}/v1/solvable")"
-echo "${FIRST}" | grep -q '"solvable": true' || {
+echo "${FIRST}" | grep -q '"solvable":true' || {
 	echo "smoke: unexpected solvable reply: ${FIRST}" >&2
 	exit 1
 }
 SECOND="$(curl -fsS -X POST -d "${BODY}" "${BASE}/v1/solvable")"
-echo "${SECOND}" | grep -q '"cached": true' || {
+echo "${SECOND}" | grep -q '"cached":true' || {
 	echo "smoke: repeat query was not cached: ${SECOND}" >&2
 	exit 1
 }
-echo "${SECOND}" | grep -Eq '"configs": [1-9]' || {
+echo "${SECOND}" | grep -Eq '"configs":[1-9]' || {
 	echo "smoke: cached reply lost the verdict's configs: ${SECOND}" >&2
 	exit 1
 }
@@ -94,29 +94,29 @@ fi
 # /v1/stats must aggregate the engine work: exactly one engine run so
 # far (the second query was a cache hit), with non-zero configs.
 STATS="$(curl -fsS "${BASE}/v1/stats")"
-echo "${STATS}" | grep -Eq '"engineRuns": [1-9]' || {
+echo "${STATS}" | grep -Eq '"engineRuns":[1-9]' || {
 	echo "smoke: /v1/stats reports no engine runs: ${STATS}" >&2
 	exit 1
 }
-echo "${STATS}" | grep -Eq '"configsExplored": [1-9]' || {
+echo "${STATS}" | grep -Eq '"configsExplored":[1-9]' || {
 	echo "smoke: /v1/stats reports no configs explored: ${STATS}" >&2
 	exit 1
 }
-echo "${STATS}" | grep -q '"cacheHits": 1' || {
+echo "${STATS}" | grep -q '"cacheHits":1' || {
 	echo "smoke: /v1/stats did not count the cache hit: ${STATS}" >&2
 	exit 1
 }
 if [ "${BACKEND}" = "enumerate" ]; then
-	echo "${STATS}" | grep -q '"symbolicRounds": 0' || {
+	echo "${STATS}" | grep -q '"symbolicRounds":0' || {
 		echo "smoke: /v1/stats reports symbolic rounds on the enumerate backend: ${STATS}" >&2
 		exit 1
 	}
 else
-	echo "${STATS}" | grep -Eq '"symbolicRounds": [1-9]' || {
+	echo "${STATS}" | grep -Eq '"symbolicRounds":[1-9]' || {
 		echo "smoke: /v1/stats missing symbolic round gauge: ${STATS}" >&2
 		exit 1
 	}
-	echo "${STATS}" | grep -Eq '"intervalsPeak": [1-9]' || {
+	echo "${STATS}" | grep -Eq '"intervalsPeak":[1-9]' || {
 		echo "smoke: /v1/stats missing interval peak gauge: ${STATS}" >&2
 		exit 1
 	}
@@ -209,7 +209,7 @@ if [ "${SMOKE_CLUSTER:-1}" = "1" ]; then
 	# out of the coordinator's own cache (X-Cluster-Cache: hit).
 	CBODY='{"scheme":"S1","horizon":3}'
 	CR1="$(curl -fsS -X POST -d "${CBODY}" "${CBASE}/v1/solvable")"
-	echo "${CR1}" | grep -q '"solvable": true' || {
+	echo "${CR1}" | grep -q '"solvable":true' || {
 		echo "smoke: coordinator solvable reply wrong: ${CR1}" >&2
 		exit 1
 	}
@@ -274,7 +274,7 @@ if [ "${SMOKE_CLUSTER:-1}" = "1" ]; then
 		}
 	done
 	CSTATS="$(curl -fsS "${CBASE}/v1/stats")"
-	echo "${CSTATS}" | grep -Eq '"(hedges|failovers)": [1-9]' || {
+	echo "${CSTATS}" | grep -Eq '"(hedges|failovers)":[1-9]' || {
 		echo "smoke: no hedges or failovers after killing a backend: ${CSTATS}" >&2
 		exit 1
 	}
@@ -283,7 +283,7 @@ if [ "${SMOKE_CLUSTER:-1}" = "1" ]; then
 	# The prober (on by default, 1s interval) must notice the SIGKILLed
 	# backend and eject it from the ring.
 	i=0
-	until curl -fsS "${CBASE}/v1/cluster/members" | grep -q '"state": "ejected"'; do
+	until curl -fsS "${CBASE}/v1/cluster/members" | grep -q '"state":"ejected"'; do
 		i=$((i + 1))
 		[ $i -ge 100 ] && {
 			echo "smoke: prober never ejected the killed backend:" >&2
@@ -333,7 +333,7 @@ if [ "${SMOKE_CLUSTER:-1}" = "1" ]; then
 		}
 	done
 	# The epoch must have advanced: boot (1) + eject + leave + join >= 4.
-	curl -fsS "${CBASE}/v1/cluster/members" | grep -Eq '"epoch": [4-9]' || {
+	curl -fsS "${CBASE}/v1/cluster/members" | grep -Eq '"epoch":[4-9]' || {
 		echo "smoke: membership epoch did not advance through churn:" >&2
 		curl -s "${CBASE}/v1/cluster/members" >&2 || true
 		exit 1
