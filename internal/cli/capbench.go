@@ -61,7 +61,7 @@ func Capbench(args []string, stdout, stderr io.Writer) int {
 	hedgeDelay := fs.Duration("hedge-delay", 25*time.Millisecond, "self-contained mode: initial hedge trigger")
 	slowDelay := fs.Duration("slow-delay", 150*time.Millisecond, "self-contained mode: injected per-request delay on the slow backend (0 = skip degraded phase)")
 	maxHorizon := fs.Int("max-horizon", 9, "largest horizon generated queries use")
-	cacheEntries := fs.Int("cache", 4096, "cache entries per node")
+	cacheEntries := fs.Int("cache", 0, "LRU cache entries (0 = the role default: 1024 per node, 4096 on the coordinator)")
 	p99Bar := fs.Float64("p99-bar", 0, "fail if degraded/churn p99 > bar x healthy p99 (0 = report only)")
 	churn := fs.Bool("churn", false, "self-contained mode: add a membership-churn phase — one backend is killed mid-phase, auto-ejected by the prober, restarted, and readmitted")
 	availBar := fs.Float64("availability-bar", 0, "fail if churn-phase availability < bar (0 = report only)")

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os/signal"
 	"strings"
 	"syscall"
@@ -20,24 +21,45 @@ import (
 // accepting, in-flight requests finish under the drain deadline, and
 // final metrics are flushed to stderr.
 //
-// With -coordinator it runs the cluster router instead: requests are
-// consistent-hashed across the -backends capserved instances, with
-// hedged requests, per-shard circuit breakers, a two-tier verdict
-// cache, and chaos-campaign fan-out. Membership is live: the admin API
-// (GET/POST/DELETE /v1/cluster/members) joins and removes backends at
-// runtime, and the health prober ejects dead backends from routing and
-// readmits recovered ones.
+// With -coordinator it runs the cluster router instead: the node's own
+// request pipeline (admission, singleflight, one LRU verdict cache, the
+// warm store, batches) whose compute is a request consistent-hashed
+// across the -backends capserved instances, with hedging, per-shard
+// circuit breakers, and chaos-campaign fan-out. Membership is live: the
+// admin API (GET/POST/DELETE /v1/cluster/members) joins and removes
+// backends at runtime, and the health prober ejects dead backends from
+// routing and readmits recovered ones.
 func Capserved(args []string, stdout, stderr io.Writer) int {
+	srv, code := capservedServer(args, stderr)
+	if srv == nil {
+		return code
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
+	if err := srv.ListenAndServe(ctx); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	fmt.Fprintln(stdout, "capserved: clean shutdown")
+	return 0
+}
+
+// capservedServer builds the node or coordinator the flags describe;
+// on bad flags it returns nil and the exit code.
+func capservedServer(args []string, stderr io.Writer) (interface {
+	ListenAndServe(context.Context) error
+	Handler() http.Handler
+}, int) {
 	fs := flag.NewFlagSet("capserved", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8321", "listen address (use :0 for an ephemeral port)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request deadline ceiling")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
-	concurrency := fs.Int("concurrency", 0, "max concurrent expensive analyses (0 = GOMAXPROCS)")
+	concurrency := fs.Int("concurrency", 0, "max concurrent expensive requests (0 = the role default: GOMAXPROCS on a node, 64 on a -coordinator)")
 	queue := fs.Int("queue", 0, "admission queue depth before shedding (0 = 2x concurrency)")
 	cache := fs.Int("cache", 0, "LRU result-cache entries (0 = the role default: 1024 on a node, 4096 on a -coordinator)")
-	breakerTrip := fs.Int("breaker-trip", 5, "consecutive engine failures that trip the circuit breaker")
-	breakerCooldown := fs.Duration("breaker-cooldown", 10*time.Second, "breaker fast-fail window before a half-open probe")
+	breakerTrip := fs.Int("breaker-trip", 0, "consecutive failures that trip a circuit breaker (0 = the role default: 5 engine failures on a node, 3 failures of one shard on a -coordinator)")
+	breakerCooldown := fs.Duration("breaker-cooldown", 0, "breaker fast-fail window before a half-open probe (0 = the role default: 10s on a node, 5s per shard on a -coordinator)")
 	maxHorizon := fs.Int("max-horizon", 12, "largest accepted analysis horizon")
 	maxBatch := fs.Int("max-batch", 64, "largest accepted /v1/solve/batch item count")
 	backendStr := fs.String("backend", "auto", "analysis backend for served requests: auto|symbolic|enumerate")
@@ -51,11 +73,8 @@ func Capserved(args []string, stdout, stderr io.Writer) int {
 	probeFail := fs.Int("probe-fail", 3, "consecutive probe failures that eject a backend from routing")
 	probeRecover := fs.Int("probe-recover", 2, "consecutive probe successes that readmit an ejected backend")
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return nil, 2
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(stderr, format+"\n", args...)
 	}
@@ -67,7 +86,7 @@ func Capserved(args []string, stdout, stderr io.Writer) int {
 				bases = append(bases, strings.TrimSuffix(b, "/"))
 			}
 		}
-		co, err := cluster.New(cluster.Config{
+		co, err := cluster.NewWithAdmission(cluster.Config{
 			Addr:                  *addr,
 			Backends:              bases,
 			Replicas:              *replicas,
@@ -83,25 +102,20 @@ func Capserved(args []string, stdout, stderr io.Writer) int {
 			ProbeFailThreshold:    *probeFail,
 			ProbeRecoverThreshold: *probeRecover,
 			Logf:                  logf,
-		})
+		}, *concurrency, *queue)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
-			return 2
+			return nil, 2
 		}
-		if err := co.ListenAndServe(ctx); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		fmt.Fprintln(stdout, "capserved: clean shutdown")
-		return 0
+		return co, 0
 	}
 
 	backend, err := coordattack.ParseEngineBackend(*backendStr)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
-		return 2
+		return nil, 2
 	}
-	s := serve.New(serve.Config{
+	return serve.New(serve.Config{
 		Addr:                *addr,
 		AnalysisConcurrency: *concurrency,
 		QueueDepth:          *queue,
@@ -115,11 +129,5 @@ func Capserved(args []string, stdout, stderr io.Writer) int {
 		MaxBatchItems:       *maxBatch,
 		Backend:             backend,
 		Logf:                logf,
-	})
-	if err := s.ListenAndServe(ctx); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	fmt.Fprintln(stdout, "capserved: clean shutdown")
-	return 0
+	}), 0
 }

@@ -2,14 +2,19 @@ package cli
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/serve"
+	"repro/internal/serve/cluster"
 	"repro/internal/serve/wire"
 )
 
@@ -382,6 +387,35 @@ func TestCapservedCacheRoleDefault(t *testing.T) {
 		store.Close()
 		if len(recs) != tc.want {
 			t.Fatalf("%v: boot kept %d warm verdicts, want the role's default LRU size %d", tc.role, len(recs), tc.want)
+		}
+	}
+}
+
+// TestCapservedBreakerRoleDefault: without -breaker-trip or
+// -breaker-cooldown, a coordinator's shard breakers take the
+// coordinator's defaults, 3 failures and 5 s: three misses sent to a
+// dead backend open its breaker, and the fourth is refused with
+// Retry-After 5. With the node's 5 failures and 10 s, as the flags
+// passed before, the fourth miss would still reach the dead backend.
+func TestCapservedBreakerRoleDefault(t *testing.T) {
+	srv, code := capservedServer([]string{"-coordinator", "-backends", "http://127.0.0.1:1", "-probe-interval", "0"}, io.Discard)
+	if srv == nil {
+		t.Fatalf("coordinator flags refused: exit %d", code)
+	}
+	defer srv.(*cluster.Coordinator).Shutdown(context.Background())
+	for i := 1; i <= 4; i++ {
+		rec := httptest.NewRecorder()
+		body := fmt.Sprintf(`{"scheme":"S1","horizon":%d}`, i)
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solvable", strings.NewReader(body)))
+		want := http.StatusBadGateway
+		if i == 4 {
+			want = http.StatusServiceUnavailable
+		}
+		if rec.Code != want {
+			t.Fatalf("miss %d against a dead backend = %d, want %d: %s", i, rec.Code, want, rec.Body)
+		}
+		if i == 4 && rec.Header().Get("Retry-After") != "5" {
+			t.Fatalf("open shard breaker: Retry-After %q, want 5 (the coordinator's cooldown)", rec.Header().Get("Retry-After"))
 		}
 	}
 }

@@ -17,7 +17,8 @@ import (
 // N items are admitted under ONE heavy admission slot and ONE breaker
 // settle, deduplicated against the LRU where the class is
 // cacheable (and against each other — a repeated key inside the batch
-// computes once), with per-item verdicts streamed in item order (the
+// computes once), computed one at a time on a node and batchFanout at
+// once on a front, with per-item verdicts streamed in item order (the
 // lines written so far are flushed once an item has waited
 // batchFlushAfter on a computation): JSON lines by default, binary
 // verdict frames when the caller negotiated them
@@ -37,6 +38,10 @@ import (
 // and no line waits longer than this behind one engine run.
 const batchFlushAfter = time.Millisecond
 
+// batchFanout is how many items of one batch a front computes at once,
+// so a batch of misses takes about one remote round trip.
+const batchFanout = 8
+
 // batchBodyLimit bounds a batch request body; N scenarios share one
 // body, so the cap is wider than the single-item 1 MiB.
 const batchBodyLimit = 8 << 20
@@ -49,30 +54,30 @@ func (s *Server) handleBatch(cl *Class) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		qs, err := cl.parseBatch(http.MaxBytesReader(w, r.Body, batchBodyLimit))
 		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		if len(qs) == 0 {
-			s.writeError(w, http.StatusBadRequest, "batch needs at least one item")
+			WriteError(w, http.StatusBadRequest, "batch needs at least one item")
 			return
 		}
 		if len(qs) > s.cfg.MaxBatchItems {
-			s.writeError(w, http.StatusBadRequest, "batch of %d items exceeds cap %d", len(qs), s.cfg.MaxBatchItems)
+			WriteError(w, http.StatusBadRequest, "batch of %d items exceeds cap %d", len(qs), s.cfg.MaxBatchItems)
 			return
 		}
 		for i := range qs {
 			if qs[i].Err == nil {
-				qs[i].Err = qs[i].q.limit(&s.cfg)
+				qs[i].Err = s.limit(qs[i])
 			}
 		}
-		s.runBatch(w, r, qs)
+		s.runBatch(w, r, cl, qs)
 	}
 }
 
 // runBatch streams per-item verdicts for a parsed item table under one
 // admission slot (already held — the pipeline admitted this request)
-// and one breaker settle.
-func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, items []Query) {
+// and one breaker settle, writing the lines in item order.
+func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, cl *Class, items []Query) {
 	s.m.batches.Add(1)
 	s.m.batchItems.Add(int64(len(items)))
 
@@ -108,10 +113,27 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, items []Query)
 		}
 	}
 
+	// A node starts each item when its turn comes; a front starts items
+	// ahead while fewer than batchFanout of its computations are out.
 	rctx := r.Context()
+	var one [1]batchItem
+	slots, ahead, out, started := one[:], 0, 0, 0
+	if s.remote != nil {
+		slots, ahead = make([]batchItem, len(items)), batchFanout
+	}
 	engineFailed := false
 	for i := range items {
-		line := s.batchLine(rctx, i, items[i], berr, flush)
+		for ; started < len(items) && (started <= i || out < ahead); started++ {
+			slots[started%len(slots)] = s.startItem(rctx, cl, started, items[started], berr)
+			if slots[started%len(slots)].call != nil {
+				out++
+			}
+		}
+		it := slots[i%len(slots)]
+		if it.call != nil {
+			out--
+		}
+		line := s.finishItem(rctx, cl, i, items[i], it, flush)
 		if line.Status >= 500 && line.Verdict == nil && berr == nil && items[i].Err == nil {
 			engineFailed = true
 		}
@@ -146,53 +168,91 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, items []Query)
 	}
 }
 
-// batchLine produces the response line for one batch item: a parse
-// error, a cache hit, a breaker fast-fail, or a fresh computation
-// through the singleflight cache (which also dedups repeats within the
-// batch — the first occurrence computes, later ones hit the LRU).
-// stalled flushes the lines ahead of an item that waits on a
-// computation.
-func (s *Server) batchLine(rctx context.Context, i int, q Query, berr error, stalled func()) wire.BatchLine {
+// batchItem is one batch item between its start and its line: a line
+// already known (a parse error, a hit, a fast-fail), a computation to
+// wait on, or an uncacheable item to compute when its turn comes.
+type batchItem struct {
+	line   wire.BatchLine
+	call   *flightCall
+	shared bool
+	inline bool
+	start  time.Time
+}
+
+// startItem starts item i: a parse error, a cache hit, a breaker
+// fast-fail, or a computation through the singleflight cache (which
+// dedups repeats within the batch too). An uncacheable (chaos) item runs
+// under the request context: on a node inline when its turn comes.
+func (s *Server) startItem(rctx context.Context, cl *Class, i int, q Query, berr error) batchItem {
 	if q.Err != nil {
-		return wire.BatchLine{Index: i, Status: http.StatusBadRequest, Error: q.Err.Error()}
+		return batchItem{line: wire.BatchLine{Index: i, Status: http.StatusBadRequest, Error: q.Err.Error()}}
 	}
-	start := s.cfg.Clock()
-	finish := func(v any, cached, shared bool) wire.BatchLine {
-		elapsed := s.cfg.Clock().Sub(start).Milliseconds()
-		return wire.BatchLine{Index: i, Status: http.StatusOK, Verdict: withMeta(v, cached, shared, elapsed)}
-	}
+	it := batchItem{start: s.cfg.Clock()}
 	if berr != nil {
 		if q.Key != "" {
 			if v, ok := s.cache.peek(q.Key); ok {
-				return finish(v, true, false)
+				it.line = s.verdictLine(i, v, true, false, it.start)
+				return it
 			}
 		}
-		return wire.BatchLine{Index: i, Status: http.StatusServiceUnavailable, Error: berr.Error()}
+		it.line = wire.BatchLine{Index: i, Status: http.StatusServiceUnavailable, Error: berr.Error()}
+		return it
 	}
 	if rctx.Err() != nil {
 		// The batch deadline expired: stream the remaining items as
 		// timeouts instead of silently truncating the response.
 		s.m.timeouts.Add(1)
-		return wire.BatchLine{Index: i, Status: http.StatusGatewayTimeout, Error: "batch deadline exceeded"}
+		it.line = wire.BatchLine{Index: i, Status: http.StatusGatewayTimeout, Error: "batch deadline exceeded"}
+		return it
 	}
-	var val any
-	var cached, shared bool
-	var err error
-	if q.Key == "" {
-		// Uncacheable (chaos): run directly under the request context,
-		// mirroring the single-item endpoint, behind a flush.
-		stalled()
-		val, err = q.q.compute(s, rctx)
-	} else {
-		val, cached, shared, err = s.cache.doStalled(rctx, q.Key, func() (any, error) {
+	switch {
+	case q.Key == "" && s.remote == nil:
+		it.inline = true
+	case q.Key == "":
+		// An unkeyed flight: run neither shares nor caches it.
+		it.call = &flightCall{done: make(chan struct{})}
+		go s.cache.run("", it.call, func() (any, error) { return s.compute(rctx, cl, q) })
+	default:
+		var v any
+		v, it.call, it.shared = s.cache.start(q.Key, func() (any, error) {
 			cctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.ComputeBudget)
 			defer cancel()
-			return q.q.compute(s, cctx)
-		}, stalled)
+			return s.compute(cctx, cl, q)
+		})
+		if it.call == nil {
+			it.line = s.verdictLine(i, v, true, false, it.start)
+		}
+	}
+	return it
+}
+
+// finishItem produces item i's line, waiting for its computation if it
+// has one; stalled flushes the lines ahead of an item that waits on a
+// computation.
+func (s *Server) finishItem(rctx context.Context, cl *Class, i int, q Query, it batchItem, stalled func()) wire.BatchLine {
+	var val any
+	var err error
+	switch {
+	case it.inline:
+		stalled()
+		val, err = s.compute(rctx, cl, q)
+	case it.call != nil:
+		if err = wait(rctx, it.call.done, stalled); err == nil {
+			val, err = it.call.val, it.call.err
+		}
+	default:
+		return it.line
 	}
 	if err != nil {
 		code, body := s.computeError(err)
 		return wire.BatchLine{Index: i, Status: code, Error: body.Error, DiagID: body.DiagID}
 	}
-	return finish(val, cached, shared)
+	return s.verdictLine(i, val, false, it.shared, it.start)
+}
+
+// verdictLine is item i's 200 line, its verdict carrying the serving
+// metadata of this answer.
+func (s *Server) verdictLine(i int, v any, cached, shared bool, start time.Time) wire.BatchLine {
+	elapsed := s.cfg.Clock().Sub(start).Milliseconds()
+	return wire.BatchLine{Index: i, Status: http.StatusOK, Verdict: withMeta(v, cached, shared, elapsed)}
 }

@@ -33,7 +33,9 @@ func (e BreakerOpenError) Error() string {
 // drive the state machine deterministically.
 //
 // It guards capserved's engine paths and, exported, each shard of the
-// cluster coordinator (internal/serve/cluster).
+// cluster coordinator (internal/serve/cluster). A nil *Breaker admits
+// every call: a coordinator's pipeline has none of its own, because its
+// breakers sit on its shards.
 type Breaker struct {
 	mu        sync.Mutex
 	now       func() time.Time
@@ -65,6 +67,9 @@ func NewBreaker(threshold int, cooldown time.Duration, now func() time.Time) *Br
 // callback that MUST be invoked with whether the call failed; on refusal
 // it returns BreakerOpenError carrying the remaining cooldown.
 func (b *Breaker) Acquire() (done func(failed bool), err error) {
+	if b == nil {
+		return func(bool) {}, nil
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -136,6 +141,9 @@ func (b *Breaker) Reset() {
 
 // Snapshot reports the state name and consecutive-failure count for varz.
 func (b *Breaker) Snapshot() (state string, fails int) {
+	if b == nil {
+		return "closed", 0
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {

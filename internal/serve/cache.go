@@ -12,9 +12,8 @@ import (
 
 // LRU is a plain mutex-guarded LRU over string keys. In capserved the
 // values are the decoded verdict structs of deterministic queries, so
-// hits can be served without touching the analysis engine at all; the
-// cluster coordinator (internal/serve/cluster) reuses it for raw
-// verdict bodies keyed by the same canonical automaton digests.
+// hits can be served without touching the analysis engine (or, on a
+// cluster coordinator, any shard) at all.
 type LRU struct {
 	mu    sync.Mutex
 	max   int
@@ -149,25 +148,30 @@ func newResultCache(max int) *resultCache {
 // hit; shared reports that the value came from another caller's
 // in-flight computation. Errors are never cached.
 func (rc *resultCache) do(ctx context.Context, key string, fn func() (any, error)) (val any, cached, shared bool, err error) {
-	return rc.doStalled(ctx, key, fn, nil)
+	v, call, shared := rc.start(key, fn)
+	if call == nil {
+		return v, true, false, nil
+	}
+	if err := wait(ctx, call.done, nil); err != nil {
+		return nil, false, shared, err
+	}
+	return call.val, false, shared, call.err
 }
 
-// doStalled is do that also runs stalled, when non-nil, on the caller's
-// goroutine once it has waited batchFlushAfter on a computation.
-func (rc *resultCache) doStalled(ctx context.Context, key string, fn func() (any, error), stalled func()) (val any, cached, shared bool, err error) {
+// start is the non-blocking half of do: an LRU hit returns its value
+// and a nil call; otherwise call is key's in-flight computation, led
+// here (fn runs on its own goroutine) or joined when shared.
+func (rc *resultCache) start(key string, fn func() (any, error)) (val any, call *flightCall, shared bool) {
 	if v, ok := rc.peek(key); ok {
-		return v, true, false, nil
+		return v, nil, false
 	}
 	rc.mu.Lock()
 	if call, ok := rc.calls[key]; ok {
 		rc.mu.Unlock()
 		rc.shared.Add(1)
-		if err := wait(ctx, call.done, stalled); err != nil {
-			return nil, false, true, err
-		}
-		return call.val, false, true, call.err
+		return nil, call, true
 	}
-	call := &flightCall{done: make(chan struct{})}
+	call = &flightCall{done: make(chan struct{})}
 	rc.calls[key] = call
 	rc.mu.Unlock()
 
@@ -177,10 +181,7 @@ func (rc *resultCache) doStalled(ctx context.Context, key string, fn func() (any
 	// keeps running under the compute context fn captured, and later
 	// callers pick up its result. The leader does NOT pass ctx to fn.
 	go rc.run(key, call, fn)
-	if err := wait(ctx, call.done, stalled); err != nil {
-		return nil, false, false, err
-	}
-	return call.val, false, false, call.err
+	return nil, call, false
 }
 
 // wait blocks until done is closed or ctx expires, running stalled (when
@@ -215,7 +216,8 @@ func (rc *resultCache) peek(key string) (any, bool) {
 	return v, ok
 }
 
-// run executes one singleflight computation. Cleanup is unconditional:
+// run executes one singleflight computation (key "": a detached one,
+// neither registered nor cached). Cleanup is unconditional:
 // even when fn panics, the call is deregistered and done is closed, so
 // waiters fail fast instead of blocking on a permanently poisoned key.
 func (rc *resultCache) run(key string, call *flightCall, fn func() (any, error)) {
@@ -227,15 +229,17 @@ func (rc *resultCache) run(key string, call *flightCall, fn func() (any, error))
 			}
 			call.val, call.err = nil, e
 		}
-		if call.err == nil {
-			rc.lru.Put(key, call.val)
-			if rc.persist != nil {
-				rc.persist(key, call.val)
+		if key != "" {
+			if call.err == nil {
+				rc.lru.Put(key, call.val)
+				if rc.persist != nil {
+					rc.persist(key, call.val)
+				}
 			}
+			rc.mu.Lock()
+			delete(rc.calls, key)
+			rc.mu.Unlock()
 		}
-		rc.mu.Lock()
-		delete(rc.calls, key)
-		rc.mu.Unlock()
 		close(call.done)
 	}()
 	call.val, call.err = fn()

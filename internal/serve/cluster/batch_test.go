@@ -13,14 +13,22 @@ import (
 )
 
 // batchLine is the JSON decode shape of one coordinator stream line
-// (the emit side now writes wire.BatchLine; the JSON layout is
-// unchanged).
+// (a wire.BatchLine, as a node writes it).
 type batchLine struct {
 	Index   int             `json:"index"`
 	Status  int             `json:"status"`
-	Cached  bool            `json:"cached,omitempty"`
 	Verdict json.RawMessage `json:"verdict,omitempty"`
 	Error   string          `json:"error,omitempty"`
+}
+
+// cached reports the line's verdict's own cached flag: whether the
+// coordinator's LRU answered the item.
+func (l batchLine) cached() bool {
+	var v struct {
+		Cached bool `json:"cached"`
+	}
+	json.Unmarshal(l.Verdict, &v)
+	return v.Cached
 }
 
 // postClusterBatch fires a batch at the coordinator and returns the
@@ -122,10 +130,10 @@ func TestClusterBatchDifferential(t *testing.T) {
 	if st.CacheHits == 0 {
 		t.Fatal("no coordinator cache hits; batch is not consulting the LRU")
 	}
-	if !lines[0].Cached {
+	if !lines[0].cached() {
 		t.Fatalf("primed item 0 not marked cached: %+v", lines[0])
 	}
-	if lines[1].Cached {
+	if lines[1].cached() {
 		t.Fatalf("fresh item 1 marked cached: %+v", lines[1])
 	}
 }
@@ -166,7 +174,8 @@ func TestClusterBatchShapeGuards(t *testing.T) {
 	}
 	var sb strings.Builder
 	sb.WriteString(`{"items":[`)
-	for i := 0; i <= clusterBatchMax; i++ {
+	const maxBatch = 64 // the coordinator's MaxBatchItems (serve.Config's default)
+	for i := 0; i <= maxBatch; i++ {
 		if i > 0 {
 			sb.WriteString(",")
 		}

@@ -569,9 +569,9 @@ func heapInuse() int64 {
 }
 
 // TestCoordinatorHeapBoundedByCacheEntries pushes 100k distinct
-// verdicts through the coordinator's real miss path (keyed →
-// hedgedDo → persistWarm) against a stub shard, with a warm store
-// attached. Every verdict is appended to the store, yet the live heap
+// verdicts through the coordinator's real miss path (the pipeline's
+// singleflight → Answer → hedgedDo, then the warm store append)
+// against a stub shard, with a warm store attached. Every verdict is appended to the store, yet the live heap
 // must grow by no more than a bound set by CacheEntries: nothing but
 // the LRU may remember a verdict.
 func TestCoordinatorHeapBoundedByCacheEntries(t *testing.T) {
@@ -615,10 +615,11 @@ func TestCoordinatorHeapBoundedByCacheEntries(t *testing.T) {
 		}
 	}
 	grew := heapInuse() - before
-	if n := co.warm.Len(); n != verdicts {
+	st := co.StatsSnapshot()
+	if n := st.WarmStored; n != verdicts {
 		t.Fatalf("warm store holds %d records, want one per miss (%d)", n, verdicts)
 	}
-	if n := co.cache.Len(); n != entries {
+	if n := st.CacheLen; n != entries {
 		t.Fatalf("LRU holds %d verdicts, want CacheEntries (%d)", n, entries)
 	}
 	if bound := int64(slack + entries*perEntry); grew > bound {

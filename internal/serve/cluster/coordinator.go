@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,7 +21,7 @@ import (
 // Config parameterizes the coordinator. Only Backends is required.
 type Config struct {
 	// Addr is the listen address (default "127.0.0.1:8322"; use :0 for
-	// an ephemeral port, reported by BoundAddr).
+	// an ephemeral port, logged by ListenAndServe).
 	Addr string
 	// Backends are the base URLs of the capserved shards at boot, e.g.
 	// "http://127.0.0.1:8321". Membership is LIVE after boot: the admin
@@ -45,14 +44,14 @@ type Config struct {
 	AttemptTimeout time.Duration
 	// DrainTimeout bounds graceful shutdown (default 10s).
 	DrainTimeout time.Duration
-	// CacheEntries sizes the coordinator's LRU over raw verdict bodies
-	// (default 4096) — its only in-memory verdict tier.
+	// CacheEntries sizes the coordinator's LRU of verdicts (default
+	// 4096) — its only in-memory verdict tier.
 	CacheEntries int
-	// WarmStorePath, when set, appends verdict bodies to a wire warm
-	// segment file (frames; JSON for classify) whose newest CacheEntries
-	// verdicts are preloaded into the LRU at boot — a restarted
-	// coordinator answers recent queries without touching any backend.
-	// A file that is not a segment is discarded with a log line.
+	// WarmStorePath, when set, is the coordinator's warm store, exactly
+	// as serve.Config's: verdicts are appended to a wire warm segment
+	// file whose newest CacheEntries verdicts are preloaded into the LRU
+	// at boot, so a restarted coordinator answers recent queries without
+	// touching any backend.
 	WarmStorePath string
 	// BreakerThreshold / BreakerCooldown parameterize each shard's
 	// circuit breaker (defaults 3 consecutive failures, 5s cooldown —
@@ -157,12 +156,16 @@ type shard struct {
 	hedgeWins atomic.Int64 // hedged attempts that produced the reply
 }
 
-// Coordinator is the cluster router. Construct with New, mount
+// Coordinator is the cluster router: a serve front (serve.NewFront)
+// whose compute is a hedged call to the shards of a consistent-hash
+// ring. The request pipeline, the LRU with singleflight, the warm
+// store, negotiation, batching and error shapes are the node's; the
+// ring, hedging, per-shard breakers, the prober, membership and the
+// chaos fan-out are the coordinator's. Construct with New, mount
 // Handler on any http.Server, or let ListenAndServe own the lifecycle.
 type Coordinator struct {
-	cfg   Config
-	mux   *http.ServeMux
-	cache *serve.LRU
+	cfg Config
+	srv *serve.Server
 
 	// Live membership: the member table (any state, guarded by memMu)
 	// and the copy-on-write routing view (atomic swap on every epoch
@@ -173,11 +176,6 @@ type Coordinator struct {
 	epochHist []epochRecord
 	view      atomic.Pointer[epochView]
 
-	// warm is the append-only verdict store (nil without
-	// WarmStorePath); warmLoaded counts the verdicts it preloaded.
-	warm       *serve.VerdictStore
-	warmLoaded int
-
 	// baseCtx is the coordinator lifetime: every backend attempt and
 	// probe runs under it, so drain cancels in-flight work; wg
 	// tracks the goroutines so drain can prove they are gone.
@@ -185,21 +183,13 @@ type Coordinator struct {
 	cancelBase context.CancelFunc
 	wg         sync.WaitGroup
 
-	ready    atomic.Bool
-	draining atomic.Bool
-	started  time.Time
-	boundAdr atomic.Value // string
-
 	// hedgeDelayNs is the live hedge trigger, adjustable at runtime so
 	// operators (and capbench) can retune hedging to a measured healthy
 	// p99 without rebuilding the coordinator.
 	hedgeDelayNs atomic.Int64
 
 	m struct {
-		requests       atomic.Int64
-		keyed          atomic.Int64
-		cacheHits      atomic.Int64
-		cacheMisses    atomic.Int64
+		requests       atomic.Int64 // chaos fan-outs and passthroughs
 		hedges         atomic.Int64
 		hedgeWins      atomic.Int64
 		failovers      atomic.Int64
@@ -208,8 +198,6 @@ type Coordinator struct {
 		fanouts        atomic.Int64
 		fanoutPartials atomic.Int64
 		fanoutFailures atomic.Int64
-		batches        atomic.Int64 // /v1/solve/batch requests admitted
-		batchItems     atomic.Int64 // items across all admitted batches
 
 		epochSwaps    atomic.Int64
 		joins         atomic.Int64
@@ -229,18 +217,28 @@ func (c *Coordinator) newShard(base string) *shard {
 	}
 }
 
-// New builds a Coordinator over the configured backends.
-func New(cfg Config) (*Coordinator, error) {
+// coordinatorConcurrency is the coordinator's default heavy admission
+// limit (twice as many more may queue). A coordinator request waits on
+// a shard instead of burning a core, so it is sized from the peak count
+// of requests in flight in the cluster benchmarks, not GOMAXPROCS: 23 in
+// capbench's default 200 rps mix, 18 in its batch and wire legs, 2 in
+// verdictbench cluster-mixed (2-vCPU Xeon), under a third of the limit.
+const coordinatorConcurrency = 64
+
+// New builds a Coordinator over the configured backends, with its
+// admission gates at the role defaults.
+func New(cfg Config) (*Coordinator, error) { return NewWithAdmission(cfg, 0, 0) }
+
+// NewWithAdmission is New with the heavy admission gate set: at most
+// concurrency requests executing and queue more waiting before the
+// coordinator sheds with 429 (0 = coordinatorConcurrency, and twice the
+// concurrency).
+func NewWithAdmission(cfg Config, concurrency, queue int) (*Coordinator, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("cluster: no backends configured")
 	}
 	cfg.defaults()
-	c := &Coordinator{
-		cfg:     cfg,
-		mux:     http.NewServeMux(),
-		cache:   serve.NewLRU(cfg.CacheEntries),
-		members: map[string]*member{},
-	}
+	c := &Coordinator{cfg: cfg, members: map[string]*member{}}
 	now := cfg.Clock()
 	for _, base := range cfg.Backends {
 		base, err := normalizeBase(base)
@@ -256,33 +254,21 @@ func New(cfg Config) (*Coordinator, error) {
 	c.memMu.Lock()
 	c.rebuild("boot")
 	c.memMu.Unlock()
-	if cfg.WarmStorePath != "" {
-		store, recs, err := serve.OpenVerdictStore(cfg.WarmStorePath)
-		if err != nil {
-			cfg.Logf("coordinator: warm store disabled: %v", err)
-		} else {
-			if store.Discarded() {
-				cfg.Logf("coordinator: warm store %s is not a warm segment; discarded it", cfg.WarmStorePath)
-			}
-			// Preload only what a shard could have answered today: frames
-			// of another version or kind are recomputed, not replayed.
-			kept, err := store.KeepNewest(recs, cfg.CacheEntries, func(k string, v []byte) bool {
-				kind, _ := wire.KindForKey(k)
-				return verdictOK(kind, v)
-			})
-			if err != nil {
-				cfg.Logf("coordinator: %v", err)
-			}
-			for _, r := range kept {
-				c.cache.Put(r.Key, r.Val)
-			}
-			c.warm, c.warmLoaded = store, len(kept)
-		}
+	if concurrency <= 0 {
+		concurrency = coordinatorConcurrency
 	}
+	c.srv = serve.NewFront(serve.Config{
+		AnalysisConcurrency: concurrency,
+		QueueDepth:          queue,
+		RequestTimeout:      cfg.RequestTimeout,
+		DrainTimeout:        cfg.DrainTimeout,
+		CacheEntries:        cfg.CacheEntries,
+		WarmStorePath:       cfg.WarmStorePath,
+		Logf:                cfg.Logf,
+		Clock:               cfg.Clock,
+	}, c)
 	c.hedgeDelayNs.Store(int64(cfg.HedgeDelay))
 	c.baseCtx, c.cancelBase = context.WithCancel(context.Background())
-	c.started = now
-	c.ready.Store(true)
 	c.routes()
 	if cfg.ProbeInterval > 0 {
 		c.wg.Add(1)
@@ -292,7 +278,7 @@ func New(cfg Config) (*Coordinator, error) {
 }
 
 // Handler returns the fully wired HTTP handler.
-func (c *Coordinator) Handler() http.Handler { return c.mux }
+func (c *Coordinator) Handler() http.Handler { return c.srv.Handler() }
 
 // HedgeDelay reports the live hedge trigger.
 func (c *Coordinator) HedgeDelay() time.Duration {
@@ -308,29 +294,19 @@ func (c *Coordinator) SetHedgeDelay(d time.Duration) {
 	}
 }
 
-// BoundAddr reports the listener address once ListenAndServe has bound
-// it ("" before that).
-func (c *Coordinator) BoundAddr() string {
-	if v := c.boundAdr.Load(); v != nil {
-		return v.(string)
-	}
-	return ""
-}
-
 // ListenAndServe runs the coordinator until ctx is cancelled, then
 // drains: readiness flips, the listener stops accepting, in-flight
-// requests and hedge goroutines get up to DrainTimeout to finish (the
-// computation context is cancelled so they finish promptly), and the
-// warm store is closed. Returns nil on a clean drained exit.
+// requests get up to DrainTimeout to finish, and Shutdown cancels and
+// waits out every backend attempt and closes the warm store. Returns
+// nil on a clean drained exit.
 func (c *Coordinator) ListenAndServe(ctx context.Context) error {
 	ln, err := net.Listen("tcp", c.cfg.Addr)
 	if err != nil {
 		return err
 	}
-	c.boundAdr.Store(ln.Addr().String())
 	c.cfg.Logf("coordinator: listening on http://%s (%d backends)", ln.Addr(), len(c.currentView().shards))
 
-	hs := &http.Server{Handler: c.mux}
+	hs := &http.Server{Handler: c.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -340,11 +316,9 @@ func (c *Coordinator) ListenAndServe(ctx context.Context) error {
 		return err
 	case <-ctx.Done():
 	}
+	err = c.srv.Drain(hs)
 	dctx, cancel := context.WithTimeout(context.Background(), c.cfg.DrainTimeout)
 	defer cancel()
-	c.draining.Store(true)
-	c.ready.Store(false)
-	err = hs.Shutdown(dctx)
 	if serr := c.Shutdown(dctx); err == nil {
 		err = serr
 	}
@@ -354,120 +328,86 @@ func (c *Coordinator) ListenAndServe(ctx context.Context) error {
 	return err
 }
 
-// Shutdown cancels every in-flight backend attempt (hedges and probes
-// included), waits for their goroutines under ctx, closes the
-// warm store, and releases idle backend connections. It is exposed
-// separately so tests driving Handler directly can assert a leak-free
-// drain.
+// Shutdown ends the pipeline's computations (serve.Server.Close),
+// cancels every in-flight backend attempt (hedges and probes included),
+// waits for their goroutines under ctx, and releases idle backend
+// connections. It is exposed separately so tests driving Handler
+// directly can assert a leak-free drain.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.draining.Store(true)
-	c.ready.Store(false)
+	cerr := c.srv.Close()
 	c.cancelBase()
 	done := make(chan struct{})
 	go func() { c.wg.Wait(); close(done) }()
 	var err error
 	select {
 	case <-done:
+		err = cerr
 	case <-ctx.Done():
 		err = fmt.Errorf("coordinator: drain deadline: in-flight backend attempts did not finish")
-	}
-	if cerr := c.warm.Close(); cerr != nil && err == nil {
-		err = cerr
 	}
 	c.cfg.HTTPClient.CloseIdleConnections()
 	c.cfg.Logf("coordinator: drained (err=%v)", err)
 	return err
 }
 
-// routes mounts the coordinator surface.
+// routes mounts the coordinator's own endpoints next to the pipeline's.
 func (c *Coordinator) routes() {
-	c.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain")
-		fmt.Fprintln(w, "ok")
-	})
-	c.mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain")
-		if !c.ready.Load() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "draining")
-			return
-		}
-		fmt.Fprintln(w, "ready")
-	})
-	c.mux.HandleFunc("GET /v1/stats", c.handleStats)
-	c.mux.HandleFunc("GET /varz", c.handleStats)
-	c.mux.HandleFunc("GET /v1/cluster/members", c.handleMembersGet)
-	c.mux.HandleFunc("POST /v1/cluster/members", c.handleMembersPost)
-	c.mux.HandleFunc("DELETE /v1/cluster/members", c.handleMembersDelete)
-	c.mux.HandleFunc("POST /v1/classify", c.keyed(serve.Classify))
-	c.mux.HandleFunc("POST /v1/solvable", c.keyed(serve.Solvable))
-	c.mux.HandleFunc("POST /v1/solve/batch", c.batchHandler(serve.Solvable))
-	c.mux.HandleFunc("POST /v1/net/solvable", c.keyed(serve.NetSolvable))
-	c.mux.HandleFunc("POST /v1/net/solve/batch", c.batchHandler(serve.NetSolvable))
-	c.mux.HandleFunc("POST /v1/index", c.passthrough)
-	c.mux.HandleFunc("POST /v1/unindex", c.passthrough)
-	c.mux.HandleFunc("POST /v1/chaos", c.handleChaos)
-	c.mux.HandleFunc("POST /v1/chaos/batch", c.batchHandler(serve.Chaos))
-}
-
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func (c *Coordinator) writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
-}
-
-// readBody slurps a bounded request body.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-}
-
-// acceptsWire / acceptsWireStream report whether the caller negotiated
-// binary verdict frames (mirroring the node's negotiation).
-func acceptsWire(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), wire.MediaTypeVerdict)
-}
-
-func acceptsWireStream(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), wire.MediaTypeVerdictStream)
-}
-
-// verdictOK reports whether a shard-answered or stored body may be
-// cached and served as a verdict of kind: a current-version frame of
-// exactly that kind, or, for KindInvalid (classify, which has no frame
-// encoding), a JSON body. Only the frame header is checked.
-func verdictOK(kind wire.Kind, body []byte) bool {
-	if kind == wire.KindInvalid {
-		return !wire.IsFrame(body)
+	for pattern, h := range map[string]http.HandlerFunc{
+		"GET /v1/stats":              c.handleStats,
+		"GET /varz":                  c.handleStats,
+		"GET /v1/cluster/members":    c.handleMembersGet,
+		"POST /v1/cluster/members":   c.handleMembersPost,
+		"DELETE /v1/cluster/members": c.handleMembersDelete,
+		"POST /v1/index":             c.passthrough,
+		"POST /v1/unindex":           c.passthrough,
+		"POST /v1/chaos":             c.handleChaos,
+	} {
+		c.srv.Handle(pattern, h)
 	}
-	k, _, rest, err := wire.DecodeFrame(body)
-	return err == nil && k == kind && len(rest) == 0
 }
 
-// negotiateBody renders a checked verdict body for the caller: frames
-// pass through to binary callers and render as compact JSON for JSON
-// callers; classify JSON bodies pass through. The returned content type
-// is "" when a frame payload cannot be decoded — the caller should
-// answer 502.
-func negotiateBody(r *http.Request, body []byte) ([]byte, string) {
-	if !wire.IsFrame(body) {
-		return body, "application/json"
-	}
-	if acceptsWire(r) {
-		return body, wire.MediaTypeVerdict
-	}
-	j, err := wire.FrameToJSON(body, "")
+// Answer is the coordinator's compute (serve.Remote): the item goes to
+// its class's single endpoint on the shards its key hashes to, hedged
+// and failed over, and the shard's frame (or classify's JSON) is
+// decoded by the node's own Class.Decode. A shard's rejection comes
+// back as a *serve.StatusError with the shard's status and message; so
+// does a reply that does not decode (502).
+func (c *Coordinator) Answer(ctx context.Context, cl *serve.Class, q serve.Query) (any, string, error) {
+	body, err := q.Body()
 	if err != nil {
-		return nil, ""
+		return nil, "", err
 	}
-	return append(j, '\n'), "application/json"
+	route := q.Key
+	if route == "" {
+		// Uncacheable class (chaos): routed by body hash.
+		route = "chaos|" + string(body)
+	}
+	view := c.currentView()
+	res, err := c.hedgedDo(ctx, cl.Path, wire.AcceptVerdict, body, view, view.ring.Replicas(route, c.cfg.Replicas))
+	if err != nil {
+		return nil, "", noReply(err)
+	}
+	if res.status >= 400 {
+		msg, diag := shardError(res.body)
+		return nil, res.base, &serve.StatusError{Status: res.status, Msg: msg, DiagID: diag}
+	}
+	v, ok := cl.Decode(res.body)
+	if !ok {
+		return nil, res.base, &serve.StatusError{Status: http.StatusBadGateway,
+			Msg: fmt.Sprintf("shard %s returned an unusable verdict", res.base)}
+	}
+	return v, res.base, nil
+}
+
+// noReply is the error a hedged call that got no reply is answered
+// with: deadlines stay themselves (504), a refusal by every breaker is
+// already a 503, and anything else is a 502.
+func noReply(err error) error {
+	var se *serve.StatusError
+	if errors.As(err, &se) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		return err
+	}
+	return &serve.StatusError{Status: http.StatusBadGateway, Msg: err.Error()}
 }
 
 // shardError is the message of a shard's JSON error body ({"error",
@@ -484,85 +424,20 @@ func shardError(body []byte) (msg, diagID string) {
 	return truncate(bytes.TrimSpace(body), 200), ""
 }
 
-// stored looks key up in the coordinator's LRU, its only in-memory
-// verdict tier.
-func (c *Coordinator) stored(key string) (body []byte, ok bool) {
-	if v, ok := c.cache.Get(key); ok {
-		c.m.cacheHits.Add(1)
-		return v.([]byte), true
-	}
-	c.m.cacheMisses.Add(1)
-	return nil, false
-}
-
-// keyed builds the handler for a deterministic, cacheable class: the
-// class's strict parse and canonical key (no node limits — only the
-// shards know their config), the LRU in front,
-// consistent-hash routing with hedging and replica failover behind. The
-// routing view is captured once per request — a concurrent membership
-// change swaps the epoch for later requests, never mid-request.
-func (c *Coordinator) keyed(cl *serve.Class) http.HandlerFunc {
-	// Shards answer in frames where the class has a frame kind, and in
-	// JSON (classify) otherwise.
-	accept := ""
-	if cl.Kind != wire.KindInvalid {
-		accept = wire.AcceptVerdict
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		c.m.requests.Add(1)
-		c.m.keyed.Add(1)
-		body, err := readBody(w, r)
-		if err != nil {
-			c.writeError(w, http.StatusBadRequest, "bad request: %v", err)
-			return
-		}
-		q, err := cl.Parse(body)
-		if err != nil {
-			c.writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		key := q.Key
-		if raw, ok := c.stored(key); ok {
-			c.serveRaw(w, r, key, raw)
-			return
-		}
-
-		view := c.currentView()
-		res, err := c.hedgedDo(r.Context(), cl.Path, accept, body, view, view.ring.Replicas(key, c.cfg.Replicas))
-		if err != nil {
-			c.writeHedgeError(w, err)
-			return
-		}
-		if res.status >= 400 {
-			// Client-shaped rejection: every replica would agree, so the
-			// first verdict is forwarded and nothing is cached.
-			c.forward(w, r, res)
-			return
-		}
-		if !verdictOK(cl.Kind, res.body) {
-			c.writeError(w, http.StatusBadGateway, "shard %s returned an unusable verdict", res.base)
-			return
-		}
-		c.cache.Put(key, res.body)
-		c.persistWarm(key, res.body)
-		c.forward(w, r, res)
-	}
-}
-
 // passthrough routes a cheap, uncached endpoint (index/unindex) by body
 // hash — still hedged, so a wedged shard cannot stall even the light
 // path.
 func (c *Coordinator) passthrough(w http.ResponseWriter, r *http.Request) {
 	c.m.requests.Add(1)
-	body, err := readBody(w, r)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		c.writeError(w, http.StatusBadRequest, "bad request: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
 	view := c.currentView()
 	res, err := c.hedgedDo(r.Context(), r.URL.Path, "", body, view, view.ring.Replicas("light|"+string(body), c.cfg.Replicas))
 	if err != nil {
-		c.writeHedgeError(w, err)
+		c.srv.WriteComputeError(w, noReply(err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -570,63 +445,6 @@ func (c *Coordinator) passthrough(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Cluster-Shard", res.base)
 	w.WriteHeader(res.status)
 	w.Write(res.body)
-}
-
-func (c *Coordinator) serveRaw(w http.ResponseWriter, r *http.Request, key string, body []byte) {
-	out, ct := negotiateBody(r, body)
-	if ct == "" {
-		c.writeError(w, http.StatusBadGateway, "cached verdict for %s is undecodable", key)
-		return
-	}
-	w.Header().Set("Content-Type", ct)
-	w.Header().Set("X-Cluster-Cache", "hit")
-	w.WriteHeader(http.StatusOK)
-	w.Write(out)
-}
-
-func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, res *attemptResult) {
-	body, ct := res.body, "application/json"
-	if res.status < 400 {
-		// Error bodies are JSON and must never be re-shaped; verdicts
-		// negotiate.
-		if body, ct = negotiateBody(r, res.body); ct == "" {
-			c.writeError(w, http.StatusBadGateway, "shard %s returned an undecodable verdict", res.base)
-			return
-		}
-	}
-	w.Header().Set("Content-Type", ct)
-	w.Header().Set("X-Cluster-Cache", "miss")
-	w.Header().Set("X-Cluster-Shard", res.base)
-	w.WriteHeader(res.status)
-	w.Write(body)
-}
-
-// persistWarm appends a fresh shard verdict to the warm store, if any.
-func (c *Coordinator) persistWarm(key string, body []byte) {
-	if err := c.warm.Append(key, body); err != nil {
-		c.cfg.Logf("coordinator: %v", err)
-	}
-}
-
-// errAllShardsBroken reports that no candidate shard would admit the
-// request (every breaker open, or the routable member set is empty).
-type errAllShardsBroken struct{ retryAfter time.Duration }
-
-func (e errAllShardsBroken) Error() string {
-	return fmt.Sprintf("all replica breakers open; retry in %s", e.retryAfter)
-}
-
-func (c *Coordinator) writeHedgeError(w http.ResponseWriter, err error) {
-	var broken errAllShardsBroken
-	switch {
-	case errors.As(err, &broken):
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int((broken.retryAfter+time.Second-1)/time.Second)))
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: broken.Error()})
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		writeJSON(w, http.StatusGatewayTimeout, apiError{Error: "cluster request deadline exceeded"})
-	default:
-		writeJSON(w, http.StatusBadGateway, apiError{Error: err.Error()})
-	}
 }
 
 // boundedCtx derives the context a coordinated request's backend work
@@ -723,7 +541,9 @@ func (c *Coordinator) hedgedDo(rctx context.Context, path, accept string, payloa
 	}
 
 	if !launch(false) {
-		return nil, errAllShardsBroken{retryAfter: max(lastOpen, time.Second)}
+		retry := max(lastOpen, time.Second)
+		return nil, &serve.StatusError{Status: http.StatusServiceUnavailable,
+			Msg: fmt.Sprintf("all replica breakers open; retry in %s", retry), RetryAfter: retry}
 	}
 	hedge := time.NewTimer(c.HedgeDelay())
 	defer hedge.Stop()

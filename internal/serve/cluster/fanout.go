@@ -60,14 +60,9 @@ type chaosClusterResponse struct {
 // campaign (a shard limit such as MaxExecutions).
 func (c *Coordinator) handleChaos(w http.ResponseWriter, r *http.Request) {
 	c.m.requests.Add(1)
-	body, err := readBody(w, r)
+	req, err := serve.ParseChaos(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		c.writeError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	req, err := serve.ParseChaos(body)
-	if err != nil {
-		c.writeError(w, http.StatusBadRequest, "%v", err)
+		serve.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.Executions <= 0 {
@@ -101,7 +96,7 @@ func (c *Coordinator) handleChaos(w http.ResponseWriter, r *http.Request) {
 		admit = append(admit, admitted{idx: i, done: done})
 	}
 	if len(admit) == 0 {
-		c.writeError(w, http.StatusServiceUnavailable, "all shard breakers open")
+		serve.WriteError(w, http.StatusServiceUnavailable, "all shard breakers open")
 		return
 	}
 
@@ -211,17 +206,17 @@ func (c *Coordinator) handleChaos(w http.ResponseWriter, r *http.Request) {
 				// Every shard failed and one refused the request itself:
 				// answer with its rejection, as a lone node would.
 				msg, _ := shardError(rej.body)
-				c.writeError(w, rej.status, "%s", msg)
+				serve.WriteError(w, rej.status, "%s", msg)
 				return
 			}
 		}
-		c.writeError(w, http.StatusBadGateway, "chaos fan-out: every shard failed")
+		serve.WriteError(w, http.StatusBadGateway, "chaos fan-out: every shard failed")
 		return
 	}
 	if resp.Partial {
 		c.m.fanoutPartials.Add(1)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
 func truncate(b []byte, n int) string {

@@ -123,8 +123,8 @@ func TestCoordinatorRefusesUnusableShardFrames(t *testing.T) {
 			if n := hits.Load(); n != 3 {
 				t.Fatalf("shard saw %d requests, want 3 (nothing served from cache)", n)
 			}
-			if n := co.cache.Len(); n != 0 || co.warm.Len() != 0 {
-				t.Fatalf("LRU %d, warm store %d entries; want nothing cached or persisted", n, co.warm.Len())
+			if st := co.StatsSnapshot(); st.CacheLen != 0 || st.WarmStored != 0 {
+				t.Fatalf("LRU %d, warm store %d entries; want nothing cached or persisted", st.CacheLen, st.WarmStored)
 			}
 		})
 	}
@@ -156,8 +156,8 @@ func TestCoordinatorWarmStoreSkipsUnusableFrames(t *testing.T) {
 	store.Close()
 
 	co, ts, _ := testCluster(t, 1, func(cfg *Config) { cfg.WarmStorePath = path })
-	if co.warmLoaded != 0 {
-		t.Fatalf("coordinator loaded %d verdicts from a store holding only a stale frame", co.warmLoaded)
+	if n := co.StatsSnapshot().WarmLoaded; n != 0 {
+		t.Fatalf("coordinator loaded %d verdicts from a store holding only a stale frame", n)
 	}
 	resp, raw := postJSON(t, ts.URL+"/v1/solvable", query)
 	if resp.StatusCode != http.StatusOK {
@@ -189,8 +189,8 @@ func TestCoordinatorDiscardsLegacyWarmStore(t *testing.T) {
 			mu.Unlock()
 		}
 	})
-	if co.warmLoaded != 0 {
-		t.Fatalf("coordinator loaded %d verdicts from a legacy store", co.warmLoaded)
+	if n := co.StatsSnapshot().WarmLoaded; n != 0 {
+		t.Fatalf("coordinator loaded %d verdicts from a legacy store", n)
 	}
 	resp, raw := postJSON(t, ts.URL+"/v1/solvable", `{"scheme":"S1","horizon":3}`)
 	if resp.StatusCode != http.StatusOK {
@@ -207,13 +207,20 @@ func TestCoordinatorDiscardsLegacyWarmStore(t *testing.T) {
 	if discards != 1 {
 		t.Fatalf("discard logged %d times, want once: %q", discards, logs)
 	}
-	if n := co.cache.Len(); n != 1 || co.warm.Len() != 1 {
-		t.Fatalf("LRU holds %d verdicts, warm store %d; want the recomputed one", n, co.warm.Len())
+	if st := co.StatsSnapshot(); st.CacheLen != 1 || st.WarmStored != 1 {
+		t.Fatalf("LRU holds %d verdicts, warm store %d; want the recomputed one", st.CacheLen, st.WarmStored)
 	}
-	co.cache.Range(func(k string, v any) bool {
-		if !strings.HasPrefix(k, "solvable|") || !wire.IsFrame(v.([]byte)) {
-			t.Fatalf("cached %q = %q, want a solvability frame", k, v)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	co.Shutdown(ctx)
+	store, recs, err := serve.OpenVerdictStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	for _, r := range recs {
+		if !strings.HasPrefix(r.Key, "solvable|") || !wire.IsFrame(r.Val) {
+			t.Fatalf("persisted %q = %q, want a solvability frame", r.Key, r.Val)
 		}
-		return true
-	})
+	}
 }

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // Member lifecycle states. Routing eligibility is the state's one hard
@@ -230,20 +232,15 @@ func (c *Coordinator) Members() membersResponse {
 //	POST   /v1/cluster/members {"backend": u}   → join u (new epoch)
 //	DELETE /v1/cluster/members?backend=u        → leave u (new epoch)
 func (c *Coordinator) handleMembersGet(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Members())
+	serve.WriteJSON(w, http.StatusOK, c.Members())
 }
 
 func (c *Coordinator) handleMembersPost(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r)
-	if err != nil {
-		c.writeError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
 	var req struct {
 		Backend string `json:"backend"`
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		c.writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+		serve.WriteError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
 	if err := c.AddBackend(req.Backend); err != nil {
@@ -251,16 +248,16 @@ func (c *Coordinator) handleMembersPost(w http.ResponseWriter, r *http.Request) 
 		if strings.Contains(err.Error(), "already a member") {
 			code = http.StatusConflict
 		}
-		c.writeError(w, code, "%v", err)
+		serve.WriteError(w, code, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, c.Members())
+	serve.WriteJSON(w, http.StatusOK, c.Members())
 }
 
 func (c *Coordinator) handleMembersDelete(w http.ResponseWriter, r *http.Request) {
 	base := r.URL.Query().Get("backend")
 	if base == "" {
-		c.writeError(w, http.StatusBadRequest, "cluster: ?backend= query parameter required")
+		serve.WriteError(w, http.StatusBadRequest, "cluster: ?backend= query parameter required")
 		return
 	}
 	if err := c.RemoveBackend(base); err != nil {
@@ -271,8 +268,8 @@ func (c *Coordinator) handleMembersDelete(w http.ResponseWriter, r *http.Request
 		case strings.Contains(err.Error(), "last member"):
 			code = http.StatusConflict
 		}
-		c.writeError(w, code, "%v", err)
+		serve.WriteError(w, code, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, c.Members())
+	serve.WriteJSON(w, http.StatusOK, c.Members())
 }

@@ -1,6 +1,10 @@
 package cluster
 
-import "net/http"
+import (
+	"net/http"
+
+	"repro/internal/serve"
+)
 
 // ShardStats is one backend's health and traffic snapshot.
 type ShardStats struct {
@@ -41,7 +45,10 @@ type Stats struct {
 	Backends      int     `json:"backends"` // routable members this epoch
 	Replicas      int     `json:"replicas"`
 
-	Requests      int64 `json:"requests"`
+	Requests int64 `json:"requests"`
+	// KeyedRequests counts keyed lookups (single requests and batch
+	// items alike); each is a cache hit or a cache miss, and a miss
+	// that joined another's computation is a miss too.
 	KeyedRequests int64 `json:"keyedRequests"`
 
 	CacheHits   int64 `json:"cacheHits"`
@@ -73,19 +80,21 @@ type Stats struct {
 // traffic they took before ejection).
 func (c *Coordinator) StatsSnapshot() Stats {
 	view := c.currentView()
+	v := c.srv.Varz()
+	misses := v.CacheMisses + v.SingleflightShared
 	st := Stats{
-		Ready:           c.ready.Load(),
-		Draining:        c.draining.Load(),
-		UptimeSeconds:   c.cfg.Clock().Sub(c.started).Seconds(),
+		Ready:           v.Ready,
+		Draining:        v.Draining,
+		UptimeSeconds:   v.UptimeSeconds,
 		Backends:        len(view.shards),
 		Replicas:        c.cfg.Replicas,
-		Requests:        c.m.requests.Load(),
-		KeyedRequests:   c.m.keyed.Load(),
-		CacheHits:       c.m.cacheHits.Load(),
-		CacheMisses:     c.m.cacheMisses.Load(),
-		CacheLen:        c.cache.Len(),
-		WarmLoaded:      c.warmLoaded,
-		WarmStored:      c.warm.Len(),
+		Requests:        v.Requests + c.m.requests.Load(),
+		KeyedRequests:   v.CacheHits + misses,
+		CacheHits:       v.CacheHits,
+		CacheMisses:     misses,
+		CacheLen:        v.CacheEntries,
+		WarmLoaded:      v.WarmLoaded,
+		WarmStored:      v.WarmStored,
 		Hedges:          c.m.hedges.Load(),
 		HedgeWins:       c.m.hedgeWins.Load(),
 		Failovers:       c.m.failovers.Load(),
@@ -94,8 +103,8 @@ func (c *Coordinator) StatsSnapshot() Stats {
 		FanoutCampaigns: c.m.fanouts.Load(),
 		FanoutPartials:  c.m.fanoutPartials.Load(),
 		FanoutFailures:  c.m.fanoutFailures.Load(),
-		BatchRequests:   c.m.batches.Load(),
-		BatchItems:      c.m.batchItems.Load(),
+		BatchRequests:   v.BatchRequests,
+		BatchItems:      v.BatchItems,
 	}
 	st.Membership = MembershipStats{
 		Epoch:        view.seq,
@@ -132,5 +141,5 @@ func (c *Coordinator) StatsSnapshot() Stats {
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.StatsSnapshot())
+	serve.WriteJSON(w, http.StatusOK, c.StatsSnapshot())
 }

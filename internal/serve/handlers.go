@@ -17,7 +17,8 @@ import (
 	"repro/internal/serve/wire"
 )
 
-// routes mounts every endpoint on the mux behind the pipeline.
+// routes mounts every endpoint on the mux behind the pipeline. A front
+// mounts its own stats, index and chaos endpoints (NewFront).
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain")
@@ -32,20 +33,25 @@ func (s *Server) routes() {
 		}
 		fmt.Fprintln(w, "ready")
 	})
-	s.mux.HandleFunc("GET /varz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.varz())
-	})
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.Handle("GET /v1/warm/export", s.protect(classLight, s.handleWarmExport))
 	s.mux.Handle("POST /v1/classify", s.protect(classLight, s.handleQuery(Classify)))
-	s.mux.Handle("POST /v1/index", s.protect(classLight, s.handleIndex))
-	s.mux.Handle("POST /v1/unindex", s.protect(classLight, s.handleUnindex))
 	s.mux.Handle("POST /v1/solvable", s.protect(classHeavy, s.handleQuery(Solvable)))
 	s.mux.Handle("POST /v1/solve/batch", s.protect(classHeavy, s.handleBatch(Solvable)))
 	s.mux.Handle("POST /v1/net/solvable", s.protect(classHeavy, s.handleQuery(NetSolvable)))
 	s.mux.Handle("POST /v1/net/solve/batch", s.protect(classHeavy, s.handleBatch(NetSolvable)))
-	s.mux.Handle("POST /v1/chaos", s.protect(classHeavy, s.handleQuery(Chaos)))
 	s.mux.Handle("POST /v1/chaos/batch", s.protect(classHeavy, s.handleBatch(Chaos)))
+	if s.remote != nil {
+		return
+	}
+	s.mux.HandleFunc("GET /varz", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, s.Varz())
+	})
+	s.mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, s.statsVarz())
+	})
+	s.mux.Handle("GET /v1/warm/export", s.protect(classLight, s.handleWarmExport))
+	s.mux.Handle("POST /v1/index", s.protect(classLight, s.handleIndex))
+	s.mux.Handle("POST /v1/unindex", s.protect(classLight, s.handleUnindex))
+	s.mux.Handle("POST /v1/chaos", s.protect(classHeavy, s.handleQuery(Chaos)))
 }
 
 // acceptsWire reports whether the request negotiated the binary verdict
@@ -97,27 +103,48 @@ func (s *Server) handleQuery(cl *Class) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		q, err := cl.parse(http.MaxBytesReader(w, r.Body, singleBodyLimit))
 		if err == nil {
-			err = q.q.limit(&s.cfg)
+			err = s.limit(q)
 		}
 		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		start := s.cfg.Clock()
-		val, cached, shared, err := s.answer(r.Context(), cl, q)
+		val, cached, shared, err := s.answer(r.Context(), w.Header(), cl, q)
 		if err != nil {
-			s.writeComputeError(w, err)
+			s.WriteComputeError(w, err)
 			return
 		}
 		s.writeVerdict(w, r, withMeta(val, cached, shared, s.cfg.Clock().Sub(start).Milliseconds()))
 	}
 }
 
+// limit applies the node's bounds to a resolved item. A front has none
+// of its own: the servers behind it apply theirs.
+func (s *Server) limit(q Query) error {
+	if s.remote != nil {
+		return nil
+	}
+	return q.q.limit(&s.cfg)
+}
+
+// compute runs one resolved item's verdict under ctx: through the
+// front's remote, or on the local engine.
+func (s *Server) compute(ctx context.Context, cl *Class, q Query) (any, error) {
+	if s.remote != nil {
+		v, _, err := s.remote.Answer(ctx, cl, q)
+		return v, err
+	}
+	return q.q.compute(s, ctx)
+}
+
 // answer runs a parsed, limited single request under its class's
 // policy. Chaos campaigns are uncached and run under the request
 // context behind the breaker; classify is cached but never touches the
-// breaker; the engine classes run through heavyCompute.
-func (s *Server) answer(ctx context.Context, cl *Class, q Query) (val any, cached, shared bool, err error) {
+// breaker; the engine classes, and on a front every cacheable class,
+// run through heavyCompute. A front's h gets the X-Cluster-Cache tier
+// and, on a miss this request led, the X-Cluster-Shard.
+func (s *Server) answer(ctx context.Context, h http.Header, cl *Class, q Query) (val any, cached, shared bool, err error) {
 	switch {
 	case q.Key == "":
 		err = s.guard(func() error {
@@ -126,6 +153,23 @@ func (s *Server) answer(ctx context.Context, cl *Class, q Query) (val any, cache
 			return cerr
 		})
 		return val, false, false, err
+	case s.remote != nil:
+		var from string
+		val, cached, shared, err = s.heavyCompute(ctx, q.Key, func(cctx context.Context) (v any, e error) {
+			v, from, e = s.remote.Answer(cctx, cl, q)
+			return v, e
+		})
+		tier := "miss"
+		if cached {
+			tier = "hit"
+		}
+		h.Set("X-Cluster-Cache", tier)
+		if err == nil && from != "" {
+			// Set only by this request's own computation, which has
+			// finished: a hit or a follower never runs its fn.
+			h.Set("X-Cluster-Shard", from)
+		}
+		return val, cached, shared, err
 	case cl.light:
 		return s.cache.do(ctx, q.Key, func() (any, error) { return q.q.compute(s, ctx) })
 	default:
@@ -216,9 +260,8 @@ func (q *SchemeSelector) Resolve() (*coordattack.Scheme, error) {
 // and singleflight.
 func CanonicalSchemeKey(sch *coordattack.Scheme) string { return sch.Digest() }
 
-// Cache-key builders for the verdict caches. The coordinator
-// (internal/serve/cluster) composes the very same keys, so its warm
-// store and a backend's warm store name identical entries identically.
+// Cache-key builders for the verdict caches, a node's and a
+// coordinator's alike.
 
 // ClassifyKey keys a classification verdict.
 func ClassifyKey(sch *coordattack.Scheme) string {
@@ -427,7 +470,10 @@ func (s *Server) computeError(err error) (int, apiError) {
 	var open BreakerOpenError
 	var cp errComputePanic
 	var ci errInterrupted
+	var se *StatusError
 	switch {
+	case errors.As(err, &se):
+		return se.Status, apiError{Error: se.Msg, DiagID: se.DiagID}
 	case errors.As(err, &open):
 		return http.StatusServiceUnavailable, apiError{Error: open.Error()}
 	case errors.As(err, &cp):
@@ -443,15 +489,18 @@ func (s *Server) computeError(err error) (int, apiError) {
 	}
 }
 
-// writeComputeError writes computeError's answer, with Retry-After when
-// the breaker is open.
-func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
+// WriteComputeError writes computeError's answer, with Retry-After when
+// the breaker is open or the error asks for one.
+func (s *Server) WriteComputeError(w http.ResponseWriter, err error) {
 	var open BreakerOpenError
+	var se *StatusError
 	if errors.As(err, &open) {
 		w.Header().Set("Retry-After", retryAfterSeconds(open.RetryAfter))
+	} else if errors.As(err, &se) && se.RetryAfter > 0 {
+		w.Header().Set("Retry-After", retryAfterSeconds(se.RetryAfter))
 	}
 	code, body := s.computeError(err)
-	writeJSON(w, code, body)
+	WriteJSON(w, code, body)
 }
 
 // --- /v1/classify -----------------------------------------------------
@@ -516,16 +565,16 @@ type indexResponse struct {
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	var req indexRequest
 	if err := decode(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	word, err := coordattack.ParseWord(req.Word)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if !word.InGamma() {
-		s.writeError(w, http.StatusBadRequest, "index is defined over Γ words; %q contains a double omission", req.Word)
+		WriteError(w, http.StatusBadRequest, "index is defined over Γ words; %q contains a double omission", req.Word)
 		return
 	}
 	s.writeOK(w, indexResponse{Word: word.String(), Index: coordattack.Index(word).String()})
@@ -539,17 +588,17 @@ type unindexRequest struct {
 func (s *Server) handleUnindex(w http.ResponseWriter, r *http.Request) {
 	var req unindexRequest
 	if err := decode(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	k, ok := new(big.Int).SetString(req.Index, 10)
 	if !ok {
-		s.writeError(w, http.StatusBadRequest, "index %q is not an integer", req.Index)
+		WriteError(w, http.StatusBadRequest, "index %q is not an integer", req.Index)
 		return
 	}
 	word, err := coordattack.UnIndexChecked(req.Rounds, k)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.writeOK(w, indexResponse{Word: word.String(), Index: req.Index})

@@ -17,9 +17,8 @@ import (
 // declared once, with three methods: resolve checks everything that does
 // not depend on a node's configuration and yields the canonical cache
 // key, limit applies the node's bounds, and compute runs the verdict.
-// The node's single and batch handlers and the coordinator's keyed and
-// batch handlers all go through the same strict decode and resolve, so
-// a body gets one answer whichever path or cache tier serves it.
+// A node's and a coordinator's handlers are the same code, so a body
+// gets one answer whichever path or cache tier serves it.
 
 // query is the behaviour a verdict class declares on its request type.
 type query interface {
@@ -80,8 +79,8 @@ type Query struct {
 	q   query
 }
 
-// Body re-encodes the request: the form a coordinator forwards a batch
-// item in. It parses back to the same key.
+// Body re-encodes the request: the form a coordinator forwards an item
+// in. It parses back to the same key.
 func (q Query) Body() ([]byte, error) { return json.Marshal(q.q) }
 
 func resolveQuery(q query) Query {
@@ -104,14 +103,10 @@ func (c *Class) parse(r io.Reader) (Query, error) {
 	return out, out.Err
 }
 
-// ParseBatch strictly decodes a batch body {"items":[...]} of the class
+// parseBatch strictly decodes a batch body {"items":[...]} of the class
 // in one typed decode. A JSON-shape error anywhere (unknown field, wrong
 // type, trailing data) is the returned error and rejects the whole
 // batch; each item's resolve error is its Query.Err.
-func (c *Class) ParseBatch(body []byte) ([]Query, error) {
-	return c.parseBatch(bytes.NewReader(body))
-}
-
 func (c *Class) parseBatch(r io.Reader) ([]Query, error) {
 	b := c.newBatch()
 	if err := decodeStrict(r, b); err != nil {
@@ -277,9 +272,9 @@ func (q *netSolvableRequest) compute(s *Server, ctx context.Context) (any, error
 
 // --- chaos ------------------------------------------------------------
 
-// ChaosRequest is the /v1/chaos body. The coordinator parses it with
-// ParseChaos and re-encodes it per shard with Executions and Seed
-// rewritten.
+// ChaosRequest is the /v1/chaos body. The coordinator's fan-out parses
+// it with ParseChaos and re-encodes it per shard with Executions and
+// Seed rewritten.
 type ChaosRequest struct {
 	SchemeSelector
 	Executions    int   `json:"executions,omitempty"`
@@ -294,9 +289,10 @@ type ChaosRequest struct {
 	algo chaos.Algorithm
 }
 
-// ParseChaos is Chaos.Parse returning the typed request.
-func ParseChaos(body []byte) (*ChaosRequest, error) {
-	q, err := Chaos.Parse(body)
+// ParseChaos strictly decodes and resolves one /v1/chaos body from r,
+// returning the typed request.
+func ParseChaos(r io.Reader) (*ChaosRequest, error) {
+	q, err := Chaos.parse(r)
 	if err != nil {
 		return nil, err
 	}

@@ -183,6 +183,9 @@ type Server struct {
 	// verdicts it preloaded into the LRU at boot.
 	warm       *VerdictStore
 	warmLoaded int
+	// remote, when set, computes every item in place of the local
+	// engine (NewFront); nil on a node.
+	remote Remote
 
 	// baseCtx is the computation lifetime: singleflight leaders run
 	// under it so request disconnects don't kill shared work. It is
@@ -197,16 +200,37 @@ type Server struct {
 	diagSeq  atomic.Int64
 }
 
-// New builds a Server from the config (zero value fine).
-func New(cfg Config) *Server {
+// New builds a node Server from the config (zero value fine).
+func New(cfg Config) *Server { return NewFront(cfg, nil) }
+
+// Remote is the compute of a front: a server, such as the cluster
+// coordinator, whose items other servers answer. It is the pipeline's
+// one seam; everything else a front does is the node's code.
+type Remote interface {
+	// Answer computes the verdict of one resolved item under ctx and
+	// names the server that answered. The verdict's serving metadata
+	// is zero (Class.Decode). A rejection is a *StatusError.
+	Answer(ctx context.Context, cl *Class, q Query) (verdict any, from string, err error)
+}
+
+// NewFront builds a Server whose items remote computes (a nil remote
+// builds a node). A front has no limits or breaker of its own, computes
+// up to batchFanout batch items at once, tags single replies with
+// X-Cluster-Cache (and, on a miss it led, X-Cluster-Shard), and leaves
+// /varz, /v1/stats, the warm export and the index and chaos endpoints
+// to its own Handle.
+func NewFront(cfg Config, remote Remote) *Server {
 	cfg.defaults()
 	s := &Server{
-		cfg:   cfg,
-		mux:   http.NewServeMux(),
-		cache: newResultCache(cfg.CacheEntries),
-		heavy: newGate(cfg.AnalysisConcurrency, cfg.QueueDepth, time.Second),
-		light: newGate(cfg.LightConcurrency, 4*cfg.QueueDepth, time.Second),
-		brk:   NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock),
+		cfg:    cfg,
+		mux:    http.NewServeMux(),
+		cache:  newResultCache(cfg.CacheEntries),
+		heavy:  newGate(cfg.AnalysisConcurrency, cfg.QueueDepth, time.Second),
+		light:  newGate(cfg.LightConcurrency, 4*cfg.QueueDepth, time.Second),
+		remote: remote,
+	}
+	if remote == nil {
+		s.brk = NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock)
 	}
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
 	s.started = cfg.Clock()
@@ -233,6 +257,10 @@ func (s *Server) panicDiag(where string, p any, stack []byte) string {
 
 // Handler returns the fully wired HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
+
+// Handle mounts h on the server's mux, next to the pipeline's routes: a
+// front adds the endpoints of its own role this way.
+func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
 
 // BoundAddr reports the listener address once ListenAndServe has bound
 // it ("" before that) — the hook smoke tests use to find a :0 port.
@@ -285,11 +313,10 @@ func (s *Server) Drain(hs *http.Server) error {
 	dctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
 	defer cancel()
 	err := hs.Shutdown(dctx)
-	s.cancelBase()
-	if cerr := s.warm.Close(); cerr != nil {
+	if cerr := s.Close(); cerr != nil {
 		s.cfg.Logf("capserved: closing warm store: %v", cerr)
 	}
-	v := s.varz()
+	v := s.Varz()
 	b, merr := json.Marshal(v)
 	if merr != nil {
 		s.cfg.Logf("capserved: drained (err=%v); final varz unmarshalable: %v", err, merr)
@@ -297,6 +324,17 @@ func (s *Server) Drain(hs *http.Server) error {
 	}
 	s.cfg.Logf("capserved: drained (err=%v) final varz: %s", err, b)
 	return err
+}
+
+// Close ends the server's computations without touching a listener:
+// readiness flips, the computation context is cancelled, and the warm
+// store is closed (its error is returned). Drain calls it; so does a
+// front that owns its listener. Close is idempotent.
+func (s *Server) Close() error {
+	s.draining.Store(true)
+	s.ready.Store(false)
+	s.cancelBase()
+	return s.warm.Close()
 }
 
 // endpoint classes for the admission pipeline.
@@ -307,19 +345,32 @@ const (
 	classHeavy              // engine walks and campaigns
 )
 
+// StatusError is a compute error answered with its own status: another
+// server's rejection (its status, message and diagnostic ID), or a
+// front's finding that no server could answer. Nothing is cached for it.
+type StatusError struct {
+	Status int
+	Msg    string
+	DiagID string
+	// RetryAfter, when positive, is sent as Retry-After.
+	RetryAfter time.Duration
+}
+
+func (e *StatusError) Error() string { return e.Msg }
+
 // apiError is the uniform JSON error body.
 type apiError struct {
 	Error  string `json:"error"`
 	DiagID string `json:"diagId,omitempty"`
 }
 
-// writeJSON encodes v into a pooled buffer and writes it as a single
+// WriteJSON encodes v into a pooled buffer and writes it as a single
 // response. Encoding happens before the status line is committed; an
 // encode error (only reachable with marshaler-bearing or non-finite
 // payloads, which the API types avoid) degrades to a plain-text 500
 // instead of an empty 200 body. Handlers with a diagnostic context use
 // Server.writeOK, which logs the error under a diag ID.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	jb := getJSONBuf()
 	defer putJSONBuf(jb)
 	if err := jb.enc.Encode(v); err != nil {
@@ -341,7 +392,7 @@ func (s *Server) writeOK(w http.ResponseWriter, v any) {
 	if err := jb.enc.Encode(v); err != nil {
 		id := fmt.Sprintf("diag-%d-%d", s.started.Unix(), s.diagSeq.Add(1))
 		s.cfg.Logf("capserved: response encode %s: %v", id, err)
-		writeJSON(w, http.StatusInternalServerError, apiError{
+		WriteJSON(w, http.StatusInternalServerError, apiError{
 			Error:  "response encoding failed; see server log",
 			DiagID: id,
 		})
@@ -352,8 +403,9 @@ func (s *Server) writeOK(w http.ResponseWriter, v any) {
 	_, _ = w.Write(jb.buf.Bytes())
 }
 
-func (s *Server) writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
+// WriteError writes the uniform JSON error body with status code.
+func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
 // protect wraps h in the full pipeline for the class: panic recovery,
@@ -375,7 +427,7 @@ func (s *Server) protect(cl class, h http.HandlerFunc) http.Handler {
 				id := s.panicDiag(r.URL.Path, p, debug.Stack())
 				if !sw.wrote {
 					s.m.server5xx.Add(1)
-					writeJSON(w, http.StatusInternalServerError, apiError{
+					WriteJSON(w, http.StatusInternalServerError, apiError{
 						Error:  "internal error; see server log",
 						DiagID: id,
 					})
@@ -398,12 +450,12 @@ func (s *Server) protect(cl class, h http.HandlerFunc) http.Handler {
 			if errors.As(err, &shed) {
 				s.m.shed.Add(1)
 				sw.Header().Set("Retry-After", retryAfterSeconds(shed.RetryAfter))
-				writeJSON(sw, http.StatusTooManyRequests, apiError{Error: shed.Error()})
+				WriteJSON(sw, http.StatusTooManyRequests, apiError{Error: shed.Error()})
 				return
 			}
 			// Caller's context expired while queued.
 			s.m.timeouts.Add(1)
-			writeJSON(sw, http.StatusServiceUnavailable, apiError{Error: err.Error()})
+			WriteJSON(sw, http.StatusServiceUnavailable, apiError{Error: err.Error()})
 			return
 		}
 		defer release()
@@ -505,7 +557,8 @@ type Varz struct {
 	HeavyQueued        int64   `json:"heavyQueued"`
 }
 
-func (s *Server) varz() Varz {
+// Varz is the /varz snapshot of the pipeline's counters.
+func (s *Server) Varz() Varz {
 	state, fails := s.brk.Snapshot()
 	hi, hq := s.heavy.depth()
 	return Varz{

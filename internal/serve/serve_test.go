@@ -266,10 +266,10 @@ func TestHeavyComputePanicIsolated(t *testing.T) {
 			return "ok", nil
 		})
 		if err != nil {
-			s.writeComputeError(w, err)
+			s.WriteComputeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"val": val})
+		WriteJSON(w, http.StatusOK, map[string]any{"val": val})
 	}))
 
 	resp, raw := postJSON(t, ts.URL+"/test/compute-panic", `{}`)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"net/http"
 	"sync/atomic"
 
 	"repro/internal/fullinfo"
@@ -76,8 +75,4 @@ func (s *Server) statsVarz() StatsVarz {
 		CacheMisses:        s.cache.misses.Load(),
 		SingleflightShared: s.cache.shared.Load(),
 	}
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.statsVarz())
 }

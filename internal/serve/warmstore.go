@@ -21,9 +21,8 @@ import (
 // an index: nothing of it stays in memory. A node opens it at boot,
 // preloads its newest CacheEntries verdicts into the LRU (KeepNewest) —
 // so a restart serves recently computed answers instantly instead of
-// re-running the engine — and from then on only appends; the cluster
-// coordinator (internal/serve/cluster) reuses the same store for shard
-// replies.
+// re-running the engine — and from then on only appends. A cluster
+// coordinator's store is the same.
 //
 // The file is the durability story, not a database: writes are appended
 // under a mutex with no fsync, a key recomputed after an LRU eviction is
@@ -313,54 +312,84 @@ func (s *VerdictStore) Close() error {
 	return err
 }
 
-// decodeVerdict turns a stored verdict back into the concrete response
-// type its cache-key prefix names: a current-version frame of the key's
-// kind, or a classify JSON body. The JSON decode is typed (the handlers
-// type-assert cached values, e.g. val.(classifyResponse)). Anything else
-// — unknown prefixes, frames of another version or kind, entries
-// written by a newer binary — is skipped and recomputed on demand.
+// classForKey is the verdict class a cache key names, by its prefix;
+// nil for anything else.
+func classForKey(key string) *Class {
+	op, _, _ := strings.Cut(key, "|")
+	switch op {
+	case "classify":
+		return Classify
+	case "solvable":
+		return Solvable
+	case "netsolve":
+		return NetSolvable
+	}
+	return nil
+}
+
+// decodeVerdict turns a stored verdict back into the response value
+// its cache-key prefix names (Class.Decode). Anything else — unknown
+// prefixes, frames of another version or kind, entries written by a
+// newer binary — is skipped and recomputed on demand.
 func decodeVerdict(key string, raw []byte) (any, bool) {
-	if kind, ok := wire.KindForKey(key); ok {
-		v, err := wire.Unmarshal(raw)
-		if err != nil {
+	if cl := classForKey(key); cl != nil {
+		return cl.Decode(raw)
+	}
+	return nil, false
+}
+
+// Decode turns a stored or another server's verdict of the class into
+// the response value the cache holds (typed: handlers type-assert it):
+// a current-version frame of exactly the class's kind, or JSON for
+// classify, which has no frame kind. The serving metadata (cached,
+// shared, elapsedMs) is zeroed: it belongs to the answer, not the
+// verdict.
+func (c *Class) Decode(raw []byte) (any, bool) {
+	if c.Kind == wire.KindInvalid {
+		var v classifyResponse
+		if json.Unmarshal(raw, &v) != nil {
 			return nil, false
 		}
-		switch t := v.(type) {
-		case *wire.Solvable:
-			return *t, kind == wire.KindSolvable
-		case *wire.NetSolvable:
-			return *t, kind == wire.KindNetSolvable
-		}
+		v.Cached = false
+		return v, true
+	}
+	kind, _, rest, err := wire.DecodeFrame(raw)
+	if err != nil || kind != c.Kind || len(rest) != 0 {
 		return nil, false
 	}
-	if strings.HasPrefix(key, "classify|") {
-		var v classifyResponse
-		if json.Unmarshal(raw, &v) == nil {
-			return v, true
-		}
+	v, err := wire.Unmarshal(raw)
+	if err != nil {
+		return nil, false
+	}
+	switch t := v.(type) {
+	case *wire.Solvable:
+		t.Cached, t.Shared, t.ElapsedMs = false, false, 0
+		return *t, true
+	case *wire.NetSolvable:
+		t.Cached, t.ElapsedMs = false, 0
+		return *t, true
+	case *wire.Chaos:
+		t.ElapsedMs = 0
+		return *t, true
 	}
 	return nil, false
 }
 
 // encodeVerdict renders a cached verdict in its stored form — a frame
-// when the key has a frame kind, JSON (classify) otherwise — for the
-// warm store and /v1/warm/export. ok=false marks values that would not
-// decode back (foreign LRU entries, unencodable values).
+// when the key's class has a frame kind, JSON (classify) otherwise — for
+// the warm store and /v1/warm/export. ok=false marks values that would
+// not decode back (foreign LRU entries, unencodable values).
 func encodeVerdict(key string, val any) ([]byte, bool) {
-	var b []byte
-	var err error
-	if _, ok := wire.KindForKey(key); ok {
-		b, err = wire.Marshal(val)
-	} else {
-		b, err = json.Marshal(val)
+	marshal := wire.Marshal
+	if classForKey(key) == Classify {
+		marshal = json.Marshal
 	}
+	b, err := marshal(val)
 	if err != nil {
 		return nil, false
 	}
-	if _, ok := decodeVerdict(key, b); !ok {
-		return nil, false
-	}
-	return b, true
+	_, ok := decodeVerdict(key, b)
+	return b, ok
 }
 
 // attachWarmStore wires the warm store into the result cache: its

@@ -16,7 +16,7 @@ import (
 //	uvarint(len(k)) k uvarint(len(v)) v
 //
 // where k is a canonical cache key and v its verdict: a frame when the
-// key has a frame kind (KindForKey), the JSON body otherwise (classify,
+// key has a frame kind, the JSON body otherwise (classify,
 // which has no frame encoding).
 
 // MediaTypeWarmSegment negotiates a warm segment body over HTTP.

@@ -3,14 +3,12 @@ package wire
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 )
 
 // The verdict structs live here — with their JSON tags — so the JSON
 // bodies the service produces and the binary frames are two
-// encodings of one source of truth. internal/serve aliases these types;
-// the coordinator renders frames as JSON for callers that did not ask
-// for binary (FrameToJSON). A verdict holds no engine provenance: the
+// encodings of one source of truth; internal/serve aliases these
+// types. A verdict holds no engine provenance: the
 // same key gets the same verdict however it was computed, and only
 // Cached, Shared and ElapsedMs vary per request. Frames always carry
 // those three; JSON omits each when it is false or zero.
@@ -184,29 +182,13 @@ func (v *Chaos) decode(r *reader) {
 	v.ElapsedMs = r.int()
 }
 
-// Raw is a verdict already in frame form: its payload is embedded into
-// a BatchLine without a decode/re-encode round trip. The coordinator
-// uses it to stream shard-side frames through to binary callers.
-type Raw struct {
-	Kind    Kind
-	Payload []byte
-}
-
-// MarshalJSON transcodes the raw frame payload into the verdict's JSON
-// form, so a BatchLine holding a Raw still JSON-encodes correctly.
-func (rw Raw) MarshalJSON() ([]byte, error) {
-	v, err := unmarshalPayload(rw.Kind, rw.Payload)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(v)
-}
-
-// BatchLine is one per-item record of a batch response stream, shared
-// by the node's batch endpoints and the coordinator's mirrors. Status
-// is what the single-item endpoint would have answered for the item;
-// Cached marks coordinator cache/warm hits (the node never sets it).
-// Verdict holds *Solvable, *NetSolvable, *Chaos, or Raw.
+// BatchLine is one per-item record of a batch response stream, the
+// same on a node and a coordinator. Status is what the single-item
+// endpoint would have answered for the item; whether a cache answered
+// it is the verdict's own cached flag. Cached is written by nothing and
+// kept in the layout (and the frame version) until served bodies drop
+// their per-request metadata. Verdict holds *Solvable, *NetSolvable or
+// *Chaos.
 type BatchLine struct {
 	Index   int    `json:"index"`
 	Status  int    `json:"status"`
@@ -234,9 +216,6 @@ func (l *BatchLine) appendPayload(dst []byte) ([]byte, error) {
 	case *Chaos:
 		dst = append(dst, byte(KindChaos))
 		dst = v.appendPayload(dst)
-	case Raw:
-		dst = append(dst, byte(v.Kind))
-		dst = append(dst, v.Payload...)
 	default:
 		return dst, fmt.Errorf("wire: unencodable batch verdict %T", l.Verdict)
 	}
@@ -274,7 +253,7 @@ func DecodeBatchLine(payload []byte) (*BatchLine, error) {
 }
 
 // AppendVerdict appends v as one frame. Accepted values: Solvable,
-// NetSolvable, Chaos (value or pointer), *BatchLine, and Raw.
+// NetSolvable, Chaos (value or pointer), and *BatchLine.
 func AppendVerdict(dst []byte, v any) ([]byte, error) {
 	switch t := v.(type) {
 	case Solvable:
@@ -302,9 +281,6 @@ func AppendVerdict(dst []byte, v any) ([]byte, error) {
 			return out[:start-headerLen], err
 		}
 		return endFrame(out, start), nil
-	case Raw:
-		dst, start := beginFrame(dst, t.Kind)
-		return endFrame(append(dst, t.Payload...), start), nil
 	default:
 		return dst, fmt.Errorf("wire: unencodable verdict %T", v)
 	}
@@ -395,23 +371,6 @@ func UnmarshalInto(b []byte, dst any) error {
 		return fmt.Errorf("wire: cannot decode into %T", dst)
 	}
 	return fmt.Errorf("wire: frame kind %s does not match %T", kind, dst)
-}
-
-// KindForKey maps a canonical cache-key prefix ("solvable|…",
-// "netsolve|…") to its frame kind. Keys without a binary encoding
-// (classify) report false — those verdicts travel as JSON everywhere.
-func KindForKey(key string) (Kind, bool) {
-	op, _, ok := strings.Cut(key, "|")
-	if !ok {
-		return KindInvalid, false
-	}
-	switch op {
-	case "solvable":
-		return KindSolvable, true
-	case "netsolve":
-		return KindNetSolvable, true
-	}
-	return KindInvalid, false
 }
 
 // FrameToJSON transcodes one verdict frame into its JSON encoding:

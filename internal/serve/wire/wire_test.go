@@ -231,44 +231,6 @@ func TestBatchLineRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchLineRawEmbeds pins the coordinator's zero-transcode path: a
-// Raw payload embedded in a BatchLine decodes identically to embedding
-// the typed verdict, and Raw's MarshalJSON matches the verdict's JSON.
-func TestBatchLineRawEmbeds(t *testing.T) {
-	v := solvableShapes()["exact-overflow"]
-	vf, err := Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kind, payload, _, err := DecodeFrame(vf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := Raw{Kind: kind, Payload: payload}
-
-	lf, err := Marshal(&BatchLine{Index: 5, Status: 200, Verdict: raw})
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Unmarshal(lf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	line := back.(*BatchLine)
-	if !reflect.DeepEqual(line.Verdict, v) {
-		t.Fatalf("Raw embed decoded to %#v, want %#v", line.Verdict, v)
-	}
-
-	rj, err := json.Marshal(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vj, _ := json.Marshal(v)
-	if !bytes.Equal(rj, vj) {
-		t.Fatalf("Raw.MarshalJSON = %s, want %s", rj, vj)
-	}
-}
-
 func TestUnmarshalIntoKindMismatch(t *testing.T) {
 	frame, _ := Marshal(&Solvable{Scheme: "S1"})
 	var n NetSolvable
@@ -364,26 +326,6 @@ func TestFrameScanner(t *testing.T) {
 	sc = NewFrameScanner(bytes.NewReader(stream), 4)
 	if _, _, err := sc.Next(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame = %v, want ErrFrameTooLarge", err)
-	}
-}
-
-func TestKindForKey(t *testing.T) {
-	cases := []struct {
-		key  string
-		kind Kind
-		ok   bool
-	}{
-		{"solvable|S1|3", KindSolvable, true},
-		{"netsolve|K4|1|2", KindNetSolvable, true},
-		{"classify|S1", KindInvalid, false},
-		{"no-separator", KindInvalid, false},
-		{"", KindInvalid, false},
-	}
-	for _, c := range cases {
-		kind, ok := KindForKey(c.key)
-		if kind != c.kind || ok != c.ok {
-			t.Fatalf("KindForKey(%q) = %v,%v want %v,%v", c.key, kind, ok, c.kind, c.ok)
-		}
 	}
 }
 

@@ -73,11 +73,13 @@ echo "== GOMAXPROCS matrix (engine + service + chaos, -cpu 1,2,4) =="
 # any core count.
 go test -cpu 1,2,4 -count=3 ./internal/fullinfo ./internal/chain ./internal/nchain ./internal/serve/... ./internal/chaos
 
-echo "== serve alloc gates (unraced, JSON + binary) =="
+echo "== serve alloc gates (unraced, JSON + binary; node and coordinator) =="
 # The alloc gates skip themselves under -race (the detector's
 # instrumentation allocates), so the budgets are enforced here
-# explicitly — once per response encoding.
+# explicitly — once per response encoding, on a node and on a
+# coordinator.
 go test -run '^TestServeSolve(Binary)?AllocsGate$' -count=1 ./internal/serve/
+go test -run '^TestCoordinatorSolve(Binary)?AllocsGate$' -count=1 ./internal/serve/cluster/
 
 FUZZTIME="${FUZZTIME:-10s}"
 echo "== go fuzz (${FUZZTIME} per target) =="
