@@ -55,8 +55,8 @@ func capservedServer(args []string, stderr io.Writer) (interface {
 	addr := fs.String("addr", "127.0.0.1:8321", "listen address (use :0 for an ephemeral port)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request deadline ceiling")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
-	concurrency := fs.Int("concurrency", 0, "max concurrent expensive requests (0 = the role default: GOMAXPROCS on a node, 64 on a -coordinator)")
-	queue := fs.Int("queue", 0, "admission queue depth before shedding (0 = 2x concurrency)")
+	concurrency := fs.Int("concurrency", 0, "max concurrent expensive analyses on a node (0 = GOMAXPROCS; a -coordinator admits 64)")
+	queue := fs.Int("queue", 0, "a node's admission queue depth before shedding (0 = 2x concurrency; a -coordinator queues 128)")
 	cache := fs.Int("cache", 0, "LRU result-cache entries (0 = the role default: 1024 on a node, 4096 on a -coordinator)")
 	breakerTrip := fs.Int("breaker-trip", 0, "consecutive failures that trip a circuit breaker (0 = the role default: 5 engine failures on a node, 3 failures of one shard on a -coordinator)")
 	breakerCooldown := fs.Duration("breaker-cooldown", 0, "breaker fast-fail window before a half-open probe (0 = the role default: 10s on a node, 5s per shard on a -coordinator)")
@@ -86,7 +86,7 @@ func capservedServer(args []string, stderr io.Writer) (interface {
 				bases = append(bases, strings.TrimSuffix(b, "/"))
 			}
 		}
-		co, err := cluster.NewWithAdmission(cluster.Config{
+		co, err := cluster.New(cluster.Config{
 			Addr:                  *addr,
 			Backends:              bases,
 			Replicas:              *replicas,
@@ -102,7 +102,7 @@ func capservedServer(args []string, stderr io.Writer) (interface {
 			ProbeFailThreshold:    *probeFail,
 			ProbeRecoverThreshold: *probeRecover,
 			Logf:                  logf,
-		}, *concurrency, *queue)
+		})
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return nil, 2

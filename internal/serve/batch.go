@@ -52,6 +52,8 @@ const batchBodyLimit = 8 << 20
 // errors become per-item 400 lines with the single endpoint's message.
 func (s *Server) handleBatch(cl *Class) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(r))
+		defer cancel()
 		qs, err := cl.parseBatch(http.MaxBytesReader(w, r.Body, batchBodyLimit))
 		if err != nil {
 			WriteError(w, http.StatusBadRequest, "%v", err)
@@ -70,14 +72,15 @@ func (s *Server) handleBatch(cl *Class) http.HandlerFunc {
 				qs[i].Err = s.limit(qs[i])
 			}
 		}
-		s.runBatch(w, r, cl, qs)
+		s.runBatch(ctx, w, r, cl, qs)
 	}
 }
 
 // runBatch streams per-item verdicts for a parsed item table under one
 // admission slot (already held — the pipeline admitted this request)
-// and one breaker settle, writing the lines in item order.
-func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, cl *Class, items []Query) {
+// and one breaker settle, writing the lines in item order; rctx carries
+// the request deadline.
+func (s *Server) runBatch(rctx context.Context, w http.ResponseWriter, r *http.Request, cl *Class, items []Query) {
 	s.m.batches.Add(1)
 	s.m.batchItems.Add(int64(len(items)))
 
@@ -95,7 +98,7 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, cl *Class, ite
 		}
 	}()
 
-	binary := acceptsWireStream(r)
+	binary := accepts(r, wire.MediaTypeVerdictStream)
 	if binary {
 		w.Header().Set("Content-Type", wire.MediaTypeVerdictStream)
 	} else {
@@ -115,7 +118,6 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, cl *Class, ite
 
 	// A node starts each item when its turn comes; a front starts items
 	// ahead while fewer than batchFanout of its computations are out.
-	rctx := r.Context()
 	var one [1]batchItem
 	slots, ahead, out, started := one[:], 0, 0, 0
 	if s.remote != nil {
@@ -187,14 +189,14 @@ func (s *Server) startItem(rctx context.Context, cl *Class, i int, q Query, berr
 	if q.Err != nil {
 		return batchItem{line: wire.BatchLine{Index: i, Status: http.StatusBadRequest, Error: q.Err.Error()}}
 	}
+	if q.Key != "" {
+		if v, ok := s.cache.peek(q.Key); ok {
+			// A hit is answered as it is looked up: 0 ms.
+			return batchItem{line: wire.BatchLine{Index: i, Status: http.StatusOK, Verdict: withMeta(v, true, false, 0)}}
+		}
+	}
 	it := batchItem{start: s.cfg.Clock()}
 	if berr != nil {
-		if q.Key != "" {
-			if v, ok := s.cache.peek(q.Key); ok {
-				it.line = s.verdictLine(i, v, true, false, it.start)
-				return it
-			}
-		}
 		it.line = wire.BatchLine{Index: i, Status: http.StatusServiceUnavailable, Error: berr.Error()}
 		return it
 	}
@@ -220,6 +222,7 @@ func (s *Server) startItem(rctx context.Context, cl *Class, i int, q Query, berr
 			return s.compute(cctx, cl, q)
 		})
 		if it.call == nil {
+			// Its computation finished since the peek above.
 			it.line = s.verdictLine(i, v, true, false, it.start)
 		}
 	}

@@ -17,7 +17,7 @@ import (
 // TestServeSolveAllocsGate the way TestInternerTupleHitZeroAllocs pins
 // the interner, so a regression fails `go test`, not just a benchmark
 // somebody has to remember to run.
-const serveAllocBudget = 23
+const serveAllocBudget = 16
 
 // nopRW is the cheapest possible ResponseWriter: the benchmark measures
 // the server's allocations, not a recorder's.
@@ -122,7 +122,7 @@ func TestServeSolveAllocsGate(t *testing.T) {
 // serveBinaryAllocBudget pins the binary hot path's own budget: frame
 // encoding writes positional fields into a pooled buffer with no
 // reflection, so it must stay at least as lean as the JSON path.
-const serveBinaryAllocBudget = 23
+const serveBinaryAllocBudget = 16
 
 // TestServeSolveBinaryAllocsGate is TestServeSolveAllocsGate for a
 // caller that negotiated the binary encoding.

@@ -206,8 +206,9 @@ func wait(ctx context.Context, done <-chan struct{}, stalled func()) error {
 	}
 }
 
-// peek consults only the LRU and never computes. The batch path uses it
-// to keep serving hits while the breaker holds off fresh engine work.
+// peek consults only the LRU and never computes. The handlers call it
+// first, so a hit builds nothing a computation needs, and a batch keeps
+// serving hits while the breaker holds off fresh engine work.
 func (rc *resultCache) peek(key string) (any, bool) {
 	v, ok := rc.lru.Get(key)
 	if ok {

@@ -132,43 +132,32 @@ func getBody() *bytes.Buffer {
 	return b
 }
 
-func putBody(b *bytes.Buffer) {
+// ReleaseBuffer returns a ReadBounded buffer to the pool.
+func ReleaseBuffer(b *bytes.Buffer) {
 	if b.Cap() <= bodyPoolMax {
 		bodyPool.Put(b)
 	}
 }
 
-// readBody drains r into a pooled buffer, failing with *TruncatedError
-// past limit. The caller owns the returned buffer and must putBody it
-// after its Bytes() are no longer referenced.
-func readBody(r io.Reader, limit int64) (*bytes.Buffer, error) {
+// ReadBounded drains r into a pooled buffer, failing with
+// *TruncatedError past limit: the package's pooled replacement for
+// io.ReadAll, for its own replies and for the cluster coordinator's
+// shard replies. The caller must ReleaseBuffer the result once its
+// Bytes() are no longer referenced, and must copy bytes that outlive
+// the release.
+func ReadBounded(r io.Reader, limit int64) (*bytes.Buffer, error) {
 	buf := getBody()
 	// Read one byte past the limit: exactly-limit bodies are legal, and
 	// the extra byte distinguishes "fits" from "clipped".
 	if _, err := buf.ReadFrom(io.LimitReader(r, limit+1)); err != nil {
-		putBody(buf)
+		ReleaseBuffer(buf)
 		return nil, err
 	}
 	if int64(buf.Len()) > limit {
-		putBody(buf)
+		ReleaseBuffer(buf)
 		return nil, &TruncatedError{Limit: limit}
 	}
 	return buf, nil
-}
-
-// ReadBounded drains r into a pooled buffer, failing with
-// *TruncatedError past limit. It is the package's pooled replacement
-// for io.ReadAll at response-consumption sites (the cluster coordinator
-// uses it for shard replies). The caller must
-// ReleaseBuffer the result once its Bytes() are no longer referenced —
-// and must copy bytes that outlive the release.
-func ReadBounded(r io.Reader, limit int64) (*bytes.Buffer, error) {
-	return readBody(r, limit)
-}
-
-// ReleaseBuffer returns a ReadBounded buffer to the pool.
-func ReleaseBuffer(b *bytes.Buffer) {
-	putBody(b)
 }
 
 // retryable reports whether a status is worth retrying: the server's
@@ -309,7 +298,7 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 		return &retryableError{err: err}
 	}
 	defer resp.Body.Close()
-	buf, err := readBody(resp.Body, c.opt.MaxBodyBytes)
+	buf, err := ReadBounded(resp.Body, c.opt.MaxBodyBytes)
 	if err != nil {
 		var trunc *TruncatedError
 		if errors.As(err, &trunc) {
@@ -317,7 +306,7 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 		}
 		return &retryableError{err: err}
 	}
-	defer putBody(buf)
+	defer ReleaseBuffer(buf)
 	raw := buf.Bytes()
 	if resp.StatusCode >= 400 {
 		apiErr := &APIError{Status: resp.StatusCode, Body: string(bytes.TrimSpace(raw))}

@@ -29,7 +29,8 @@ type Config struct {
 	// backends without a restart, and the health prober (ProbeInterval)
 	// ejects dead shards from routing and readmits recovered ones. Each
 	// membership change swaps in a new epoch-versioned ring; in-flight
-	// requests finish on the epoch they started with.
+	// shard calls finish on the epoch they started with (the items of
+	// one batch may start on different epochs).
 	Backends []string
 	// Replicas is how many distinct shards a keyed request may try —
 	// primary plus hedge/failover candidates (default 2, clamped per
@@ -190,6 +191,7 @@ type Coordinator struct {
 
 	m struct {
 		requests       atomic.Int64 // chaos fan-outs and passthroughs
+		keyed          atomic.Int64 // single keyed requests
 		hedges         atomic.Int64
 		hedgeWins      atomic.Int64
 		failovers      atomic.Int64
@@ -225,15 +227,9 @@ func (c *Coordinator) newShard(base string) *shard {
 // verdictbench cluster-mixed (2-vCPU Xeon), under a third of the limit.
 const coordinatorConcurrency = 64
 
-// New builds a Coordinator over the configured backends, with its
-// admission gates at the role defaults.
-func New(cfg Config) (*Coordinator, error) { return NewWithAdmission(cfg, 0, 0) }
-
-// NewWithAdmission is New with the heavy admission gate set: at most
-// concurrency requests executing and queue more waiting before the
-// coordinator sheds with 429 (0 = coordinatorConcurrency, and twice the
-// concurrency).
-func NewWithAdmission(cfg Config, concurrency, queue int) (*Coordinator, error) {
+// New builds a Coordinator over the configured backends, its admission
+// gates at coordinatorConcurrency executing and twice that queued.
+func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("cluster: no backends configured")
 	}
@@ -254,12 +250,8 @@ func NewWithAdmission(cfg Config, concurrency, queue int) (*Coordinator, error) 
 	c.memMu.Lock()
 	c.rebuild("boot")
 	c.memMu.Unlock()
-	if concurrency <= 0 {
-		concurrency = coordinatorConcurrency
-	}
 	c.srv = serve.NewFront(serve.Config{
-		AnalysisConcurrency: concurrency,
-		QueueDepth:          queue,
+		AnalysisConcurrency: coordinatorConcurrency,
 		RequestTimeout:      cfg.RequestTimeout,
 		DrainTimeout:        cfg.DrainTimeout,
 		CacheEntries:        cfg.CacheEntries,
@@ -278,7 +270,17 @@ func NewWithAdmission(cfg Config, concurrency, queue int) (*Coordinator, error) 
 }
 
 // Handler returns the fully wired HTTP handler.
-func (c *Coordinator) Handler() http.Handler { return c.srv.Handler() }
+func (c *Coordinator) Handler() http.Handler { return http.HandlerFunc(c.serveHTTP) }
+
+// serveHTTP counts the single keyed requests (Stats.KeyedRequests) and
+// hands every request to the pipeline's mux.
+func (c *Coordinator) serveHTTP(w http.ResponseWriter, r *http.Request) {
+	switch r.URL.Path {
+	case serve.Classify.Path, serve.Solvable.Path, serve.NetSolvable.Path:
+		c.m.keyed.Add(1)
+	}
+	c.srv.Handler().ServeHTTP(w, r)
+}
 
 // HedgeDelay reports the live hedge trigger.
 func (c *Coordinator) HedgeDelay() time.Duration {

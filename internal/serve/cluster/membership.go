@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -167,12 +168,7 @@ func (c *Coordinator) RemoveBackend(base string) error {
 		return fmt.Errorf("cluster: refusing to remove the last member %s", base)
 	}
 	delete(c.members, base)
-	for i, b := range c.memOrder {
-		if b == base {
-			c.memOrder = append(c.memOrder[:i], c.memOrder[i+1:]...)
-			break
-		}
-	}
+	c.memOrder = slices.DeleteFunc(c.memOrder, func(b string) bool { return b == base })
 	c.rebuild("leave " + base)
 	c.m.leaves.Add(1)
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -133,8 +134,11 @@ func TestCoordinatorDeadlineDetachesCompute(t *testing.T) {
 
 // coordinatorAllocBudget pins the coordinator's cached-hit /v1/solvable
 // path (pipeline, decode, key, LRU lookup, encode), JSON and frames
-// alike, as serveAllocBudget pins a node's.
-const coordinatorAllocBudget = 24
+// alike, as serveAllocBudget pins a node's. It is the cost of a frame
+// hit served by the coordinator's own copy of the request path before
+// it ran the node's pipeline: the pipeline's admission and deadline
+// must not make a hit dearer.
+const coordinatorAllocBudget = 16
 
 // nopRW is the cheapest possible ResponseWriter, so the gate counts the
 // coordinator's allocations, not a recorder's.
@@ -228,5 +232,101 @@ func benchCoordinatorHits(b *testing.B, accept string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
+	}
+}
+
+// TestCoordinatorKeyedRequestsCountsSingles: keyedRequests counts
+// single keyed requests only (it is the denominator of the hedge
+// ratio); batch items are counted in batchItems, and every lookup of
+// either kind is one cache hit or one cache miss.
+func TestCoordinatorKeyedRequestsCountsSingles(t *testing.T) {
+	co, ts, _ := testCluster(t, 3, nil)
+	if resp, raw := postJSON(t, ts.URL+"/v1/solvable", `{"scheme":"S1","horizon":3}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("single = %d: %s", resp.StatusCode, raw)
+	}
+	batch := `{"items":[{"scheme":"S1","horizon":3},{"scheme":"S1","horizon":4},{"scheme":"S1","horizon":5}]}`
+	if resp, raw := postJSON(t, ts.URL+"/v1/solve/batch", batch); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch = %d: %s", resp.StatusCode, raw)
+	}
+	st := co.StatsSnapshot()
+	if st.KeyedRequests != 1 || st.BatchItems != 3 || st.CacheHits+st.CacheMisses != 4 {
+		t.Fatalf("keyed %d, batch items %d, hits %d + misses %d; want 1, 3 and 4 lookups",
+			st.KeyedRequests, st.BatchItems, st.CacheHits, st.CacheMisses)
+	}
+}
+
+// TestCoordinatorBatchItemsRouteOnTheirOwnEpoch pins the epoch rule of
+// a coordinator batch: each item's hedged call routes on the ring
+// current when it starts and finishes there. Nine misses against a
+// slow shard start eight calls at once (serve's batchFanout); the shard
+// is replaced while they run, so they finish on it, and the ninth item,
+// started once one of them is done, routes on the new ring.
+func TestCoordinatorBatchItemsRouteOnTheirOwnEpoch(t *testing.T) {
+	const fanout = 8
+	var mu sync.Mutex
+	calls := map[string]int{}
+	shard := func(name string, delay time.Duration) *httptest.Server {
+		// Admits all eight calls at once, which a GOMAXPROCS-sized gate
+		// would shed in part.
+		node := serve.New(serve.Config{MaxHorizon: 13, AnalysisConcurrency: 2 * fanout, Logf: quietLogf}).Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			calls[name]++
+			mu.Unlock()
+			time.Sleep(delay)
+			node.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	count := func(name string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return calls[name]
+	}
+	slow, fast := shard("old", 300*time.Millisecond), shard("new", 0)
+	co, ts := startCoordinator(t, Config{Backends: []string{slow.URL}, Replicas: 1, HedgeDelay: 10 * time.Second})
+
+	items := make([]string, fanout+1)
+	for i := range items {
+		items[i] = fmt.Sprintf(`{"scheme":"S1","horizon":%d}`, i+1)
+	}
+	type result struct {
+		status int
+		raw    []byte
+		err    error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/solve/batch", "application/json",
+			strings.NewReader(`{"items":[`+strings.Join(items, ",")+`]}`))
+		if err != nil {
+			done <- result{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		done <- result{resp.StatusCode, raw, err}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); count("old") < fanout; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the old shard saw %d calls, want %d in flight", count("old"), fanout)
+		}
+	}
+	if err := co.AddBackend(fast.URL); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.RemoveBackend(slow.URL); err != nil {
+		t.Fatal(err)
+	}
+	res := <-done
+	if res.err != nil || res.status != http.StatusOK {
+		t.Fatalf("batch = %d, %v: %s", res.status, res.err, res.raw)
+	}
+	if got := strings.Count(string(res.raw), `"status":200`); got != len(items) {
+		t.Fatalf("%d of %d lines are 200:\n%s", got, len(items), res.raw)
+	}
+	if o, n := count("old"), count("new"); o != fanout || n != 1 {
+		t.Fatalf("the old ring served %d calls and the new ring %d; want %d and 1", o, n, fanout)
 	}
 }

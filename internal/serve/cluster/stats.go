@@ -46,11 +46,13 @@ type Stats struct {
 	Replicas      int     `json:"replicas"`
 
 	Requests int64 `json:"requests"`
-	// KeyedRequests counts keyed lookups (single requests and batch
-	// items alike); each is a cache hit or a cache miss, and a miss
-	// that joined another's computation is a miss too.
+	// KeyedRequests counts single keyed requests (classify, solvable,
+	// net solvable); batch items are counted in BatchItems.
 	KeyedRequests int64 `json:"keyedRequests"`
 
+	// CacheHits and CacheMisses count keyed lookups, single requests
+	// and batch items alike; each is one or the other, and a lookup
+	// that joined another's computation is a miss.
 	CacheHits   int64 `json:"cacheHits"`
 	CacheMisses int64 `json:"cacheMisses"`
 	CacheLen    int   `json:"cacheEntries"`
@@ -89,7 +91,7 @@ func (c *Coordinator) StatsSnapshot() Stats {
 		Backends:        len(view.shards),
 		Replicas:        c.cfg.Replicas,
 		Requests:        v.Requests + c.m.requests.Load(),
-		KeyedRequests:   v.CacheHits + misses,
+		KeyedRequests:   c.m.keyed.Load(),
 		CacheHits:       v.CacheHits,
 		CacheMisses:     misses,
 		CacheLen:        v.CacheEntries,

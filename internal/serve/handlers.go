@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 
 	coordattack "repro"
 	"repro/internal/chaos"
@@ -54,24 +55,19 @@ func (s *Server) routes() {
 	s.mux.Handle("POST /v1/chaos", s.protect(classHeavy, s.handleQuery(Chaos)))
 }
 
-// acceptsWire reports whether the request negotiated the binary verdict
-// encoding for a single-verdict response (Accept names the frame media
-// type). JSON stays the default; clients opt in per request.
-func acceptsWire(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), wire.MediaTypeVerdict)
-}
-
-// acceptsWireStream is acceptsWire for batch endpoints: the caller must
-// name the stream media type to receive frames instead of JSON lines.
-func acceptsWireStream(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), wire.MediaTypeVerdictStream)
+// accepts reports whether the request negotiated a binary encoding:
+// Accept names mediaType (wire.MediaTypeVerdict for a single verdict,
+// wire.MediaTypeVerdictStream for a batch). JSON stays the default;
+// clients opt in per request.
+func accepts(r *http.Request, mediaType string) bool {
+	return strings.Contains(r.Header.Get("Accept"), mediaType)
 }
 
 // writeVerdict writes a 200 verdict in the negotiated encoding: one
 // binary frame when the caller asked for it, compact JSON otherwise. A verdict the codec cannot frame (never the case for the
 // served types) degrades to JSON rather than failing the request.
 func (s *Server) writeVerdict(w http.ResponseWriter, r *http.Request, v any) {
-	if !acceptsWire(r) {
+	if !accepts(r, wire.MediaTypeVerdict) {
 		s.writeOK(w, v)
 		return
 	}
@@ -101,6 +97,7 @@ func decode(w http.ResponseWriter, r *http.Request, v any) error {
 // patch, and the negotiated encoding.
 func (s *Server) handleQuery(cl *Class) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		deadline := time.Now().Add(s.requestTimeout(r))
 		q, err := cl.parse(http.MaxBytesReader(w, r.Body, singleBodyLimit))
 		if err == nil {
 			err = s.limit(q)
@@ -110,7 +107,7 @@ func (s *Server) handleQuery(cl *Class) http.HandlerFunc {
 			return
 		}
 		start := s.cfg.Clock()
-		val, cached, shared, err := s.answer(r.Context(), w.Header(), cl, q)
+		val, cached, shared, err := s.answer(r.Context(), deadline, w.Header(), cl, q)
 		if err != nil {
 			s.WriteComputeError(w, err)
 			return
@@ -139,12 +136,24 @@ func (s *Server) compute(ctx context.Context, cl *Class, q Query) (any, error) {
 }
 
 // answer runs a parsed, limited single request under its class's
-// policy. Chaos campaigns are uncached and run under the request
-// context behind the breaker; classify is cached but never touches the
-// breaker; the engine classes, and on a front every cacheable class,
-// run through heavyCompute. A front's h gets the X-Cluster-Cache tier
-// and, on a miss this request led, the X-Cluster-Shard.
-func (s *Server) answer(ctx context.Context, h http.Header, cl *Class, q Query) (val any, cached, shared bool, err error) {
+// policy. A cache hit returns before anything a wait needs is built
+// (the deadline context, the compute closures). Otherwise, under the
+// request deadline: chaos campaigns are uncached and run behind the
+// breaker; classify is cached but never touches the breaker; the engine
+// classes, and on a front every cacheable class, run through
+// heavyCompute. A front's h gets the X-Cluster-Cache tier and, on a
+// miss this request led, the X-Cluster-Shard.
+func (s *Server) answer(rctx context.Context, deadline time.Time, h http.Header, cl *Class, q Query) (val any, cached, shared bool, err error) {
+	if q.Key != "" {
+		if val, cached = s.cache.peek(q.Key); cached {
+			if s.remote != nil {
+				h["X-Cluster-Cache"] = clusterHit
+			}
+			return val, true, false, nil
+		}
+	}
+	ctx, cancel := context.WithDeadline(rctx, deadline)
+	defer cancel()
 	switch {
 	case q.Key == "":
 		err = s.guard(func() error {
@@ -176,6 +185,10 @@ func (s *Server) answer(ctx context.Context, h http.Header, cl *Class, q Query) 
 		return s.heavyCompute(ctx, q.Key, func(cctx context.Context) (any, error) { return q.q.compute(s, cctx) })
 	}
 }
+
+// clusterHit is the X-Cluster-Cache value of a hit, shared by every
+// reply rather than allocated per reply (net/http only reads it).
+var clusterHit = []string{"hit"}
 
 // SchemeSelector selects an omission scheme: a registry name or a DSL
 // expression, optionally minus ultimately periodic scenarios.

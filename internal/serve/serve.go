@@ -409,9 +409,10 @@ func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // protect wraps h in the full pipeline for the class: panic recovery,
-// metrics, admission with load shedding, and the per-request deadline.
-// The circuit breaker is applied inside the heavy handlers (it guards
-// the engine call, not queueing or parsing).
+// metrics, and admission with load shedding. The per-request deadline
+// (requestTimeout, from admission on) and the circuit breaker are
+// applied inside the handlers: they bound and guard the computation,
+// not a cache hit, queueing or parsing.
 func (s *Server) protect(cl class, h http.HandlerFunc) http.Handler {
 	g := s.light
 	if cl == classHeavy {
@@ -459,10 +460,7 @@ func (s *Server) protect(cl class, h http.HandlerFunc) http.Handler {
 			return
 		}
 		defer release()
-
-		ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(r))
-		defer cancel()
-		h(sw, r.WithContext(ctx))
+		h(sw, r)
 	})
 }
 
