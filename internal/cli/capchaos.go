@@ -11,6 +11,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/netconsensus"
 	"repro/internal/netsim"
+	"repro/internal/serve"
 )
 
 // Capchaos runs seeded chaos campaigns against the simulation kernels:
@@ -32,7 +33,7 @@ func Capchaos(args []string, stdout, stderr io.Writer) int {
 	noShrink := fs.Bool("no-shrink", false, "skip counterexample minimization")
 	maxViolations := fs.Int("max-violations", 8, "stop after this many violations")
 	net := fs.Bool("net", false, "run a network campaign instead (flooding under fault injectors)")
-	graphKind := fs.String("graph", "complete", "network graph: complete|cycle|petersen|barbell")
+	graphKind := fs.String("graph", "complete", "network graph, sized by -n: complete|cycle|path|wheel|star|tree|barbell|theta|petersen")
 	n := fs.Int("n", 4, "network graph size")
 	f := fs.Int("f", 0, "losses-per-round budget (default c(G)−1)")
 	concurrent := fs.Bool("concurrent", false, "use the goroutine/CSP network runner")
@@ -88,18 +89,10 @@ func Capchaos(args []string, stdout, stderr io.Writer) int {
 }
 
 func capchaosNet(ctx context.Context, kind string, n, f, executions int, seed int64, maxRounds int, deadline time.Duration, concurrent bool, maxViolations int, stdout, stderr io.Writer) int {
-	var g *coordattack.Graph
-	switch kind {
-	case "complete":
-		g = coordattack.Complete(n)
-	case "cycle":
-		g = coordattack.Cycle(n)
-	case "petersen":
-		g = coordattack.Petersen()
-	case "barbell":
-		g = coordattack.Barbell(n, 2)
-	default:
-		fmt.Fprintf(stderr, "unknown graph %q (complete|cycle|petersen|barbell)\n", kind)
+	// -n sizes every kind: a barbell's cliques, joined by two bridges.
+	g, err := (&serve.GraphSelector{Graph: kind, N: n, K: n, Bridges: 2}).Resolve()
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	rep, err := chaos.RunNetworkCampaignCtx(ctx, chaos.NetConfig{

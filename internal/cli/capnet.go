@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	coordattack "repro"
+	"repro/internal/serve"
 )
 
 // Capnet runs network consensus experiments (Section V).
@@ -20,7 +21,7 @@ func Capnet(args []string, stdout, stderr io.Writer) int {
 	h := fs.Int("h", 3, "grid height")
 	d := fs.Int("d", 3, "hypercube dimension")
 	k := fs.Int("k", 4, "barbell clique size")
-	bridges := fs.Int("bridges", 1, "barbell bridges / theta paths")
+	bridges := fs.Int("bridges", 1, "barbell bridges / theta paths (theta takes at least 2)")
 	f := fs.Int("f", 1, "losses per round budget")
 	adversary := fs.String("adversary", "random", "random|targeted|cut|none")
 	seed := fs.Int64("seed", 1, "random seed")
@@ -32,41 +33,20 @@ func Capnet(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	// The service's selector names, bounds and builds every kind but the
+	// seeded random graph, which it has no seed for.
 	var g *coordattack.Graph
-	switch *kind {
-	case "cycle":
-		g = coordattack.Cycle(*n)
-	case "path":
-		g = coordattack.PathGraph(*n)
-	case "complete":
-		g = coordattack.Complete(*n)
-	case "grid":
-		g = coordattack.Grid(*w, *h)
-	case "hypercube":
-		g = coordattack.Hypercube(*d)
-	case "barbell":
-		g = coordattack.Barbell(*k, *bridges)
-	case "theta":
-		g = coordattack.Theta(*bridges, 3)
-	case "wheel":
-		g = coordattack.Wheel(*n)
-	case "star":
-		g = coordattack.Star(*n)
-	case "petersen":
-		g = coordattack.Petersen()
-	case "tree":
-		g = coordattack.BinaryTree(*n)
-	case "random":
-		g = coordattack.RandomGraph(rand.New(rand.NewSource(*seed)), *n, 0.4)
-	case "custom":
-		var err error
-		g, err = coordattack.ParseEdgeList("custom", *edges)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
+	var err error
+	switch {
+	case *kind != "random":
+		g, err = (&serve.GraphSelector{Graph: *kind, N: *n, W: *w, H: *h, D: *d, K: *k, Bridges: *bridges, Edges: *edges}).Resolve()
+	case *n < 0 || *n > serve.MaxGraphVertices:
+		err = fmt.Errorf("graph \"random\": size parameters out of range (at most %d vertices)", serve.MaxGraphVertices)
 	default:
-		fmt.Fprintf(stderr, "unknown graph %q\n", *kind)
+		g = coordattack.RandomGraph(rand.New(rand.NewSource(*seed)), *n, 0.4)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	if !g.Connected() {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	coordattack "repro"
+	"repro/internal/serve"
 )
 
 // rootContext builds the process-level context for a CLI invocation: the
@@ -79,28 +80,10 @@ func Capsolve(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	var s *coordattack.Scheme
-	var err error
-	if *expr != "" {
-		s, err = coordattack.ParseScheme(*expr)
-	} else {
-		s, err = coordattack.SchemeByName(*name)
-	}
+	s, err := (&serve.SchemeSelector{Scheme: *name, Expr: *expr, Minus: minus}).Resolve()
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
-	}
-	if len(minus) > 0 {
-		scs := make([]coordattack.Scenario, len(minus))
-		for i, m := range minus {
-			sc, err := coordattack.ParseScenario(m)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			scs[i] = sc
-		}
-		s = coordattack.MinusScenarios(s.Name()+"-custom", s, scs...)
 	}
 
 	if *dot {
@@ -137,11 +120,26 @@ func Capsolve(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *jsonOut {
-		var js *coordattack.EngineStats
-		if *stats && *horizon > 0 {
-			js = &chainStats
+		out := jsonVerdict{ClassifyResponse: serve.ClassifyVerdict(s, v, err)}
+		if *horizon > 0 {
+			out.ChainSearched, out.ChainHorizon = *horizon, chainHorizon
+			if chainErr != nil {
+				out.ChainError = chainErr.Error()
+			}
+			if *stats {
+				out.EngineStats = &chainStats
+			}
 		}
-		return emitJSON(stdout, stderr, s, v, err, *horizon, chainHorizon, chainErr, js)
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(out); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		if chainErr != nil {
+			return 1
+		}
+		return 0
 	}
 	fmt.Fprintf(stdout, "scheme:      %s (%s)\n", s.Name(), s.Description())
 	if err != nil {
@@ -207,68 +205,12 @@ func parseUnIndex(arg string) (coordattack.Word, error) {
 	return coordattack.UnIndexChecked(r, k)
 }
 
-// jsonVerdict is the serializable verdict shape.
+// jsonVerdict is capsolve's -json shape: the /v1/classify body plus the
+// bounded-round chain analysis, when -horizon asked for one.
 type jsonVerdict struct {
-	Scheme        string                   `json:"scheme"`
-	Description   string                   `json:"description"`
-	Complete      bool                     `json:"complete"`
-	Solvable      *bool                    `json:"solvable,omitempty"`
-	Conditions    map[string]bool          `json:"conditions,omitempty"`
-	Witness       *coordattack.Scenario    `json:"witness,omitempty"`
-	Pair          []coordattack.Scenario   `json:"pair,omitempty"`
-	MinRounds     *int                     `json:"minRounds,omitempty"`
+	serve.ClassifyResponse
 	ChainHorizon  *int                     `json:"chainFirstSolvableHorizon,omitempty"`
 	ChainSearched int                      `json:"chainHorizonSearched,omitempty"`
 	ChainError    string                   `json:"chainError,omitempty"`
 	EngineStats   *coordattack.EngineStats `json:"engineStats,omitempty"`
-	Note          string                   `json:"note,omitempty"`
-}
-
-func emitJSON(stdout, stderr io.Writer, s *coordattack.Scheme, v *coordattack.Verdict, classifyErr error, horizon int, chainHorizon *int, chainErr error, engineStats *coordattack.EngineStats) int {
-	out := jsonVerdict{Scheme: s.Name(), Description: s.Description()}
-	if classifyErr != nil {
-		out.Note = classifyErr.Error()
-	}
-	if v != nil {
-		out.Complete = v.Complete
-		if classifyErr == nil {
-			sv := v.Solvable
-			out.Solvable = &sv
-			out.Conditions = map[string]bool{
-				"fairMissing":   v.FairMissing,
-				"pairMissing":   v.PairMissing,
-				"wOmegaMissing": v.WOmegaMissing,
-				"bOmegaMissing": v.BOmegaMissing,
-			}
-			if v.HasWitness {
-				w := v.Witness
-				out.Witness = &w
-			}
-			if v.PairMissing {
-				out.Pair = []coordattack.Scenario{v.Pair[0], v.Pair[1]}
-			}
-			if v.MinRounds != coordattack.Unbounded {
-				mr := v.MinRounds
-				out.MinRounds = &mr
-			}
-		}
-	}
-	if horizon > 0 {
-		out.ChainSearched = horizon
-		out.ChainHorizon = chainHorizon
-		out.EngineStats = engineStats
-		if chainErr != nil {
-			out.ChainError = chainErr.Error()
-		}
-	}
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	if chainErr != nil {
-		return 1
-	}
-	return 0
 }

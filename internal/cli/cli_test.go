@@ -10,9 +10,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	coordattack "repro"
 	"repro/internal/serve"
 	"repro/internal/serve/cluster"
 	"repro/internal/serve/wire"
@@ -74,8 +76,41 @@ func TestCapsolveJSON(t *testing.T) {
 	if v.ChainHorizon == nil || *v.ChainHorizon != 2 {
 		t.Errorf("chain horizon: %+v", v.ChainHorizon)
 	}
-	if v.Witness == nil {
+	if v.Witness == "" {
 		t.Error("missing witness")
+	}
+}
+
+// TestCapsolveJSONMatchesClassify: for every named scheme, capsolve
+// -json without its chain fields is the /v1/classify body a node
+// answers, field for field.
+func TestCapsolveJSONMatchesClassify(t *testing.T) {
+	srv := serve.New(serve.Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, name := range coordattack.SchemeNames() {
+		_, out, _ := runCmd(t, capsolve, "-scheme", name, "-json", "-horizon", "2")
+		var got map[string]any
+		if err := json.Unmarshal([]byte(out), &got); err != nil {
+			t.Fatalf("%s: capsolve -json: %v\n%s", name, err, out)
+		}
+		for _, k := range []string{"chainFirstSolvableHorizon", "chainHorizonSearched", "chainError", "engineStats"} {
+			delete(got, k)
+		}
+		resp, err := http.Post(ts.URL+"/v1/classify", "application/json", strings.NewReader(`{"scheme":"`+name+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&want)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: /v1/classify = %d, %v", name, resp.StatusCode, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: capsolve -json %v, /v1/classify %v", name, got, want)
+		}
 	}
 }
 
@@ -98,6 +133,10 @@ func TestCapsolveErrors(t *testing.T) {
 	}
 	if code, _, _ := runCmd(t, capsolve, "-scheme", "R1", "-minus", "((("); code != 1 {
 		t.Error("bad minus literal")
+	}
+	// A double omission removed from a Γ-scheme is refused, not a panic.
+	if code, _, errb := runCmd(t, capsolve, "-scheme", "S1", "-minus", "x(.)"); code != 1 || !strings.Contains(errb, "outside alphabet") {
+		t.Errorf("off-alphabet minus: exit %d, stderr %q", code, errb)
 	}
 	if code, _, _ := runCmd(t, capsolve, "-bogusflag"); code != 2 {
 		t.Error("bad flag")
@@ -170,6 +209,10 @@ func TestCapnetRuns(t *testing.T) {
 			t.Errorf("graph %s failed", kind)
 		}
 	}
+	// A theta graph has at least two paths, whatever -bridges says.
+	if _, out, _ = runCmd(t, capnet, "-graph", "theta", "-adversary", "none"); !strings.Contains(out, "graph theta-2-3:") {
+		t.Errorf("theta with -bridges 1:\n%s", out)
+	}
 	// Custom topology.
 	code, out, _ = runCmd(t, capnet, "-graph", "custom", "-edges", "0-1,1-2,2-0", "-f", "1")
 	if code != 0 || !strings.Contains(out, "c(G)=2") {
@@ -186,6 +229,19 @@ func TestCapnetErrors(t *testing.T) {
 	}
 	if code, _, _ := runCmd(t, capnet, "-graph", "cycle", "-adversary", "bogus"); code != 2 {
 		t.Error("unknown adversary")
+	}
+	// Sizes out of range are refused before anything is allocated: a
+	// negative size, or one past the selector's 64-vertex bound.
+	for _, args := range [][]string{
+		{"-graph", "cycle", "-n", "-1"},
+		{"-graph", "grid", "-w", "-2"},
+		{"-graph", "hypercube", "-d", "40"},
+		{"-graph", "complete", "-n", "100"},
+		{"-graph", "random", "-n", "100"},
+	} {
+		if code, _, errb := runCmd(t, capnet, args...); code != 2 || !strings.Contains(errb, "out of range") {
+			t.Errorf("capnet %v: exit %d, stderr %q; want 2 and out of range", args, code, errb)
+		}
 	}
 }
 
@@ -288,6 +344,9 @@ func TestCapchaosErrors(t *testing.T) {
 	}
 	if code, _, _ := runCmd(t, capchaos, "-net", "-graph", "nope"); code != 2 {
 		t.Fatalf("unknown graph: exit %d, want 2", code)
+	}
+	if code, _, errb := runCmd(t, capchaos, "-net", "-graph", "cycle", "-n", "-1"); code != 2 || !strings.Contains(errb, "out of range") {
+		t.Fatalf("negative size: exit %d stderr %q, want 2 and out of range", code, errb)
 	}
 	// A budget at the connectivity is refused, citing Theorem V.1.
 	code, _, errb := runCmd(t, capchaos, "-net", "-graph", "cycle", "-n", "4", "-f", "2")

@@ -338,8 +338,3 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 func (c *Client) Healthz(ctx context.Context) error {
 	return c.Do(ctx, http.MethodGet, "/healthz", nil, nil)
 }
-
-// Readyz polls GET /readyz once (retrying per policy).
-func (c *Client) Readyz(ctx context.Context) error {
-	return c.Do(ctx, http.MethodGet, "/readyz", nil, nil)
-}

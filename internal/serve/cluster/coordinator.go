@@ -60,9 +60,6 @@ type Config struct {
 	// replicas to absorb its traffic).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// VNodes is the virtual nodes per backend on the hash ring
-	// (default 64).
-	VNodes int
 	// ProbeInterval is the health-probe period. Zero disables the
 	// prober: breakers and hedging still mask failures, but nothing is
 	// ejected from or readmitted to the ring automatically.
@@ -116,9 +113,6 @@ func (c *Config) defaults() {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = time.Second

@@ -77,6 +77,9 @@ type epochRecord struct {
 // maxEpochHistory bounds the retained epoch records.
 const maxEpochHistory = 16
 
+// vnodes is the virtual nodes per backend on the hash ring.
+const vnodes = 64
+
 // currentView returns the routing view for this instant. Never nil
 // after New.
 func (c *Coordinator) currentView() *epochView {
@@ -103,7 +106,7 @@ func (c *Coordinator) rebuild(reason string) {
 	}
 	v := &epochView{
 		seq:    seq,
-		ring:   NewRing(bases, c.cfg.VNodes),
+		ring:   NewRing(bases, vnodes),
 		bases:  bases,
 		shards: shards,
 	}

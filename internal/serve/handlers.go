@@ -307,17 +307,18 @@ type GraphSelector struct {
 	Edges   string `json:"edges,omitempty"`
 }
 
-// maxGraphVertices bounds the topology a selector may build. Resolve
-// checks it before building: no analysis comes near it (nchain refuses
-// instances past 26 directed edges), and without it one request body
-// could demand an arbitrarily large allocation, or a negative one,
-// which panics, on any tier that resolves it.
-const maxGraphVertices = 64
+// MaxGraphVertices bounds the topology a selector may build (and
+// capnet's seeded random graph). Resolve checks it before building: no
+// analysis comes near it (nchain refuses instances past 26 directed
+// edges), and without it one request body could demand an arbitrarily
+// large allocation, or a negative one, which panics, on any tier that
+// resolves it.
+const MaxGraphVertices = 64
 
 // vertices is the vertex count the selector asks for, computed without
 // building the graph; -1 when a size parameter is out of range.
 func (q *GraphSelector) vertices() int {
-	const m = maxGraphVertices
+	const m = MaxGraphVertices
 	in := func(x, hi int) bool { return x >= 0 && x <= hi }
 	switch q.Graph {
 	case "grid":
@@ -361,8 +362,8 @@ func (q *GraphSelector) vertices() int {
 }
 
 func (q *GraphSelector) Resolve() (*coordattack.Graph, error) {
-	if n := q.vertices(); n < 0 || n > maxGraphVertices {
-		return nil, fmt.Errorf("graph %q: size parameters out of range (at most %d vertices)", q.Graph, maxGraphVertices)
+	if n := q.vertices(); n < 0 || n > MaxGraphVertices {
+		return nil, fmt.Errorf("graph %q: size parameters out of range (at most %d vertices)", q.Graph, MaxGraphVertices)
 	}
 	switch q.Graph {
 	case "complete":
@@ -518,7 +519,9 @@ func (s *Server) WriteComputeError(w http.ResponseWriter, err error) {
 
 // --- /v1/classify -----------------------------------------------------
 
-type classifyResponse struct {
+// ClassifyResponse is the /v1/classify body, the Theorem III.8
+// classification of a scheme; capsolve -json prints the same fields.
+type ClassifyResponse struct {
 	Scheme      string          `json:"scheme"`
 	Description string          `json:"description"`
 	Complete    bool            `json:"complete"`
@@ -531,10 +534,10 @@ type classifyResponse struct {
 	Cached      bool            `json:"cached,omitempty"`
 }
 
-// classifyVerdict shapes the Theorem III.8 classification of sch.
-func classifyVerdict(sch *coordattack.Scheme) classifyResponse {
-	v, cerr := coordattack.Classify(sch)
-	resp := classifyResponse{Scheme: sch.Name(), Description: sch.Description()}
+// ClassifyVerdict shapes v, the classification of sch, and cerr, the
+// error coordattack.Classify returned with it.
+func ClassifyVerdict(sch *coordattack.Scheme, v *coordattack.Verdict, cerr error) ClassifyResponse {
+	resp := ClassifyResponse{Scheme: sch.Name(), Description: sch.Description()}
 	if cerr != nil {
 		resp.Note = cerr.Error()
 	}

@@ -159,7 +159,7 @@ func decodeStrict(r io.Reader, v any) error {
 // request shared its computation, and how long the answer took.
 func withMeta(v any, cached, shared bool, elapsedMs int64) any {
 	switch t := v.(type) {
-	case classifyResponse:
+	case ClassifyResponse:
 		t.Cached = cached
 		return &t
 	case solvableResponse:
@@ -194,7 +194,8 @@ func (q *classifyRequest) resolve() (string, error) {
 func (q *classifyRequest) limit(*Config) error { return nil }
 
 func (q *classifyRequest) compute(*Server, context.Context) (any, error) {
-	return classifyVerdict(q.sch), nil
+	v, err := coordattack.Classify(q.sch)
+	return ClassifyVerdict(q.sch, v, err), nil
 }
 
 // --- solvable ---------------------------------------------------------
@@ -257,8 +258,8 @@ func (q *netSolvableRequest) resolve() (string, error) {
 }
 
 func (q *netSolvableRequest) limit(cfg *Config) error {
-	if n := q.g.N(); n < 2 || n > cfg.MaxProcs {
-		return fmt.Errorf("graph size %d out of range [2, %d]", n, cfg.MaxProcs)
+	if n := q.g.N(); n < 2 || n > maxProcs {
+		return fmt.Errorf("graph size %d out of range [2, %d]", n, maxProcs)
 	}
 	if q.Rounds < 0 || q.Rounds > cfg.MaxHorizon {
 		return fmt.Errorf("rounds %d out of range [0, %d]", q.Rounds, cfg.MaxHorizon)

@@ -35,6 +35,13 @@ import (
 	coordattack "repro"
 )
 
+// lightConcurrency bounds the cheap endpoints (classify, index), and
+// maxProcs caps n for n-process network analyses.
+const (
+	lightConcurrency = 64
+	maxProcs         = 7
+)
+
 // Config parameterizes the service. The zero value is usable: every
 // field has a production-lean default.
 type Config struct {
@@ -44,9 +51,6 @@ type Config struct {
 	// AnalysisConcurrency bounds concurrently executing expensive
 	// requests (solvable/netsolve/chaos); default GOMAXPROCS.
 	AnalysisConcurrency int
-	// LightConcurrency bounds the cheap endpoints (classify, index);
-	// default 64.
-	LightConcurrency int
 	// QueueDepth is how many admitted-but-waiting requests each class
 	// tolerates before shedding with 429 (default 2× the class limit).
 	QueueDepth int
@@ -78,8 +82,6 @@ type Config struct {
 	// (default 12) — a single request must not be able to demand an
 	// astronomically deep walk.
 	MaxHorizon int
-	// MaxProcs caps n for n-process network analyses (default 7).
-	MaxProcs int
 	// MaxExecutions caps chaos campaign sizes (default 100000).
 	MaxExecutions int
 	// MaxBatchItems caps the item count of one /v1/solve/batch request
@@ -106,9 +108,6 @@ func (c *Config) defaults() {
 	if c.AnalysisConcurrency <= 0 {
 		c.AnalysisConcurrency = runtime.GOMAXPROCS(0)
 	}
-	if c.LightConcurrency <= 0 {
-		c.LightConcurrency = 64
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 2 * c.AnalysisConcurrency
 	}
@@ -132,9 +131,6 @@ func (c *Config) defaults() {
 	}
 	if c.MaxHorizon <= 0 {
 		c.MaxHorizon = 12
-	}
-	if c.MaxProcs <= 0 {
-		c.MaxProcs = 7
 	}
 	if c.MaxExecutions <= 0 {
 		c.MaxExecutions = 100_000
@@ -226,7 +222,7 @@ func NewFront(cfg Config, remote Remote) *Server {
 		mux:    http.NewServeMux(),
 		cache:  newResultCache(cfg.CacheEntries),
 		heavy:  newGate(cfg.AnalysisConcurrency, cfg.QueueDepth, time.Second),
-		light:  newGate(cfg.LightConcurrency, 4*cfg.QueueDepth, time.Second),
+		light:  newGate(lightConcurrency, 4*cfg.QueueDepth, time.Second),
 		remote: remote,
 	}
 	if remote == nil {

@@ -72,7 +72,7 @@ func TestClassifyEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("classify = %d: %s", resp.StatusCode, raw)
 	}
-	var cr classifyResponse
+	var cr ClassifyResponse
 	if err := json.Unmarshal(raw, &cr); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestClassifyEndpoint(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("second classify = %d: %s", resp2.StatusCode, raw2)
 	}
-	var cr2 classifyResponse
+	var cr2 ClassifyResponse
 	if err := json.Unmarshal(raw2, &cr2); err != nil {
 		t.Fatal(err)
 	}

@@ -346,7 +346,7 @@ func decodeVerdict(key string, raw []byte) (any, bool) {
 // verdict.
 func (c *Class) Decode(raw []byte) (any, bool) {
 	if c.Kind == wire.KindInvalid {
-		var v classifyResponse
+		var v ClassifyResponse
 		if json.Unmarshal(raw, &v) != nil {
 			return nil, false
 		}
