@@ -45,6 +45,9 @@ func Capnet(args []string, stdout, stderr io.Writer) int {
 	default:
 		g = coordattack.RandomGraph(rand.New(rand.NewSource(*seed)), *n, 0.4)
 	}
+	if err == nil && g.N() < 2 {
+		err = fmt.Errorf("graph %s: consensus needs at least 2 vertices, not %d", g.Name(), g.N())
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2

@@ -230,17 +230,24 @@ func TestCapnetErrors(t *testing.T) {
 	if code, _, _ := runCmd(t, capnet, "-graph", "cycle", "-adversary", "bogus"); code != 2 {
 		t.Error("unknown adversary")
 	}
-	// Sizes out of range are refused before anything is allocated: a
-	// negative size, or one past the selector's 64-vertex bound.
-	for _, args := range [][]string{
-		{"-graph", "cycle", "-n", "-1"},
-		{"-graph", "grid", "-w", "-2"},
-		{"-graph", "hypercube", "-d", "40"},
-		{"-graph", "complete", "-n", "100"},
-		{"-graph", "random", "-n", "100"},
+	// Sizes out of range are refused before anything is allocated or
+	// printed: a negative size, one past the selector's 64-vertex bound,
+	// or a graph too small for consensus, with or without the engine
+	// analysis.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-graph", "cycle", "-n", "-1"}, "out of range"},
+		{[]string{"-graph", "grid", "-w", "-2"}, "out of range"},
+		{[]string{"-graph", "hypercube", "-d", "40"}, "out of range"},
+		{[]string{"-graph", "complete", "-n", "100"}, "out of range"},
+		{[]string{"-graph", "random", "-n", "100"}, "out of range"},
+		{[]string{"-graph", "cycle", "-n", "0"}, "at least 2"},
+		{[]string{"-graph", "cycle", "-n", "1", "-rounds", "2"}, "at least 2"},
 	} {
-		if code, _, errb := runCmd(t, capnet, args...); code != 2 || !strings.Contains(errb, "out of range") {
-			t.Errorf("capnet %v: exit %d, stderr %q; want 2 and out of range", args, code, errb)
+		if code, out, errb := runCmd(t, capnet, tc.args...); code != 2 || out != "" || !strings.Contains(errb, tc.want) {
+			t.Errorf("capnet %v: exit %d, stdout %q, stderr %q; want 2, no output and %q", tc.args, code, out, errb, tc.want)
 		}
 	}
 }

@@ -14,10 +14,12 @@ import (
 //	POST /v1/net/solve/batch  — network solvability instances
 //	POST /v1/chaos/batch      — seeded chaos campaigns
 //
-// N items are admitted under ONE heavy admission slot and ONE breaker
-// settle, deduplicated against the LRU where the class is
-// cacheable (and against each other — a repeated key inside the batch
-// computes once), computed one at a time on a node and batchFanout at
+// N items are admitted under ONE heavy admission slot, deduplicated
+// against the LRU where the class is cacheable (and against each other
+// — a repeated key inside the batch computes once), each answered by
+// the single endpoint's item path (so the breaker settles once per
+// computation, never per batch, and a batch can open it part-way
+// through), computed one at a time on a node and batchFanout at
 // once on a front, with per-item verdicts streamed in item order (the
 // lines written so far are flushed once an item has waited
 // batchFlushAfter on a computation): JSON lines by default, binary
@@ -77,26 +79,13 @@ func (s *Server) handleBatch(cl *Class) http.HandlerFunc {
 }
 
 // runBatch streams per-item verdicts for a parsed item table under one
-// admission slot (already held — the pipeline admitted this request)
-// and one breaker settle, writing the lines in item order; rctx carries
-// the request deadline.
+// admission slot (already held — the pipeline admitted this request),
+// writing the lines in item order; rctx carries the request deadline.
+// Each item runs the single endpoint's item path, so the breaker sees
+// one call per computation, never one per batch.
 func (s *Server) runBatch(rctx context.Context, w http.ResponseWriter, r *http.Request, cl *Class, items []Query) {
 	s.m.batches.Add(1)
 	s.m.batchItems.Add(int64(len(items)))
-
-	// One breaker check admits the whole batch's engine work. With the
-	// breaker open, cache and warm hits still stream; only the items
-	// that would need the engine fast-fail with 503.
-	done, berr := s.brk.Acquire()
-	if berr != nil {
-		s.m.breakerFF.Add(1)
-	}
-	settled := false
-	defer func() {
-		if done != nil && !settled {
-			done(true) // unwound mid-batch (panic): settle as failure
-		}
-	}()
 
 	binary := accepts(r, wire.MediaTypeVerdictStream)
 	if binary {
@@ -118,15 +107,14 @@ func (s *Server) runBatch(rctx context.Context, w http.ResponseWriter, r *http.R
 
 	// A node starts each item when its turn comes; a front starts items
 	// ahead while fewer than batchFanout of its computations are out.
-	var one [1]batchItem
+	var one [1]item
 	slots, ahead, out, started := one[:], 0, 0, 0
 	if s.remote != nil {
-		slots, ahead = make([]batchItem, len(items)), batchFanout
+		slots, ahead = make([]item, len(items)), batchFanout
 	}
-	engineFailed := false
 	for i := range items {
 		for ; started < len(items) && (started <= i || out < ahead); started++ {
-			slots[started%len(slots)] = s.startItem(rctx, cl, started, items[started], berr)
+			slots[started%len(slots)] = s.startItem(rctx, cl, items[started])
 			if slots[started%len(slots)].call != nil {
 				out++
 			}
@@ -135,9 +123,14 @@ func (s *Server) runBatch(rctx context.Context, w http.ResponseWriter, r *http.R
 		if it.call != nil {
 			out--
 		}
-		line := s.finishItem(rctx, cl, i, items[i], it, flush)
-		if line.Status >= 500 && line.Verdict == nil && berr == nil && items[i].Err == nil {
-			engineFailed = true
+		line := wire.BatchLine{Index: i, Status: http.StatusOK}
+		val, cached, shared, err := s.finishItem(rctx, cl, items[i], it, flush)
+		if err != nil {
+			var body apiError
+			line.Status, body = s.computeError(err)
+			line.Error, line.DiagID = body.Error, body.DiagID
+		} else {
+			line.Verdict = s.itemVerdict(it, val, cached, shared)
 		}
 		var encErr error
 		if binary {
@@ -164,47 +157,45 @@ func (s *Server) runBatch(rctx context.Context, w http.ResponseWriter, r *http.R
 		}
 		pending = true
 	}
-	if done != nil {
-		settled = true
-		done(engineFailed)
-	}
 }
 
-// batchItem is one batch item between its start and its line: a line
-// already known (a parse error, a hit, a fast-fail), a computation to
-// wait on, or an uncacheable item to compute when its turn comes.
-type batchItem struct {
-	line   wire.BatchLine
+// item is one item, single or batched, between its start and its
+// answer: an answer already known (a cache hit, or a rejection as a
+// *StatusError), a computation to wait on, or an uncacheable item to
+// compute inline when its turn comes.
+type item struct {
+	val    any
+	cached bool
+	err    error
 	call   *flightCall
 	shared bool
 	inline bool
 	start  time.Time
+	// from receives the server a front's computation was answered by;
+	// only this item's own singleflight leader writes it.
+	from *string
 }
 
-// startItem starts item i: a parse error, a cache hit, a breaker
-// fast-fail, or a computation through the singleflight cache (which
-// dedups repeats within the batch too). An uncacheable (chaos) item runs
-// under the request context: on a node inline when its turn comes.
-func (s *Server) startItem(rctx context.Context, cl *Class, i int, q Query, berr error) batchItem {
+// startItem starts one item: a resolve or limit rejection (400), a
+// cache hit, an expired request deadline (504), or a computation
+// through the singleflight cache (which dedups repeats within a batch
+// too) under the detached compute budget. An uncacheable (chaos) item
+// runs under the request context: on a node inline when its turn comes.
+func (s *Server) startItem(rctx context.Context, cl *Class, q Query) item {
 	if q.Err != nil {
-		return batchItem{line: wire.BatchLine{Index: i, Status: http.StatusBadRequest, Error: q.Err.Error()}}
+		return item{err: &StatusError{Status: http.StatusBadRequest, Msg: q.Err.Error()}}
 	}
 	if q.Key != "" {
 		if v, ok := s.cache.peek(q.Key); ok {
-			// A hit is answered as it is looked up: 0 ms.
-			return batchItem{line: wire.BatchLine{Index: i, Status: http.StatusOK, Verdict: withMeta(v, true, false, 0)}}
+			return item{val: v, cached: true}
 		}
 	}
-	it := batchItem{start: s.cfg.Clock()}
-	if berr != nil {
-		it.line = wire.BatchLine{Index: i, Status: http.StatusServiceUnavailable, Error: berr.Error()}
-		return it
-	}
+	it := item{start: s.cfg.Clock()}
 	if rctx.Err() != nil {
 		// The batch deadline expired: stream the remaining items as
 		// timeouts instead of silently truncating the response.
 		s.m.timeouts.Add(1)
-		it.line = wire.BatchLine{Index: i, Status: http.StatusGatewayTimeout, Error: "batch deadline exceeded"}
+		it.err = &StatusError{Status: http.StatusGatewayTimeout, Msg: "batch deadline exceeded"}
 		return it
 	}
 	switch {
@@ -213,49 +204,51 @@ func (s *Server) startItem(rctx context.Context, cl *Class, i int, q Query, berr
 	case q.Key == "":
 		// An unkeyed flight: run neither shares nor caches it.
 		it.call = &flightCall{done: make(chan struct{})}
-		go s.cache.run("", it.call, func() (any, error) { return s.compute(rctx, cl, q) })
+		go s.cache.run("", it.call, func() (any, error) {
+			v, _, err := s.compute(rctx, cl, q)
+			return v, err
+		})
 	default:
-		var v any
-		v, it.call, it.shared = s.cache.start(q.Key, func() (any, error) {
+		from := new(string)
+		it.from = from
+		it.val, it.call, it.shared = s.cache.start(q.Key, func() (v any, err error) {
 			cctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.ComputeBudget)
 			defer cancel()
-			return s.compute(cctx, cl, q)
+			v, *from, err = s.compute(cctx, cl, q)
+			return v, err
 		})
-		if it.call == nil {
-			// Its computation finished since the peek above.
-			it.line = s.verdictLine(i, v, true, false, it.start)
-		}
+		// A nil call: its computation finished since the peek above.
+		it.cached = it.call == nil
 	}
 	return it
 }
 
-// finishItem produces item i's line, waiting for its computation if it
-// has one; stalled flushes the lines ahead of an item that waits on a
-// computation.
-func (s *Server) finishItem(rctx context.Context, cl *Class, i int, q Query, it batchItem, stalled func()) wire.BatchLine {
-	var val any
-	var err error
+// finishItem answers an item, waiting for its computation if it has
+// one; stalled (nil for a single request) flushes a batch's lines ahead
+// of an item that waits on a computation.
+func (s *Server) finishItem(ctx context.Context, cl *Class, q Query, it item, stalled func()) (val any, cached, shared bool, err error) {
 	switch {
 	case it.inline:
-		stalled()
-		val, err = s.compute(rctx, cl, q)
+		if stalled != nil {
+			stalled()
+		}
+		val, _, err = s.compute(ctx, cl, q)
 	case it.call != nil:
-		if err = wait(rctx, it.call.done, stalled); err == nil {
+		if err = wait(ctx, it.call.done, stalled); err == nil {
 			val, err = it.call.val, it.call.err
 		}
 	default:
-		return it.line
+		return it.val, it.cached, false, it.err
 	}
-	if err != nil {
-		code, body := s.computeError(err)
-		return wire.BatchLine{Index: i, Status: code, Error: body.Error, DiagID: body.DiagID}
-	}
-	return s.verdictLine(i, val, false, it.shared, it.start)
+	return val, false, it.shared, err
 }
 
-// verdictLine is item i's 200 line, its verdict carrying the serving
-// metadata of this answer.
-func (s *Server) verdictLine(i int, v any, cached, shared bool, start time.Time) wire.BatchLine {
-	elapsed := s.cfg.Clock().Sub(start).Milliseconds()
-	return wire.BatchLine{Index: i, Status: http.StatusOK, Verdict: withMeta(v, cached, shared, elapsed)}
+// itemVerdict is an answered item's verdict carrying the serving
+// metadata of this answer; a cache answered it in 0 ms.
+func (s *Server) itemVerdict(it item, val any, cached, shared bool) any {
+	var elapsed int64
+	if !cached {
+		elapsed = s.cfg.Clock().Sub(it.start).Milliseconds()
+	}
+	return withMeta(val, cached, shared, elapsed)
 }

@@ -221,12 +221,16 @@ func TestSolveBatchShedBeforeEngineWork(t *testing.T) {
 
 // TestSolveBatchBreakerOpenServesCachedItems: with the breaker open,
 // a batch still streams LRU hits as 200 lines while the items that
-// would need fresh engine work fast-fail with per-item 503s.
+// would need fresh engine work fast-fail with per-item 503s; after the
+// cooldown, a batch of hits runs no engine, so it is no half-open probe
+// and cannot close the breaker.
 func TestSolveBatchBreakerOpenServesCachedItems(t *testing.T) {
+	fc := &fakeClock{t: time.Unix(1000, 0)}
 	s, ts := testServer(t, Config{
 		ComputeBudget:    time.Nanosecond,
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Hour,
+		Clock:            fc.now,
 	})
 	// Trip the breaker with two timed-out computations.
 	for _, body := range []string{
@@ -262,6 +266,15 @@ func TestSolveBatchBreakerOpenServesCachedItems(t *testing.T) {
 	}
 	if lines[1].Status != http.StatusServiceUnavailable {
 		t.Fatalf("uncached item under open breaker = %+v, want 503", lines[1])
+	}
+
+	fc.advance(2 * time.Hour)
+	_, lines = postBatch(t, ts.URL, `{"items":[{"scheme":"S1","horizon":2}]}`)
+	if len(lines) != 1 || lines[0].Status != http.StatusOK {
+		t.Fatalf("hit batch after the cooldown = %+v, want one 200", lines)
+	}
+	if state, _ := s.brk.Snapshot(); state == "closed" {
+		t.Fatal("a batch of cache hits closed the breaker")
 	}
 }
 

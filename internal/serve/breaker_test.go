@@ -9,11 +9,23 @@ import (
 )
 
 // fakeClock is a manually advanced time source for deterministic breaker
-// tests.
-type fakeClock struct{ t time.Time }
+// tests; safe to read from a server's handler goroutines.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
 
-func (fc *fakeClock) now() time.Time          { return fc.t }
-func (fc *fakeClock) advance(d time.Duration) { fc.t = fc.t.Add(d) }
+func (fc *fakeClock) now() time.Time {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	return fc.t
+}
+
+func (fc *fakeClock) advance(d time.Duration) {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	fc.t = fc.t.Add(d)
+}
 
 func TestBreakerTripsAfterConsecutiveFailures(t *testing.T) {
 	fc := &fakeClock{t: time.Unix(1000, 0)}

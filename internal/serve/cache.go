@@ -144,23 +144,10 @@ func newResultCache(max int) *resultCache {
 	return &resultCache{lru: NewLRU(max), calls: make(map[string]*flightCall)}
 }
 
-// do returns the cached or computed value for key. cached reports an LRU
-// hit; shared reports that the value came from another caller's
-// in-flight computation. Errors are never cached.
-func (rc *resultCache) do(ctx context.Context, key string, fn func() (any, error)) (val any, cached, shared bool, err error) {
-	v, call, shared := rc.start(key, fn)
-	if call == nil {
-		return v, true, false, nil
-	}
-	if err := wait(ctx, call.done, nil); err != nil {
-		return nil, false, shared, err
-	}
-	return call.val, false, shared, call.err
-}
-
-// start is the non-blocking half of do: an LRU hit returns its value
-// and a nil call; otherwise call is key's in-flight computation, led
-// here (fn runs on its own goroutine) or joined when shared.
+// start returns key's value or its computation without blocking: an
+// LRU hit returns its value and a nil call; otherwise call is key's
+// in-flight computation, led here (fn runs on its own goroutine) or
+// joined when shared. Errors are never cached.
 func (rc *resultCache) start(key string, fn func() (any, error)) (val any, call *flightCall, shared bool) {
 	if v, ok := rc.peek(key); ok {
 		return v, nil, false

@@ -10,6 +10,21 @@ import (
 	"time"
 )
 
+// do is the blocking form of start, as a request waits on it: the
+// cached or computed value for key. cached reports an LRU hit; shared
+// reports that the value came from another caller's in-flight
+// computation.
+func (rc *resultCache) do(ctx context.Context, key string, fn func() (any, error)) (val any, cached, shared bool, err error) {
+	v, call, shared := rc.start(key, fn)
+	if call == nil {
+		return v, true, false, nil
+	}
+	if err := wait(ctx, call.done, nil); err != nil {
+		return nil, false, shared, err
+	}
+	return call.val, false, shared, call.err
+}
+
 func TestLRUEviction(t *testing.T) {
 	c := NewLRU(2)
 	c.Put("a", 1)

@@ -57,7 +57,7 @@ type chaosClusterResponse struct {
 // and merges the reports with partial-result accounting: a failed or
 // skipped shard costs coverage, never the whole campaign — unless every
 // shard fails: a 502, or the shard's own 4xx when a shard refused the
-// campaign (a shard limit such as MaxExecutions).
+// campaign (a shard limit such as the executions cap).
 func (c *Coordinator) handleChaos(w http.ResponseWriter, r *http.Request) {
 	c.m.requests.Add(1)
 	req, err := serve.ParseChaos(http.MaxBytesReader(w, r.Body, 1<<20))

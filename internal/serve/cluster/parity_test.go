@@ -84,7 +84,7 @@ func TestOneAnswerPerBody(t *testing.T) {
 		}},
 		// The coordinator shards a campaign's executions, so the limit
 		// row asks for enough that each of the three shares is still
-		// past a shard's MaxExecutions.
+		// past a shard's executions cap.
 		{"/v1/chaos", "/v1/chaos/batch", []row{
 			{"unknown field", `{"scheme":"S1","executions":20,"seed":7,"execs":3}`},
 			{"wrong type", `{"scheme":"S1","executions":"20","seed":7}`},

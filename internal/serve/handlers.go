@@ -93,8 +93,11 @@ func decode(w http.ResponseWriter, r *http.Request, v any) error {
 }
 
 // handleQuery is the one single-item handler of every verdict class:
-// strict parse, node limits, the class's compute policy, one metadata
-// patch, and the negotiated encoding.
+// strict parse and node limits, then the batch item path for one item
+// (the request deadline is built only when the item has to wait), one
+// metadata patch, and the negotiated encoding. A front's reply to a
+// keyed item carries its X-Cluster-Cache tier and, on a miss this
+// request led, the X-Cluster-Shard that answered.
 func (s *Server) handleQuery(cl *Class) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		deadline := time.Now().Add(s.requestTimeout(r))
@@ -106,13 +109,31 @@ func (s *Server) handleQuery(cl *Class) http.HandlerFunc {
 			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		start := s.cfg.Clock()
-		val, cached, shared, err := s.answer(r.Context(), deadline, w.Header(), cl, q)
+		ctx := r.Context()
+		it := s.startItem(ctx, cl, q)
+		if it.call != nil || it.inline {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithDeadline(ctx, deadline)
+			defer cancel()
+		}
+		val, cached, shared, err := s.finishItem(ctx, cl, q, it, nil)
+		if s.remote != nil && q.Key != "" {
+			tier := clusterMiss
+			if cached {
+				tier = clusterHit
+			}
+			w.Header()["X-Cluster-Cache"] = tier
+			if err == nil && it.from != nil && *it.from != "" {
+				// Set only by this request's own computation, which has
+				// finished: a hit or a follower never runs its closure.
+				w.Header().Set("X-Cluster-Shard", *it.from)
+			}
+		}
 		if err != nil {
 			s.WriteComputeError(w, err)
 			return
 		}
-		s.writeVerdict(w, r, withMeta(val, cached, shared, s.cfg.Clock().Sub(start).Milliseconds()))
+		s.writeVerdict(w, r, s.itemVerdict(it, val, cached, shared))
 	}
 }
 
@@ -125,70 +146,40 @@ func (s *Server) limit(q Query) error {
 	return q.q.limit(&s.cfg)
 }
 
-// compute runs one resolved item's verdict under ctx: through the
-// front's remote, or on the local engine.
-func (s *Server) compute(ctx context.Context, cl *Class, q Query) (any, error) {
+// compute is the one place an item's verdict is computed, and so the
+// one place the circuit breaker is consulted. A front asks its remote;
+// the light class (classify) runs without the breaker; every other
+// class runs as one breaker call, settled as a failure when it errs or
+// panics, but not when it was cancelled (a client gone, or a drain).
+// Cache hits, rejections and singleflight followers never get here.
+func (s *Server) compute(ctx context.Context, cl *Class, q Query) (v any, from string, err error) {
 	if s.remote != nil {
-		v, _, err := s.remote.Answer(ctx, cl, q)
-		return v, err
+		return s.remote.Answer(ctx, cl, q)
 	}
-	return q.q.compute(s, ctx)
+	if cl.light {
+		v, err = q.q.compute(s, ctx)
+		return v, "", err
+	}
+	done, err := s.brk.Acquire()
+	if err != nil {
+		s.m.breakerFF.Add(1)
+		return nil, "", err
+	}
+	settled := false
+	defer func() {
+		if !settled {
+			done(true) // the computation panicked: settle before unwinding
+		}
+	}()
+	v, err = q.q.compute(s, ctx)
+	settled = true
+	done(err != nil && !errors.Is(err, context.Canceled))
+	return v, "", err
 }
 
-// answer runs a parsed, limited single request under its class's
-// policy. A cache hit returns before anything a wait needs is built
-// (the deadline context, the compute closures). Otherwise, under the
-// request deadline: chaos campaigns are uncached and run behind the
-// breaker; classify is cached but never touches the breaker; the engine
-// classes, and on a front every cacheable class, run through
-// heavyCompute. A front's h gets the X-Cluster-Cache tier and, on a
-// miss this request led, the X-Cluster-Shard.
-func (s *Server) answer(rctx context.Context, deadline time.Time, h http.Header, cl *Class, q Query) (val any, cached, shared bool, err error) {
-	if q.Key != "" {
-		if val, cached = s.cache.peek(q.Key); cached {
-			if s.remote != nil {
-				h["X-Cluster-Cache"] = clusterHit
-			}
-			return val, true, false, nil
-		}
-	}
-	ctx, cancel := context.WithDeadline(rctx, deadline)
-	defer cancel()
-	switch {
-	case q.Key == "":
-		err = s.guard(func() error {
-			var cerr error
-			val, cerr = q.q.compute(s, ctx)
-			return cerr
-		})
-		return val, false, false, err
-	case s.remote != nil:
-		var from string
-		val, cached, shared, err = s.heavyCompute(ctx, q.Key, func(cctx context.Context) (v any, e error) {
-			v, from, e = s.remote.Answer(cctx, cl, q)
-			return v, e
-		})
-		tier := "miss"
-		if cached {
-			tier = "hit"
-		}
-		h.Set("X-Cluster-Cache", tier)
-		if err == nil && from != "" {
-			// Set only by this request's own computation, which has
-			// finished: a hit or a follower never runs its fn.
-			h.Set("X-Cluster-Shard", from)
-		}
-		return val, cached, shared, err
-	case cl.light:
-		return s.cache.do(ctx, q.Key, func() (any, error) { return q.q.compute(s, ctx) })
-	default:
-		return s.heavyCompute(ctx, q.Key, func(cctx context.Context) (any, error) { return q.q.compute(s, cctx) })
-	}
-}
-
-// clusterHit is the X-Cluster-Cache value of a hit, shared by every
-// reply rather than allocated per reply (net/http only reads it).
-var clusterHit = []string{"hit"}
+// clusterHit and clusterMiss are the X-Cluster-Cache values, shared by
+// every reply rather than allocated per reply (net/http only reads them).
+var clusterHit, clusterMiss = []string{"hit"}, []string{"miss"}
 
 // SchemeSelector selects an omission scheme: a registry name or a DSL
 // expression, optionally minus ultimately periodic scenarios.
@@ -423,59 +414,6 @@ func (s *Server) engineRunOptions() (*coordattack.EngineOptions, func()) {
 	scr := scratchPool.Get().(*coordattack.EngineScratch)
 	eng := &coordattack.EngineOptions{Backend: s.cfg.Backend, Scratch: scr}
 	return eng, func() { scratchPool.Put(scr) }
-}
-
-// heavyCompute runs fn behind the circuit breaker, singleflight, and the
-// LRU, under a compute context detached from the request (server
-// lifetime + compute budget) so caller disconnects cannot kill shared
-// work. Only the singleflight leader talks to the breaker; followers and
-// cache hits neither trip nor reset it.
-func (s *Server) heavyCompute(rctx context.Context, key string, fn func(ctx context.Context) (any, error)) (val any, cached, shared bool, err error) {
-	return s.cache.do(rctx, key, func() (any, error) {
-		done, berr := s.brk.Acquire()
-		if berr != nil {
-			s.m.breakerFF.Add(1)
-			return nil, berr
-		}
-		settled := false
-		defer func() {
-			if !settled {
-				done(true) // fn panicked: settle the breaker before unwinding
-			}
-		}()
-		cctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.ComputeBudget)
-		defer cancel()
-		v, e := fn(cctx)
-		settled = true
-		// Client-shaped errors are rejected before the breaker, so any
-		// error here is an engine failure.
-		done(e != nil)
-		return v, e
-	})
-}
-
-// guard runs fn behind the circuit breaker without the cache — the
-// chaos path, whose seeded campaigns run under the request context
-// rather than the detached compute budget. Client disconnects
-// (context.Canceled) do not count against the breaker; deadline
-// blowouts and engine faults do. A panic unwinding through fn settles
-// the breaker as a failure so a half-open probe cannot leak.
-func (s *Server) guard(fn func() error) error {
-	done, berr := s.brk.Acquire()
-	if berr != nil {
-		s.m.breakerFF.Add(1)
-		return berr
-	}
-	settled := false
-	defer func() {
-		if !settled {
-			done(true)
-		}
-	}()
-	err := fn()
-	settled = true
-	done(err != nil && !errors.Is(err, context.Canceled))
-	return err
 }
 
 // computeError maps a compute-path error onto the status and body the

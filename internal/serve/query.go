@@ -312,9 +312,9 @@ func (q *ChaosRequest) resolve() (string, error) {
 	return "", nil
 }
 
-func (q *ChaosRequest) limit(cfg *Config) error {
-	if q.Executions > cfg.MaxExecutions {
-		return fmt.Errorf("executions %d exceeds cap %d", q.Executions, cfg.MaxExecutions)
+func (q *ChaosRequest) limit(*Config) error {
+	if q.Executions > maxExecutions {
+		return fmt.Errorf("executions %d exceeds cap %d", q.Executions, maxExecutions)
 	}
 	return nil
 }

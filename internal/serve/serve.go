@@ -6,7 +6,8 @@
 // Every request flows through a hardened pipeline:
 //
 //	recover → metrics → admission (bounded queue, shed with 429) →
-//	per-request deadline → [circuit breaker] → [singleflight + LRU] → handler
+//	LRU peek → singleflight (waited on under the per-request deadline) →
+//	[circuit breaker, in the leader] → engine
 //
 // Deadlines propagate as context.Context all the way into the fullinfo
 // engine and the simulation kernels, so a cancelled request stops
@@ -35,11 +36,13 @@ import (
 	coordattack "repro"
 )
 
-// lightConcurrency bounds the cheap endpoints (classify, index), and
-// maxProcs caps n for n-process network analyses.
+// lightConcurrency bounds the cheap endpoints (classify, index),
+// maxProcs caps n for n-process network analyses, and maxExecutions
+// caps chaos campaign sizes.
 const (
 	lightConcurrency = 64
 	maxProcs         = 7
+	maxExecutions    = 100_000
 )
 
 // Config parameterizes the service. The zero value is usable: every
@@ -82,12 +85,9 @@ type Config struct {
 	// (default 12) — a single request must not be able to demand an
 	// astronomically deep walk.
 	MaxHorizon int
-	// MaxExecutions caps chaos campaign sizes (default 100000).
-	MaxExecutions int
 	// MaxBatchItems caps the item count of one /v1/solve/batch request
-	// (default 64). The whole batch holds a single heavy admission slot
-	// and one breaker check, so this bounds how much engine work one
-	// slot can demand.
+	// (default 64). The whole batch holds a single heavy admission slot,
+	// so this bounds how much engine work one slot can demand.
 	MaxBatchItems int
 	// Backend selects the analysis backend for every served engine
 	// request. The zero value (BackendAuto) lets the engine pick the
@@ -132,9 +132,6 @@ func (c *Config) defaults() {
 	if c.MaxHorizon <= 0 {
 		c.MaxHorizon = 12
 	}
-	if c.MaxExecutions <= 0 {
-		c.MaxExecutions = 100_000
-	}
 	if c.MaxBatchItems <= 0 {
 		c.MaxBatchItems = 64
 	}
@@ -155,7 +152,7 @@ type metrics struct {
 	client4xx  atomic.Int64
 	server5xx  atomic.Int64
 	shed       atomic.Int64
-	breakerFF  atomic.Int64 // breaker fast-fails
+	breakerFF  atomic.Int64 // computations the breaker refused
 	timeouts   atomic.Int64
 	panics     atomic.Int64
 	batches    atomic.Int64 // /v1/solve/batch requests admitted
@@ -407,8 +404,8 @@ func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
 // protect wraps h in the full pipeline for the class: panic recovery,
 // metrics, and admission with load shedding. The per-request deadline
 // (requestTimeout, from admission on) and the circuit breaker are
-// applied inside the handlers: they bound and guard the computation,
-// not a cache hit, queueing or parsing.
+// applied on the item path (startItem, finishItem, compute): they bound
+// and guard the computation, not a cache hit, queueing or parsing.
 func (s *Server) protect(cl class, h http.HandlerFunc) http.Handler {
 	g := s.light
 	if cl == classHeavy {

@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	coordattack "repro"
 )
 
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -243,11 +245,24 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	}
 }
 
-// TestHeavyComputePanicIsolated pins the panic story on the compute
-// path: the singleflight runner converts a panicking computation into a
-// 500 + diagnostic ID for every waiter, the breaker is settled rather
-// than leaked, and the key computes normally on the next request
-// instead of staying poisoned.
+// panicQuery is a test-only verdict class whose first computation
+// panics; every later one answers "ok".
+type panicQuery struct{ first *atomic.Bool }
+
+func (q *panicQuery) resolve() (string, error) { return "test-panic-key", nil }
+func (q *panicQuery) limit(*Config) error      { return nil }
+func (q *panicQuery) compute(*Server, context.Context) (any, error) {
+	if q.first.CompareAndSwap(true, false) {
+		panic("engine kaboom")
+	}
+	return "ok", nil
+}
+
+// TestHeavyComputePanicIsolated pins the panic story on the item path:
+// the singleflight runner converts a panicking computation into a 500 +
+// diagnostic ID for every waiter, the breaker is settled rather than
+// leaked, and the key computes normally on the next request instead of
+// staying poisoned.
 func TestHeavyComputePanicIsolated(t *testing.T) {
 	var logged bytes.Buffer
 	var logMu sync.Mutex
@@ -258,19 +273,8 @@ func TestHeavyComputePanicIsolated(t *testing.T) {
 	}})
 	var first atomic.Bool
 	first.Store(true)
-	s.mux.Handle("POST /test/compute-panic", s.protect(classHeavy, func(w http.ResponseWriter, r *http.Request) {
-		val, _, _, err := s.heavyCompute(r.Context(), "test-panic-key", func(ctx context.Context) (any, error) {
-			if first.CompareAndSwap(true, false) {
-				panic("engine kaboom")
-			}
-			return "ok", nil
-		})
-		if err != nil {
-			s.WriteComputeError(w, err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, map[string]any{"val": val})
-	}))
+	cl := &Class{Path: "/test/compute-panic", newQuery: func() query { return &panicQuery{first: &first} }}
+	s.mux.Handle("POST /test/compute-panic", s.protect(classHeavy, s.handleQuery(cl)))
 
 	resp, raw := postJSON(t, ts.URL+"/test/compute-panic", `{}`)
 	if resp.StatusCode != http.StatusInternalServerError {
@@ -289,6 +293,9 @@ func TestHeavyComputePanicIsolated(t *testing.T) {
 		t.Fatalf("server log does not tie diag ID %q to the panic", ae.DiagID)
 	}
 	logMu.Unlock()
+	if state, fails := s.brk.Snapshot(); state != "closed" || fails != 1 {
+		t.Fatalf("breaker after the panic = %s/%d, want closed/1 (a panic settles as a failure)", state, fails)
+	}
 
 	resp2, raw2 := postJSON(t, ts.URL+"/test/compute-panic", `{}`)
 	if resp2.StatusCode != http.StatusOK {
@@ -394,32 +401,64 @@ func TestBurstShedding(t *testing.T) {
 	}
 }
 
-// TestBreakerTripsOverHTTP forces consecutive compute failures with a
-// microscopic compute budget and checks the breaker starts fast-failing
-// with 503 + Retry-After instead of burning the engine.
+// TestBreakerTripsOverHTTP forces BreakerThreshold consecutive compute
+// failures with a microscopic compute budget and checks the breaker then
+// fast-fails the next miss with 503 + Retry-After instead of burning the
+// engine. The failures come as single misses; as single misses each
+// followed by a batch of one cache hit, which runs no engine and so
+// settles nothing; or as one batch of distinct misses, each of whose
+// computations settles once.
 func TestBreakerTripsOverHTTP(t *testing.T) {
-	_, ts := testServer(t, Config{
-		ComputeBudget:    time.Nanosecond, // every engine call times out instantly
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour,
-	})
-	// Two distinct keys so the failures are fresh computations (errors are
+	// Distinct keys, so the failures are fresh computations (errors are
 	// never cached, but identical in-flight requests would coalesce).
-	for i, body := range []string{
-		`{"scheme":"S1","horizon":3}`,
-		`{"scheme":"S1","horizon":4}`,
-	} {
-		resp, raw := postJSON(t, ts.URL+"/v1/solvable", body)
-		if resp.StatusCode != http.StatusGatewayTimeout {
-			t.Fatalf("failure %d = %d (%s), want 504", i, resp.StatusCode, raw)
-		}
-	}
-	resp, raw := postJSON(t, ts.URL+"/v1/solvable", `{"scheme":"S1","horizon":5}`)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("tripped breaker = %d (%s), want 503", resp.StatusCode, raw)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("breaker 503 without Retry-After")
+	failing := []string{`{"scheme":"S1","horizon":3}`, `{"scheme":"S1","horizon":4}`}
+	for _, mode := range []string{"singles", "singles-then-hit-batches", "one-batch"} {
+		t.Run(mode, func(t *testing.T) {
+			s, ts := testServer(t, Config{
+				ComputeBudget:    time.Nanosecond, // every engine call times out instantly
+				BreakerThreshold: len(failing),
+				BreakerCooldown:  time.Hour,
+			})
+			// Seed one verdict: with a nanosecond budget nothing can be
+			// computed the honest way.
+			sch, err := coordattack.SchemeByName("S1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.cache.lru.Put(SolvableKey(sch, 2, false), solvableResponse{Scheme: "S1", Horizon: 2, Solvable: true})
+			singles := failing
+			if mode == "one-batch" {
+				singles = nil
+				_, lines := postBatch(t, ts.URL, `{"items":[`+strings.Join(failing, ",")+`]}`)
+				if len(lines) != len(failing) {
+					t.Fatalf("got %d lines, want %d", len(lines), len(failing))
+				}
+				for i, ln := range lines {
+					if ln.Status != http.StatusGatewayTimeout {
+						t.Fatalf("batch failure %d = %+v, want 504", i, ln)
+					}
+				}
+			}
+			for i, body := range singles {
+				resp, raw := postJSON(t, ts.URL+"/v1/solvable", body)
+				if resp.StatusCode != http.StatusGatewayTimeout {
+					t.Fatalf("failure %d = %d (%s), want 504", i, resp.StatusCode, raw)
+				}
+				if mode == "singles-then-hit-batches" {
+					_, lines := postBatch(t, ts.URL, `{"items":[{"scheme":"S1","horizon":2}]}`)
+					if len(lines) != 1 || lines[0].Status != http.StatusOK || !lines[0].Verdict.Cached {
+						t.Fatalf("hit batch after failure %d = %+v, want one cached 200", i, lines)
+					}
+				}
+			}
+			resp, raw := postJSON(t, ts.URL+"/v1/solvable", `{"scheme":"S1","horizon":5}`)
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("tripped breaker = %d (%s), want 503", resp.StatusCode, raw)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Fatal("breaker 503 without Retry-After")
+			}
+		})
 	}
 }
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
 # smoke_capserved.sh — end-to-end lifecycle check of the analysis
 # service: build, serve on an ephemeral port, poll readiness, run one
-# cached solvability query twice, SIGTERM, and assert a clean drained
-# exit. Deliberately free of fixed ports and sleeps-as-synchronization:
-# the bound address is scraped from the server's own log line and
-# readiness is polled, so the script is not timing-sensitive.
+# cached solvability query twice and one mixed batch, SIGTERM, and
+# assert a clean drained exit. Deliberately free of fixed ports and
+# sleeps-as-synchronization: the bound address is scraped from the
+# server's own log line and readiness is polled, so the script is not
+# timing-sensitive.
 #
 # A second leg (skippable with SMOKE_CLUSTER=0) smokes the cluster
 # mode: three backends behind `capserved -coordinator`, with one
@@ -121,6 +122,29 @@ else
 		exit 1
 	}
 fi
+
+# One node batch: the query answered above, a new one, and one whose
+# horizon is out of range. The lines come in item order as 200/200/400,
+# the first verdict is a cache hit, and the breaker, which only an
+# engine run can settle, is still closed.
+NBATCH="$(curl -fsS -X POST -H 'Content-Type: application/json' \
+	-d "{\"items\":[${BODY},{\"scheme\":\"S1\",\"horizon\":3},{\"scheme\":\"S1\",\"horizon\":99}]}" \
+	"${BASE}/v1/solve/batch")"
+[ "$(echo "${NBATCH}" | grep -o '"index":[0-9]*,"status":[0-9]*' | tr '\n' ' ')" = \
+	'"index":0,"status":200 "index":1,"status":200 "index":2,"status":400 ' ] || {
+	echo "smoke: node batch did not answer 200/200/400 in item order:" >&2
+	echo "${NBATCH}" >&2
+	exit 1
+}
+echo "${NBATCH}" | head -n 1 | grep -q '"cached":true' || {
+	echo "smoke: node batch item 0 should have come from cache: ${NBATCH}" >&2
+	exit 1
+}
+VARZ="$(curl -fsS "${BASE}/varz")"
+echo "${VARZ}" | grep -q '"breakerState":"closed"' || {
+	echo "smoke: breaker not closed after the node batch: ${VARZ}" >&2
+	exit 1
+}
 
 # SIGTERM must drain and exit 0 within the drain budget.
 kill -TERM "${SERVED_PID}"
