@@ -63,15 +63,12 @@ func Analyze(ctx context.Context, req Request) (Report, error) {
 	if n < 2 {
 		return Report{}, errBadProcs
 	}
-	// Bound the loss-pattern space up front — a request error, never the
-	// enumerators' representation panic. Explicitly selecting the
-	// symbolic backend raises the cap (see maxDirEdgesSymbolic).
-	limit := maxDirEdges
-	if req.Engine != nil && req.Engine.Backend == fullinfo.BackendSymbolic {
-		limit = maxDirEdgesSymbolic
+	var opt fullinfo.Options
+	if req.Engine != nil {
+		opt = *req.Engine
 	}
-	if dirEdges := 2 * graphEdgeCount(req); dirEdges > limit {
-		return Report{}, errTooLarge
+	if err := CheckSize(graphEdgeCount(req), opt.Backend); err != nil {
+		return Report{}, err
 	}
 	if req.Horizon < 0 {
 		req.Horizon = 0
@@ -88,10 +85,6 @@ func Analyze(ctx context.Context, req Request) (Report, error) {
 		st = graphStepper(req.Graph, req.F)
 	} else {
 		st = knStepper(n, req.F)
-	}
-	var opt fullinfo.Options
-	if req.Engine != nil {
-		opt = *req.Engine
 	}
 	opt.EarlyExit = req.VerdictOnly
 	opt.Observer = observe
@@ -117,6 +110,23 @@ func Analyze(ctx context.Context, req Request) (Report, error) {
 		last = res
 	}
 	return Report{Analysis: analysisOf(n, req.F, req.Horizon, last), Stats: agg}, nil
+}
+
+// CheckSize bounds the loss-pattern space of an instance with the given
+// undirected edge count before any analysis: a request error, never the
+// enumerators' representation panic. Explicitly selecting the symbolic
+// backend raises the cap (see maxDirEdgesSymbolic). Analyze runs it, and
+// so does a server's request validation, so a request the engine would
+// refuse is refused whichever path answers it.
+func CheckSize(edges int, backend fullinfo.BackendMode) error {
+	limit := maxDirEdges
+	if backend == fullinfo.BackendSymbolic {
+		limit = maxDirEdgesSymbolic
+	}
+	if 2*edges > limit {
+		return errTooLarge
+	}
+	return nil
 }
 
 // graphEdgeCount returns the undirected edge count of the requested

@@ -607,10 +607,29 @@ func (s *Server) solveVerdict(ctx context.Context, sch *coordattack.Scheme, hori
 
 type netSolvableResponse = wire.NetSolvable
 
-// netVerdict runs one network solvability analysis and shapes the
-// verdict; withMeta patches the serving metadata. The engine run
-// borrows a pooled scratch arena.
+// netVerdict decides one network solvability question. Theorem V.1
+// decides two kinds without any search: f ≥ c(G) is unsolvable at
+// every horizon, and f < c(G) with rounds ≥ n−1 is solvable, because
+// flooding delivers every input within n−1 rounds. Under BackendAuto
+// those are answered here; the engine runs for f < c(G), rounds < n−1,
+// or on every request when the node forces a backend. The body is the
+// same either way; withMeta patches the serving metadata. The engine
+// run borrows a pooled scratch arena.
 func (s *Server) netVerdict(ctx context.Context, g *coordattack.Graph, f, rounds int) (any, error) {
+	c := g.EdgeConnectivity()
+	resp := netSolvableResponse{
+		Graph:            g.Name(),
+		N:                g.N(),
+		F:                f,
+		Rounds:           rounds,
+		EdgeConnectivity: c,
+		TheoremV1:        f < c,
+	}
+	if s.cfg.Backend == coordattack.BackendAuto && (f >= c || rounds >= g.N()-1) {
+		s.engine.theoremDecided.Add(1)
+		resp.Solvable = f < c
+		return resp, nil
+	}
 	eng, release := s.engineRunOptions()
 	defer release()
 	rep, err := coordattack.AnalyzeNet(ctx, coordattack.NetAnalysisRequest{
@@ -624,16 +643,8 @@ func (s *Server) netVerdict(ctx context.Context, g *coordattack.Graph, f, rounds
 	if err != nil {
 		return nil, err
 	}
-	c := g.EdgeConnectivity()
-	return netSolvableResponse{
-		Graph:            g.Name(),
-		N:                g.N(),
-		F:                f,
-		Rounds:           rounds,
-		Solvable:         rep.Solvable,
-		EdgeConnectivity: c,
-		TheoremV1:        f < c,
-	}, nil
+	resp.Solvable = rep.Solvable
+	return resp, nil
 }
 
 // --- /v1/chaos --------------------------------------------------------

@@ -10,6 +10,7 @@ import (
 
 	coordattack "repro"
 	"repro/internal/chaos"
+	"repro/internal/nchain"
 	"repro/internal/serve/wire"
 )
 
@@ -260,6 +261,11 @@ func (q *netSolvableRequest) resolve() (string, error) {
 func (q *netSolvableRequest) limit(cfg *Config) error {
 	if n := q.g.N(); n < 2 || n > maxProcs {
 		return fmt.Errorf("graph size %d out of range [2, %d]", n, maxProcs)
+	}
+	// The engine's own size bound, applied before Theorem V.1 can decide
+	// the request, so every backend answers the same set of requests.
+	if err := nchain.CheckSize(q.g.NumEdges(), cfg.Backend); err != nil {
+		return err
 	}
 	if q.Rounds < 0 || q.Rounds > cfg.MaxHorizon {
 		return fmt.Errorf("rounds %d out of range [0, %d]", q.Rounds, cfg.MaxHorizon)

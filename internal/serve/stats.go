@@ -15,14 +15,15 @@ import (
 // Verdict replies carry no engine block, so /v1/stats is where served
 // engine work shows.
 type engineAgg struct {
-	runs          atomic.Int64
-	rounds        atomic.Int64
-	configs       atomic.Int64
-	newViews      atomic.Int64
-	wallNanos     atomic.Int64
-	symRounds     atomic.Int64
-	symFallbacks  atomic.Int64
-	intervalsPeak atomic.Int64
+	runs           atomic.Int64
+	theoremDecided atomic.Int64
+	rounds         atomic.Int64
+	configs        atomic.Int64
+	newViews       atomic.Int64
+	wallNanos      atomic.Int64
+	symRounds      atomic.Int64
+	symFallbacks   atomic.Int64
+	intervalsPeak  atomic.Int64
 }
 
 // observe is the fullinfo Observer hook wired into every engine request.
@@ -46,6 +47,7 @@ func (a *engineAgg) observe(st fullinfo.Stats) {
 // the cache effectiveness needed to interpret it.
 type StatsVarz struct {
 	EngineRuns      int64 `json:"engineRuns"`
+	TheoremDecided  int64 `json:"theoremDecided"` // net verdicts Theorem V.1 decided with no engine run
 	RoundsAnalyzed  int64 `json:"roundsAnalyzed"`
 	ConfigsExplored int64 `json:"configsExplored"`
 	ViewsInterned   int64 `json:"viewsInterned"`
@@ -64,6 +66,7 @@ type StatsVarz struct {
 func (s *Server) statsVarz() StatsVarz {
 	return StatsVarz{
 		EngineRuns:         s.engine.runs.Load(),
+		TheoremDecided:     s.engine.theoremDecided.Load(),
 		RoundsAnalyzed:     s.engine.rounds.Load(),
 		ConfigsExplored:    s.engine.configs.Load(),
 		ViewsInterned:      s.engine.newViews.Load(),

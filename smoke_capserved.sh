@@ -123,6 +123,31 @@ else
 	}
 fi
 
+# One network question Theorem V.1 decides (path-4 has c(G) = 1 = f):
+# unsolvable on every backend. The default backend answers it without
+# the engine and counts it in theoremDecided; a forced backend runs the
+# engine once for it.
+runs() { echo "$1" | sed -n 's/.*"engineRuns":\([0-9]*\).*/\1/p'; }
+NET="$(curl -fsS -X POST -d '{"graph":"path","n":4,"f":1,"rounds":2}' "${BASE}/v1/net/solvable")"
+echo "${NET}" | grep -q '"solvable":false' || {
+	echo "smoke: path-4 f=1 is not unsolvable: ${NET}" >&2
+	exit 1
+}
+NSTATS="$(curl -fsS "${BASE}/v1/stats")"
+if [ "${BACKEND}" = "auto" ]; then
+	WANT_DECIDED=1 WANT_RUNS="$(runs "${STATS}")"
+else
+	WANT_DECIDED=0 WANT_RUNS="$(($(runs "${STATS}") + 1))"
+fi
+echo "${NSTATS}" | grep -q "\"theoremDecided\":${WANT_DECIDED}[,}]" || {
+	echo "smoke: /v1/stats theoremDecided is not ${WANT_DECIDED} on the ${BACKEND} backend: ${NSTATS}" >&2
+	exit 1
+}
+[ "$(runs "${NSTATS}")" = "${WANT_RUNS}" ] || {
+	echo "smoke: engineRuns went from $(runs "${STATS}") to $(runs "${NSTATS}"), want ${WANT_RUNS} on the ${BACKEND} backend" >&2
+	exit 1
+}
+
 # One node batch: the query answered above, a new one, and one whose
 # horizon is out of range. The lines come in item order as 200/200/400,
 # the first verdict is a cache hit, and the breaker, which only an

@@ -101,8 +101,10 @@ for target in FuzzWireFrameDecode FuzzWarmSegment; do
 	echo "-- ${target}"
 	go test -run "^${target}$" -fuzz "^${target}$" -fuzztime "${FUZZTIME}" ./internal/serve/wire/
 done
-echo "-- FuzzParseQuery"
-go test -run '^FuzzParseQuery$' -fuzz '^FuzzParseQuery$' -fuzztime "${FUZZTIME}" ./internal/serve/
+for target in FuzzParseQuery FuzzNetTheoremVsEngine; do
+	echo "-- ${target}"
+	go test -run "^${target}$" -fuzz "^${target}$" -fuzztime "${FUZZTIME}" ./internal/serve/
+done
 
 echo "== capserved smoke (default backend + 3-node coordinator) =="
 ./smoke_capserved.sh
