@@ -24,8 +24,10 @@ import (
 // With -coordinator it runs the cluster router instead: the node's own
 // request pipeline (admission, singleflight, one LRU verdict cache, the
 // warm store, batches) whose compute is a request consistent-hashed
-// across the -backends capserved instances, with hedging, per-shard
-// circuit breakers, and chaos-campaign fan-out. Membership is live: the
+// across the -backends capserved instances, with hedging and per-shard
+// circuit breakers; a chaos campaign is one such request, answered
+// whole by one backend, and index and unindex are answered by the
+// coordinator itself. Membership is live: the
 // admin API (GET/POST/DELETE /v1/cluster/members) joins and removes
 // backends at runtime, and the health prober ejects dead backends from
 // routing and readmits recovered ones.

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -154,10 +153,11 @@ type shard struct {
 // Coordinator is the cluster router: a serve front (serve.NewFront)
 // whose compute is a hedged call to the shards of a consistent-hash
 // ring. The request pipeline, the LRU with singleflight, the warm
-// store, negotiation, batching and error shapes are the node's; the
-// ring, hedging, per-shard breakers, the prober, membership and the
-// chaos fan-out are the coordinator's. Construct with New, mount
-// Handler on any http.Server, or let ListenAndServe own the lifecycle.
+// store, negotiation, batching, error shapes and the index endpoints
+// are the node's; a chaos campaign is one item, answered whole by one
+// shard. The ring, hedging, per-shard breakers, the prober, membership
+// and stats are the coordinator's. Construct with New, mount Handler on
+// any http.Server, or let ListenAndServe own the lifecycle.
 type Coordinator struct {
 	cfg Config
 	srv *serve.Server
@@ -184,16 +184,12 @@ type Coordinator struct {
 	hedgeDelayNs atomic.Int64
 
 	m struct {
-		requests       atomic.Int64 // chaos fan-outs and passthroughs
-		keyed          atomic.Int64 // single keyed requests
-		hedges         atomic.Int64
-		hedgeWins      atomic.Int64
-		failovers      atomic.Int64
-		breakerSkips   atomic.Int64
-		exhausted      atomic.Int64
-		fanouts        atomic.Int64
-		fanoutPartials atomic.Int64
-		fanoutFailures atomic.Int64
+		keyed        atomic.Int64 // single keyed requests
+		hedges       atomic.Int64
+		hedgeWins    atomic.Int64
+		failovers    atomic.Int64
+		breakerSkips atomic.Int64
+		exhausted    atomic.Int64
 
 		epochSwaps    atomic.Int64
 		joins         atomic.Int64
@@ -354,9 +350,6 @@ func (c *Coordinator) routes() {
 		"GET /v1/cluster/members":    c.handleMembersGet,
 		"POST /v1/cluster/members":   c.handleMembersPost,
 		"DELETE /v1/cluster/members": c.handleMembersDelete,
-		"POST /v1/index":             c.passthrough,
-		"POST /v1/unindex":           c.passthrough,
-		"POST /v1/chaos":             c.handleChaos,
 	} {
 		c.srv.Handle(pattern, h)
 	}
@@ -379,7 +372,7 @@ func (c *Coordinator) Answer(ctx context.Context, cl *serve.Class, q serve.Query
 		route = "chaos|" + string(body)
 	}
 	view := c.currentView()
-	res, err := c.hedgedDo(ctx, cl.Path, wire.AcceptVerdict, body, view, view.ring.Replicas(route, c.cfg.Replicas))
+	res, err := c.hedgedDo(ctx, cl.Path, body, view, view.ring.Replicas(route, c.cfg.Replicas))
 	if err != nil {
 		return nil, "", noReply(err)
 	}
@@ -420,37 +413,11 @@ func shardError(body []byte) (msg, diagID string) {
 	return truncate(bytes.TrimSpace(body), 200), ""
 }
 
-// passthrough routes a cheap, uncached endpoint (index/unindex) by body
-// hash — still hedged, so a wedged shard cannot stall even the light
-// path.
-func (c *Coordinator) passthrough(w http.ResponseWriter, r *http.Request) {
-	c.m.requests.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
+func truncate(b []byte, n int) string {
+	if len(b) <= n {
+		return string(b)
 	}
-	view := c.currentView()
-	res, err := c.hedgedDo(r.Context(), r.URL.Path, "", body, view, view.ring.Replicas("light|"+string(body), c.cfg.Replicas))
-	if err != nil {
-		c.srv.WriteComputeError(w, noReply(err))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cluster-Cache", "miss")
-	w.Header().Set("X-Cluster-Shard", res.base)
-	w.WriteHeader(res.status)
-	w.Write(res.body)
-}
-
-// boundedCtx derives the context a coordinated request's backend work
-// runs under: the caller's context bounded by RequestTimeout, and
-// additionally cancelled when the coordinator drains — SIGTERM must not
-// strand hedge goroutines behind a slow backend.
-func (c *Coordinator) boundedCtx(rctx context.Context) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithTimeout(rctx, c.cfg.RequestTimeout)
-	stop := context.AfterFunc(c.baseCtx, cancel)
-	return ctx, func() { stop(); cancel() }
+	return string(b[:n]) + "…"
 }
 
 // attemptResult is one backend attempt's outcome.
@@ -462,8 +429,8 @@ type attemptResult struct {
 	err    error
 }
 
-// hedgedDo performs a keyed request against the candidate shards of one
-// epoch view with hedging and failover:
+// hedgedDo performs an item's shard call against the candidate shards
+// of one epoch view with hedging and failover:
 //
 //   - The first candidate whose breaker admits the call gets the
 //     request (breaker-open shards are skipped — failover, not waiting).
@@ -475,11 +442,14 @@ type attemptResult struct {
 //   - 429 (shed) fails over without counting against the shard breaker;
 //     other 4xx replies are verdicts and win like a success.
 //
-// Every attempt runs under the coordinator's lifetime context, so drain
-// cancels stragglers; the per-call context bounds total latency.
-func (c *Coordinator) hedgedDo(rctx context.Context, path, accept string, payload []byte, view *epochView, cands []int) (*attemptResult, error) {
-	ctx, cancel := c.boundedCtx(rctx)
+// The call runs under the caller's context bounded by RequestTimeout,
+// and is cancelled when the coordinator drains: SIGTERM must not strand
+// hedge goroutines behind a slow backend.
+func (c *Coordinator) hedgedDo(rctx context.Context, path string, payload []byte, view *epochView, cands []int) (*attemptResult, error) {
+	ctx, cancel := context.WithTimeout(rctx, c.cfg.RequestTimeout)
 	defer cancel()
+	stop := context.AfterFunc(c.baseCtx, cancel)
+	defer stop()
 
 	results := make(chan attemptResult, len(cands))
 	next := 0
@@ -509,7 +479,7 @@ func (c *Coordinator) hedgedDo(rctx context.Context, path, accept string, payloa
 			c.wg.Add(1)
 			go func() {
 				defer c.wg.Done()
-				res := c.attempt(ctx, sh, path, accept, payload)
+				res := c.attempt(ctx, sh, path, payload)
 				res.base, res.hedged = sh.base, hedged
 				failed := res.err != nil || res.status >= 500
 				if res.err != nil && ctx.Err() != nil {
@@ -586,8 +556,8 @@ func (c *Coordinator) hedgedDo(rctx context.Context, path, accept string, payloa
 const attemptBodyLimit = 8 << 20
 
 // attempt performs a single backend POST under the attempt timeout.
-// accept, when non-empty, negotiates the reply encoding with the shard.
-func (c *Coordinator) attempt(ctx context.Context, sh *shard, path, accept string, payload []byte) attemptResult {
+// It asks the shard for a verdict frame (classify answers JSON).
+func (c *Coordinator) attempt(ctx context.Context, sh *shard, path string, payload []byte) attemptResult {
 	actx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodPost, sh.base+path, bytes.NewReader(payload))
@@ -595,9 +565,7 @@ func (c *Coordinator) attempt(ctx context.Context, sh *shard, path, accept strin
 		return attemptResult{err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
+	req.Header.Set("Accept", wire.AcceptVerdict)
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
 		return attemptResult{err: err}

@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/serve"
+	"repro/internal/serve/wire"
 )
 
 // answer is what one path said about one body: the status (a batch
@@ -54,8 +57,8 @@ func postOneItemBatch(t *testing.T, url, body string) answer {
 // key cold and cached, coordinator batch — and requires one status per
 // body. A JSON-shape error is a 400 everywhere (a whole-batch 400 on
 // the batch paths); a resolve or limit error is a 400 (a per-item line
-// on the batch paths, with the same text through the coordinator as
-// from a node). The reference node runs the shards' config.
+// on the batch paths), with the same text through the coordinator as
+// from a node. The reference node runs the shards' config.
 func TestOneAnswerPerBody(t *testing.T) {
 	_, ts, _ := testCluster(t, 3, nil)
 	ref := httptest.NewServer(serve.New(serve.Config{MaxHorizon: 13, Logf: quietLogf}).Handler())
@@ -82,14 +85,11 @@ func TestOneAnswerPerBody(t *testing.T) {
 			{"unknown graph", `{"graph":"no-such-graph","n":4,"f":1,"rounds":2}`},
 			{"valid", `{"graph":"cycle","n":4,"f":1,"rounds":2}`},
 		}},
-		// The coordinator shards a campaign's executions, so the limit
-		// row asks for enough that each of the three shares is still
-		// past a shard's executions cap.
 		{"/v1/chaos", "/v1/chaos/batch", []row{
 			{"unknown field", `{"scheme":"S1","executions":20,"seed":7,"execs":3}`},
 			{"wrong type", `{"scheme":"S1","executions":"20","seed":7}`},
 			{"trailing data", `{"scheme":"S1","executions":20,"seed":7} []`},
-			{"past the limit", `{"scheme":"S1","executions":1000000,"seed":7}`},
+			{"past the limit", `{"scheme":"S1","executions":150000,"seed":7}`},
 			{"unknown scheme", `{"scheme":"no-such-scheme","executions":20,"seed":7}`},
 			{"valid", `{"scheme":"S1","executions":20,"seed":7}`},
 		}},
@@ -107,10 +107,11 @@ func TestOneAnswerPerBody(t *testing.T) {
 			}
 			nodeBatch := postOneItemBatch(t, ref.URL+cl.batch, r.body)
 			coordBatch := postOneItemBatch(t, ts.URL+cl.batch, r.body)
+			warm := postSingle(t, ts.URL+cl.single, r.body)
 			got := map[string]int{
 				"node batch":                   nodeBatch.status,
 				"coordinator single cold":      cold[i].status,
-				"coordinator single, key warm": postSingle(t, ts.URL+cl.single, r.body).status,
+				"coordinator single, key warm": warm.status,
 				"coordinator batch":            coordBatch.status,
 			}
 			for path, status := range got {
@@ -120,6 +121,11 @@ func TestOneAnswerPerBody(t *testing.T) {
 			}
 			if coordBatch.err != nodeBatch.err {
 				t.Errorf("%s %s: coordinator batch says %q, node batch %q", cl.batch, r.name, coordBatch.err, nodeBatch.err)
+			}
+			for path, a := range map[string]answer{"cold": cold[i], "key warm": warm} {
+				if a.err != want.err {
+					t.Errorf("%s %s: coordinator single (%s) says %q, node single %q", cl.single, r.name, path, a.err, want.err)
+				}
 			}
 		}
 	}
@@ -142,5 +148,55 @@ func TestClusterBatchShardRejectionLine(t *testing.T) {
 	}
 	if got := postOneItemBatch(t, ts.URL+"/v1/solve/batch", item); got != want {
 		t.Fatalf("coordinator batch line = %+v, node batch line %+v", got, want)
+	}
+}
+
+// TestCoordinatorRepliesAsNode: on one frozen clock, a coordinator's
+// /v1/chaos (JSON and frames), /v1/index and /v1/unindex replies are
+// the bytes a lone node answers with, and index and unindex never reach
+// a shard.
+func TestCoordinatorRepliesAsNode(t *testing.T) {
+	frozen := time.Unix(1_700_000_000, 0)
+	clock := func() time.Time { return frozen }
+	newNode := func() *httptest.Server {
+		ts := httptest.NewServer(serve.New(serve.Config{MaxHorizon: 13, Logf: quietLogf, Clock: clock}).Handler())
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	ref := newNode()
+	shards := []string{newNode().URL, newNode().URL}
+	_, front := startCoordinator(t, Config{Backends: shards, Clock: clock})
+
+	shardRequests := func() (n int64) {
+		for _, base := range shards {
+			n += backendRequests(t, base)
+		}
+		return n
+	}
+	cases := []struct {
+		name, path, accept, body, contentType string
+		reachesShard                          bool
+	}{
+		{"chaos JSON", "/v1/chaos", "", `{"scheme":"S1","executions":20,"seed":7}`, "application/json", true},
+		{"chaos frame", "/v1/chaos", wire.AcceptVerdict, `{"scheme":"S1","executions":20,"seed":7}`, wire.MediaTypeVerdict, true},
+		{"index", "/v1/index", "", `{"word":"wb."}`, "application/json", false},
+		{"unindex", "/v1/unindex", "", `{"rounds":3,"index":"5"}`, "application/json", false},
+	}
+	for _, c := range cases {
+		wresp, want := post(t, ref.URL+c.path, c.accept, c.body)
+		if wresp.StatusCode != http.StatusOK || wresp.Header.Get("Content-Type") != c.contentType {
+			t.Fatalf("%s: node answers %d %q: %s", c.name, wresp.StatusCode, wresp.Header.Get("Content-Type"), want)
+		}
+		before := shardRequests()
+		resp, got := post(t, front.URL+c.path, c.accept, c.body)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != c.contentType {
+			t.Fatalf("%s: coordinator answers %d %q, want 200 %q: %s", c.name, resp.StatusCode, resp.Header.Get("Content-Type"), c.contentType, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: coordinator reply differs from the node's:\ncoordinator %q\nnode        %q", c.name, got, want)
+		}
+		if moved := shardRequests() - before; moved != 0 && !c.reachesShard {
+			t.Fatalf("%s: the shards saw %d requests, want none", c.name, moved)
+		}
 	}
 }

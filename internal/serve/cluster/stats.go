@@ -45,6 +45,8 @@ type Stats struct {
 	Backends      int     `json:"backends"` // routable members this epoch
 	Replicas      int     `json:"replicas"`
 
+	// Requests counts the pipeline's requests: every endpoint but health,
+	// stats and membership.
 	Requests int64 `json:"requests"`
 	// KeyedRequests counts single keyed requests (classify, solvable,
 	// net solvable); batch items are counted in BatchItems.
@@ -65,10 +67,6 @@ type Stats struct {
 	BreakerSkips int64 `json:"breakerSkips"`
 	Exhausted    int64 `json:"exhausted"`
 
-	FanoutCampaigns int64 `json:"fanoutCampaigns"`
-	FanoutPartials  int64 `json:"fanoutPartials"`
-	FanoutFailures  int64 `json:"fanoutShardFailures"`
-
 	BatchRequests int64 `json:"batchRequests"`
 	BatchItems    int64 `json:"batchItems"`
 
@@ -85,28 +83,25 @@ func (c *Coordinator) StatsSnapshot() Stats {
 	v := c.srv.Varz()
 	misses := v.CacheMisses + v.SingleflightShared
 	st := Stats{
-		Ready:           v.Ready,
-		Draining:        v.Draining,
-		UptimeSeconds:   v.UptimeSeconds,
-		Backends:        len(view.shards),
-		Replicas:        c.cfg.Replicas,
-		Requests:        v.Requests + c.m.requests.Load(),
-		KeyedRequests:   c.m.keyed.Load(),
-		CacheHits:       v.CacheHits,
-		CacheMisses:     misses,
-		CacheLen:        v.CacheEntries,
-		WarmLoaded:      v.WarmLoaded,
-		WarmStored:      v.WarmStored,
-		Hedges:          c.m.hedges.Load(),
-		HedgeWins:       c.m.hedgeWins.Load(),
-		Failovers:       c.m.failovers.Load(),
-		BreakerSkips:    c.m.breakerSkips.Load(),
-		Exhausted:       c.m.exhausted.Load(),
-		FanoutCampaigns: c.m.fanouts.Load(),
-		FanoutPartials:  c.m.fanoutPartials.Load(),
-		FanoutFailures:  c.m.fanoutFailures.Load(),
-		BatchRequests:   v.BatchRequests,
-		BatchItems:      v.BatchItems,
+		Ready:         v.Ready,
+		Draining:      v.Draining,
+		UptimeSeconds: v.UptimeSeconds,
+		Backends:      len(view.shards),
+		Replicas:      c.cfg.Replicas,
+		Requests:      v.Requests,
+		KeyedRequests: c.m.keyed.Load(),
+		CacheHits:     v.CacheHits,
+		CacheMisses:   misses,
+		CacheLen:      v.CacheEntries,
+		WarmLoaded:    v.WarmLoaded,
+		WarmStored:    v.WarmStored,
+		Hedges:        c.m.hedges.Load(),
+		HedgeWins:     c.m.hedgeWins.Load(),
+		Failovers:     c.m.failovers.Load(),
+		BreakerSkips:  c.m.breakerSkips.Load(),
+		Exhausted:     c.m.exhausted.Load(),
+		BatchRequests: v.BatchRequests,
+		BatchItems:    v.BatchItems,
 	}
 	st.Membership = MembershipStats{
 		Epoch:        view.seq,

@@ -19,7 +19,7 @@ import (
 )
 
 // routes mounts every endpoint on the mux behind the pipeline. A front
-// mounts its own stats, index and chaos endpoints (NewFront).
+// mounts its own stats and membership endpoints (NewFront).
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain")
@@ -39,7 +39,10 @@ func (s *Server) routes() {
 	s.mux.Handle("POST /v1/solve/batch", s.protect(classHeavy, s.handleBatch(Solvable)))
 	s.mux.Handle("POST /v1/net/solvable", s.protect(classHeavy, s.handleQuery(NetSolvable)))
 	s.mux.Handle("POST /v1/net/solve/batch", s.protect(classHeavy, s.handleBatch(NetSolvable)))
+	s.mux.Handle("POST /v1/chaos", s.protect(classHeavy, s.handleQuery(Chaos)))
 	s.mux.Handle("POST /v1/chaos/batch", s.protect(classHeavy, s.handleBatch(Chaos)))
+	s.mux.Handle("POST /v1/index", s.protect(classLight, s.handleIndex))
+	s.mux.Handle("POST /v1/unindex", s.protect(classLight, s.handleUnindex))
 	if s.remote != nil {
 		return
 	}
@@ -50,9 +53,6 @@ func (s *Server) routes() {
 		WriteJSON(w, http.StatusOK, s.statsVarz())
 	})
 	s.mux.Handle("GET /v1/warm/export", s.protect(classLight, s.handleWarmExport))
-	s.mux.Handle("POST /v1/index", s.protect(classLight, s.handleIndex))
-	s.mux.Handle("POST /v1/unindex", s.protect(classLight, s.handleUnindex))
-	s.mux.Handle("POST /v1/chaos", s.protect(classHeavy, s.handleQuery(Chaos)))
 }
 
 // accepts reports whether the request negotiated a binary encoding:

@@ -279,9 +279,9 @@ func (q *netSolvableRequest) compute(s *Server, ctx context.Context) (any, error
 
 // --- chaos ------------------------------------------------------------
 
-// ChaosRequest is the /v1/chaos body. The coordinator's fan-out parses
-// it with ParseChaos and re-encodes it per shard with Executions and
-// Seed rewritten.
+// ChaosRequest is the /v1/chaos body: one seeded campaign, answered
+// whole by one server. A coordinator forwards it with no field
+// rewritten, so equal bodies name the same executions on every path.
 type ChaosRequest struct {
 	SchemeSelector
 	Executions    int   `json:"executions,omitempty"`
@@ -294,16 +294,6 @@ type ChaosRequest struct {
 
 	sch  *coordattack.Scheme
 	algo chaos.Algorithm
-}
-
-// ParseChaos strictly decodes and resolves one /v1/chaos body from r,
-// returning the typed request.
-func ParseChaos(r io.Reader) (*ChaosRequest, error) {
-	q, err := Chaos.parse(r)
-	if err != nil {
-		return nil, err
-	}
-	return q.q.(*ChaosRequest), nil
 }
 
 func (q *ChaosRequest) resolve() (string, error) {

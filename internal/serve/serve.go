@@ -208,10 +208,11 @@ type Remote interface {
 
 // NewFront builds a Server whose items remote computes (a nil remote
 // builds a node). A front has no limits or breaker of its own, computes
-// up to batchFanout batch items at once, tags single replies with
-// X-Cluster-Cache (and, on a miss it led, X-Cluster-Shard), and leaves
-// /varz, /v1/stats, the warm export and the index and chaos endpoints
-// to its own Handle.
+// up to batchFanout batch items at once, and tags keyed single replies
+// with X-Cluster-Cache (and, on a miss it led, X-Cluster-Shard). It
+// answers index and unindex itself, sends a chaos campaign to remote
+// whole as one unkeyed item, and leaves /varz, /v1/stats and the warm
+// export to its own Handle.
 func NewFront(cfg Config, remote Remote) *Server {
 	cfg.defaults()
 	s := &Server{

@@ -306,6 +306,35 @@ if [ "${SMOKE_CLUSTER:-1}" = "1" ]; then
 		exit 1
 	}
 
+	# --- one answer per campaign and per index ------------------------
+	# The coordinator answers a chaos campaign through one backend and
+	# index itself, so both replies must be a lone backend's: equal
+	# campaign reports once elapsedMs is stripped, a frame when frames
+	# are asked for, and an equal index reply.
+	BK1="${BK_BASES%%,*}"
+	CHAOS='{"scheme":"S1","executions":20,"seed":7}'
+	CC="$(curl -fsS -X POST -d "${CHAOS}" "${CBASE}/v1/chaos" | sed 's/,"elapsedMs":[0-9]*//')"
+	NC="$(curl -fsS -X POST -d "${CHAOS}" "${BK1}/v1/chaos" | sed 's/,"elapsedMs":[0-9]*//')"
+	[ -n "${CC}" ] && [ "${CC}" = "${NC}" ] || {
+		echo "smoke: coordinator campaign differs from the backend's:" >&2
+		echo "coordinator: ${CC}" >&2
+		echo "backend:     ${NC}" >&2
+		exit 1
+	}
+	curl -fsS -D "${WORK}/chaoshdr" -o /dev/null -H 'Accept: application/x-capverdict' \
+		-X POST -d "${CHAOS}" "${CBASE}/v1/chaos"
+	tr -d '\r' <"${WORK}/chaoshdr" | grep -qix 'content-type: application/x-capverdict' || {
+		echo "smoke: coordinator campaign did not answer a frame when asked:" >&2
+		cat "${WORK}/chaoshdr" >&2
+		exit 1
+	}
+	CI="$(curl -fsS -X POST -d '{"word":"wb."}' "${CBASE}/v1/index")"
+	NI="$(curl -fsS -X POST -d '{"word":"wb."}' "${BK1}/v1/index")"
+	[ -n "${CI}" ] && [ "${CI}" = "${NI}" ] || {
+		echo "smoke: coordinator index reply ${CI} differs from the backend's ${NI}" >&2
+		exit 1
+	}
+
 	# Kill one backend outright (no drain) and keep querying: each of
 	# the 12 bodies compiles to a distinct automaton, so every one is a
 	# cache miss that must be routed — keys whose primary shard is the
