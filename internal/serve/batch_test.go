@@ -249,7 +249,7 @@ func TestSolveBatchBreakerOpenServesCachedItems(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := SolvableKey(sch, 2, false)
-	s.cache.lru.Put(key, solvableResponse{Scheme: "S1", Horizon: 2, Solvable: true})
+	s.cache.put(key, solvableResponse{Scheme: "S1", Horizon: 2, Solvable: true})
 
 	resp, lines := postBatch(t, ts.URL, `{"items":[
 		{"scheme":"S1","horizon":2},

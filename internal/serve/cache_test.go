@@ -15,9 +15,9 @@ import (
 // reports that the value came from another caller's in-flight
 // computation.
 func (rc *resultCache) do(ctx context.Context, key string, fn func() (any, error)) (val any, cached, shared bool, err error) {
-	v, call, shared := rc.start(key, fn)
+	e, call, shared := rc.start(key, fn)
 	if call == nil {
-		return v, true, false, nil
+		return e.val, true, false, nil
 	}
 	if err := wait(ctx, call.done, nil); err != nil {
 		return nil, false, shared, err

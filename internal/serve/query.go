@@ -43,7 +43,9 @@ type Class struct {
 	Kind wire.Kind
 	// light classes run on the light gate, cached but without the
 	// circuit breaker.
-	light    bool
+	light bool
+	// id indexes the class's request memo on a Server.
+	id       int
 	newQuery func() query
 	newBatch func() batchBody
 }
@@ -56,14 +58,19 @@ var (
 	Chaos       = declare[ChaosRequest]("/v1/chaos", wire.KindChaos, false)
 )
 
+// nClasses counts the declared classes.
+var nClasses int
+
 func declare[Q any, P interface {
 	*Q
 	query
 }](path string, kind wire.Kind, light bool) *Class {
+	nClasses++
 	return &Class{
 		Path:     path,
 		Kind:     kind,
 		light:    light,
+		id:       nClasses - 1,
 		newQuery: func() query { return P(new(Q)) },
 		newBatch: func() batchBody { return new(batchOf[Q, P]) },
 	}

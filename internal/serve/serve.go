@@ -6,8 +6,9 @@
 // Every request flows through a hardened pipeline:
 //
 //	recover → metrics → admission (bounded queue, shed with 429) →
-//	LRU peek → singleflight (waited on under the per-request deadline) →
-//	[circuit breaker, in the leader] → engine
+//	request memo or strict decode → LRU peek (a hit is written from
+//	its stored bytes) → singleflight (waited on under the per-request
+//	deadline) → [circuit breaker, in the leader] → engine
 //
 // Deadlines propagate as context.Context all the way into the fullinfo
 // engine and the simulation kernels, so a cancelled request stops
@@ -168,9 +169,12 @@ type Server struct {
 	m      metrics
 	engine engineAgg
 	cache  *resultCache
-	heavy  *gate
-	light  *gate
-	brk    *Breaker
+	// memos holds one request memo per class (Class.id), each as large
+	// as the LRU.
+	memos []requestMemo
+	heavy *gate
+	light *gate
+	brk   *Breaker
 	// warm is the append-only verdict store (nil unless WarmStorePath
 	// is set and the store opened cleanly); warmLoaded counts the
 	// verdicts it preloaded into the LRU at boot.
@@ -219,9 +223,13 @@ func NewFront(cfg Config, remote Remote) *Server {
 		cfg:    cfg,
 		mux:    http.NewServeMux(),
 		cache:  newResultCache(cfg.CacheEntries),
+		memos:  make([]requestMemo, nClasses),
 		heavy:  newGate(cfg.AnalysisConcurrency, cfg.QueueDepth, time.Second),
 		light:  newGate(lightConcurrency, 4*cfg.QueueDepth, time.Second),
 		remote: remote,
+	}
+	for i := range s.memos {
+		s.memos[i] = newRequestMemo(cfg.CacheEntries)
 	}
 	if remote == nil {
 		s.brk = NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock)

@@ -425,7 +425,7 @@ func TestBreakerTripsOverHTTP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.cache.lru.Put(SolvableKey(sch, 2, false), solvableResponse{Scheme: "S1", Horizon: 2, Solvable: true})
+			s.cache.put(SolvableKey(sch, 2, false), solvableResponse{Scheme: "S1", Horizon: 2, Solvable: true})
 			singles := failing
 			if mode == "one-batch" {
 				singles = nil

@@ -418,7 +418,7 @@ func (s *Server) attachWarmStore(path string) {
 	}
 	for _, r := range kept {
 		v, _ := decodeVerdict(r.Key, r.Val)
-		s.cache.lru.Put(r.Key, v)
+		s.cache.put(r.Key, v)
 	}
 	s.warm, s.warmLoaded = store, len(kept)
 	s.cfg.Logf("capserved: warm store %s preloaded the newest %d of %d verdicts", path, len(kept), len(recs))

@@ -27,7 +27,7 @@ func (s *Server) handleWarmExport(w http.ResponseWriter, r *http.Request) {
 			truncated = true
 			return false
 		}
-		if b, ok := encodeVerdict(key, val); ok {
+		if b, ok := encodeVerdict(key, val.(*verdictEntry).val); ok {
 			seg = wire.AppendSegmentRecord(seg, key, b)
 			entries++
 		}

@@ -222,6 +222,30 @@ func (l *BatchLine) appendPayload(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
+// AppendVerdictLine appends the KindBatchLine frame of a 200 line at
+// index whose verdict is the verdict frame f, byte for byte what
+// AppendVerdict(&BatchLine{Index: index, Status: 200, Verdict: v})
+// gives for the verdict v that f encodes, without decoding f: a cache
+// hit's stored frame becomes its batch line by a copy.
+func AppendVerdictLine(dst []byte, index int, f []byte) ([]byte, error) {
+	kind, payload, rest, err := DecodeFrame(f)
+	if err != nil {
+		return dst, err
+	}
+	if len(rest) != 0 || kind == KindInvalid || kind == KindBatchLine {
+		return dst, errMalformed
+	}
+	dst, start := beginFrame(dst, KindBatchLine)
+	dst = appendUint(dst, uint64(index))
+	dst = appendUint(dst, 200)
+	dst = appendBool(dst, false)
+	dst = appendString(dst, "")
+	dst = appendString(dst, "")
+	dst = append(dst, byte(kind))
+	dst = append(dst, payload...)
+	return endFrame(dst, start), nil
+}
+
 // DecodeBatchLine decodes one KindBatchLine payload. The embedded
 // verdict comes back typed (*Solvable, *NetSolvable, *Chaos) or nil.
 func DecodeBatchLine(payload []byte) (*BatchLine, error) {

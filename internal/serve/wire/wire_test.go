@@ -231,6 +231,51 @@ func TestBatchLineRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendVerdictLineMatchesAppendVerdict: wrapping a verdict frame
+// into a 200 line is byte-identical to encoding the line whole, for
+// every verdict shape and at indexes of one and several varint bytes;
+// anything but one verdict frame is refused.
+func TestAppendVerdictLineMatchesAppendVerdict(t *testing.T) {
+	verdicts := map[string]any{}
+	for name, v := range solvableShapes() {
+		verdicts["solvable/"+name] = v
+	}
+	for name, v := range netShapes() {
+		verdicts["netsolvable/"+name] = v
+	}
+	for name, v := range chaosShapes() {
+		verdicts["chaos/"+name] = v
+	}
+	for name, v := range verdicts {
+		f, err := Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, index := range []int{0, 15, 127, 128, 70000} {
+			want, err := Marshal(&BatchLine{Index: index, Status: 200, Verdict: v})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := AppendVerdictLine([]byte("x"), index, f)
+			if err != nil || !bytes.Equal(got[1:], want) || got[0] != 'x' {
+				t.Fatalf("%s at %d: AppendVerdictLine = %x, %v; want x%x", name, index, got, err, want)
+			}
+		}
+	}
+	line, _ := Marshal(&BatchLine{Index: 1, Status: 200})
+	solv, _ := Marshal(solvableShapes()["full"])
+	for name, f := range map[string][]byte{
+		"json":       []byte(`{"scheme":"S1"}`),
+		"batch line": line,
+		"two frames": append(append([]byte(nil), solv...), solv...),
+		"torn":       solv[:len(solv)-1],
+	} {
+		if got, err := AppendVerdictLine(nil, 0, f); err == nil || len(got) != 0 {
+			t.Fatalf("%s: AppendVerdictLine = %x, %v; want a refusal that appends nothing", name, got, err)
+		}
+	}
+}
+
 func TestUnmarshalIntoKindMismatch(t *testing.T) {
 	frame, _ := Marshal(&Solvable{Scheme: "S1"})
 	var n NetSolvable

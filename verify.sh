@@ -73,13 +73,14 @@ echo "== GOMAXPROCS matrix (engine + service + chaos, -cpu 1,2,4) =="
 # any core count.
 go test -cpu 1,2,4 -count=3 ./internal/fullinfo ./internal/chain ./internal/nchain ./internal/serve/... ./internal/chaos
 
-echo "== serve alloc gates (unraced, JSON + binary; node and coordinator) =="
+echo "== serve alloc gates (unraced, JSON + binary; node and coordinator; single and batch hits) =="
 # The alloc gates skip themselves under -race (the detector's
 # instrumentation allocates), so the budgets are enforced here
 # explicitly — once per response encoding, on a node and on a
-# coordinator.
-go test -run '^TestServeSolve(Binary)?AllocsGate$' -count=1 ./internal/serve/
-go test -run '^TestCoordinatorSolve(Binary)?AllocsGate$' -count=1 ./internal/serve/cluster/
+# coordinator, for single hits, 16-item all-hit batches, and a node
+# hit whose body is too large for the request memo.
+go test -run '^TestServe(Solve(Binary|Parse)?|BatchHit)AllocsGate$' -count=1 ./internal/serve/
+go test -run '^TestCoordinator(Solve(Binary)?|BatchHit)AllocsGate$' -count=1 ./internal/serve/cluster/
 
 FUZZTIME="${FUZZTIME:-10s}"
 echo "== go fuzz (${FUZZTIME} per target) =="
@@ -101,7 +102,7 @@ for target in FuzzWireFrameDecode FuzzWarmSegment; do
 	echo "-- ${target}"
 	go test -run "^${target}$" -fuzz "^${target}$" -fuzztime "${FUZZTIME}" ./internal/serve/wire/
 done
-for target in FuzzParseQuery FuzzNetTheoremVsEngine; do
+for target in FuzzParseQuery FuzzParseBatch FuzzNetTheoremVsEngine; do
 	echo "-- ${target}"
 	go test -run "^${target}$" -fuzz "^${target}$" -fuzztime "${FUZZTIME}" ./internal/serve/
 done
