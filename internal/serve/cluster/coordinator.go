@@ -173,10 +173,14 @@ type Coordinator struct {
 
 	// baseCtx is the coordinator lifetime: every backend attempt and
 	// probe runs under it, so drain cancels in-flight work; wg
-	// tracks the goroutines so drain can prove they are gone.
+	// tracks the goroutines so drain can prove they are gone. shut,
+	// under shutMu, is set once Shutdown has begun: no attempt is added
+	// to wg after that (track), since Shutdown waits on it.
 	baseCtx    context.Context
 	cancelBase context.CancelFunc
 	wg         sync.WaitGroup
+	shutMu     sync.Mutex
+	shut       bool
 
 	// hedgeDelayNs is the live hedge trigger, adjustable at runtime so
 	// operators (and capbench) can retune hedging to a measured healthy
@@ -327,6 +331,9 @@ func (c *Coordinator) ListenAndServe(ctx context.Context) error {
 // directly can assert a leak-free drain.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
 	cerr := c.srv.Close()
+	c.shutMu.Lock()
+	c.shut = true
+	c.shutMu.Unlock()
 	c.cancelBase()
 	done := make(chan struct{})
 	go func() { c.wg.Wait(); close(done) }()
@@ -340,6 +347,18 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	c.cfg.HTTPClient.CloseIdleConnections()
 	c.cfg.Logf("coordinator: drained (err=%v)", err)
 	return err
+}
+
+// track adds one backend attempt to wg, unless Shutdown has begun:
+// adding to a WaitGroup that Shutdown is waiting on is a race.
+func (c *Coordinator) track() bool {
+	c.shutMu.Lock()
+	defer c.shutMu.Unlock()
+	if c.shut {
+		return false
+	}
+	c.wg.Add(1)
+	return true
 }
 
 // routes mounts the coordinator's own endpoints next to the pipeline's.
@@ -456,15 +475,22 @@ func (c *Coordinator) hedgedDo(rctx context.Context, path string, payload []byte
 	inFlight := 0
 	launched := 0
 	var lastOpen time.Duration
+	closed := false
 
 	// launch starts the next admitted candidate, skipping shards whose
-	// breaker is open. Reports whether an attempt went out.
+	// breaker is open. Reports whether an attempt went out; none does
+	// once the coordinator shuts down (closed).
 	launch := func(hedged bool) bool {
 		for next < len(cands) {
+			if !c.track() {
+				closed = true
+				return false
+			}
 			sh := view.shards[cands[next]]
 			next++
 			done, err := sh.brk.Acquire()
 			if err != nil {
+				c.wg.Done()
 				var open serve.BreakerOpenError
 				if errors.As(err, &open) {
 					lastOpen = open.RetryAfter
@@ -476,7 +502,6 @@ func (c *Coordinator) hedgedDo(rctx context.Context, path string, payload []byte
 			if hedged {
 				sh.hedges.Add(1)
 			}
-			c.wg.Add(1)
 			go func() {
 				defer c.wg.Done()
 				res := c.attempt(ctx, sh, path, payload)
@@ -507,6 +532,9 @@ func (c *Coordinator) hedgedDo(rctx context.Context, path string, payload []byte
 	}
 
 	if !launch(false) {
+		if closed {
+			return nil, context.Canceled
+		}
 		retry := max(lastOpen, time.Second)
 		return nil, &serve.StatusError{Status: http.StatusServiceUnavailable,
 			Msg: fmt.Sprintf("all replica breakers open; retry in %s", retry), RetryAfter: retry}
@@ -531,6 +559,9 @@ func (c *Coordinator) hedgedDo(rctx context.Context, path string, payload []byte
 				if launch(true) {
 					c.m.failovers.Add(1)
 					continue
+				}
+				if closed {
+					return nil, context.Canceled
 				}
 				// Out of candidates: surface the most informative failure.
 				c.m.exhausted.Add(1)
