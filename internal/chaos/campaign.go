@@ -207,7 +207,9 @@ type loop struct {
 // deadline, and records its violation, stamped with the seed that
 // replays it, until the violation cap. An execution that the campaign's
 // own context interrupted proves nothing about the algorithm, so it is
-// never a violation: the sweep stops there with ctx.Err().
+// never a violation: the sweep stops there with ctx.Err(). So does a
+// shrink that context cuts short, after recording its violation
+// unminimized.
 func (l *loop) run() (*Report, error) {
 	rep, limit := l.rep, l.maxViolations
 	if limit <= 0 {
@@ -237,6 +239,15 @@ func (l *loop) run() (*Report, error) {
 		v.Scheme, v.Algorithm, v.Seed, v.Execution, v.Trace = rep.Scheme, rep.Algorithm, seed, i, t.trace.String()
 		if l.minimize != nil {
 			v.MinScenario, v.Minimized = l.minimize(t)
+			if err := l.ctx.Err(); err != nil {
+				// The campaign's context cut the shrink short: the
+				// candidates it interrupted prove nothing, so the
+				// violation is reported as played and the sweep ends.
+				v.MinScenario, v.Minimized = omission.Scenario{}, false
+				rep.Violations = append(rep.Violations, v)
+				rep.Executions = i + 1
+				return rep, err
+			}
 		}
 		rep.Violations = append(rep.Violations, v)
 	}

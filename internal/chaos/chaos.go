@@ -26,7 +26,9 @@
 //     against a scheme (RunCampaignCtx) or a graph (RunNetworkCampaignCtx,
 //     netcampaign.go), each under a wall-clock deadline with panic
 //     isolation, and aggregates a Report; an execution the campaign's own
-//     context interrupted ends the sweep instead of becoming a violation.
+//     context interrupted ends the sweep instead of becoming a violation,
+//     and a shrink that context cuts short ends it too, reporting its
+//     violation unminimized.
 //
 // Everything is deterministic given the campaign seed: per-execution
 // seeds are derived with a SplitMix64 step, and each Violation is stamped

@@ -390,7 +390,8 @@ func (c campaignCase) run(reference bool) (*Report, error) {
 // reference, except where the campaign context interrupted an execution:
 // the reference then recorded that incomplete run as a violation (and,
 // when it filled the cap or was the last execution, hid the cancellation
-// behind err == nil), while the one loop stops there with ctx.Err().
+// behind err == nil), while the one loop stops there with ctx.Err(); and
+// where it cut a shrink short, which the one loop reports unminimized.
 //
 // It returns the one loop's report and whether it stopped at such an
 // execution.
@@ -419,6 +420,27 @@ func checkCampaignCase(t *testing.T, c campaignCase) (rep *Report, cancelled boo
 		fixed := *want
 		fixed.Violations, fixed.Executions = want.Violations[:k], got.Executions
 		want, wantErr, cancelled = &fixed, context.Canceled, true
+	}
+	if c.cancelAt > 0 && !cancelled && errors.Is(gotErr, context.Canceled) && want != nil && len(got.Violations) > 0 {
+		k := len(got.Violations) - 1
+		if v := got.Violations[k]; v.Execution == got.Executions-1 && !v.Minimized {
+			// The cancellation cut the shrink of violation k short: the
+			// one loop reports it unminimized and stops there, where the
+			// reference kept shrinking with candidates the cancellation
+			// interrupted, then stopped at its next context check (or
+			// hid the cancellation when the cap or the plan ended it).
+			planned, capped := c.caps()
+			if len(want.Violations) != k+1 || want.Violations[k].Execution != v.Execution ||
+				wantErr == nil && want.Executions != planned && len(want.Violations) != capped ||
+				wantErr != nil && want.Executions != got.Executions {
+				t.Fatalf("%s: the reference does not stop after the cancelled shrink:\ngot  %v\nwant %v", c, got, want)
+			}
+			fixed := *want
+			fixed.Violations = append([]Violation(nil), want.Violations...)
+			fixed.Violations[k].MinScenario, fixed.Violations[k].Minimized = omission.Scenario{}, false
+			fixed.Executions = got.Executions
+			want, wantErr = &fixed, context.Canceled
+		}
 	}
 	if !errors.Is(gotErr, wantErr) || (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("%s: err %v, reference %v", c, gotErr, wantErr)
