@@ -194,7 +194,7 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, deadline time.
 			line := wire.BatchLine{Index: i, Status: http.StatusOK}
 			if it.hit != nil {
 				// A hit with no stored bytes in this encoding.
-				line.Verdict = withMeta(it.hit.val, true, false, 0)
+				line.Verdict = asHit(it.hit.val)
 			} else {
 				ctx := r.Context()
 				if it.call != nil {
@@ -203,13 +203,13 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, deadline time.
 				} else if it.inline {
 					ctx = reqCtx()
 				}
-				val, cached, shared, err := s.finishItem(ctx, cl, items[i], it, flush)
+				val, err := s.finishItem(ctx, cl, items[i], it, flush)
 				if err != nil {
 					var body apiError
 					line.Status, body = s.computeError(err)
 					line.Error, line.DiagID = body.Error, body.DiagID
 				} else {
-					line.Verdict = s.itemVerdict(it, val, cached, shared)
+					line.Verdict = val
 				}
 			}
 			b, encErr = appendLine(b, &line, binary)
@@ -233,8 +233,8 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, deadline time.
 
 // hitLine appends the 200 line of item i, answered by the hit e, from
 // e's stored bytes: byte for byte the line appendLine encodes for
-// withMeta(e.val, true, false, 0). It reports false when e has no
-// stored bytes in the encoding.
+// asHit(e.val). It reports false when e has no stored bytes in the
+// encoding.
 func hitLine(dst []byte, i int, e *verdictEntry, binary bool) ([]byte, bool) {
 	if binary {
 		f := e.hitFrame()
@@ -279,7 +279,6 @@ type item struct {
 	call   *flightCall
 	shared bool
 	inline bool
-	start  time.Time
 	// from receives the server a front's computation was answered by;
 	// only this item's own singleflight leader writes it.
 	from *string
@@ -313,7 +312,7 @@ func (s *Server) known(q Query) (item, bool) {
 // the detached compute budget. An uncacheable (chaos) item runs under
 // the request context: on a node inline when its turn comes.
 func (s *Server) begin(rctx context.Context, cl *Class, q Query) item {
-	it := item{start: s.cfg.Clock()}
+	var it item
 	if rctx.Err() != nil {
 		// The batch deadline expired: stream the remaining items as
 		// timeouts instead of silently truncating the response.
@@ -347,32 +346,24 @@ func (s *Server) begin(rctx context.Context, cl *Class, q Query) item {
 
 // finishItem answers an item, waiting for its computation if it has
 // one; stalled (nil for a single request) flushes a batch's lines ahead
-// of an item that waits on a computation.
-func (s *Server) finishItem(ctx context.Context, cl *Class, q Query, it item, stalled func()) (val any, cached, shared bool, err error) {
+// of an item that waits on a computation. A hit answers its stored
+// verdict, which the caller serves as asHit.
+func (s *Server) finishItem(ctx context.Context, cl *Class, q Query, it item, stalled func()) (val any, err error) {
 	switch {
 	case it.inline:
 		if stalled != nil {
 			stalled()
 		}
 		val, _, err = s.compute(ctx, cl, q)
+		return val, err
 	case it.call != nil:
-		if err = wait(ctx, it.call.done, stalled); err == nil {
-			val, err = it.call.val, it.call.err
+		if err = wait(ctx, it.call.done, stalled); err != nil {
+			return nil, err
 		}
+		return it.call.val, it.call.err
 	case it.hit != nil:
-		return it.hit.val, true, false, nil
+		return it.hit.val, nil
 	default:
-		return nil, false, false, it.err
+		return nil, it.err
 	}
-	return val, false, it.shared, err
-}
-
-// itemVerdict is an answered item's verdict carrying the serving
-// metadata of this answer; a cache answered it in 0 ms.
-func (s *Server) itemVerdict(it item, val any, cached, shared bool) any {
-	var elapsed int64
-	if !cached {
-		elapsed = s.cfg.Clock().Sub(it.start).Milliseconds()
-	}
-	return withMeta(val, cached, shared, elapsed)
 }

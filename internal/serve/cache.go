@@ -93,12 +93,11 @@ func (c *LRU) Range(fn func(key string, val any) bool) {
 }
 
 // verdictEntry is one LRU verdict with the bytes its cache hits are
-// served in: the single-hit JSON body and frame of
-// withMeta(val, true, false, 0). A verdict depends only on its key, so
-// a hit's bytes are fixed once the verdict is cached; each encoding is
-// built by the first hit that asks for it, so a miss, and a verdict no
-// hit reads, pays for neither. Two first hits racing may both build
-// it; they build the same bytes.
+// served in: the single-hit JSON body and frame of asHit(val). A
+// verdict depends only on its key, so a hit's bytes are fixed once the
+// verdict is cached; each encoding is built by the first hit that asks
+// for it, so a miss, and a verdict no hit reads, pays for neither. Two
+// first hits racing may both build it; they build the same bytes.
 type verdictEntry struct {
 	val   any
 	json  atomic.Pointer[[]byte]
@@ -113,7 +112,7 @@ func (e *verdictEntry) hitJSON() []byte {
 	}
 	jb := getJSONBuf()
 	defer putJSONBuf(jb)
-	if err := jb.enc.Encode(withMeta(e.val, true, false, 0)); err != nil {
+	if err := jb.enc.Encode(asHit(e.val)); err != nil {
 		return nil
 	}
 	b := bytes.Clone(jb.buf.Bytes())
@@ -127,7 +126,7 @@ func (e *verdictEntry) hitFrame() []byte {
 	if b := e.frame.Load(); b != nil {
 		return *b
 	}
-	b, err := wire.AppendVerdict(nil, withMeta(e.val, true, false, 0))
+	b, err := wire.AppendVerdict(nil, asHit(e.val))
 	if err != nil {
 		b = []byte{}
 	}

@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
-	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -176,8 +175,8 @@ func clusterStats(t *testing.T, base string) Stats {
 }
 
 // verdict is a whole solvability reply, /v1/solvable or
-// /v1/net/solvable, with the per-request metadata zeroed: cached,
-// shared and elapsedMs. Everything else is a function of the key and
+// /v1/net/solvable, with its one per-request field, cached, zeroed.
+// Everything else is a function of the key and
 // must be identical however many nodes computed it. The body decodes
 // into both wire structs; the fields the other kind lacks stay zero.
 type verdict struct {
@@ -192,8 +191,7 @@ func (v *verdict) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &v.Net); err != nil {
 		return err
 	}
-	v.Sol.Cached, v.Sol.Shared, v.Sol.ElapsedMs = false, false, 0
-	v.Net.Cached, v.Net.ElapsedMs = false, 0
+	v.Sol.Cached, v.Net.Cached = false, false
 	return nil
 }
 
@@ -305,16 +303,12 @@ func TestClusterSurvivesKilledBackend(t *testing.T) {
 	}
 }
 
-// elapsedField is a campaign report's elapsedMs, the one field of it
-// that depends on the clock rather than on the request.
-var elapsedField = regexp.MustCompile(`,"elapsedMs":\d+`)
-
 // campaign posts a /v1/chaos body to base and returns the status and
-// the report with elapsedMs stripped.
+// the raw report.
 func campaign(t *testing.T, base, body string) (int, []byte) {
 	t.Helper()
 	resp, raw := postJSON(t, base+"/v1/chaos", body)
-	return resp.StatusCode, elapsedField.ReplaceAll(raw, nil)
+	return resp.StatusCode, raw
 }
 
 // referenceCampaign is a lone node's report for body.

@@ -18,9 +18,8 @@ import (
 // A cache hit is served from stored bytes: the request memo maps a
 // body it has seen to its key without a decode, and the LRU entry holds the hit's
 // JSON body and frame. These tests pin that the bytes are the ones the
-// encoder gives withMeta(v, true, false, 0) — the verdict with
-// "cached" set and no other serving metadata — on every path a hit
-// takes.
+// encoder gives the verdict with "cached" set — its one per-request
+// field — on every path a hit takes.
 
 // hitClass is one verdict class as the identity test drives it.
 type hitClass struct {
@@ -55,8 +54,8 @@ func (c hitClass) batches() []string {
 	}
 }
 
-// wantHit is the expected reply to a hit: withMeta(v, true, false, 0)
-// for a verdict v decoded from a reply of the class.
+// wantHit is the expected reply to a hit: the verdict v decoded from
+// a reply of the class, with cached set.
 type wantHit struct {
 	v any
 }
@@ -71,9 +70,9 @@ func (c hitClass) wantFrom(t *testing.T, raw []byte) wantHit {
 	case *serve.ClassifyResponse:
 		v.Cached = true
 	case *wire.Solvable:
-		v.Cached, v.Shared, v.ElapsedMs = true, false, 0
+		v.Cached = true
 	case *wire.NetSolvable:
-		v.Cached, v.ElapsedMs = true, 0
+		v.Cached = true
 	}
 	return wantHit{v}
 }
@@ -191,8 +190,8 @@ func checkReply(t *testing.T, where string, resp *http.Response, raw []byte, ct 
 // solvable at a fixed horizon and by MinRounds, net — as single and
 // batch requests, in JSON and frames, to a node hit, a coordinator hit,
 // a node rebooted on its warm store, and with bodies padded past the
-// memo cap, and checks every reply against the encoder's
-// withMeta(v, true, false, 0). It also sends memoized hits from several
+// memo cap, and checks every reply against the encoder's bytes for the
+// verdict with cached set. It also sends memoized hits from several
 // goroutines at once: they share the memo and the stored bytes.
 func TestHitBytesIdenticalOnEveryPath(t *testing.T) {
 	warm := filepath.Join(t.TempDir(), "node.seg")

@@ -86,8 +86,7 @@ func (s *Server) writeVerdict(w http.ResponseWriter, r *http.Request, v any) {
 }
 
 // writeHit writes a cache hit from its entry's stored bytes: the same
-// status, headers and body writeVerdict gives
-// withMeta(val, true, false, 0).
+// status, headers and body writeVerdict gives asHit(val).
 func (s *Server) writeHit(w http.ResponseWriter, r *http.Request, e *verdictEntry) {
 	var b []byte
 	ct := contentTypeFrame
@@ -98,7 +97,7 @@ func (s *Server) writeHit(w http.ResponseWriter, r *http.Request, e *verdictEntr
 		b, ct = e.hitJSON(), contentTypeJSON
 	}
 	if b == nil {
-		s.writeVerdict(w, r, withMeta(e.val, true, false, 0))
+		s.writeVerdict(w, r, asHit(e.val))
 		return
 	}
 	w.Header()["Content-Type"] = ct
@@ -128,8 +127,9 @@ func decode(w http.ResponseWriter, r *http.Request, v any) error {
 // from the entry's stored bytes. Any other takes a strict parse and node
 // limits, then the batch item path for one item (the request deadline
 // is built only when the item has to wait), and the negotiated
-// encoding: a hit's stored bytes, or the verdict with its metadata
-// patched in. A front's reply to a keyed item carries its
+// encoding: a hit's stored bytes, or the verdict as it is stored. A
+// reply that waited on a computation carries its Server-Timing
+// (setTiming). A front's reply to a keyed item carries its
 // X-Cluster-Cache tier and, on a miss this request led, the
 // X-Cluster-Shard that answered.
 func (s *Server) handleQuery(cl *Class) http.HandlerFunc {
@@ -160,15 +160,20 @@ func (s *Server) handleQuery(cl *Class) http.HandlerFunc {
 		}
 		ctx := r.Context()
 		it := s.startItem(ctx, cl, q)
+		var start time.Time
 		if it.call != nil || it.inline {
+			start = s.cfg.Clock()
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithDeadline(ctx, deadline)
 			defer cancel()
 		}
-		val, cached, shared, err := s.finishItem(ctx, cl, q, it, nil)
+		val, err := s.finishItem(ctx, cl, q, it, nil)
+		if !start.IsZero() {
+			s.setTiming(w, it.shared, start)
+		}
 		if s.remote != nil && q.Key != "" {
 			tier := clusterMiss
-			if cached {
+			if it.hit != nil {
 				tier = clusterHit
 			}
 			w.Header()["X-Cluster-Cache"] = tier
@@ -189,8 +194,23 @@ func (s *Server) handleQuery(cl *Class) http.HandlerFunc {
 			s.writeHit(w, r, it.hit)
 			return
 		}
-		s.writeVerdict(w, r, s.itemVerdict(it, val, cached, shared))
+		s.writeVerdict(w, r, val)
 	}
+}
+
+// setTiming sets the Server-Timing header of a single reply that waited
+// since start on a computation: "compute" when this request ran it,
+// "shared" when it waited on another request's (a singleflight
+// follower), with the wait in milliseconds to three decimals. Hits
+// carry no Server-Timing, and batch lines none (their stream's headers
+// go out before the items finish).
+func (s *Server) setTiming(w http.ResponseWriter, shared bool, start time.Time) {
+	metric := "compute;dur="
+	if shared {
+		metric = "shared;dur="
+	}
+	ms := float64(s.cfg.Clock().Sub(start)) / float64(time.Millisecond)
+	w.Header()["Server-Timing"] = []string{metric + strconv.FormatFloat(ms, 'f', 3, 64)}
 }
 
 // limit applies the node's bounds to a resolved item. A front has none
@@ -623,8 +643,7 @@ func (s *Server) handleUnindex(w http.ResponseWriter, r *http.Request) {
 type solvableResponse = wire.Solvable
 
 // solveVerdict runs one bounded-round solvability analysis and shapes
-// the verdict; withMeta patches the serving metadata. The
-// engine run borrows a pooled scratch arena.
+// the verdict. The engine run borrows a pooled scratch arena.
 func (s *Server) solveVerdict(ctx context.Context, sch *coordattack.Scheme, horizon int, minRounds bool) (any, error) {
 	eng, release := s.engineRunOptions()
 	defer release()
@@ -669,8 +688,7 @@ type netSolvableResponse = wire.NetSolvable
 // flooding delivers every input within n−1 rounds. Under BackendAuto
 // those are answered here; the engine runs for f < c(G), rounds < n−1,
 // or on every request when the node forces a backend. The body is the
-// same either way; withMeta patches the serving metadata. The engine
-// run borrows a pooled scratch arena.
+// same either way. The engine run borrows a pooled scratch arena.
 func (s *Server) netVerdict(ctx context.Context, g *coordattack.Graph, f, rounds int) (any, error) {
 	c := g.EdgeConnectivity()
 	resp := netSolvableResponse{
@@ -724,8 +742,7 @@ func (e errInterrupted) Error() string {
 func (e errInterrupted) Unwrap() error { return e.err }
 
 // chaosCampaign runs one seeded campaign under ctx and shapes the
-// report; withMeta patches the elapsed time. A campaign its context
-// interrupts returns errInterrupted.
+// report. A campaign its context interrupts returns errInterrupted.
 func (s *Server) chaosCampaign(ctx context.Context, q *ChaosRequest) (any, error) {
 	rep, err := chaos.RunCampaignCtx(ctx, chaos.Config{
 		Scheme:         q.sch,

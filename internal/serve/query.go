@@ -161,23 +161,20 @@ func decodeStrict(r io.Reader, v any) error {
 	return nil
 }
 
-// withMeta returns a copy of a stored verdict carrying the serving
-// metadata of this answer, as far as the verdict type has the fields:
-// whether a cache tier served it, whether a concurrent identical
-// request shared its computation, and how long the answer took.
-func withMeta(v any, cached, shared bool, elapsedMs int64) any {
+// asHit returns a copy of a stored verdict marked as a cache tier's
+// answer, as far as the verdict type has the cached field; a chaos
+// report, which no cache holds, comes back as it is. A computed verdict
+// is served as it is stored: cached is its one per-request field.
+func asHit(v any) any {
 	switch t := v.(type) {
 	case ClassifyResponse:
-		t.Cached = cached
+		t.Cached = true
 		return &t
 	case solvableResponse:
-		t.Cached, t.Shared, t.ElapsedMs = cached, shared, elapsedMs
+		t.Cached = true
 		return &t
 	case netSolvableResponse:
-		t.Cached, t.ElapsedMs = cached, elapsedMs
-		return &t
-	case chaosResponse:
-		t.ElapsedMs = elapsedMs
+		t.Cached = true
 		return &t
 	}
 	return v

@@ -205,8 +205,8 @@ func New(cfg Config) *Server { return NewFront(cfg, nil) }
 // one seam; everything else a front does is the node's code.
 type Remote interface {
 	// Answer computes the verdict of one resolved item under ctx and
-	// names the server that answered. The verdict's serving metadata
-	// is zero (Class.Decode). A rejection is a *StatusError.
+	// names the server that answered. The verdict's cached flag is
+	// false (Class.Decode). A rejection is a *StatusError.
 	Answer(ctx context.Context, cl *Class, q Query) (verdict any, from string, err error)
 }
 

@@ -341,9 +341,8 @@ func decodeVerdict(key string, raw []byte) (any, bool) {
 // Decode turns a stored or another server's verdict of the class into
 // the response value the cache holds (typed: handlers type-assert it):
 // a current-version frame of exactly the class's kind, or JSON for
-// classify, which has no frame kind. The serving metadata (cached,
-// shared, elapsedMs) is zeroed: it belongs to the answer, not the
-// verdict.
+// classify, which has no frame kind. Cached is zeroed: it belongs to
+// the answer, not the verdict.
 func (c *Class) Decode(raw []byte) (any, bool) {
 	if c.Kind == wire.KindInvalid {
 		var v ClassifyResponse
@@ -363,13 +362,12 @@ func (c *Class) Decode(raw []byte) (any, bool) {
 	}
 	switch t := v.(type) {
 	case *wire.Solvable:
-		t.Cached, t.Shared, t.ElapsedMs = false, false, 0
+		t.Cached = false
 		return *t, true
 	case *wire.NetSolvable:
-		t.Cached, t.ElapsedMs = false, 0
+		t.Cached = false
 		return *t, true
 	case *wire.Chaos:
-		t.ElapsedMs = 0
 		return *t, true
 	}
 	return nil, false

@@ -511,6 +511,76 @@ func TestWarmStoreRecomputesOtherFrameVersions(t *testing.T) {
 	}
 }
 
+// TestWarmStoreV3FileRecomputed: testdata/warm-v3.seg is a warm store
+// written by a node of frame version 3 (whose solvability frames still
+// carried shared and elapsedMs), holding the verdicts of the three
+// queries below. It opens with zero usable records; the node recomputes
+// each verdict, serves it uncached, and persists it as a frame of the
+// current version.
+func TestWarmStoreV3FileRecomputed(t *testing.T) {
+	queries := []struct{ path, body string }{
+		{"/v1/solvable", `{"scheme":"S1","horizon":3}`},
+		{"/v1/solvable", `{"scheme":"S2","minus":["(b)"],"horizon":5}`},
+		{"/v1/net/solvable", `{"graph":"cycle","n":4,"f":1,"rounds":2}`},
+	}
+	v3, err := os.ReadFile(filepath.Join("testdata", "warm-v3.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "warm.seg")
+	if err := os.WriteFile(path, v3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, old, err := OpenVerdictStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(old) != len(queries) {
+		t.Fatalf("the v3 file holds %d records, want %d", len(old), len(queries))
+	}
+	for _, r := range old {
+		if !wire.IsFrame(r.Val) || r.Val[2] != 3 {
+			t.Fatalf("record %q = %q, want a version-3 frame", r.Key, r.Val)
+		}
+	}
+
+	s, ts := testServer(t, Config{WarmStorePath: path})
+	if s.warmLoaded != 0 {
+		t.Fatalf("node loaded %d verdicts from a version-3 store, want 0", s.warmLoaded)
+	}
+	for _, q := range queries {
+		resp, raw := postJSON(t, ts.URL+q.path, q.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s = %d: %s", q.body, resp.StatusCode, raw)
+		}
+		if strings.Contains(string(raw), `"cached"`) || resp.Header.Get("Server-Timing") == "" {
+			t.Fatalf("%s: served %s (Server-Timing %q), want a recomputed verdict", q.body, raw, resp.Header.Get("Server-Timing"))
+		}
+	}
+	if runs := s.engine.runs.Load(); runs != int64(len(queries)) {
+		t.Fatalf("node ran the engine %d times, want %d (one per query)", runs, len(queries))
+	}
+	ts.Close()
+
+	store, entries, err := OpenVerdictStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	latest := map[string][]byte{}
+	for _, r := range entries {
+		latest[r.Key] = r.Val
+	}
+	for _, r := range old {
+		if v := latest[r.Key]; !wire.IsFrame(v) || v[2] != wire.Version {
+			t.Fatalf("after recompute, %q = %q, want a version-%d frame", r.Key, v, wire.Version)
+		}
+	}
+}
+
 // heapInuse reports the live heap after a full collection.
 func heapInuse() int64 {
 	runtime.GC()

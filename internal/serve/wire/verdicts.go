@@ -8,10 +8,11 @@ import (
 // The verdict structs live here — with their JSON tags — so the JSON
 // bodies the service produces and the binary frames are two
 // encodings of one source of truth; internal/serve aliases these
-// types. A verdict holds no engine provenance: the
-// same key gets the same verdict however it was computed, and only
-// Cached, Shared and ElapsedMs vary per request. Frames always carry
-// those three; JSON omits each when it is false or zero.
+// types. A verdict holds no engine provenance and no timing: the same
+// key gets the same verdict however and however fast it was computed.
+// Cached (Solvable and NetSolvable) is the one field that varies per
+// request; frames always carry it, JSON only when true. How long a
+// reply took travels in its Server-Timing header.
 
 // Solvable is the /v1/solvable verdict (bounded-round solvability of a
 // two-general omission scheme).
@@ -27,8 +28,6 @@ type Solvable struct {
 	Components      int    `json:"components,omitempty"`
 	MixedComponents int    `json:"mixedComponents,omitempty"`
 	Cached          bool   `json:"cached,omitempty"`
-	Shared          bool   `json:"shared,omitempty"`
-	ElapsedMs       int64  `json:"elapsedMs,omitempty"`
 }
 
 func (v *Solvable) appendPayload(dst []byte) []byte {
@@ -46,8 +45,6 @@ func (v *Solvable) appendPayload(dst []byte) []byte {
 	dst = appendInt(dst, int64(v.Components))
 	dst = appendInt(dst, int64(v.MixedComponents))
 	dst = appendBool(dst, v.Cached)
-	dst = appendBool(dst, v.Shared)
-	dst = appendInt(dst, v.ElapsedMs)
 	return dst
 }
 
@@ -66,8 +63,6 @@ func (v *Solvable) decode(r *reader) {
 	v.Components = int(r.int())
 	v.MixedComponents = int(r.int())
 	v.Cached = r.bool()
-	v.Shared = r.bool()
-	v.ElapsedMs = r.int()
 }
 
 // NetSolvable is the /v1/net/solvable verdict (n-process network
@@ -81,7 +76,6 @@ type NetSolvable struct {
 	EdgeConnectivity int    `json:"edgeConnectivity"`
 	TheoremV1        bool   `json:"theoremV1Solvable"` // f < c(G)
 	Cached           bool   `json:"cached,omitempty"`
-	ElapsedMs        int64  `json:"elapsedMs,omitempty"`
 }
 
 func (v *NetSolvable) appendPayload(dst []byte) []byte {
@@ -93,7 +87,6 @@ func (v *NetSolvable) appendPayload(dst []byte) []byte {
 	dst = appendInt(dst, int64(v.EdgeConnectivity))
 	dst = appendBool(dst, v.TheoremV1)
 	dst = appendBool(dst, v.Cached)
-	dst = appendInt(dst, v.ElapsedMs)
 	return dst
 }
 
@@ -106,7 +99,6 @@ func (v *NetSolvable) decode(r *reader) {
 	v.EdgeConnectivity = int(r.int())
 	v.TheoremV1 = r.bool()
 	v.Cached = r.bool()
-	v.ElapsedMs = r.int()
 }
 
 // ChaosViolation is one property violation found by a chaos campaign.
@@ -128,7 +120,6 @@ type Chaos struct {
 	Rounds     int64            `json:"rounds"`
 	OK         bool             `json:"ok"`
 	Violations []ChaosViolation `json:"violations,omitempty"`
-	ElapsedMs  int64            `json:"elapsedMs,omitempty"`
 }
 
 func (v *Chaos) appendPayload(dst []byte) []byte {
@@ -148,7 +139,6 @@ func (v *Chaos) appendPayload(dst []byte) []byte {
 		dst = appendInt(dst, cv.Seed)
 		dst = appendInt(dst, int64(cv.Execution))
 	}
-	dst = appendInt(dst, v.ElapsedMs)
 	return dst
 }
 
@@ -179,16 +169,16 @@ func (v *Chaos) decode(r *reader) {
 			})
 		}
 	}
-	v.ElapsedMs = r.int()
 }
 
 // BatchLine is one per-item record of a batch response stream, the
 // same on a node and a coordinator. Status is what the single-item
 // endpoint would have answered for the item; whether a cache answered
-// it is the verdict's own cached flag. Cached is written by nothing and
-// kept in the layout (and the frame version) until served bodies drop
-// their per-request metadata. Verdict holds *Solvable, *NetSolvable or
-// *Chaos.
+// it is the verdict's own cached flag. A line carries no timing (its
+// stream's headers are sent before its items finish). Cached is written
+// by nothing and kept in the layout until the verdict's own cached flag
+// leaves the body. Verdict holds a Solvable, NetSolvable or Chaos,
+// value or pointer; a decoded line holds a pointer.
 type BatchLine struct {
 	Index   int    `json:"index"`
 	Status  int    `json:"status"`
@@ -207,6 +197,15 @@ func (l *BatchLine) appendPayload(dst []byte) ([]byte, error) {
 	switch v := l.Verdict.(type) {
 	case nil:
 		dst = append(dst, byte(KindInvalid))
+	case Solvable:
+		dst = append(dst, byte(KindSolvable))
+		dst = v.appendPayload(dst)
+	case NetSolvable:
+		dst = append(dst, byte(KindNetSolvable))
+		dst = v.appendPayload(dst)
+	case Chaos:
+		dst = append(dst, byte(KindChaos))
+		dst = v.appendPayload(dst)
 	case *Solvable:
 		dst = append(dst, byte(KindSolvable))
 		dst = v.appendPayload(dst)

@@ -10,10 +10,10 @@
 // strings, single-byte bools, and an explicit big-int encoding for
 // ConfigsExact so exact configuration counts past int64 survive the
 // trip byte-for-byte. A verdict carries the answer and the counts
-// behind it, plus the per-request cached/shared/elapsedMs fields
-// (always in a frame; in JSON only when true or nonzero); how the
-// engine computed it is not part of the reply (capserved's /v1/stats
-// aggregates that).
+// behind it, plus one per-request field, cached (always in a frame; in
+// JSON only when true). How the engine computed it is not part of the
+// reply (capserved's /v1/stats aggregates that), nor is how long it
+// took (a single reply's Server-Timing header carries that).
 //
 // Frames are the only verdict encoding between processes: on disk and
 // in warm sync (both as warm segments, see segment.go) and between the
@@ -59,7 +59,10 @@ const (
 	// recomputed.
 	// Version 2 dropped the engine block's frontier-dedup gauges.
 	// Version 3 dropped the engine block.
-	Version = 3
+	// Version 4 dropped Solvable.Shared and the ElapsedMs of Solvable,
+	// NetSolvable and Chaos: nodes and coordinators of versions 3 and
+	// 4 refuse each other's frames, so upgrade them together.
+	Version = 4
 	// headerLen is magic(2) + version(1) + kind(1) + length(4).
 	headerLen = 8
 	// MaxFramePayload bounds one frame's payload; a length field past it

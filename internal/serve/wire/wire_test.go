@@ -30,16 +30,15 @@ func solvableShapes() map[string]*Solvable {
 	found := true
 	notFound := false
 	return map[string]*Solvable{
-		"minimal": {Scheme: "S1", Horizon: 3, Solvable: true, Configs: 81, ElapsedMs: 2},
+		"minimal": {Scheme: "S1", Horizon: 3, Solvable: true, Configs: 81},
 		"full": {
 			Scheme: "S2-(b)", Horizon: 11, Solvable: false, Found: &notFound,
 			Configs: 1 << 30, Components: 17, MixedComponents: 3,
-			Cached: true, Shared: true, ElapsedMs: 918,
+			Cached: true,
 		},
 		"exact-overflow": {
 			Scheme: "S1", Horizon: 40, Solvable: true, Found: &found,
 			Configs: math.MaxInt32, ConfigsExact: configsExactDeep(),
-			ElapsedMs: 100_000,
 		},
 		"negative-exact": {Scheme: "S1", Horizon: 1, ConfigsExact: "-12345678901234567890123456789"},
 		"verbatim-exact": {Scheme: "S1", Horizon: 1, ConfigsExact: "007"}, // non-canonical: travels verbatim
@@ -48,25 +47,24 @@ func solvableShapes() map[string]*Solvable {
 
 func netShapes() map[string]*NetSolvable {
 	return map[string]*NetSolvable{
-		"minimal": {Graph: "K4", N: 4, F: 1, Rounds: 2, Solvable: true, EdgeConnectivity: 3, TheoremV1: true, ElapsedMs: 1},
+		"minimal": {Graph: "K4", N: 4, F: 1, Rounds: 2, Solvable: true, EdgeConnectivity: 3, TheoremV1: true},
 		"full": {
 			Graph: "cycle:9", N: 9, F: 2, Rounds: 8, Solvable: false,
 			EdgeConnectivity: 2, TheoremV1: false,
-			Cached: true, ElapsedMs: 4321,
+			Cached: true,
 		},
 	}
 }
 
 func chaosShapes() map[string]*Chaos {
 	return map[string]*Chaos{
-		"clean": {Scheme: "S1", Algorithm: "alternating", Seed: -42, Executions: 1000, Rounds: 31337, OK: true, ElapsedMs: 77},
+		"clean": {Scheme: "S1", Algorithm: "alternating", Seed: -42, Executions: 1000, Rounds: 31337, OK: true},
 		"violations": {
 			Scheme: "S2", Algorithm: "greedy", Seed: 9, Executions: 64, Rounds: 512, OK: false,
 			Violations: []ChaosViolation{
 				{Property: "agreement", Detail: "split decision", Scenario: "0:ab 1:-b", Minimized: "0:a", Seed: 3, Execution: 17},
 				{Property: "validity", Detail: "decided 1 on all-0", Scenario: "…", Seed: -8, Execution: 2},
 			},
-			ElapsedMs: 5,
 		},
 	}
 }
@@ -117,6 +115,35 @@ func TestNetSolvableRoundTrip(t *testing.T) {
 func TestChaosRoundTrip(t *testing.T) {
 	for name, v := range chaosShapes() {
 		t.Run(name, func(t *testing.T) { roundTrip(t, v) })
+	}
+}
+
+// TestVerdictSizesPinned pins the frame and JSON lengths of a
+// representative verdict of each keyed class, as a node serves a miss:
+// an S2-minus automaton at horizon 6 (the enum-heavy benchmark's
+// staple) and a four-vertex custom graph. A verdict is a function of
+// its key, so a new per-request field shows up here as a test diff.
+func TestVerdictSizesPinned(t *testing.T) {
+	cases := []struct {
+		name            string
+		v               any
+		frame, jsonSize int
+	}{
+		{"solvable S2-minus h6", &Solvable{Scheme: "S2-custom", Horizon: 6, Configs: 16384, Components: 1, MixedComponents: 1}, 28, 102},
+		{"net custom n4", &NetSolvable{Graph: "custom", N: 4, F: 1, Rounds: 2, EdgeConnectivity: 1}, 22, 105},
+	}
+	for _, c := range cases {
+		frame, err := Marshal(c.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := json.Marshal(c.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frame) != c.frame || len(js) != c.jsonSize {
+			t.Errorf("%s: frame %d B, JSON %d B (%s); pinned at %d and %d B", c.name, len(frame), len(js), js, c.frame, c.jsonSize)
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/serve/client"
 	"repro/internal/serve/wire"
@@ -42,17 +41,14 @@ func postAccept(t *testing.T, url, body, accept string) (*http.Response, []byte)
 	return resp, raw
 }
 
-// normalizeVerdict zeroes the per-request serving metadata (cache tier,
-// shared-flight flag, elapsed wall time): the only fields that
-// legitimately differ between two answers for the same key.
+// normalizeVerdict zeroes the cached flag, the one field that
+// legitimately differs between two answers for the same key.
 func normalizeVerdict(v any) {
 	switch t := v.(type) {
 	case *wire.Solvable:
-		t.Cached, t.Shared, t.ElapsedMs = false, false, 0
+		t.Cached = false
 	case *wire.NetSolvable:
-		t.Cached, t.ElapsedMs = false, 0
-	case *wire.Chaos:
-		t.ElapsedMs = 0
+		t.Cached = false
 	}
 }
 
@@ -323,11 +319,8 @@ func TestWarmServedBinaryDifferential(t *testing.T) {
 // depends on: node 1's /v1/warm/export, read through client.WarmExport,
 // is appended to a fresh verdict store, and a node booted on that store
 // answers every exported key with the bytes node 1 serves for a cache
-// hit, in JSON and in frames, without running the engine. Both nodes
-// share a frozen clock so elapsedMs cannot differ.
+// hit, in JSON and in frames, without running the engine.
 func TestWarmSegmentExportImport(t *testing.T) {
-	frozen := time.Unix(1_700_000_000, 0)
-	clock := func() time.Time { return frozen }
 	queries := []struct{ path, body string }{
 		{"/v1/solvable", `{"scheme":"S1","horizon":9}`},
 		{"/v1/solvable", `{"scheme":"S2","minus":["(b)"],"horizon":5}`},
@@ -336,7 +329,7 @@ func TestWarmSegmentExportImport(t *testing.T) {
 		{"/v1/classify", `{"scheme":"S1"}`},
 	}
 
-	_, ts1 := testServer(t, Config{Clock: clock})
+	_, ts1 := testServer(t, Config{})
 	type reply struct{ json, frame []byte }
 	hits := make([]reply, len(queries))
 	for i, q := range queries {
@@ -375,7 +368,7 @@ func TestWarmSegmentExportImport(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s3, ts3 := testServer(t, Config{WarmStorePath: path, Clock: clock})
+	s3, ts3 := testServer(t, Config{WarmStorePath: path})
 	if s3.warmLoaded != len(entries) {
 		t.Fatalf("node 3 preloaded %d verdicts, want %d", s3.warmLoaded, len(entries))
 	}

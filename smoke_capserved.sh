@@ -71,18 +71,33 @@ HEALTH="$(curl -fsS "${BASE}/healthz")"
 # One solvability query, twice: the repeat must be served from cache
 # with the verdict's own counts (S1 at horizon 2 streams 28 leaf
 # configurations) and no per-response engine block; the engine work
-# shows in /v1/stats below.
+# shows in /v1/stats below. The miss carries its compute time in
+# Server-Timing, the hit no Server-Timing, and neither body any timing.
 BODY='{"scheme":"S1","horizon":2}'
-FIRST="$(curl -fsS -X POST -d "${BODY}" "${BASE}/v1/solvable")"
+FIRST="$(curl -fsS -D "${WORK}/firsthdr" -X POST -d "${BODY}" "${BASE}/v1/solvable")"
 echo "${FIRST}" | grep -q '"solvable":true' || {
 	echo "smoke: unexpected solvable reply: ${FIRST}" >&2
 	exit 1
 }
-SECOND="$(curl -fsS -X POST -d "${BODY}" "${BASE}/v1/solvable")"
+grep -Eiq '^Server-Timing: compute;dur=[0-9]+\.[0-9]{3}' "${WORK}/firsthdr" || {
+	echo "smoke: the miss carries no Server-Timing compute metric:" >&2
+	cat "${WORK}/firsthdr" >&2
+	exit 1
+}
+SECOND="$(curl -fsS -D "${WORK}/secondhdr" -X POST -d "${BODY}" "${BASE}/v1/solvable")"
 echo "${SECOND}" | grep -q '"cached":true' || {
 	echo "smoke: repeat query was not cached: ${SECOND}" >&2
 	exit 1
 }
+if grep -iq '^Server-Timing:' "${WORK}/secondhdr"; then
+	echo "smoke: the cache hit carries a Server-Timing header:" >&2
+	cat "${WORK}/secondhdr" >&2
+	exit 1
+fi
+if echo "${FIRST}${SECOND}" | grep -Eq '"(shared|elapsedMs)"'; then
+	echo "smoke: a verdict body carries per-request timing: ${FIRST} ${SECOND}" >&2
+	exit 1
+fi
 echo "${SECOND}" | grep -Eq '"configs":[1-9]' || {
 	echo "smoke: cached reply lost the verdict's configs: ${SECOND}" >&2
 	exit 1
@@ -308,13 +323,13 @@ if [ "${SMOKE_CLUSTER:-1}" = "1" ]; then
 
 	# --- one answer per campaign and per index ------------------------
 	# The coordinator answers a chaos campaign through one backend and
-	# index itself, so both replies must be a lone backend's: equal
-	# campaign reports once elapsedMs is stripped, a frame when frames
-	# are asked for, and an equal index reply.
+	# index itself, so both replies must be a lone backend's: campaign
+	# reports equal byte for byte, a frame when frames are asked for,
+	# and an equal index reply.
 	BK1="${BK_BASES%%,*}"
 	CHAOS='{"scheme":"S1","executions":20,"seed":7}'
-	CC="$(curl -fsS -X POST -d "${CHAOS}" "${CBASE}/v1/chaos" | sed 's/,"elapsedMs":[0-9]*//')"
-	NC="$(curl -fsS -X POST -d "${CHAOS}" "${BK1}/v1/chaos" | sed 's/,"elapsedMs":[0-9]*//')"
+	CC="$(curl -fsS -X POST -d "${CHAOS}" "${CBASE}/v1/chaos")"
+	NC="$(curl -fsS -X POST -d "${CHAOS}" "${BK1}/v1/chaos")"
 	[ -n "${CC}" ] && [ "${CC}" = "${NC}" ] || {
 		echo "smoke: coordinator campaign differs from the backend's:" >&2
 		echo "coordinator: ${CC}" >&2
